@@ -1,228 +1,359 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
-//! Usage:
-//!
 //! ```text
-//! repro [--quick] [--out DIR] \
-//!   [--trace-out FILE] [--metrics-out FILE] [--bench-out FILE] \
-//!   [all|verify|fuzz|fig5|fig6|pktsize|table1|vfcount|isolation|noisy|overlay|billing|trace|faults|slo]
+//! repro [--quick] [--out DIR] [--trace-out FILE] [--metrics-out FILE] [TARGET...]
 //! ```
 //!
 //! Prints aligned tables to stdout and writes CSV files under `--out`
-//! (default `results/`). `--quick` scales measurement windows down ~8x for
-//! a fast smoke pass.
-//!
-//! The `verify` target runs the static isolation/complete-mediation
-//! verifier (`mts-isocheck`, see `VERIFICATION.md`) over every shipped
-//! compartmentalized configuration, then seeds three canonical
-//! misconfigurations and demands each is detected with a concrete
-//! counterexample witness. It then exercises the *incremental* verifier:
-//! crash-shaped configuration churn across the shipped matrix must stay
-//! byte-identical to the from-scratch analysis after every delta, the
-//! three misconfigurations re-seeded through the delta path must be
-//! detected incrementally, and `diff_levels()` must show every hardened
-//! configuration free of reachability regressions against its Baseline.
-//! Exits nonzero on any failure. The same analysis also runs
-//! automatically as a pre-flight check before every simulated scenario.
-//!
-//! The `fuzz` target runs the deterministic structured fuzzing campaign
-//! (`mts-fuzz`, see `ROBUSTNESS.md`): fixed-seed generators and mutators
-//! over the wire codec, the fault-plan grammar, hostile `ConfigDelta`
-//! streams through the incremental verifier (full `verify()` as the
-//! differential oracle), and reconciliation damage — plus the two live
-//! modes (per-level NIC zero-leak injection and in-world byte injection
-//! under traffic). It then replays the committed crasher corpus
-//! (`tests/corpus/`) and exits nonzero on any invariant violation,
-//! replay failure, or an empty corpus. `--quick` runs the 10k-case
-//! budget; the default budget is ~5x larger.
-//!
-//! The `trace` target (implied when `--trace-out`/`--metrics-out` is given
-//! without an explicit target) runs a Level-2 v2v scenario with telemetry
-//! enabled, audits complete mediation over every frame journey, and writes
-//! a Chrome trace-event file (open in <https://ui.perfetto.dev>), a JSONL
-//! event log (`FILE.jsonl` sibling), and a Prometheus-style metrics
-//! snapshot. See `OBSERVABILITY.md`.
-//!
-//! The `faults` target runs the blast-radius and recovery panel
-//! (`mts-faults`, see `ROBUSTNESS.md`): every security level under every
-//! fault scenario, with the supervisor recovering the deployment. It
-//! self-checks the headline containment claims (Level-2 compartment kill
-//! loses zero frames of other compartments; Baseline loses everyone's),
-//! the `offered = delivered + Σ typed drops` accounting identity, and the
-//! post-recovery isolation verification — exiting nonzero on any failure.
-//! With `--trace-out`/`--metrics-out`, it additionally runs a traced
-//! Level-2 crash-and-recover cell and exports its trace and metrics.
-//!
-//! The `slo` target runs the `mts-slo` panel (see `OBSERVABILITY.md`): the
-//! noisy-neighbor SLO matrix (p50/p99/p999, loss, and meter-attributed
-//! cycles per victim tenant, per security level), the billing-accuracy
-//! experiment (billed vs ground-truth cycles), and the cycle-conservation
-//! audit (`billed + unattributed == measured`, exact, at every level). It
-//! self-checks every headline claim and exits nonzero on violation. It
-//! also runs the simulator self-profiler plus the verification-throughput
-//! workload (`verify-churn-l2-4`: fault-recovery delta streams replayed
-//! through the incremental checker vs full re-verification per delta —
-//! byte-identical, and non-quick runs fail below a 10x speedup), and
-//! writes the perf-trajectory snapshot (`--bench-out`, default
-//! `OUT/BENCH_MTS.json`; schema `mts-bench-v1`, validated by `cargo xtask
-//! bench-check`). Wall-clock timing appears only in that snapshot — every
-//! table and CSV is simulated-time-only and byte-deterministic for a
-//! given seed.
+//! (default `results/`); `--quick` scales measurement windows down ~8x for
+//! a fast smoke pass. [`TARGETS`] is the list of targets — the usage text,
+//! `all` and the unknown-target error are derived from it — and
+//! `EXPERIMENTS.md` says what each one reproduces. Every table and CSV is
+//! simulated-time-only and byte-deterministic for a given seed. Exits 1
+//! when a target's self-check or an output file fails, 2 on a usage error.
 
 use mts_bench::figures::{
-    fig5_panel, fig6_panel, isolation_matrix, pktsize_sweep, render_fig6, vf_count_table,
+    fig5_panel, fig6_csv, fig6_panel, isolation_matrix, pktsize_sweep, render_fig6, vf_count_table,
     Fig5Panel, Fig6Panel, ReproOpts,
 };
+use mts_bench::slo;
 use mts_core::controller::Deployment;
 use mts_core::delta::ConfigDelta;
-use mts_core::perfiso::{self, NoisyOpts};
+use mts_core::perfiso;
 use mts_core::runtime::{start_udp_generator, RuntimeCfg, Sim, World};
 use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts_core::survey;
 use mts_core::workloads::Workload;
-use mts_core::{billing, overlay, Controller};
+use mts_core::{overlay, Controller};
 use mts_host::ResourceMode;
 use mts_net::MacAddr;
 use mts_nic::{FilterAction, FilterRule, NicPort, PfId, PortClass, VfConfig};
 use mts_sim::Time;
-use mts_telemetry::{MediationAuditor, Telemetry};
+use mts_telemetry::{MediationAuditor, Recorder, Telemetry};
 use mts_vswitch::DatapathKind;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
-struct Args {
+/// What every target gets: the command line, minus the target names.
+struct Ctx {
     quick: bool,
     out: PathBuf,
     trace_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
-    bench_out: Option<PathBuf>,
-    what: Vec<String>,
 }
 
-fn parse_args() -> Args {
-    let mut quick = false;
-    let mut out = PathBuf::from("results");
-    let mut trace_out = None;
-    let mut metrics_out = None;
-    let mut bench_out = None;
-    let mut what = Vec::new();
-    let mut args = std::env::args().skip(1);
-    fn value(flag: &str, args: &mut impl Iterator<Item = String>) -> PathBuf {
-        args.next().map(PathBuf::from).unwrap_or_else(|| {
-            eprintln!("repro: {flag} requires a path argument");
-            std::process::exit(2);
-        })
+/// One `repro` target. A target prints its tables, writes its files and
+/// returns `Err` when a self-check or a write failed.
+struct Target {
+    name: &'static str,
+    about: &'static str,
+    /// Whether `repro all` runs it.
+    in_all: bool,
+    run: fn(&Ctx) -> Result<(), String>,
+}
+
+const TARGETS: &[Target] = &[
+    Target {
+        name: "verify",
+        about: "static isolation verifier, incremental-vs-full churn, level diffs (self-checking)",
+        in_all: true,
+        run: run_verify,
+    },
+    Target {
+        name: "fuzz",
+        about: "fixed-seed fuzz campaign and crasher-corpus replay (self-checking)",
+        in_all: true,
+        run: run_fuzz,
+    },
+    Target {
+        name: "faults",
+        about: "blast-radius and recovery panel (self-checking); exports a traced cell on request",
+        in_all: true,
+        run: run_faults,
+    },
+    Target {
+        name: "slo",
+        about: "noisy-neighbour SLO matrix, billing accuracy, cycle conservation (self-checking)",
+        in_all: true,
+        run: run_slo,
+    },
+    Target {
+        name: "table1",
+        about: "Table 1: design survey of virtual switches",
+        in_all: true,
+        run: run_table1,
+    },
+    Target {
+        name: "vfcount",
+        about: "Sec. 3.2 VF budget",
+        in_all: true,
+        run: |_| {
+            println!("{}", vf_count_table());
+            Ok(())
+        },
+    },
+    Target {
+        name: "isolation",
+        about: "Sec. 2.3 attack/isolation matrix",
+        in_all: true,
+        run: |_| {
+            println!("{}", isolation_matrix());
+            Ok(())
+        },
+    },
+    Target {
+        name: "fig5",
+        about: "Fig. 5: throughput, latency and resources per level",
+        in_all: true,
+        run: run_fig5,
+    },
+    Target {
+        name: "pktsize",
+        about: "Sec. 4.2 latency vs packet size",
+        in_all: true,
+        run: |ctx| {
+            let rep = pktsize_sweep(ctx.opts());
+            println!("{}", rep.render_latency());
+            ctx.csv("pktsize_latency.csv", &rep.to_csv())
+        },
+    },
+    Target {
+        name: "fig6",
+        about: "Fig. 6: iperf, Apache and Memcached per level",
+        in_all: true,
+        run: run_fig6,
+    },
+    Target {
+        name: "overlay",
+        about: "Sec. 3.2 VXLAN overlay round trip on Level-2",
+        in_all: true,
+        run: run_overlay,
+    },
+    // Not in `all`: it exists for its exporter files, and `faults` writes
+    // the same --trace-out/--metrics-out paths.
+    Target {
+        name: "trace",
+        about: "telemetry run: mediation audit (self-checking), Chrome trace, Prometheus metrics",
+        in_all: false,
+        run: run_trace,
+    },
+];
+
+/// The rows `repro all` runs, in order.
+fn in_all() -> impl Iterator<Item = &'static Target> {
+    TARGETS.iter().filter(|t| t.in_all)
+}
+
+fn usage() -> String {
+    let mut out = String::from(
+        "usage: repro [--quick] [--out DIR] [--trace-out FILE] [--metrics-out FILE] \
+         [TARGET...]\n\ntargets (default: all):\n",
+    );
+    for t in TARGETS {
+        out.push_str(&format!("  {:<10} {}\n", t.name, t.about));
     }
+    let all: Vec<&str> = in_all().map(|t| t.name).collect();
+    out.push_str(&format!("  {:<10} {}\n", "all", all.join(" ")));
+    out
+}
+
+/// Parses the command line into the context and the targets to run, in
+/// order, with `all` expanded. Nothing runs if any name is unknown.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Ctx, Vec<&'static Target>), String> {
+    let mut ctx = Ctx {
+        quick: false,
+        out: PathBuf::from("results"),
+        trace_out: None,
+        metrics_out: None,
+    };
+    let mut names = Vec::new();
     while let Some(a) = args.next() {
+        let mut path = || {
+            let p = args.next().map(PathBuf::from);
+            p.ok_or(format!("{a} requires a path argument"))
+        };
         match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = value("--out", &mut args),
-            "--trace-out" => trace_out = Some(value("--trace-out", &mut args)),
-            "--metrics-out" => metrics_out = Some(value("--metrics-out", &mut args)),
-            "--bench-out" => bench_out = Some(value("--bench-out", &mut args)),
-            other => what.push(other.to_string()),
+            "--quick" => ctx.quick = true,
+            "--out" => ctx.out = path()?,
+            "--trace-out" => ctx.trace_out = Some(path()?),
+            "--metrics-out" => ctx.metrics_out = Some(path()?),
+            _ => names.push(a),
         }
     }
-    if what.is_empty() {
+    if names.is_empty() {
         // Exporter flags without an explicit target imply the run that
         // produces them.
-        if bench_out.is_some() {
-            what.push("slo".to_string());
-        } else if trace_out.is_some() || metrics_out.is_some() {
-            what.push("trace".to_string());
+        let exporting = ctx.trace_out.is_some() || ctx.metrics_out.is_some();
+        names.push(if exporting { "trace" } else { "all" }.to_string());
+    }
+    let mut targets = Vec::new();
+    for name in &names {
+        if name == "all" {
+            targets.extend(in_all());
         } else {
-            what.push("all".to_string());
+            let found = TARGETS.iter().find(|t| t.name == name);
+            targets.push(found.ok_or(format!("unknown target: {name}"))?);
         }
     }
-    Args {
-        quick,
-        out,
-        trace_out,
-        metrics_out,
-        bench_out,
-        what,
+    Ok((ctx, targets))
+}
+
+fn main() -> ExitCode {
+    let (ctx, targets) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("repro: {e}\n\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    eprintln!(
+        "repro: scale={} reps={} -> {}",
+        ctx.opts().scale,
+        ctx.opts().reps,
+        ctx.out.display()
+    );
+    for t in targets {
+        if let Err(e) = (t.run)(&ctx) {
+            eprintln!("repro: {} FAILED:\n  {e}", t.name);
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+impl Ctx {
+    /// Measurement windows and repetitions of the figure panels.
+    fn opts(&self) -> ReproOpts {
+        if self.quick {
+            ReproOpts::quick()
+        } else {
+            ReproOpts::default()
+        }
+    }
+
+    /// Writes one CSV under `--out`.
+    fn csv(&self, name: &str, content: &str) -> Result<(), String> {
+        save(&self.out.join(name), content)
     }
 }
 
-fn save(out_dir: &PathBuf, name: &str, content: &str) {
-    if fs::create_dir_all(out_dir).is_ok() {
-        let path = out_dir.join(name);
-        if fs::write(&path, content).is_ok() {
-            eprintln!("  wrote {}", path.display());
-        }
+/// Writes one output file, creating its directory.
+fn save(path: &Path, content: &str) -> Result<(), String> {
+    fs::create_dir_all(path.parent().unwrap_or(Path::new("")))
+        .and_then(|()| fs::write(path, content))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("  wrote {}", path.display());
+    Ok(())
+}
+
+/// `Ok` when no self-check failed, else every failure, one per line.
+fn verdict(failures: Vec<String>) -> Result<(), String> {
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("\n  "))
     }
 }
 
-fn run_fig5(opts: ReproOpts, out: &PathBuf) {
+/// Writes a telemetry-enabled run's trace (Chrome trace-event JSON plus a
+/// `.jsonl` sibling) and metrics (Prometheus text plus `.jsonl`) to the
+/// paths the exporter flags name.
+fn export_telemetry(ctx: &Ctx, rec: &Recorder) -> Result<(), String> {
+    if let Some(p) = &ctx.trace_out {
+        save(p, &rec.trace.to_chrome_trace())?;
+        save(&p.with_extension("jsonl"), &rec.trace.to_jsonl())?;
+    }
+    if let Some(p) = &ctx.metrics_out {
+        save(p, &rec.metrics.render_prometheus())?;
+        save(&p.with_extension("jsonl"), &rec.metrics.render_jsonl())?;
+    }
+    Ok(())
+}
+
+/// The Level-2 (two compartments, kernel, isolated cores) deployment the
+/// `trace`, `overlay` and traced `faults` runs share.
+fn level2_spec(scenario: Scenario) -> DeploymentSpec {
+    DeploymentSpec::mts(
+        SecurityLevel::Level2 { compartments: 2 },
+        DatapathKind::Kernel,
+        ResourceMode::Isolated,
+        scenario,
+    )
+}
+
+fn run_table1(_: &Ctx) -> Result<(), String> {
+    println!("== Table 1: design characteristics of virtual switches ==");
+    println!("{}", survey::render_table());
+    println!(
+        "monolithic: {:.0}%  co-located: {:.0}%  split kernel/user: {:.0}%\n",
+        survey::monolithic_fraction() * 100.0,
+        survey::colocated_fraction() * 100.0,
+        survey::split_processing_fraction() * 100.0
+    );
+    Ok(())
+}
+
+fn run_fig5(ctx: &Ctx) -> Result<(), String> {
     for panel in Fig5Panel::ALL {
-        let (tput, lat, res) = fig5_panel(panel, opts);
+        let (tput, lat, res) = fig5_panel(panel, ctx.opts());
         println!("{}", tput.render_throughput());
         println!("{}", lat.render_latency());
         println!("{}", res.render_resources());
         let tag = panel.label().split(' ').next().unwrap_or("row");
-        save(out, &format!("fig5_{tag}_throughput.csv"), &tput.to_csv());
-        save(out, &format!("fig5_{tag}_latency.csv"), &lat.to_csv());
+        ctx.csv(&format!("fig5_{tag}_throughput.csv"), &tput.to_csv())?;
+        ctx.csv(&format!("fig5_{tag}_latency.csv"), &lat.to_csv())?;
     }
+    Ok(())
 }
 
-fn run_fig6(opts: ReproOpts, out: &PathBuf) {
+fn run_fig6(ctx: &Ctx) -> Result<(), String> {
     for row in Fig5Panel::ALL {
         for workload in Workload::ALL {
             let panel = Fig6Panel { row, workload };
-            let rows = fig6_panel(panel, opts);
+            let rows = fig6_panel(panel, ctx.opts());
             println!("{}", render_fig6(panel.name(), workload, &rows));
-            let mut csv =
-                String::from("config,scenario,workload,throughput,ci95,resp_p50_ns,resp_p99_ns\n");
-            for r in &rows {
-                csv.push_str(&format!(
-                    "{},{},{},{:.3},{:.3},{},{}\n",
-                    r.config.replace(',', ";"),
-                    r.scenario,
-                    r.workload,
-                    r.throughput,
-                    r.ci95,
-                    r.latency.p50,
-                    r.latency.p99
-                ));
-            }
             let tag = format!(
                 "fig6_{}_{}",
                 row.label().split(' ').next().unwrap_or("row"),
                 workload.label()
             );
-            save(out, &format!("{tag}.csv"), &csv);
+            ctx.csv(&format!("{tag}.csv"), &fig6_csv(&rows))?;
         }
     }
+    Ok(())
 }
 
-/// The observability showcase: a Level-2 v2v run with full telemetry,
-/// mediation audit, and the trace/metrics exporters.
-fn run_trace(quick: bool, trace_out: Option<&Path>, metrics_out: Option<&Path>) {
-    let spec = DeploymentSpec::mts(
-        SecurityLevel::Level2 { compartments: 2 },
-        DatapathKind::Kernel,
-        ResourceMode::Isolated,
-        Scenario::V2v,
-    );
-    let d = Controller::deploy(spec).expect("deployable");
-    let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 1);
-    w.sink.window = (Time::ZERO, Time::MAX);
-    w.telemetry = Telemetry::enabled();
-    let mut e = Sim::new();
-    let flows: Vec<(MacAddr, std::net::Ipv4Addr)> = w
-        .plan
+/// Per-tenant `(gateway MAC, tenant IP)` probe flows of a compartmentalized
+/// world.
+fn tenant_flows(w: &World) -> Vec<(MacAddr, std::net::Ipv4Addr)> {
+    w.plan
         .tenants
         .iter()
         .map(|t| {
             let c = w.spec.compartment_of_tenant(t.index) as usize;
             (w.plan.compartments[c].in_out[0].1, t.ip)
         })
-        .collect();
-    let horizon = if quick { 2_000_000 } else { 10_000_000 };
+        .collect()
+}
+
+/// The observability showcase: a Level-2 v2v run with full telemetry,
+/// mediation audit, and the trace/metrics exporters.
+fn run_trace(ctx: &Ctx) -> Result<(), String> {
+    let spec = level2_spec(Scenario::V2v);
+    let d = Controller::deploy(spec).map_err(|e| e.to_string())?;
+    let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 1);
+    w.sink.window = (Time::ZERO, Time::MAX);
+    w.telemetry = Telemetry::enabled();
+    let mut e = Sim::new();
+    let horizon = if ctx.quick { 2_000_000 } else { 10_000_000 };
+    let flows = tenant_flows(&w);
     start_udp_generator(&mut e, flows, 50_000.0, 64, Time::from_nanos(horizon));
     e.run_until(&mut w, Time::from_nanos(horizon * 3));
 
-    let rec = w.telemetry.recorder().expect("telemetry enabled");
+    let rec = w.telemetry.recorder().ok_or("telemetry not recording")?;
     let report = MediationAuditor::sriov().audit(&rec.journeys);
     println!("== frame-journey trace (Level-2 v2v, kernel, isolated) ==");
     println!(
@@ -242,34 +373,53 @@ fn run_trace(quick: bool, trace_out: Option<&Path>, metrics_out: Option<&Path>) 
         println!("  VIOLATION frame {}: {}", v.frame, v.reason);
     }
     if !report.ok() {
-        eprintln!("repro: complete-mediation audit FAILED");
-        std::process::exit(1);
+        return Err("complete-mediation audit failed".to_string());
     }
-    fn write_or_die(p: &Path, content: String, note: &str) {
-        if let Err(e) = fs::write(p, content) {
-            eprintln!("repro: cannot write {}: {e}", p.display());
-            std::process::exit(1);
-        }
-        eprintln!("  wrote {}{note}", p.display());
-    }
-    if let Some(p) = trace_out {
-        write_or_die(p, rec.trace.to_chrome_trace(), " (open in ui.perfetto.dev)");
-        write_or_die(&p.with_extension("jsonl"), rec.trace.to_jsonl(), "");
-    }
-    if let Some(p) = metrics_out {
-        write_or_die(p, rec.metrics.render_prometheus(), "");
-        write_or_die(&p.with_extension("jsonl"), rec.metrics.render_jsonl(), "");
-    }
+    export_telemetry(ctx, rec)
+}
+
+/// VXLAN overlay round trip (Sec. 3.2) on Level-2.
+fn run_overlay(_: &Ctx) -> Result<(), String> {
+    let spec = level2_spec(Scenario::P2v);
+    let mut d = Controller::build(spec, 2).map_err(|e| e.to_string())?;
+    let cfg = overlay::OverlayConfig::default();
+    overlay::install_overlay_rules(&mut d, cfg).map_err(|e| format!("overlay rules: {e:?}"))?;
+    let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 1);
+    w.sink.window = (Time::ZERO, Time::MAX);
+    let mut e = Sim::new();
+    let flows: Vec<_> = tenant_flows(&w)
+        .into_iter()
+        .zip(&w.plan.tenants)
+        .map(|((dmac, ip), t)| (dmac, ip, cfg.vni(t.index)))
+        .collect();
+    overlay::start_overlay_generator(
+        &mut e,
+        flows,
+        cfg,
+        100_000.0,
+        256,
+        Time::from_nanos(20_000_000),
+    );
+    e.run_until(&mut w, Time::from_nanos(60_000_000));
+    println!("== VXLAN overlay (Sec 3.2) ==");
+    println!(
+        "sent {}  received {}  p50 {:.1} us  per-tenant {:?}",
+        w.sink.sent,
+        w.sink.received,
+        w.sink.latency.percentile(50.0) as f64 / 1e3,
+        w.sink.per_flow
+    );
+    Ok(())
 }
 
 /// The blast-radius and recovery panel (`ROBUSTNESS.md`), with the
 /// acceptance claims checked inline. With exporter flags, also runs a
 /// traced Level-2 crash-and-recover cell and writes its trace/metrics.
-fn run_faults(quick: bool, out: &PathBuf, trace_out: Option<&Path>, metrics_out: Option<&Path>) {
+fn run_faults(ctx: &Ctx) -> Result<(), String> {
     use mts_faults::{blast_radius_panel, experiment, FaultOpts};
     use mts_sim::Dur;
 
-    let opts = if quick {
+    let opts = if ctx.quick {
         FaultOpts {
             rate_pps: 100_000.0,
             run_for: Dur::millis(15),
@@ -280,22 +430,14 @@ fn run_faults(quick: bool, out: &PathBuf, trace_out: Option<&Path>, metrics_out:
     } else {
         FaultOpts::default()
     };
-    let cells = match blast_radius_panel(opts) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("repro: faults: {e}");
-            std::process::exit(1);
-        }
-    };
+    let cells = blast_radius_panel(opts).map_err(|e| e.to_string())?;
     println!("{}", experiment::render(&cells));
-    save(out, "faults_blast_radius.csv", &experiment::to_csv(&cells));
+    ctx.csv("faults_blast_radius.csv", &experiment::to_csv(&cells))?;
 
-    // --- Self-checks: the PR's acceptance claims, on the real panel. ---
-    let mut failed = false;
+    let mut failures = Vec::new();
     let mut check = |ok: bool, what: &str| {
         if !ok {
-            eprintln!("repro: faults: FAILED: {what}");
-            failed = true;
+            failures.push(what.to_string());
         }
     };
     for c in &cells {
@@ -313,8 +455,7 @@ fn run_faults(quick: bool, out: &PathBuf, trace_out: Option<&Path>, metrics_out:
             );
         }
     }
-    let crash: Vec<_> = cells.iter().filter(|c| c.fault == "crash").collect();
-    for c in &crash {
+    for c in cells.iter().filter(|c| c.fault == "crash") {
         if c.config.contains("L2") {
             check(
                 c.affected == vec![0, 2],
@@ -335,10 +476,7 @@ fn run_faults(quick: bool, out: &PathBuf, trace_out: Option<&Path>, metrics_out:
             );
         }
     }
-    if failed {
-        eprintln!("repro: fault panel FAILED");
-        std::process::exit(1);
-    }
+    verdict(failures)?;
     println!(
         "faults: {} cells clean; L2 compartment kill contained to one compartment, \
          accounting identity held everywhere",
@@ -347,220 +485,58 @@ fn run_faults(quick: bool, out: &PathBuf, trace_out: Option<&Path>, metrics_out:
 
     // Exporters: replay the Level-2 crash-and-recover cell with telemetry
     // enabled and write its trace and metrics (same flags as `trace`).
-    if trace_out.is_some() || metrics_out.is_some() {
-        let spec = DeploymentSpec::mts(
-            SecurityLevel::Level2 { compartments: 2 },
-            DatapathKind::Kernel,
-            ResourceMode::Isolated,
-            Scenario::P2v,
-        );
-        let w = match mts_faults::run_traced(spec, mts_faults::FaultCase::Crash, opts) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("repro: faults: traced run: {e}");
-                std::process::exit(1);
-            }
-        };
-        let rec = w.telemetry.recorder().expect("telemetry enabled");
-        fn write_or_die(p: &Path, content: String) {
-            if let Err(e) = fs::write(p, content) {
-                eprintln!("repro: cannot write {}: {e}", p.display());
-                std::process::exit(1);
-            }
-            eprintln!("  wrote {}", p.display());
-        }
-        if let Some(p) = trace_out {
-            write_or_die(p, rec.trace.to_chrome_trace());
-            write_or_die(&p.with_extension("jsonl"), rec.trace.to_jsonl());
-        }
-        if let Some(p) = metrics_out {
-            write_or_die(p, rec.metrics.render_prometheus());
-            write_or_die(&p.with_extension("jsonl"), rec.metrics.render_jsonl());
-        }
+    if ctx.trace_out.is_some() || ctx.metrics_out.is_some() {
+        let w = mts_faults::run_traced(
+            level2_spec(Scenario::P2v),
+            mts_faults::FaultCase::Crash,
+            opts,
+        )
+        .map_err(|e| format!("traced run: {e}"))?;
+        let rec = w.telemetry.recorder().ok_or("telemetry not recording")?;
+        export_telemetry(ctx, rec)?;
     }
+    Ok(())
 }
 
-/// The `mts-slo` panel plus the simulator self-profiler and the
-/// perf-trajectory snapshot. Exits nonzero if any headline claim fails.
-fn run_slo(quick: bool, out: &PathBuf, bench_out: Option<&Path>) {
-    use mts_bench::slo;
-
-    let panel = match slo::run_slo_panel(quick) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("repro: slo: {e}");
-            std::process::exit(1);
-        }
-    };
+/// The `mts-slo` panel (`OBSERVABILITY.md`): SLO matrix, billing accuracy
+/// and cycle conservation, with every headline claim self-checked.
+fn run_slo(ctx: &Ctx) -> Result<(), String> {
+    let panel = slo::run_slo_panel(ctx.quick).map_err(|e| e.to_string())?;
     println!("{}", perfiso::render_matrix(&panel.cells));
     println!("{}", slo::render_accuracy(&panel.accuracy));
     println!("{}", slo::render_conservation(&panel.conservation));
-    save(out, "slo_matrix.csv", &slo::matrix_csv(&panel.cells));
-    save(
-        out,
+    ctx.csv("slo_matrix.csv", &slo::matrix_csv(&panel.cells))?;
+    ctx.csv(
         "slo_billing_accuracy.csv",
         &slo::accuracy_csv(&panel.accuracy),
-    );
-    save(
-        out,
+    )?;
+    ctx.csv(
         "slo_conservation.csv",
         &slo::conservation_csv(&panel.conservation),
-    );
-    let violations = panel.self_check();
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("repro: slo: FAILED: {v}");
-        }
-        eprintln!("repro: SLO panel FAILED");
-        std::process::exit(1);
-    }
+    )?;
+    verdict(panel.self_check())?;
     println!(
         "slo: {} matrix cells, {} configs; conservation exact everywhere, \
          all self-checks passed",
         panel.cells.len(),
         panel.conservation.len()
     );
-
-    // Self-profiler: wall clock lives only here, in the binary; the
-    // library reports simulated-side stats (see xtask lint).
-    let mut workloads = Vec::new();
-    for case in slo::ProfileCase::ALL {
-        let t0 = std::time::Instant::now();
-        let stats = match slo::run_profile_case(case, quick) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("repro: slo: profiler {}: {e}", case.name());
-                std::process::exit(1);
-            }
-        };
-        let wall = t0.elapsed().as_secs_f64();
-        let w = slo::bench_workload(&stats, wall);
-        println!(
-            "profile {:<18} events {:>9}  frames {:>8}  {:>12.0} events/s  \
-             {:>7.3} sim-Mpps/wall-s",
-            w.name,
-            w.events,
-            w.frames,
-            w.events_per_sec(),
-            w.sim_mpps_per_wall_sec()
-        );
-        workloads.push(w);
-    }
-    match verify_churn_workload(quick) {
-        Ok(w) => {
-            println!(
-                "profile {:<18} events {:>9}  frames {:>8}  {:>12.0} events/s  \
-                 {:>6.1}x vs full re-verify",
-                w.name,
-                w.events,
-                w.frames,
-                w.events_per_sec(),
-                w.speedup_vs_full.unwrap_or(0.0)
-            );
-            if !quick && w.speedup_vs_full.unwrap_or(0.0) < 10.0 {
-                eprintln!(
-                    "repro: slo: incremental verification speedup {:.1}x is below \
-                     the 10x floor",
-                    w.speedup_vs_full.unwrap_or(0.0)
-                );
-                std::process::exit(1);
-            }
-            workloads.push(w);
-        }
-        Err(e) => {
-            eprintln!("repro: slo: verify-churn workload: {e}");
-            std::process::exit(1);
-        }
-    }
-    let json = slo::render_bench_json(&workloads);
-    let default_path = out.join("BENCH_MTS.json");
-    let path = bench_out.unwrap_or(&default_path);
-    if let Some(dir) = path.parent() {
-        let _ = fs::create_dir_all(dir);
-    }
-    if let Err(e) = fs::write(path, &json) {
-        eprintln!("repro: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    eprintln!("  wrote {}", path.display());
-}
-
-/// The verification-throughput workload (`verify-churn-l2-4`): replays a
-/// fault-driven configuration-delta stream both through the incremental
-/// checker (cone recomputation per delta) and through per-delta full
-/// re-verification, times both loops, and cross-checks that the two final
-/// verdicts render byte-identically. The speedup is recorded in
-/// `BENCH_MTS.json` and gated at 10x on full (non-`--quick`) runs.
-fn verify_churn_workload(quick: bool) -> Result<mts_bench::slo::BenchWorkload, String> {
-    use mts_bench::slo;
-    let prep = slo::prepare_verify_churn(quick).map_err(|e| e.to_string())?;
-    if prep.deltas.is_empty() {
-        return Err("fault runs produced no configuration deltas".to_string());
-    }
-    let mut inc =
-        mts_isocheck::IncrementalChecker::of_world(&prep.world).map_err(|e| e.to_string())?;
-    let t0 = std::time::Instant::now();
-    for d in &prep.deltas {
-        inc.apply(d);
-    }
-    let inc_report = format!("{}", inc.report().map_err(|e| e.to_string())?);
-    let inc_wall = t0.elapsed().as_secs_f64();
-
-    let mut full =
-        mts_isocheck::IncrementalChecker::of_world(&prep.world).map_err(|e| e.to_string())?;
-    let t1 = std::time::Instant::now();
-    for d in &prep.deltas {
-        full.apply_full(d).map_err(|e| e.to_string())?;
-    }
-    let full_report = format!("{}", full.report().map_err(|e| e.to_string())?);
-    let full_wall = t1.elapsed().as_secs_f64();
-    if inc_report != full_report {
-        return Err("incremental verdict diverged from per-delta full re-verification".to_string());
-    }
-    let stats = inc.stats();
-    println!(
-        "verify-churn: {} deltas; {} sources recomputed, {} skipped, {} atom \
-         rebuilds; incremental {:.4}s vs full {:.4}s",
-        stats.deltas_applied,
-        stats.sources_recomputed,
-        stats.sources_skipped,
-        stats.full_rebuilds,
-        inc_wall,
-        full_wall
-    );
-    let n = prep.deltas.len() as u64;
-    Ok(slo::BenchWorkload {
-        name: "verify-churn-l2-4".to_string(),
-        events: n,
-        frames: 0,
-        sim_seconds: prep.sim_seconds,
-        wall_seconds: inc_wall,
-        dispatch: vec![("delta.apply".to_string(), n)],
-        speedup_vs_full: Some(if inc_wall > 0.0 {
-            full_wall / inc_wall
-        } else {
-            0.0
-        }),
-    })
+    Ok(())
 }
 
 /// The static verification suite: every shipped compartmentalized
-/// configuration must verify clean, and every seeded misconfiguration must
-/// be detected with a counterexample witness.
-fn run_verify() {
+/// configuration must verify clean, every seeded misconfiguration must be
+/// detected with a counterexample witness, the incremental verifier must
+/// stay byte-identical to the from-scratch one under churn, and hardening
+/// must not regress reachability against the Baseline.
+fn run_verify(_: &Ctx) -> Result<(), String> {
     println!("== static verification (mts-isocheck) ==");
-    let reports = match mts_isocheck::verify_shipped() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("repro: verify: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut failed = false;
+    let reports = mts_isocheck::verify_shipped().map_err(|e| e.to_string())?;
+    let mut failures = Vec::new();
     for r in &reports {
         println!("{r}");
         if !r.informational && !r.is_clean() {
-            failed = true;
+            failures.push(format!("shipped configuration {} is not clean", r.label));
         }
     }
     println!("== negative controls: seeded misconfigurations ==");
@@ -586,17 +562,13 @@ fn run_verify() {
                 if mc.detected_in(&r) {
                     detected += 1;
                 } else {
-                    eprintln!(
-                        "repro: verify: seeded misconfiguration '{}' NOT detected",
+                    failures.push(format!(
+                        "seeded misconfiguration '{}' NOT detected",
                         mc.label()
-                    );
-                    failed = true;
+                    ));
                 }
             }
-            Err(e) => {
-                eprintln!("repro: verify: cannot seed '{}': {e}", mc.label());
-                failed = true;
-            }
+            Err(e) => failures.push(format!("cannot seed '{}': {e}", mc.label())),
         }
     }
     println!("== delta equivalence: incremental vs from-scratch verifier ==");
@@ -610,13 +582,7 @@ fn run_verify() {
                 );
                 churn_deltas += n;
             }
-            Err(e) => {
-                eprintln!(
-                    "repro: verify: delta equivalence on {}: {e}",
-                    churn_spec.label()
-                );
-                failed = true;
-            }
+            Err(e) => failures.push(format!("delta equivalence on {}: {e}", churn_spec.label())),
         }
     }
     for mc in mts_isocheck::Misconfig::ALL {
@@ -625,25 +591,15 @@ fn run_verify() {
                 "  {} via delta: detected incrementally, byte-identical",
                 mc.label()
             ),
-            Err(e) => {
-                eprintln!("repro: verify: delta control '{}': {e}", mc.label());
-                failed = true;
-            }
+            Err(e) => failures.push(format!("delta control '{}': {e}", mc.label())),
         }
     }
     println!("== cross-level differential reachability (Baseline vs hardened) ==");
-    let diffed = match run_level_diffs() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("repro: verify: level diff: {e}");
-            failed = true;
-            0
-        }
-    };
-    if failed {
-        eprintln!("repro: static verification FAILED");
-        std::process::exit(1);
-    }
+    let diffed = run_level_diffs().unwrap_or_else(|e| {
+        failures.push(format!("level diff: {e}"));
+        0
+    });
+    verdict(failures)?;
     println!(
         "verify: {} shipped configurations clean; {detected}/{} seeded \
          misconfigurations detected with witnesses; {churn_deltas} churn \
@@ -652,18 +608,19 @@ fn run_verify() {
         reports.len(),
         mts_isocheck::Misconfig::ALL.len()
     );
+    Ok(())
 }
 
 /// The fuzzing gate: a fixed-seed deterministic campaign over the wire,
 /// fault-plan, delta-stream, and reconciliation surfaces plus both live
 /// injection modes, then a full replay of the committed crasher corpus.
-/// Self-checking: exits non-zero on any invariant violation, corpus
-/// replay failure, or an empty corpus.
-fn run_fuzz(quick: bool, out: &PathBuf) {
+/// Fails on any invariant violation, corpus replay failure, or an empty
+/// corpus.
+fn run_fuzz(ctx: &Ctx) -> Result<(), String> {
     println!("== deterministic fuzz campaign (mts-fuzz) ==");
     let cfg = mts_fuzz::FuzzConfig {
         seed: 0xF022,
-        budget: if quick {
+        budget: if ctx.quick {
             mts_fuzz::Budget::quick()
         } else {
             mts_fuzz::Budget::full()
@@ -671,40 +628,27 @@ fn run_fuzz(quick: bool, out: &PathBuf) {
     };
     let report = mts_fuzz::run_campaign(&cfg);
     println!("{report}");
-    save(out, "fuzz_campaign.csv", &report.to_csv());
-    let mut failed = false;
+    ctx.csv("fuzz_campaign.csv", &report.to_csv())?;
+    let mut failures = Vec::new();
     if !report.clean() {
-        eprintln!("repro: fuzz: campaign found invariant violations");
-        failed = true;
+        failures.push("campaign found invariant violations".to_string());
     }
 
     println!("== pinned crasher corpus replay ==");
     match mts_fuzz::corpus::load_all() {
-        Ok(cases) if cases.is_empty() => {
-            eprintln!("repro: fuzz: committed corpus is empty");
-            failed = true;
-        }
+        Ok(cases) if cases.is_empty() => failures.push("committed corpus is empty".to_string()),
         Ok(cases) => {
             for case in &cases {
                 match mts_fuzz::corpus::replay(case) {
                     Ok(()) => println!("  {case}: green"),
-                    Err(e) => {
-                        eprintln!("repro: fuzz: corpus replay: {e}");
-                        failed = true;
-                    }
+                    Err(e) => failures.push(format!("corpus replay: {e}")),
                 }
             }
             println!("fuzz: {} corpus cases replayed", cases.len());
         }
-        Err(e) => {
-            eprintln!("repro: fuzz: corpus load: {e}");
-            failed = true;
-        }
+        Err(e) => failures.push(format!("corpus load: {e}")),
     }
-    if failed {
-        eprintln!("repro: fuzzing FAILED");
-        std::process::exit(1);
-    }
+    verdict(failures)
 }
 
 /// Byte-identity oracle: the incremental checker's rendered report must be
@@ -771,22 +715,19 @@ fn churn_one(spec: DeploymentSpec) -> Result<usize, String> {
     }
 
     // Static-MAC churn on PF 0.
-    let statics = d.nic.pf(PfId(0)).map_err(|e| e.to_string())?.static_macs();
+    fn pf0(d: &mut Deployment) -> Result<&mut mts_nic::PfSwitch, String> {
+        d.nic.pf_mut(PfId(0)).map_err(|e| e.to_string())
+    }
+    let statics = pf0(&mut d)?.static_macs();
     if let Some((vlan, mac, port)) = statics.first().cloned() {
-        d.nic
-            .pf_mut(PfId(0))
-            .map_err(|e| e.to_string())?
-            .remove_static_mac(vlan, mac);
+        pf0(&mut d)?.remove_static_mac(vlan, mac);
         apply_and_check(
             &mut checker,
             &d,
             &ConfigDelta::StaticRemoved { pf: 0, vlan, mac },
         )?;
         applied += 1;
-        d.nic
-            .pf_mut(PfId(0))
-            .map_err(|e| e.to_string())?
-            .install_static_mac(vlan, mac, port);
+        pf0(&mut d)?.install_static_mac(vlan, mac, port);
         apply_and_check(
             &mut checker,
             &d,
@@ -801,25 +742,14 @@ fn churn_one(spec: DeploymentSpec) -> Result<usize, String> {
     }
 
     // VEB flush: learned state dropped, statics rebuilt from VF configs.
-    d.nic
-        .pf_mut(PfId(0))
-        .map_err(|e| e.to_string())?
-        .flush_table();
+    pf0(&mut d)?.flush_table();
     apply_and_check(&mut checker, &d, &ConfigDelta::VebFlushed { pf: 0 })?;
     applied += 1;
 
     // Filter-list replacement (same list — exercises the wholesale-set
     // path and the dead-filter warning bookkeeping).
-    let filters = d
-        .nic
-        .pf(PfId(0))
-        .map_err(|e| e.to_string())?
-        .filters()
-        .to_vec();
-    d.nic
-        .pf_mut(PfId(0))
-        .map_err(|e| e.to_string())?
-        .set_filters(filters.clone());
+    let filters = pf0(&mut d)?.filters().to_vec();
+    pf0(&mut d)?.set_filters(filters.clone());
     apply_and_check(
         &mut checker,
         &d,
@@ -967,210 +897,44 @@ fn run_level_diffs() -> Result<usize, String> {
     Ok(pairs)
 }
 
-fn main() {
-    let args = parse_args();
-    let opts = if args.quick {
-        ReproOpts::quick()
-    } else {
-        ReproOpts::default()
-    };
-    eprintln!(
-        "repro: scale={} reps={} -> {}",
-        opts.scale,
-        opts.reps,
-        args.out.display()
-    );
-    for what in &args.what {
-        match what.as_str() {
-            "verify" => run_verify(),
-            "fuzz" => run_fuzz(args.quick, &args.out),
-            "faults" => run_faults(
-                args.quick,
-                &args.out,
-                args.trace_out.as_deref(),
-                args.metrics_out.as_deref(),
-            ),
-            "slo" => run_slo(args.quick, &args.out, args.bench_out.as_deref()),
-            "fig5" => run_fig5(opts, &args.out),
-            "fig6" => run_fig6(opts, &args.out),
-            "pktsize" => {
-                let rep = pktsize_sweep(opts);
-                println!("{}", rep.render_latency());
-                save(&args.out, "pktsize_latency.csv", &rep.to_csv());
-            }
-            "table1" => {
-                println!("== Table 1: design characteristics of virtual switches ==");
-                println!("{}", survey::render_table());
-                println!(
-                    "monolithic: {:.0}%  co-located: {:.0}%  split kernel/user: {:.0}%\n",
-                    survey::monolithic_fraction() * 100.0,
-                    survey::colocated_fraction() * 100.0,
-                    survey::split_processing_fraction() * 100.0
-                );
-            }
-            "vfcount" => println!("{}", vf_count_table()),
-            "noisy" => {
-                let mut rows = Vec::new();
-                for spec in [
-                    DeploymentSpec::baseline(
-                        DatapathKind::Kernel,
-                        ResourceMode::Shared,
-                        1,
-                        Scenario::P2v,
-                    ),
-                    DeploymentSpec::mts(
-                        SecurityLevel::Level1,
-                        DatapathKind::Kernel,
-                        ResourceMode::Shared,
-                        Scenario::P2v,
-                    ),
-                    DeploymentSpec::mts(
-                        SecurityLevel::Level2 { compartments: 2 },
-                        DatapathKind::Kernel,
-                        ResourceMode::Shared,
-                        Scenario::P2v,
-                    ),
-                    DeploymentSpec::mts(
-                        SecurityLevel::Level2 { compartments: 2 },
-                        DatapathKind::Kernel,
-                        ResourceMode::Isolated,
-                        Scenario::P2v,
-                    ),
-                    DeploymentSpec::mts(
-                        SecurityLevel::Level2 { compartments: 4 },
-                        DatapathKind::Kernel,
-                        ResourceMode::Isolated,
-                        Scenario::P2v,
-                    ),
-                ] {
-                    match perfiso::noisy_neighbor(spec, NoisyOpts::default()) {
-                        Ok(r) => rows.push(r),
-                        Err(e) => eprintln!("noisy: {e}"),
-                    }
-                }
-                println!("{}", perfiso::render(&rows));
-            }
-            "isolation" => println!("{}", isolation_matrix()),
-            "trace" => run_trace(
-                args.quick,
-                args.trace_out.as_deref(),
-                args.metrics_out.as_deref(),
-            ),
-            "overlay" => {
-                // VXLAN overlay round trip (Sec. 3.2) on Level-2.
-                let spec = DeploymentSpec::mts(
-                    SecurityLevel::Level2 { compartments: 2 },
-                    DatapathKind::Kernel,
-                    ResourceMode::Isolated,
-                    Scenario::P2v,
-                );
-                let mut d = Controller::build(spec, 2).expect("deployable");
-                let cfg = overlay::OverlayConfig::default();
-                overlay::install_overlay_rules(&mut d, cfg).expect("overlay rules");
-                let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 1);
-                w.sink.window = (Time::ZERO, Time::MAX);
-                let mut e = Sim::new();
-                let flows: Vec<_> = w
-                    .plan
-                    .tenants
-                    .iter()
-                    .map(|t| {
-                        let c = w.spec.compartment_of_tenant(t.index) as usize;
-                        (w.plan.compartments[c].in_out[0].1, t.ip, cfg.vni(t.index))
-                    })
-                    .collect();
-                overlay::start_overlay_generator(
-                    &mut e,
-                    flows,
-                    cfg,
-                    100_000.0,
-                    256,
-                    Time::from_nanos(20_000_000),
-                );
-                e.run_until(&mut w, Time::from_nanos(60_000_000));
-                println!("== VXLAN overlay (Sec 3.2) ==");
-                println!(
-                    "sent {}  received {}  p50 {:.1} us  per-tenant {:?}",
-                    w.sink.sent,
-                    w.sink.received,
-                    w.sink.latency.percentile(50.0) as f64 / 1e3,
-                    w.sink.per_flow
-                );
-            }
-            "billing" => {
-                // Per-tenant accounting (Sec. 6) from a standard p2v run.
-                for spec in [
-                    DeploymentSpec::baseline(
-                        DatapathKind::Kernel,
-                        ResourceMode::Shared,
-                        1,
-                        Scenario::P2v,
-                    ),
-                    DeploymentSpec::mts(
-                        SecurityLevel::Level2 { compartments: 4 },
-                        DatapathKind::Kernel,
-                        ResourceMode::Isolated,
-                        Scenario::P2v,
-                    ),
-                ] {
-                    let d = Controller::deploy(spec).expect("deployable");
-                    let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 1);
-                    w.sink.window = (Time::ZERO, Time::MAX);
-                    let mut e = Sim::new();
-                    let flows: Vec<(MacAddr, std::net::Ipv4Addr)> = w
-                        .plan
-                        .tenants
-                        .iter()
-                        .map(|t| {
-                            let dmac = if spec.level.compartmentalized() {
-                                let c = spec.compartment_of_tenant(t.index) as usize;
-                                w.plan.compartments[c].in_out[0].1
-                            } else {
-                                Controller::baseline_router_mac(0)
-                            };
-                            (dmac, t.ip)
-                        })
-                        .collect();
-                    start_udp_generator(&mut e, flows, 200_000.0, 64, Time::from_nanos(20_000_000));
-                    e.run_until(&mut w, Time::from_nanos(60_000_000));
-                    print!("{}", billing::bill(&w));
-                }
-            }
-            "all" => {
-                run_verify();
-                run_fuzz(args.quick, &args.out);
-                run_faults(args.quick, &args.out, None, None);
-                run_slo(args.quick, &args.out, args.bench_out.as_deref());
-                println!("== Table 1 ==\n{}", survey::render_table());
-                println!("{}", vf_count_table());
-                println!("{}", isolation_matrix());
-                run_fig5(opts, &args.out);
-                let rep = pktsize_sweep(opts);
-                println!("{}", rep.render_latency());
-                save(&args.out, "pktsize_latency.csv", &rep.to_csv());
-                run_fig6(opts, &args.out);
-                let mut rows = Vec::new();
-                for spec in [
-                    DeploymentSpec::baseline(
-                        DatapathKind::Kernel,
-                        ResourceMode::Shared,
-                        1,
-                        Scenario::P2v,
-                    ),
-                    DeploymentSpec::mts(
-                        SecurityLevel::Level2 { compartments: 2 },
-                        DatapathKind::Kernel,
-                        ResourceMode::Isolated,
-                        Scenario::P2v,
-                    ),
-                ] {
-                    if let Ok(r) = perfiso::noisy_neighbor(spec, NoisyOpts::default()) {
-                        rows.push(r);
-                    }
-                }
-                println!("{}", perfiso::render(&rows));
-            }
-            other => eprintln!("unknown target: {other}"),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        let (_, targets) = parse_args(args.iter().map(|a| a.to_string()))?;
+        Ok(targets.iter().map(|t| t.name).collect())
+    }
+
+    #[test]
+    fn target_table_is_unique_documented_and_what_ci_runs() {
+        let experiments = include_str!("../../../../EXPERIMENTS.md");
+        for (i, t) in TARGETS.iter().enumerate() {
+            assert_ne!(t.name, "all", "`all` is derived, not a row");
+            let dup = TARGETS[..i].iter().any(|u| u.name == t.name);
+            assert!(!dup, "duplicate target {}", t.name);
+            let cmd = format!("`repro {}`", t.name);
+            assert!(experiments.contains(&cmd), "EXPERIMENTS.md lacks {cmd}");
         }
+        let ci = include_str!("../../../../.github/workflows/ci.yml");
+        let ci_targets: Vec<&str> = ci
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("- target: "))
+            .collect();
+        assert!(!ci_targets.is_empty(), "ci.yml has no target matrix");
+        assert_eq!(names(&ci_targets).unwrap(), ci_targets);
+    }
+
+    #[test]
+    fn all_is_the_in_all_rows_once_each_and_a_typo_runs_nothing() {
+        let all: Vec<&str> = in_all().map(|t| t.name).collect();
+        assert_eq!(names(&["all"]).unwrap(), all);
+        assert_eq!(names(&[]).unwrap(), all);
+        assert_eq!(names(&["--trace-out", "t.json"]).unwrap(), ["trace"]);
+        assert_eq!(names(&["--quick", "slo", "fig5"]).unwrap(), ["slo", "fig5"]);
+        let typo = names(&["fig5", "nosuchtarget"]).unwrap_err();
+        assert_eq!(typo, "unknown target: nosuchtarget");
+        assert_eq!(names(&["--quik"]).unwrap_err(), "unknown target: --quik");
+        assert!(names(&["--out"]).is_err());
     }
 }

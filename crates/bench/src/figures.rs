@@ -234,6 +234,25 @@ pub fn render_fig6(name: &str, workload: Workload, rows: &[WorkloadResult]) -> S
     out
 }
 
+/// Fig. 6 results as CSV.
+pub fn fig6_csv(rows: &[WorkloadResult]) -> String {
+    let mut csv =
+        String::from("config,scenario,workload,throughput,ci95,resp_p50_ns,resp_p99_ns\n");
+    for r in rows {
+        csv.push_str(&format!(
+            "{},{},{},{:.3},{:.3},{},{}\n",
+            r.config.replace(',', ";"),
+            r.scenario,
+            r.workload,
+            r.throughput,
+            r.ci95,
+            r.latency.p50,
+            r.latency.p99
+        ));
+    }
+    csv
+}
+
 /// The Sec. 3.2 VF-count table.
 pub fn vf_count_table() -> String {
     let mut out = String::from("== Sec 3.2 VF budget (single-port accounting) ==\n");

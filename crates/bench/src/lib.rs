@@ -2,10 +2,9 @@
 //!
 //! [`figures`] regenerates every panel of Fig. 5 and Fig. 6, Table 1, the
 //! Sec. 3.2 VF-count table, the Sec. 4.2 packet-size sweep and the
-//! isolation matrix; the `repro` binary prints them and writes CSV files.
-//! The Criterion benches under `benches/` exercise the same code paths at
-//! reduced windows (one bench per table/figure, plus substrate
-//! microbenchmarks).
+//! isolation matrix, and [`slo`] the noisy-neighbour, billing-accuracy and
+//! cycle-conservation panels; the `repro` binary prints them and writes CSV
+//! files. Timing the simulator is `benchmark/`'s job, not this crate's.
 //!
 //! Every compartmentalized scenario is statically verified by
 //! `mts-isocheck` before it is simulated ([`precheck`]); the `repro verify`
@@ -16,10 +15,7 @@ pub mod figures;
 pub mod precheck;
 pub mod slo;
 
-pub use slo::{
-    bench_workload, render_bench_json, run_profile_case, run_slo_panel, BenchWorkload, ProfileCase,
-    ProfileStats, SloPanel,
-};
+pub use slo::{run_slo_panel, SloPanel};
 
 pub use figures::{
     fig5_panel, fig6_panel, isolation_matrix, pktsize_sweep, vf_count_table, Fig5Panel, Fig6Panel,

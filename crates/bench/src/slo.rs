@@ -1,6 +1,5 @@
 //! The `repro slo` panel: per-tenant SLOs, billing accuracy and the
-//! cycle-conservation identity, per security level — plus the simulator
-//! self-profiler feeding the committed `BENCH_MTS.json` perf trajectory.
+//! cycle-conservation identity, per security level.
 //!
 //! Three sub-panels, all driven by the `mts-slo` cycle meters:
 //!
@@ -17,19 +16,15 @@
 //!
 //! [`SloPanel::self_check`] re-verifies the headline claims and returns
 //! the violations, so `repro slo` is self-checking. Everything here runs
-//! on simulated time only; wall-clock timing (the perf-trajectory
-//! `wall_seconds`) is measured by the `repro` binary and passed in, which
-//! keeps this library deterministic and the `xtask lint` wall-clock ban
-//! intact. The JSON snapshot follows the committed-perf-trajectory
-//! methodology of Zhang et al., "How are performance issues introduced
-//! and addressed?" (see `OBSERVABILITY.md` §perf-trajectory for the
-//! schema).
+//! on simulated time only, so every table and CSV is byte-deterministic
+//! for a given seed; how fast the simulator produces them is measured by
+//! `benchmark/` (see `benchmark/README.md`).
 
 use mts_core::billing::{bill, billing_accuracy, BillingAccuracy};
 use mts_core::controller::{Controller, DeployError};
 use mts_core::meters::Layer;
 use mts_core::perfiso::{noisy_matrix, NoisyOpts, SloCell};
-use mts_core::runtime::{start_udp_churn_generator, start_udp_generator, RuntimeCfg, Sim, World};
+use mts_core::runtime::{start_udp_generator, RuntimeCfg, Sim, World};
 use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts_host::ResourceMode;
 use mts_net::MacAddr;
@@ -450,479 +445,9 @@ pub fn render_conservation(rows: &[ConservationRow]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Simulator self-profiler (the BENCH_MTS.json perf trajectory).
-// ---------------------------------------------------------------------------
-
-/// The profiled workload cases.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ProfileCase {
-    /// Per-tenant UDP at the Baseline: one shared datapath.
-    UdpBaseline,
-    /// Per-tenant UDP at Level-2 with four singleton compartments.
-    UdpLevel2,
-    /// The noisy-neighbor flood at Level-2 (attack-heavy event mix).
-    NoisyLevel2,
-    /// Destination-port churn at Level-2: every frame presents a fresh
-    /// microflow key, so the flow cache lives in perpetual capacity
-    /// flushes and the slow path dominates (megaflow-miss-heavy).
-    MegaflowChurn,
-    /// Sixteen tenants across eight compartments: stresses fan-out state
-    /// (per-tenant VFs, gateways, flow programs) rather than per-flow rate.
-    TenantFanout,
-}
-
-impl ProfileCase {
-    /// Every case, in snapshot order.
-    pub const ALL: [ProfileCase; 5] = [
-        ProfileCase::UdpBaseline,
-        ProfileCase::UdpLevel2,
-        ProfileCase::NoisyLevel2,
-        ProfileCase::MegaflowChurn,
-        ProfileCase::TenantFanout,
-    ];
-
-    /// Stable workload name used in `BENCH_MTS.json`.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProfileCase::UdpBaseline => "udp-p2v-baseline",
-            ProfileCase::UdpLevel2 => "udp-p2v-l2-4",
-            ProfileCase::NoisyLevel2 => "noisy-flood-l2-2",
-            ProfileCase::MegaflowChurn => "megaflow-churn-l2-2",
-            ProfileCase::TenantFanout => "tenant-fanout-l2-8",
-        }
-    }
-}
-
-/// What one profiled run did, in simulated terms. Wall-clock time is the
-/// caller's to measure (the `repro` binary wraps this call with a timer).
-#[derive(Clone, Debug)]
-pub struct ProfileStats {
-    /// Workload name.
-    pub name: &'static str,
-    /// Events the engine dispatched.
-    pub events: u64,
-    /// Frames the load generator injected.
-    pub frames: u64,
-    /// Simulated horizon covered.
-    pub sim_seconds: f64,
-    /// Events dispatched per event-type tag, sorted by tag.
-    pub dispatch: Vec<(&'static str, u64)>,
-}
-
-/// Runs one profiler case and returns its simulated-side stats.
-pub fn run_profile_case(case: ProfileCase, quick: bool) -> Result<ProfileStats, DeployError> {
-    let (spec, rate_pps, gen_ns, run_ns, dport_span) = match case {
-        ProfileCase::UdpBaseline => (
-            DeploymentSpec::baseline(DatapathKind::Kernel, ResourceMode::Shared, 1, Scenario::P2v),
-            200_000.0,
-            if quick { 2_000_000 } else { 10_000_000 },
-            if quick { 6_000_000 } else { 20_000_000 },
-            1,
-        ),
-        ProfileCase::UdpLevel2 => (
-            DeploymentSpec::mts(
-                SecurityLevel::Level2 { compartments: 4 },
-                DatapathKind::Kernel,
-                ResourceMode::Isolated,
-                Scenario::P2v,
-            ),
-            200_000.0,
-            if quick { 2_000_000 } else { 10_000_000 },
-            if quick { 6_000_000 } else { 20_000_000 },
-            1,
-        ),
-        ProfileCase::NoisyLevel2 => (
-            DeploymentSpec::mts(
-                SecurityLevel::Level2 { compartments: 2 },
-                DatapathKind::Kernel,
-                ResourceMode::Isolated,
-                Scenario::P2v,
-            ),
-            if quick { 1_500_000.0 } else { 4_000_000.0 },
-            if quick { 3_000_000 } else { 10_000_000 },
-            if quick { 8_000_000 } else { 20_000_000 },
-            1,
-        ),
-        // A span of 16384 distinct destination ports (2x the flow-cache
-        // capacity) means the cache can never converge: every frame is a
-        // slow-path miss and capacity flushes recur throughout the run.
-        ProfileCase::MegaflowChurn => (
-            DeploymentSpec::mts(
-                SecurityLevel::Level2 { compartments: 2 },
-                DatapathKind::Kernel,
-                ResourceMode::Isolated,
-                Scenario::P2v,
-            ),
-            if quick { 1_000_000.0 } else { 2_000_000.0 },
-            if quick { 3_000_000 } else { 10_000_000 },
-            if quick { 8_000_000 } else { 20_000_000 },
-            16_384,
-        ),
-        ProfileCase::TenantFanout => {
-            let mut spec = DeploymentSpec::mts(
-                SecurityLevel::Level2 { compartments: 8 },
-                DatapathKind::Kernel,
-                ResourceMode::Isolated,
-                Scenario::P2v,
-            );
-            spec.tenants = 16;
-            (
-                spec,
-                if quick { 500_000.0 } else { 1_000_000.0 },
-                if quick { 3_000_000 } else { 10_000_000 },
-                if quick { 8_000_000 } else { 20_000_000 },
-                1,
-            )
-        }
-    };
-    let d = Controller::deploy(spec)?;
-    let mut cfg = RuntimeCfg::for_spec(&spec);
-    cfg.offered_pps = rate_pps;
-    let mut w = World::new(d, cfg, 11);
-    let mut e = Sim::new();
-    w.sink.window = (Time::ZERO, Time::MAX);
-    let flows: Vec<(MacAddr, Ipv4Addr)> = w
-        .plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let dmac = if spec.level.compartmentalized() {
-                let c = spec.compartment_of_tenant(t.index) as usize;
-                w.plan.compartments[c].in_out[0].1
-            } else {
-                Controller::baseline_router_mac(0)
-            };
-            (dmac, t.ip)
-        })
-        .collect();
-    start_udp_churn_generator(
-        &mut e,
-        flows,
-        rate_pps,
-        64,
-        Time::from_nanos(gen_ns),
-        dport_span,
-    );
-    e.run_until(&mut w, Time::from_nanos(run_ns));
-
-    let dispatch: Vec<(&'static str, u64)> = e.dispatch_counts().collect();
-    let events: u64 = dispatch.iter().map(|(_, n)| *n).sum();
-    Ok(ProfileStats {
-        name: case.name(),
-        events,
-        frames: w.sink.sent,
-        sim_seconds: Time::from_nanos(run_ns).as_secs_f64(),
-        dispatch,
-    })
-}
-
-/// A prepared verification-throughput workload: the pristine pre-fault
-/// world an incremental checker seeds from, plus a fault-driven
-/// configuration-delta stream to replay against it. The `repro` binary
-/// times the incremental and full re-verification loops around this data
-/// (wall clock lives only in the binary; see the `xtask lint` ban).
-pub struct VerifyChurnPrep {
-    /// A world in the pristine pre-fault configuration (deployment,
-    /// runtime config and seed identical to the runs that produced the
-    /// stream — fault runs emit no deltas before the first event).
-    pub world: World,
-    /// The concatenated, sequence-ordered delta streams.
-    pub deltas: Vec<mts_core::delta::ConfigDelta>,
-    /// Total simulated horizon of the runs that generated the stream.
-    pub sim_seconds: f64,
-}
-
-/// Builds the `verify-churn-l2-4` workload: a Level-2 (4 compartments)
-/// p2v deployment run under a battery of fault scenarios — crash loop,
-/// flow-table wipe, random rule loss, VEB flush — each with supervisor
-/// recovery and periodic reconciliation, and every configuration mutation
-/// recorded in the world's delta log. Each scenario ends fully recovered
-/// (reconciliation restores the desired configuration), so the drained
-/// streams concatenate into one long churn sequence over the same
-/// deployment.
-pub fn prepare_verify_churn(quick: bool) -> Result<VerifyChurnPrep, DeployError> {
-    use mts_faults::{FaultCase, FaultOpts};
-    let spec = DeploymentSpec::mts(
-        SecurityLevel::Level2 { compartments: 4 },
-        DatapathKind::Kernel,
-        ResourceMode::Isolated,
-        Scenario::P2v,
-    );
-    let opts = if quick {
-        FaultOpts {
-            rate_pps: 50_000.0,
-            run_for: Dur::millis(15),
-            fault_at: Time::from_nanos(5_000_000),
-            drain: Dur::millis(12),
-            ..FaultOpts::default()
-        }
-    } else {
-        FaultOpts {
-            rate_pps: 50_000.0,
-            ..FaultOpts::default()
-        }
-    };
-    let cases = [
-        FaultCase::CrashLoop,
-        FaultCase::WipeFlows,
-        FaultCase::LoseRules,
-        FaultCase::FlushVeb,
-        FaultCase::Crash,
-    ];
-    let mut deltas = Vec::new();
-    let mut sim_seconds = 0.0;
-    for case in cases {
-        let mut w = mts_faults::run_traced(spec, case, opts)?;
-        deltas.extend(w.deltas.drain().into_iter().map(|(_, d)| d));
-        sim_seconds += (opts.run_for + opts.drain).as_secs_f64();
-    }
-    let d = Controller::deploy(spec)?;
-    let mut cfg = RuntimeCfg::for_spec(&spec);
-    cfg.offered_pps = opts.rate_pps;
-    let world = World::new(d, cfg, opts.seed);
-    Ok(VerifyChurnPrep {
-        world,
-        deltas,
-        sim_seconds,
-    })
-}
-
-/// One workload's entry in the perf-trajectory snapshot: the simulated
-/// stats plus the wall-clock seconds the caller measured around the run.
-#[derive(Clone, Debug)]
-pub struct BenchWorkload {
-    /// Workload name.
-    pub name: String,
-    /// Events the engine dispatched.
-    pub events: u64,
-    /// Frames injected.
-    pub frames: u64,
-    /// Simulated horizon covered.
-    pub sim_seconds: f64,
-    /// Wall-clock seconds the run took (measured by the caller).
-    pub wall_seconds: f64,
-    /// Per-event-type dispatch counts.
-    pub dispatch: Vec<(String, u64)>,
-    /// For comparative workloads (the `verify-churn` family): how many
-    /// times faster this run was than the non-incremental alternative
-    /// over the same input. `None` for plain profiler workloads.
-    pub speedup_vs_full: Option<f64>,
-}
-
-impl BenchWorkload {
-    /// Engine throughput: events dispatched per wall-second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            0.0
-        } else {
-            self.events as f64 / self.wall_seconds
-        }
-    }
-
-    /// Simulation rate: simulated megapackets per wall-second.
-    pub fn sim_mpps_per_wall_sec(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            0.0
-        } else {
-            self.frames as f64 / 1e6 / self.wall_seconds
-        }
-    }
-}
-
-/// Combines profiled stats with a measured wall time.
-pub fn bench_workload(stats: &ProfileStats, wall_seconds: f64) -> BenchWorkload {
-    BenchWorkload {
-        name: stats.name.to_string(),
-        events: stats.events,
-        frames: stats.frames,
-        sim_seconds: stats.sim_seconds,
-        wall_seconds,
-        dispatch: stats
-            .dispatch
-            .iter()
-            .map(|(k, v)| (k.to_string(), *v))
-            .collect(),
-        speedup_vs_full: None,
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "0.000000".to_string()
-    }
-}
-
-/// Renders the `BENCH_MTS.json` perf-trajectory snapshot (schema
-/// `mts-bench-v1`; validated by `cargo xtask bench-check`).
-pub fn render_bench_json(workloads: &[BenchWorkload]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"mts-bench-v1\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        }
-    ));
-    out.push_str("  \"workloads\": [\n");
-    for (i, w) in workloads.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", w.name));
-        out.push_str(&format!("      \"events\": {},\n", w.events));
-        out.push_str(&format!("      \"frames\": {},\n", w.frames));
-        out.push_str(&format!(
-            "      \"sim_seconds\": {},\n",
-            json_f64(w.sim_seconds)
-        ));
-        out.push_str(&format!(
-            "      \"wall_seconds\": {},\n",
-            json_f64(w.wall_seconds)
-        ));
-        out.push_str(&format!(
-            "      \"events_per_sec\": {},\n",
-            json_f64(w.events_per_sec())
-        ));
-        out.push_str(&format!(
-            "      \"sim_mpps_per_wall_sec\": {},\n",
-            json_f64(w.sim_mpps_per_wall_sec())
-        ));
-        if let Some(s) = w.speedup_vs_full {
-            out.push_str(&format!("      \"speedup_vs_full\": {},\n", json_f64(s)));
-        }
-        out.push_str("      \"dispatch\": {");
-        for (j, (k, v)) in w.dispatch.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{k}\": {v}"));
-        }
-        out.push_str("}\n");
-        out.push_str(if i + 1 == workloads.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn profiler_counts_events_and_frames() {
-        let stats = run_profile_case(ProfileCase::UdpBaseline, true).unwrap();
-        assert!(stats.events > 0);
-        assert!(stats.frames > 0);
-        assert!(stats.sim_seconds > 0.0);
-        let total: u64 = stats.dispatch.iter().map(|(_, n)| *n).sum();
-        assert_eq!(total, stats.events);
-        // The tagged runtime paths must all appear in a p2v run.
-        let tags: Vec<&str> = stats.dispatch.iter().map(|(k, _)| *k).collect();
-        for expected in ["nic.rx", "vswitch.rx", "vswitch.exec", "gen.tick"] {
-            assert!(tags.contains(&expected), "missing dispatch tag {expected}");
-        }
-    }
-
-    #[test]
-    fn churn_and_fanout_cases_run_and_balance() {
-        for case in [ProfileCase::MegaflowChurn, ProfileCase::TenantFanout] {
-            let stats = run_profile_case(case, true).unwrap();
-            assert!(stats.events > 0, "{}: no events", stats.name);
-            assert!(stats.frames > 0, "{}: no frames", stats.name);
-            let total: u64 = stats.dispatch.iter().map(|(_, n)| *n).sum();
-            assert_eq!(total, stats.events, "{}: dispatch imbalance", stats.name);
-        }
-    }
-
-    #[test]
-    fn megaflow_churn_defeats_the_flow_cache() {
-        // The same deployment and rate, with and without port churn: churn
-        // must turn a hit-dominated cache into a miss-dominated one.
-        let run = |dport_span: u16| {
-            let spec = DeploymentSpec::mts(
-                SecurityLevel::Level2 { compartments: 2 },
-                DatapathKind::Kernel,
-                ResourceMode::Isolated,
-                Scenario::P2v,
-            );
-            let d = Controller::deploy(spec).unwrap();
-            let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 11);
-            let mut e = Sim::new();
-            w.sink.window = (Time::ZERO, Time::MAX);
-            let flows: Vec<(MacAddr, Ipv4Addr)> = w
-                .plan
-                .tenants
-                .iter()
-                .map(|t| {
-                    let c = spec.compartment_of_tenant(t.index) as usize;
-                    (w.plan.compartments[c].in_out[0].1, t.ip)
-                })
-                .collect();
-            start_udp_churn_generator(
-                &mut e,
-                flows,
-                1_000_000.0,
-                64,
-                Time::from_nanos(3_000_000),
-                dport_span,
-            );
-            e.run_until(&mut w, Time::from_nanos(8_000_000));
-            let mut hits = 0;
-            let mut misses = 0;
-            for vs in &w.vswitches {
-                let cs = vs.inst.sw.cache_stats();
-                hits += cs.hits;
-                misses += cs.misses;
-            }
-            (hits, misses)
-        };
-        let (steady_hits, steady_misses) = run(1);
-        let (churn_hits, churn_misses) = run(16_384);
-        assert!(
-            steady_hits > steady_misses * 10,
-            "steady traffic should be hit-dominated (hits {steady_hits}, misses {steady_misses})"
-        );
-        assert!(
-            churn_misses > churn_hits * 10,
-            "port churn should be miss-dominated (hits {churn_hits}, misses {churn_misses})"
-        );
-    }
-
-    #[test]
-    fn profiler_is_deterministic_in_simulated_terms() {
-        let a = run_profile_case(ProfileCase::UdpLevel2, true).unwrap();
-        let b = run_profile_case(ProfileCase::UdpLevel2, true).unwrap();
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.frames, b.frames);
-        assert_eq!(a.dispatch, b.dispatch);
-    }
-
-    #[test]
-    fn bench_json_shape() {
-        let stats = ProfileStats {
-            name: "x",
-            events: 10,
-            frames: 5,
-            sim_seconds: 0.01,
-            dispatch: vec![("nic.rx", 6), ("gen.tick", 4)],
-        };
-        let text = render_bench_json(&[bench_workload(&stats, 0.5)]);
-        assert!(text.contains("\"schema\": \"mts-bench-v1\""));
-        assert!(text.contains("\"events\": 10"));
-        assert!(text.contains("\"events_per_sec\": 20.000000"));
-        assert!(text.contains("\"sim_mpps_per_wall_sec\": 0.000010"));
-        assert!(text.contains("\"dispatch\": {\"nic.rx\": 6, \"gen.tick\": 4}"));
-        // Zero wall time must not divide by zero.
-        let z = bench_workload(&stats, 0.0);
-        assert_eq!(z.events_per_sec(), 0.0);
-    }
 
     #[test]
     fn panel_csvs_are_deterministic() {

@@ -61,7 +61,7 @@ pub use controller::Controller;
 pub use delta::{ConfigDelta, DeltaLog};
 pub use meters::{Attribution, CycleMeters, Layer};
 pub use overlay::OverlayConfig;
-pub use perfiso::{noisy_matrix, noisy_neighbor, NoisyNeighborResult, NoisyOpts, SloCell};
+pub use perfiso::{noisy_matrix, NoisyOpts, SloCell};
 pub use reconcile::{reconcile, DesiredConfig, ReconcileReport};
 pub use results::{LatencySummary, Measurement, ThroughputReport};
 pub use spec::{DeploymentSpec, ResourceMode, Scenario, SecurityLevel};

@@ -5,20 +5,18 @@
 //! ("Policy injection: a cloud dataplane DoS attack", the paper's ref. 15)
 //! shows
 //! one tenant degrading everyone through the shared datapath. This module
-//! quantifies the effect: a victim tenant is probed at low rate while an
-//! attacker tenant floods, and the victim's latency/loss is compared to its
-//! quiet baseline.
+//! quantifies the effect: every victim tenant is probed at low rate while
+//! tenant 0 floods, and each victim's latency/loss is compared to its quiet
+//! baseline.
 //!
 //! Expected shape: with the Baseline's single shared datapath the victim's
 //! latency explodes and it loses packets; with MTS Level-2 in the isolated
 //! mode the victim's vswitch compartment has its own core and the NIC
 //! schedules its VFs independently, so the victim barely notices.
 //!
-//! Two granularities are provided: [`noisy_neighbor`] (one victim, the
-//! original experiment) and [`noisy_matrix`] (tenant 0 floods, *every*
-//! other tenant is probed — one [`SloCell`] per victim with p50/p99/p999,
-//! loss, and the victim's meter-attributed vswitch cycles). The matrix is
-//! what the `repro slo` panel prints per security level.
+//! [`noisy_matrix`] yields one [`SloCell`] per victim with p50/p99/p999,
+//! loss, and the victim's meter-attributed vswitch cycles; the `repro slo`
+//! panel prints it per security level.
 
 use crate::controller::{Controller, DeployError};
 use crate::runtime::{start_udp_generator, RuntimeCfg, Sim, World};
@@ -30,44 +28,12 @@ use mts_sim::{Dur, Summary, Time};
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
-/// Result of one noisy-neighbor comparison.
-#[derive(Clone, Debug, Serialize, Deserialize, Default)]
-pub struct NoisyNeighborResult {
-    /// Configuration label.
-    pub config: String,
-    /// Victim latency with no attacker (ns).
-    pub victim_quiet: Summary,
-    /// Victim latency while the attacker floods (ns).
-    pub victim_noisy: Summary,
-    /// Victim loss fraction while the attacker floods.
-    pub victim_loss: f64,
-    /// Attacker throughput achieved during the flood (packets/second).
-    pub attacker_pps: f64,
-}
-
 /// Ratio of noisy over quiet, 0 when the quiet side is empty.
 fn amp(quiet: u64, noisy: u64) -> f64 {
     if quiet == 0 {
         0.0
     } else {
         noisy as f64 / quiet as f64
-    }
-}
-
-impl NoisyNeighborResult {
-    /// Median latency amplification factor (noisy p50 over quiet p50).
-    pub fn amplification(&self) -> f64 {
-        amp(self.victim_quiet.p50, self.victim_noisy.p50)
-    }
-
-    /// Tail amplification at the 99th percentile.
-    pub fn p99_amplification(&self) -> f64 {
-        amp(self.victim_quiet.p99, self.victim_noisy.p99)
-    }
-
-    /// Tail amplification at the 99.9th percentile — the SLO panels' tail.
-    pub fn p999_amplification(&self) -> f64 {
-        amp(self.victim_quiet.p999, self.victim_noisy.p999)
     }
 }
 
@@ -98,25 +64,6 @@ impl Default for NoisyOpts {
     }
 }
 
-/// Runs the experiment: attacker is tenant 0, victim is tenant 1.
-///
-/// For a meaningful Level-2 comparison the two tenants must live in
-/// different compartments, which holds for the default modulo placement.
-pub fn noisy_neighbor(
-    spec: DeploymentSpec,
-    opts: NoisyOpts,
-) -> Result<NoisyNeighborResult, DeployError> {
-    let quiet = run_phase(spec, opts, false)?;
-    let noisy = run_phase(spec, opts, true)?;
-    Ok(NoisyNeighborResult {
-        config: spec.label(),
-        victim_quiet: quiet.0,
-        victim_noisy: noisy.0,
-        victim_loss: noisy.1,
-        attacker_pps: noisy.2,
-    })
-}
-
 fn flow_dmac(w: &World, tenant: u8) -> MacAddr {
     if w.spec.level.compartmentalized() {
         let c = w.spec.compartment_of_tenant(tenant) as usize;
@@ -124,42 +71,6 @@ fn flow_dmac(w: &World, tenant: u8) -> MacAddr {
     } else {
         Controller::baseline_router_mac(0)
     }
-}
-
-/// Runs one phase; returns (victim latency, victim loss, attacker pps).
-fn run_phase(
-    spec: DeploymentSpec,
-    opts: NoisyOpts,
-    with_attacker: bool,
-) -> Result<(Summary, f64, f64), DeployError> {
-    let d = Controller::deploy(spec)?;
-    let mut cfg = RuntimeCfg::for_spec(&spec);
-    cfg.offered_pps = if with_attacker {
-        opts.attacker_pps
-    } else {
-        opts.victim_pps
-    };
-    let mut w = World::new(d, cfg, opts.seed);
-    let mut e = Sim::new();
-    let start = Time::ZERO + opts.warmup;
-    let end = start + opts.measure;
-    w.sink.window = (start, end);
-
-    let victim: Vec<(MacAddr, Ipv4Addr)> = vec![(flow_dmac(&w, 1), w.plan.tenants[1].ip)];
-    start_udp_generator(&mut e, victim, opts.victim_pps, 64, end);
-    if with_attacker {
-        let attacker: Vec<(MacAddr, Ipv4Addr)> = vec![(flow_dmac(&w, 0), w.plan.tenants[0].ip)];
-        start_udp_generator(&mut e, attacker, opts.attacker_pps, 64, end);
-    }
-    e.run_until(&mut w, end + Dur::millis(30));
-    e.clear();
-
-    let victim_lat = w.sink.latency_by_flow[1].summary();
-    let victim_recv = w.sink.per_flow[1];
-    let victim_sent = (opts.victim_pps * opts.measure.as_secs_f64()) as u64;
-    let loss = 1.0 - (victim_recv as f64 / victim_sent.max(1) as f64).min(1.0);
-    let attacker_pps = w.sink.per_flow[0] as f64 / opts.measure.as_secs_f64();
-    Ok((victim_lat, loss, attacker_pps))
 }
 
 /// One victim's row in the noisy-neighbor SLO matrix.
@@ -205,9 +116,9 @@ impl SloCell {
 /// Runs the noisy-neighbor matrix: tenant 0 floods, every other tenant is
 /// probed at the victim rate, quiet vs noisy, one [`SloCell`] per victim.
 ///
-/// Unlike [`noisy_neighbor`] the probes run concurrently, so the matrix
-/// also captures victims degrading *each other* (they do not, unless the
-/// deployment shares a datapath or a core — which is the point).
+/// The probes run concurrently, so the matrix also captures victims
+/// degrading *each other* (they do not, unless the deployment shares a
+/// datapath or a core — which is the point).
 pub fn noisy_matrix(spec: DeploymentSpec, opts: NoisyOpts) -> Result<Vec<SloCell>, DeployError> {
     let quiet = run_matrix_phase(spec, opts, false)?;
     let noisy = run_matrix_phase(spec, opts, true)?;
@@ -329,26 +240,6 @@ pub fn render_matrix(cells: &[SloCell]) -> String {
     out
 }
 
-/// Renders a comparison table across configurations.
-pub fn render(results: &[NoisyNeighborResult]) -> String {
-    let mut out = String::from("== Noisy neighbor: victim p50 latency, quiet vs under attack ==\n");
-    out.push_str(&format!(
-        "{:<26} {:>12} {:>12} {:>8} {:>10}\n",
-        "config", "quiet us", "noisy us", "amp", "loss %"
-    ));
-    for r in results {
-        out.push_str(&format!(
-            "{:<26} {:>12.1} {:>12.1} {:>7.1}x {:>9.2}\n",
-            r.config,
-            r.victim_quiet.p50 as f64 / 1e3,
-            r.victim_noisy.p50 as f64 / 1e3,
-            r.amplification(),
-            r.victim_loss * 100.0
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,79 +257,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn baseline_victim_suffers_under_attack() {
-        let spec =
-            DeploymentSpec::baseline(DatapathKind::Kernel, ResourceMode::Shared, 1, Scenario::P2v);
-        let r = noisy_neighbor(spec, opts()).unwrap();
-        assert!(
-            r.amplification() > 5.0,
-            "baseline victim should suffer: {}x (quiet {} noisy {})",
-            r.amplification(),
-            r.victim_quiet.p50,
-            r.victim_noisy.p50
-        );
-        assert!(
-            r.victim_loss > 0.2,
-            "baseline victim loss {}",
-            r.victim_loss
-        );
-    }
-
-    #[test]
-    fn level2_isolated_protects_the_victim() {
-        let spec = DeploymentSpec::mts(
-            SecurityLevel::Level2 { compartments: 2 },
-            DatapathKind::Kernel,
-            ResourceMode::Isolated,
-            Scenario::P2v,
-        );
-        let r = noisy_neighbor(spec, opts()).unwrap();
-        assert!(
-            r.amplification() < 3.0,
-            "L2-isolated victim should be protected: {}x",
-            r.amplification()
-        );
-        assert!(r.victim_loss < 0.05, "victim loss {}", r.victim_loss);
-    }
-
-    #[test]
-    fn level2_shared_core_is_the_middle_ground() {
-        // Sharing the core means the victim's *latency* jitters, but its
-        // packets still flow (the vswitch compartments are separate).
-        let spec = DeploymentSpec::mts(
-            SecurityLevel::Level2 { compartments: 2 },
-            DatapathKind::Kernel,
-            ResourceMode::Shared,
-            Scenario::P2v,
-        );
-        let r = noisy_neighbor(spec, opts()).unwrap();
-        assert!(
-            r.victim_loss < 0.6,
-            "shared-core victim loss {}",
-            r.victim_loss
-        );
-    }
-
+    /// Level-2 victims outside the flooder's compartment: protected on
+    /// isolated cores (latency and loss), lossy but flowing on a shared
+    /// core (the vswitch compartments are separate; only latency jitters).
     #[test]
     fn matrix_probes_every_victim_and_flags_attribution() {
-        let spec = DeploymentSpec::mts(
-            SecurityLevel::Level2 { compartments: 4 },
-            DatapathKind::Kernel,
-            ResourceMode::Isolated,
-            Scenario::P2v,
-        );
-        let cells = noisy_matrix(spec, opts()).unwrap();
-        assert_eq!(cells.len(), spec.tenants as usize - 1);
-        for (i, c) in cells.iter().enumerate() {
-            assert_eq!(c.tenant as usize, i + 1);
-            assert!(c.quiet.count > 0, "victim {} never probed quiet", c.tenant);
-            assert!(c.noisy.count > 0, "victim {} never probed noisy", c.tenant);
-            assert_eq!(c.attribution, "exact");
-            assert!(c.attributed_cycles > Dur::ZERO);
-            assert!(c.loss < 0.05, "victim {} loss {}", c.tenant, c.loss);
-            assert!(c.noisy.p999 >= c.noisy.p99);
-            assert!(c.noisy.p99 >= c.noisy.p50);
+        for (compartments, mode, attribution, max_amp, max_loss) in [
+            (4, ResourceMode::Isolated, "exact", 3.0, 0.05),
+            (2, ResourceMode::Isolated, "proportional", 3.0, 0.05),
+            (2, ResourceMode::Shared, "proportional", f64::INFINITY, 0.6),
+        ] {
+            let spec = DeploymentSpec::mts(
+                SecurityLevel::Level2 { compartments },
+                DatapathKind::Kernel,
+                mode,
+                Scenario::P2v,
+            );
+            let cells = noisy_matrix(spec, opts()).unwrap();
+            assert_eq!(cells.len(), spec.tenants as usize - 1);
+            for (i, c) in cells.iter().enumerate() {
+                let what = format!("L2-{compartments} {mode:?} victim {}", c.tenant);
+                assert_eq!(c.tenant as usize, i + 1);
+                assert!(c.quiet.count > 0, "{what} never probed quiet");
+                assert_eq!(c.attribution, attribution, "{what}");
+                assert!(c.noisy.p999 >= c.noisy.p99);
+                assert!(c.noisy.p99 >= c.noisy.p50);
+                if spec.compartment_of_tenant(c.tenant) == spec.compartment_of_tenant(0) {
+                    continue;
+                }
+                assert!(c.noisy.count > 0, "{what} never probed noisy");
+                assert!(c.attributed_cycles > Dur::ZERO, "{what}");
+                assert!(c.loss < max_loss, "{what} loss {}", c.loss);
+                assert!(
+                    c.amplification() < max_amp,
+                    "{what} should be protected: {}x",
+                    c.amplification()
+                );
+            }
         }
     }
 
@@ -455,21 +310,18 @@ mod tests {
                 "tail should be at least commensurate with the median"
             );
         }
-        // The shared datapath makes at least one victim lose packets.
-        assert!(cells.iter().any(|c| c.loss > 0.2));
+        // The shared datapath makes tenant 1 pay for tenant 0's flood.
+        let victim = &cells[0];
+        assert!(
+            victim.amplification() > 5.0,
+            "baseline victim should suffer: {}x (quiet {} noisy {})",
+            victim.amplification(),
+            victim.quiet.p50,
+            victim.noisy.p50
+        );
+        assert!(victim.loss > 0.2, "baseline victim loss {}", victim.loss);
         let table = render_matrix(&cells);
         assert!(table.contains("SLO matrix"));
         assert!(table.contains("unattributed"));
-    }
-
-    #[test]
-    fn render_lists_all_rows() {
-        let rows = vec![NoisyNeighborResult {
-            config: "x".into(),
-            ..NoisyNeighborResult::default()
-        }];
-        let t = render(&rows);
-        assert!(t.contains("Noisy neighbor"));
-        assert!(t.contains('x'));
     }
 }

@@ -319,8 +319,8 @@ pub type Sim = Engine<World, CoreEvent>;
 /// engine's slab (no per-event boxing); the [`CoreEvent::Call`] fallback
 /// carries a boxed closure so cold paths (supervisor ticks, fault
 /// injections, workload setup) keep using the closure `schedule_*` API.
-/// Dispatch-count tags are passed at the schedule site exactly as before,
-/// so the self-profiler's per-kind breakdown is unchanged.
+/// Dispatch-count tags are passed at the schedule site, so
+/// `Engine::dispatch_counts` breaks a run down per kind.
 pub enum CoreEvent {
     /// A frame arrives at the NIC embedded switch (`"nic.rx"`).
     NicRx {
@@ -1963,5 +1963,82 @@ mod tests {
             spread_s > spread_i,
             "shared spread {spread_s} vs isolated {spread_i}"
         );
+    }
+
+    #[test]
+    fn megaflow_churn_defeats_the_flow_cache() {
+        // Per-tenant UDP into a Level-2 deployment; returns the flow caches'
+        // (hits, misses) after checking that frames were forwarded and that
+        // the engine's per-kind dispatch counts account for every event.
+        let run = |spec: DeploymentSpec, rate_pps: f64, dport_span: u16| {
+            let d = Controller::deploy(spec).unwrap();
+            let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 11);
+            let mut e = Sim::new();
+            w.sink.window = (Time::ZERO, Time::MAX);
+            let flows: Vec<(MacAddr, std::net::Ipv4Addr)> = w
+                .plan
+                .tenants
+                .iter()
+                .map(|t| {
+                    let c = spec.compartment_of_tenant(t.index) as usize;
+                    (w.plan.compartments[c].in_out[0].1, t.ip)
+                })
+                .collect();
+            start_udp_churn_generator(
+                &mut e,
+                flows,
+                rate_pps,
+                64,
+                Time::from_nanos(3_000_000),
+                dport_span,
+            );
+            e.run_until(&mut w, Time::from_nanos(8_000_000));
+            assert!(w.sink.received > 0, "no frame was forwarded");
+            let dispatch: Vec<(&str, u64)> = e.dispatch_counts().collect();
+            let total: u64 = dispatch.iter().map(|(_, n)| *n).sum();
+            assert_eq!(total, e.events_fired(), "dispatch imbalance");
+            for expected in ["nic.rx", "vswitch.rx", "vswitch.exec", "gen.tick"] {
+                assert!(
+                    dispatch.iter().any(|(k, _)| *k == expected),
+                    "missing dispatch tag {expected}"
+                );
+            }
+            let mut hits = 0;
+            let mut misses = 0;
+            for vs in &w.vswitches {
+                let cs = vs.inst.sw.cache_stats();
+                hits += cs.hits;
+                misses += cs.misses;
+            }
+            (hits, misses)
+        };
+        // The same deployment and rate, with and without port churn: churn
+        // must turn a hit-dominated cache into a miss-dominated one.
+        let spec = DeploymentSpec::mts(
+            SecurityLevel::Level2 { compartments: 2 },
+            DatapathKind::Kernel,
+            ResourceMode::Isolated,
+            Scenario::P2v,
+        );
+        let (steady_hits, steady_misses) = run(spec, 1_000_000.0, 1);
+        let (churn_hits, churn_misses) = run(spec, 1_000_000.0, 16_384);
+        assert!(
+            steady_hits > steady_misses * 10,
+            "steady traffic should be hit-dominated (hits {steady_hits}, misses {steady_misses})"
+        );
+        assert!(
+            churn_misses > churn_hits * 10,
+            "port churn should be miss-dominated (hits {churn_hits}, misses {churn_misses})"
+        );
+        // Fan-out rather than per-flow rate: sixteen tenants across eight
+        // compartments must deploy, forward and balance the same way.
+        let mut fanout = DeploymentSpec::mts(
+            SecurityLevel::Level2 { compartments: 8 },
+            DatapathKind::Kernel,
+            ResourceMode::Isolated,
+            Scenario::P2v,
+        );
+        fanout.tenants = 16;
+        run(fanout, 500_000.0, 1);
     }
 }

@@ -179,29 +179,6 @@ impl IncrementalChecker {
         Ok(assemble(&self.model, &self.states))
     }
 
-    /// Applies one delta the *non-incremental* way: mutate the maintained
-    /// model, re-derive the atomization, and recompute every source from
-    /// scratch, regardless of what the delta touched.
-    ///
-    /// This is the strategy the incremental path replaces; it exists as
-    /// the benchmark comparator (the `verify-churn` workload times both
-    /// loops over the same delta stream) and as an in-process oracle —
-    /// by construction its verdict is a from-scratch verification of the
-    /// maintained model.
-    pub fn apply_full(&mut self, d: &ConfigDelta) -> Result<(), DomainOverflow> {
-        self.stats.deltas_applied += 1;
-        self.mutate(d);
-        self.model.dom = self.model.derive_domains(&self.plan)?;
-        self.stats.full_rebuilds += 1;
-        self.atoms_pending = false;
-        for i in 0..self.sources.len() {
-            self.states[i] = analyze_source(&self.model, self.sources[i]);
-            self.stats.sources_recomputed += 1;
-            self.dirty[i] = false;
-        }
-        Ok(())
-    }
-
     fn flush(&mut self) -> Result<(), DomainOverflow> {
         if self.atoms_pending {
             self.atoms_pending = false;

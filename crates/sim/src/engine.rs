@@ -251,8 +251,8 @@ impl<W, E: Event<W>> Engine<W, E> {
     /// Fired-event counts per event kind, in kind order.
     ///
     /// Events scheduled through [`Engine::schedule_at_tagged`] count under
-    /// their tag; everything else under [`UNTAGGED_EVENT`]. This is the
-    /// self-profiler's per-event-type dispatch breakdown.
+    /// their tag; everything else under [`UNTAGGED_EVENT`]. The counts sum to
+    /// [`Engine::events_fired`].
     pub fn dispatch_counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         let mut v: Vec<(&'static str, u64)> = self
             .kinds

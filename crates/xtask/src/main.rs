@@ -42,53 +42,13 @@ struct Finding {
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
+    match std::env::args().nth(1).as_deref() {
         Some("lint") => lint(),
-        Some("bench-check") => {
-            let mut file: Option<String> = None;
-            let mut against: Option<String> = None;
-            let mut tolerance = 0.25f64;
-            let mut bad = None;
-            while let Some(a) = args.next() {
-                match a.as_str() {
-                    "--against" => against = args.next(),
-                    "--tolerance" => {
-                        tolerance = args
-                            .next()
-                            .and_then(|t| t.parse::<f64>().ok())
-                            .filter(|t| (0.0..1.0).contains(t))
-                            .unwrap_or_else(|| {
-                                bad = Some("--tolerance takes a fraction in [0, 1)".to_string());
-                                tolerance
-                            });
-                    }
-                    other if file.is_none() && !other.starts_with('-') => {
-                        file = Some(other.to_string());
-                    }
-                    other => bad = Some(format!("unexpected argument {other:?}")),
-                }
-            }
-            if let Some(msg) = bad {
-                eprintln!("bench-check: {msg}");
-                return ExitCode::from(2);
-            }
-            bench_check(
-                file.as_deref().unwrap_or("BENCH_MTS.json"),
-                against.as_deref(),
-                tolerance,
-            )
-        }
         other => {
             eprintln!(
-                "usage: cargo xtask <lint | bench-check [FILE] [--against BASELINE] [--tolerance FRAC]>    (got {:?})\n\n\
+                "usage: cargo xtask lint    (got {:?})\n\n\
                  lint checks: wall-clock, no-print, no-unwrap, hashmap-iter, lossy-cast\n\
-                 (plus unused-waiver: a lint:allow tag that suppresses nothing)\n\
-                 bench-check validates a perf-trajectory snapshot (schema mts-bench-v1);\n\
-                 with --against it also fails when any workload's events_per_sec regresses\n\
-                 by more than FRAC (default 0.25) against the baseline snapshot. The\n\
-                 regression gate only arms for release-mode snapshots: debug-mode numbers\n\
-                 measure nothing and are schema-checked only.",
+                 (plus unused-waiver: a lint:allow tag that suppresses nothing)",
                 other.unwrap_or("nothing")
             );
             ExitCode::from(2)
@@ -135,374 +95,6 @@ fn lint() -> ExitCode {
             findings.len()
         );
         ExitCode::FAILURE
-    }
-}
-
-// ---------------------------------------------------------------------------
-// bench-check: validate a BENCH_MTS.json perf-trajectory snapshot.
-// ---------------------------------------------------------------------------
-
-/// A minimal JSON value — enough to validate the snapshot without pulling
-/// in a JSON dependency. Object keys keep insertion order.
-#[derive(Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = JsonParser {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing data at byte {}", p.i));
-        }
-        Ok(v)
-    }
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.i))
-        }
-    }
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.b.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self.b.get(self.i).ok_or("truncated escape")?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    }
-                }
-                other => out.push(other as char),
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-            }
-        }
-    }
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            let k = self.string()?;
-            self.eat(b':')?;
-            let v = self.value()?;
-            out.push((k, v));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-            }
-        }
-    }
-}
-
-/// A validated snapshot, reduced to what the regression gate compares.
-struct Snapshot {
-    mode: String,
-    /// Workload name → events_per_sec, in file order.
-    rates: Vec<(String, f64)>,
-}
-
-/// Validates a `mts-bench-v1` perf-trajectory snapshot: schema tag, mode,
-/// per-workload field presence and types, non-negative rates, and the
-/// internal identities (Σ dispatch == events; events_per_sec and
-/// sim_mpps_per_wall_sec consistent with their inputs). With `against`,
-/// additionally fails if any baseline workload's events_per_sec dropped by
-/// more than `tolerance` (a fraction) in the fresh snapshot — unless the
-/// fresh snapshot is a debug build, whose numbers measure nothing.
-fn bench_check(path: &str, against: Option<&str>, tolerance: f64) -> ExitCode {
-    let fresh = match validate_snapshot(path) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let Some(base_path) = against else {
-        return ExitCode::SUCCESS;
-    };
-    let base = match validate_snapshot(base_path) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    if fresh.mode == "debug" {
-        println!(
-            "bench-check: {path}: mode=debug, regression gate vs {base_path} skipped \
-             (unoptimized numbers are not comparable; schema checks only)"
-        );
-        return ExitCode::SUCCESS;
-    }
-    let mut errors = Vec::new();
-    for (name, base_eps) in &base.rates {
-        let floor = base_eps * (1.0 - tolerance);
-        match fresh.rates.iter().find(|(n, _)| n == name) {
-            Some((_, fresh_eps)) if *fresh_eps < floor => errors.push(format!(
-                "{name}: events_per_sec {fresh_eps:.0} fell more than {:.0}% below \
-                 baseline {base_eps:.0} (floor {floor:.0})",
-                tolerance * 100.0
-            )),
-            Some((_, fresh_eps)) => println!(
-                "bench-check: {name}: {fresh_eps:.0} events/s vs baseline {base_eps:.0} \
-                 (floor {floor:.0}): ok"
-            ),
-            None => errors.push(format!(
-                "{name}: in baseline {base_path} but missing from {path}"
-            )),
-        }
-    }
-    if errors.is_empty() {
-        println!(
-            "bench-check: {path}: no regression beyond {:.0}% vs {base_path}",
-            tolerance * 100.0
-        );
-        ExitCode::SUCCESS
-    } else {
-        for e in &errors {
-            eprintln!("bench-check: {path}: {e}");
-        }
-        eprintln!("bench-check: {path}: {} regression error(s)", errors.len());
-        ExitCode::FAILURE
-    }
-}
-
-fn validate_snapshot(path: &str) -> Result<Snapshot, ExitCode> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bench-check: cannot read {path}: {e}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
-    let mut errors = Vec::new();
-    let doc = match JsonParser::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("bench-check: {path}: invalid JSON: {e}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("mts-bench-v1") => {}
-        other => errors.push(format!("schema must be \"mts-bench-v1\", got {other:?}")),
-    }
-    let mode = match doc.get("mode").and_then(Json::as_str) {
-        Some(m @ ("debug" | "release")) => m.to_string(),
-        other => {
-            errors.push(format!("mode must be debug|release, got {other:?}"));
-            String::new()
-        }
-    };
-    let workloads = match doc.get("workloads") {
-        Some(Json::Arr(ws)) if !ws.is_empty() => ws.as_slice(),
-        Some(Json::Arr(_)) => {
-            errors.push("workloads must be non-empty".to_string());
-            &[]
-        }
-        _ => {
-            errors.push("missing workloads array".to_string());
-            &[]
-        }
-    };
-    let mut n = 0usize;
-    let mut rates = Vec::new();
-    for (i, w) in workloads.iter().enumerate() {
-        n += 1;
-        let name = w
-            .get("name")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("workloads[{i}]"));
-        if name.is_empty() {
-            errors.push(format!("workloads[{i}]: empty name"));
-        }
-        let mut num = |key: &str| -> f64 {
-            match w.get(key).and_then(Json::as_num) {
-                Some(v) if v >= 0.0 && v.is_finite() => v,
-                Some(v) => {
-                    errors.push(format!("{name}: {key} must be finite and >= 0, got {v}"));
-                    0.0
-                }
-                None => {
-                    errors.push(format!("{name}: missing numeric field {key}"));
-                    0.0
-                }
-            }
-        };
-        let events = num("events");
-        let frames = num("frames");
-        let sim_seconds = num("sim_seconds");
-        let wall = num("wall_seconds");
-        let eps = num("events_per_sec");
-        let mpps = num("sim_mpps_per_wall_sec");
-        rates.push((name.clone(), eps));
-        if events < 1.0 {
-            errors.push(format!("{name}: a profiled run must dispatch events"));
-        }
-        if sim_seconds <= 0.0 {
-            errors.push(format!("{name}: sim_seconds must be positive"));
-        }
-        let dispatch_sum = match w.get("dispatch") {
-            Some(Json::Obj(kv)) => kv
-                .iter()
-                .map(|(k, v)| {
-                    let n = v.as_num().unwrap_or(-1.0);
-                    if n < 0.0 || n.fract() != 0.0 {
-                        errors.push(format!("{name}: dispatch[{k}] must be a whole count"));
-                    }
-                    n.max(0.0)
-                })
-                .sum::<f64>(),
-            _ => {
-                errors.push(format!("{name}: missing dispatch object"));
-                0.0
-            }
-        };
-        if dispatch_sum != events {
-            errors.push(format!(
-                "{name}: dispatch counts sum to {dispatch_sum} but events is {events}"
-            ));
-        }
-        // Rate identities, to ~0.1% (the snapshot rounds to 6 decimals).
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-3 * b.abs().max(1.0);
-        if wall > 0.0 {
-            if !close(eps, events / wall) {
-                errors.push(format!(
-                    "{name}: events_per_sec {eps} inconsistent with events/wall {}",
-                    events / wall
-                ));
-            }
-            if !close(mpps, frames / 1e6 / wall) {
-                errors.push(format!(
-                    "{name}: sim_mpps_per_wall_sec {mpps} inconsistent with frames/1e6/wall {}",
-                    frames / 1e6 / wall
-                ));
-            }
-        }
-    }
-    if errors.is_empty() {
-        println!("bench-check: {path}: {n} workload(s) valid (schema mts-bench-v1)");
-        Ok(Snapshot { mode, rates })
-    } else {
-        for e in &errors {
-            eprintln!("bench-check: {path}: {e}");
-        }
-        eprintln!("bench-check: {path}: {} error(s)", errors.len());
-        Err(ExitCode::FAILURE)
     }
 }
 

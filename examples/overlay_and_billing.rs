@@ -69,28 +69,44 @@ fn main() {
     print!("{}", billing::bill(&w));
 
     // --- 3. Noisy neighbor: performance isolation under a flooding tenant.
-    println!("=== Noisy neighbor (tenant 0 floods, tenant 1 measured) ===");
+    println!("=== Noisy neighbor (tenant 0 floods, every other tenant measured) ===");
     let opts = NoisyOpts::default();
-    let mut rows = Vec::new();
-    for spec in [
-        DeploymentSpec::baseline(DatapathKind::Kernel, ResourceMode::Shared, 1, Scenario::P2v),
-        DeploymentSpec::mts(
-            SecurityLevel::Level2 { compartments: 2 },
-            DatapathKind::Kernel,
-            ResourceMode::Shared,
-            Scenario::P2v,
+    let mut cells = Vec::new();
+    let level2 = SecurityLevel::Level2 { compartments: 2 };
+    for (name, spec) in [
+        (
+            "Baseline, shared core",
+            DeploymentSpec::baseline(DatapathKind::Kernel, ResourceMode::Shared, 1, Scenario::P2v),
         ),
-        DeploymentSpec::mts(
-            SecurityLevel::Level2 { compartments: 2 },
-            DatapathKind::Kernel,
-            ResourceMode::Isolated,
-            Scenario::P2v,
+        (
+            "L2-2, shared core",
+            DeploymentSpec::mts(
+                level2,
+                DatapathKind::Kernel,
+                ResourceMode::Shared,
+                Scenario::P2v,
+            ),
+        ),
+        (
+            "L2-2, isolated cores",
+            DeploymentSpec::mts(
+                level2,
+                DatapathKind::Kernel,
+                ResourceMode::Isolated,
+                Scenario::P2v,
+            ),
         ),
     ] {
-        rows.push(perfiso::noisy_neighbor(spec, opts).expect("experiment runs"));
+        // The spec's own label does not say which resource mode it is.
+        let victims = perfiso::noisy_matrix(spec, opts).expect("experiment runs");
+        cells.extend(victims.into_iter().map(|c| perfiso::SloCell {
+            config: name.to_string(),
+            ..c
+        }));
     }
-    print!("{}", perfiso::render(&rows));
-    println!("\nThe Baseline's victim shares the flooded datapath; MTS Level-2");
-    println!("isolated gives the victim its own vswitch VM and core, so the");
+    print!("{}", perfiso::render_matrix(&cells));
+    println!("\nThe Baseline's victims share the flooded datapath; MTS Level-2");
+    println!("isolated gives tenants 1 and 3 their own vswitch VM and core, so the");
     println!("attack barely registers — the paper's performance-isolation case.");
+    println!("Tenant 2 shares the flooder's compartment and still pays.");
 }

@@ -105,6 +105,19 @@ fn drop_totals_match_per_cause_counters() {
     }
 }
 
+/// OBSERVABILITY.md's drop-cause list is the operator's key to
+/// `mts_drops_total{cause=…}`; a cause added to the enum must be added there.
+#[test]
+fn every_drop_cause_is_documented() {
+    let doc = include_str!("../OBSERVABILITY.md");
+    for cause in DropCause::ALL {
+        assert!(
+            doc.contains(&format!("`{cause}`")),
+            "OBSERVABILITY.md does not list drop cause `{cause}`"
+        );
+    }
+}
+
 /// Complete mediation holds at every SR-IOV level: each delivered tenant
 /// frame crossed the embedded switch and at least one vswitch.
 #[test]
