@@ -39,7 +39,9 @@ impl L2Fwd {
         L2Fwd {
             next_hop,
             own_mac,
-            buffer: Vec::with_capacity(BURST),
+            // Grown by the first frames, kept across drains: a tenant
+            // that never sees traffic holds no buffer.
+            buffer: Vec::new(),
             last_flush: Time::ZERO,
             forwarded: 0,
             flushes_by_timer: 0,
@@ -57,17 +59,16 @@ impl L2Fwd {
         (self.flushes_by_burst, self.flushes_by_timer)
     }
 
-    /// Handles one received frame; returns frames to transmit *now* (a full
-    /// burst) — otherwise the frame waits for the drain timer.
-    pub fn on_frame(&mut self, mut frame: Frame, now: Time) -> Vec<Frame> {
+    /// Handles one received frame; a full burst is appended to `out` for
+    /// transmission *now* — otherwise the frame waits for the drain timer.
+    pub fn on_frame(&mut self, mut frame: Frame, now: Time, out: &mut Vec<Frame>) {
         frame.src = self.own_mac;
         frame.dst = self.next_hop;
         self.buffer.push(frame);
         if self.buffer.len() >= BURST {
             self.flushes_by_burst += 1;
-            return self.flush(now);
+            self.flush(now, out);
         }
-        Vec::new()
     }
 
     /// The next instant the drain timer should fire, if frames are waiting.
@@ -79,20 +80,19 @@ impl L2Fwd {
         }
     }
 
-    /// Fires the drain timer: flushes whatever is buffered.
-    pub fn on_drain(&mut self, now: Time) -> Vec<Frame> {
-        if self.buffer.is_empty() {
-            self.last_flush = now;
-            return Vec::new();
+    /// Fires the drain timer: appends whatever is buffered to `out`.
+    pub fn on_drain(&mut self, now: Time, out: &mut Vec<Frame>) {
+        if !self.buffer.is_empty() {
+            self.flushes_by_timer += 1;
         }
-        self.flushes_by_timer += 1;
-        self.flush(now)
+        self.flush(now, out);
     }
 
-    fn flush(&mut self, now: Time) -> Vec<Frame> {
+    /// Moves the buffered frames to `out`; the buffer keeps its capacity.
+    fn flush(&mut self, now: Time, out: &mut Vec<Frame>) {
         self.last_flush = now;
         self.forwarded += self.buffer.len() as u64;
-        std::mem::take(&mut self.buffer)
+        out.append(&mut self.buffer);
     }
 }
 
@@ -118,8 +118,9 @@ mod tests {
         let own = MacAddr::local(0x42);
         let gw = MacAddr::local(0x11);
         let mut fwd = L2Fwd::new(own, gw);
-        let _ = fwd.on_frame(frame(0), Time::ZERO);
-        let out = fwd.on_drain(Time::from_nanos(100_000));
+        let mut out = Vec::new();
+        fwd.on_frame(frame(0), Time::ZERO, &mut out);
+        fwd.on_drain(Time::from_nanos(100_000), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].dst, gw);
         assert_eq!(out[0].src, own);
@@ -130,7 +131,8 @@ mod tests {
         let mut fwd = L2Fwd::new(MacAddr::local(1), MacAddr::local(2));
         let mut out = Vec::new();
         for i in 0..BURST as u32 {
-            out = fwd.on_frame(frame(i), Time::ZERO);
+            assert!(out.is_empty(), "flushed before the burst filled");
+            fwd.on_frame(frame(i), Time::ZERO, &mut out);
         }
         assert_eq!(out.len(), BURST);
         assert_eq!(fwd.forwarded(), BURST as u64);
@@ -141,10 +143,12 @@ mod tests {
     #[test]
     fn low_rate_waits_for_the_drain_timer() {
         let mut fwd = L2Fwd::new(MacAddr::local(1), MacAddr::local(2));
-        assert!(fwd.on_frame(frame(0), Time::ZERO).is_empty());
+        let mut out = Vec::new();
+        fwd.on_frame(frame(0), Time::ZERO, &mut out);
+        assert!(out.is_empty());
         let deadline = fwd.next_drain().expect("timer armed");
         assert_eq!(deadline, Time::ZERO + DRAIN_INTERVAL);
-        let out = fwd.on_drain(deadline);
+        fwd.on_drain(deadline, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(fwd.flush_counters(), (0, 1));
     }
@@ -152,7 +156,28 @@ mod tests {
     #[test]
     fn empty_drain_is_harmless() {
         let mut fwd = L2Fwd::new(MacAddr::local(1), MacAddr::local(2));
-        assert!(fwd.on_drain(Time::from_nanos(5)).is_empty());
+        let mut out = Vec::new();
+        fwd.on_drain(Time::from_nanos(5), &mut out);
+        assert!(out.is_empty());
         assert_eq!(fwd.flush_counters(), (0, 0));
+    }
+
+    #[test]
+    fn buffer_is_lazy_and_keeps_its_capacity_across_drains() {
+        let mut fwd = L2Fwd::new(MacAddr::local(1), MacAddr::local(2));
+        assert_eq!(fwd.buffer.capacity(), 0, "new() must not allocate");
+        let mut out = vec![frame(99)];
+        for i in 0..5 {
+            fwd.on_frame(frame(i), Time::ZERO, &mut out);
+        }
+        let grown = fwd.buffer.capacity();
+        assert!(grown >= 5);
+        fwd.on_drain(Time::ZERO + DRAIN_INTERVAL, &mut out);
+        // Appended behind what the caller already held, in arrival order.
+        assert_eq!(out.len(), 6);
+        assert_eq!(out[1].dst_ip(), frame(0).dst_ip());
+        assert_eq!(out[5].dst_ip(), frame(4).dst_ip());
+        assert!(fwd.buffer.is_empty());
+        assert_eq!(fwd.buffer.capacity(), grown, "drain gave the buffer away");
     }
 }

@@ -22,7 +22,7 @@
 use crate::controller::{Deployment, PortAttach, VswitchInstance};
 use crate::meters::{Attribution, CycleMeters, Layer};
 use crate::spec::{DeploymentSpec, SecurityLevel};
-use crate::tcphost::TcpHostRt;
+use crate::tcphost::{HostAttach, Quad, TcpHostRt};
 use crate::vfplan::AddressPlan;
 use mts_apps::L2Fwd;
 use mts_host::{LinuxBridge, ResourceMode, VhostCosts};
@@ -265,6 +265,13 @@ pub struct World {
     /// the delivery loop only schedules future events), so the per-frame
     /// switching path never allocates.
     nic_scratch: Vec<Delivery>,
+    /// Pipeline emissions of the frame [`vswitch_exec`] is handling, and
+    /// where each one goes once its tx-side cost is known. Taken and put
+    /// back like `nic_scratch`, for the same reason.
+    vswitch_out: Vec<(PortNo, Frame)>,
+    vswitch_plans: Vec<(Option<PortAttach>, Option<PortKind>, Frame)>,
+    /// The l2fwd burst being transmitted ([`tenant_emit`]).
+    tenant_burst: Vec<Frame>,
     /// PF ownership (Baseline host switch), per physical port.
     pub pf_owner: Vec<Option<(usize, PortNo)>>,
     /// UDP sink/tap record.
@@ -320,7 +327,11 @@ pub type Sim = Engine<World, CoreEvent>;
 /// carries a boxed closure so cold paths (supervisor ticks, fault
 /// injections, workload setup) keep using the closure `schedule_*` API.
 /// Dispatch-count tags are passed at the schedule site, so
-/// `Engine::dispatch_counts` breaks a run down per kind.
+/// `Engine::dispatch_counts` breaks a run down per kind. The TCP-host
+/// variants ([`CoreEvent::HostExec`], [`CoreEvent::HostTx`],
+/// [`CoreEvent::ConnTimer`], and the `NicRx`/`VhostTx` a host's
+/// attachment schedules) fire under [`mts_sim::UNTAGGED_EVENT`]
+/// (`"event"`), the tag of the closures they replaced.
 pub enum CoreEvent {
     /// A frame arrives at the NIC embedded switch (`"nic.rx"`).
     NicRx {
@@ -381,6 +392,13 @@ pub enum CoreEvent {
         /// 1 keeps the classic single-port probe stream.
         dport_span: u16,
     },
+    /// A TCP host's receive grant ends; its stack runs (`"event"`).
+    HostExec { h: usize, frame: Frame },
+    /// A TCP host's frame leaves through its attachment (`"event"`).
+    HostTx { attach: HostAttach, frame: Frame },
+    /// A connection's retransmission/delayed-ACK timer fires; stale
+    /// generations do nothing (`"event"`).
+    ConnTimer { h: usize, quad: Quad, gen: u64 },
     /// Cold-path fallback: a boxed closure event.
     Call(EventFn<World, CoreEvent>),
 }
@@ -467,6 +485,13 @@ impl Event<World> for CoreEvent {
                 seq,
                 dport_span,
             } => generator_tick(w, e, flows, gap, wire_len, until, seq, dport_span),
+            CoreEvent::HostExec { h, frame } => crate::tcphost::host_exec(w, e, h, frame),
+            CoreEvent::HostTx { attach, frame } => {
+                crate::tcphost::dispatch_frame(w, e, attach, frame)
+            }
+            CoreEvent::ConnTimer { h, quad, gen } => {
+                crate::tcphost::conn_timer_fire(w, e, h, quad, gen)
+            }
             CoreEvent::Call(f) => f(w, e),
         }
     }
@@ -664,6 +689,9 @@ impl World {
             vf_owner,
             ip_tenant,
             nic_scratch: Vec::new(),
+            vswitch_out: Vec::new(),
+            vswitch_plans: Vec::new(),
+            tenant_burst: Vec::new(),
             pf_owner,
             sink: SinkRec {
                 per_flow: vec![0; spec.tenants as usize],
@@ -1268,7 +1296,8 @@ fn vswitch_exec(w: &mut World, e: &mut Sim, i: usize, port: PortNo, frame: Frame
     }
     let fid = frame.id;
     let misses_before = vs.inst.sw.cache_stats().misses;
-    let outputs = vs.inst.sw.process(port, frame);
+    let mut outputs = std::mem::take(&mut w.vswitch_out);
+    vs.inst.sw.process_into(port, frame, &mut outputs);
     let missed = vs.inst.sw.cache_stats().misses > misses_before;
     if outputs.is_empty() {
         // The pipeline swallowed the frame: no rule matched (or a rule
@@ -1279,6 +1308,7 @@ fn vswitch_exec(w: &mut World, e: &mut Sim, i: usize, port: PortNo, frame: Frame
         } else {
             DropCause::FlowMiss
         };
+        w.vswitch_out = outputs;
         w.drop_frame_traced(now, fid, cause);
         return;
     }
@@ -1289,10 +1319,10 @@ fn vswitch_exec(w: &mut World, e: &mut Sim, i: usize, port: PortNo, frame: Frame
     if missed {
         extra += costs.slow_path.saturating_sub(costs.cache_hit);
     }
-    let mut out_plans = Vec::with_capacity(outputs.len());
+    let mut out_plans = std::mem::take(&mut w.vswitch_plans);
     let mut vhost_extra = Dur::ZERO;
     let mut overlay_extra = Dur::ZERO;
-    for (out_port, out_frame) in outputs {
+    for (out_port, out_frame) in outputs.drain(..) {
         let attach = vs.inst.attach.get(&out_port).copied();
         let kind = vs.inst.sw.port(out_port).map(|p| p.kind);
         let tso = tso_factor(&out_frame);
@@ -1314,6 +1344,7 @@ fn vswitch_exec(w: &mut World, e: &mut Sim, i: usize, port: PortNo, frame: Frame
         }
         out_plans.push((attach, kind, out_frame));
     }
+    w.vswitch_out = outputs;
     let user = World::user_vswitch(i);
     let mut exec_eff = Dur::ZERO;
     let deliver_at = if extra.is_zero() {
@@ -1355,7 +1386,7 @@ fn vswitch_exec(w: &mut World, e: &mut Sim, i: usize, port: PortNo, frame: Frame
     }
 
     let dpdk = !w.vswitches[i].kernel;
-    for (attach, kind, out_frame) in out_plans {
+    for (attach, kind, out_frame) in out_plans.drain(..) {
         let mut t = deliver_at;
         // DPDK tx to VF-backed ports: descriptor/doorbell batching adds
         // latency at low offered rates (Sec. 4.2's untuned-drain effect);
@@ -1414,6 +1445,7 @@ fn vswitch_exec(w: &mut World, e: &mut Sim, i: usize, port: PortNo, frame: Frame
             None => w.drop_frame_traced(t, out_frame.id, DropCause::UnattachedPort),
         }
     }
+    w.vswitch_plans = out_plans;
 }
 
 /// A frame arrives at tenant VM `t` on `side`.
@@ -1492,9 +1524,10 @@ fn tenant_fwd_exec(w: &mut World, e: &mut Sim, t: usize, side: u8, frame: Frame)
         return;
     };
     let s = usize::from(side);
-    let out = fwd[s].on_frame(frame, now);
+    let mut burst = std::mem::take(&mut w.tenant_burst);
+    fwd[s].on_frame(frame, now, &mut burst);
     let tx = tx_side[s];
-    if out.is_empty() {
+    if burst.is_empty() {
         if !drain_armed[s] {
             drain_armed[s] = true;
             let deadline = fwd[s].next_drain().unwrap_or(now + Dur::micros(100));
@@ -1504,9 +1537,10 @@ fn tenant_fwd_exec(w: &mut World, e: &mut Sim, t: usize, side: u8, frame: Frame)
                 CoreEvent::TenantDrain { t, side },
             );
         }
-        return;
+    } else {
+        tenant_emit(w, e, t, tx, &mut burst);
     }
-    tenant_emit(w, e, t, tx, out);
+    w.tenant_burst = burst;
 }
 
 /// The l2fwd drain timer fires for tenant `t`, rx side `side`.
@@ -1523,24 +1557,24 @@ fn tenant_drain(w: &mut World, e: &mut Sim, t: usize, side: u8) {
     };
     let s = usize::from(side);
     drain_armed[s] = false;
-    let out = fwd[s].on_drain(now);
+    let mut burst = std::mem::take(&mut w.tenant_burst);
+    fwd[s].on_drain(now, &mut burst);
     let tx = tx_side[s];
-    if !out.is_empty() {
-        tenant_emit(w, e, t, tx, out);
-    }
+    tenant_emit(w, e, t, tx, &mut burst);
+    w.tenant_burst = burst;
 }
 
-/// Emits frames from tenant `t` out its `tx` side VF.
-fn tenant_emit(w: &mut World, e: &mut Sim, t: usize, tx: u8, frames: Vec<Frame>) {
+/// Emits `frames` from tenant `t` out its `tx` side VF, leaving the buffer
+/// empty.
+fn tenant_emit(w: &mut World, e: &mut Sim, t: usize, tx: u8, frames: &mut Vec<Frame>) {
     let now = e.now();
     let Some((pf, vf)) = w.tenants[t].vf.get(usize::from(tx)).copied() else {
-        match frames.first() {
-            Some(f) => w.drop_frame_traced(now, f.id, DropCause::TenantNoVf),
-            None => w.drop_frame(DropCause::TenantNoVf),
+        for frame in frames.drain(..) {
+            w.drop_frame_traced(now, frame.id, DropCause::TenantNoVf);
         }
         return;
     };
-    for frame in frames {
+    for frame in frames.drain(..) {
         if let Some(rec) = w.telemetry.rec() {
             rec.hop(
                 frame.id,
@@ -1858,6 +1892,43 @@ mod tests {
         assert!(w.sink.received < w.sink.sent, "must overload");
         assert!(w.sink.received > 0, "but still forward");
         assert!(w.total_drops() > 0);
+    }
+
+    #[test]
+    fn a_tenant_without_its_tx_vf_drops_every_frame_of_a_burst() {
+        let mut w = world(SecurityLevel::Level1, Scenario::P2v, ResourceMode::Isolated);
+        let mut e = Sim::new();
+        let flows: Vec<(MacAddr, std::net::Ipv4Addr)> = w
+            .plan
+            .tenants
+            .iter()
+            .map(|t| (w.plan.compartments[0].in_out[0].1, t.ip))
+            .collect();
+        w.sink.window = (Time::ZERO, Time::MAX);
+        // 400 kpps over four tenants: ten frames per 100 us l2fwd drain.
+        start_udp_generator(&mut e, flows, 400_000.0, 64, Time::from_nanos(4_000_000));
+        e.run_until(&mut w, Time::from_nanos(2_000_000));
+        let forwarded = |w: &World| match &w.tenants[0].kind {
+            TenantKind::Fwd { fwd, .. } => fwd.iter().map(L2Fwd::forwarded).sum::<u64>(),
+            _ => unreachable!("MTS tenants run l2fwd"),
+        };
+        let before = forwarded(&w);
+        assert!(before > 0 && w.total_drops() == 0, "drops: {:?}", w.drops);
+        w.tenants[0].vf.clear();
+        e.run(&mut w);
+        // Every frame tenant 0 flushed after losing its VFs is a typed
+        // drop, so the sink's books still balance.
+        let lost = forwarded(&w) - before;
+        assert!(lost > 100, "tenant 0 flushed only {lost} frames");
+        assert_eq!(w.drops.get(&DropCause::TenantNoVf), Some(&lost));
+        assert_eq!(w.sink.sent, w.sink.received + w.total_drops());
+    }
+
+    #[test]
+    fn core_event_stays_within_its_slab_slot_budget() {
+        // Every pending event occupies one slab slot of this size; the
+        // typed host events must not widen it.
+        assert!(std::mem::size_of::<CoreEvent>() <= 72);
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //! each host is configured with routes mapping remote IPs to next-hop MACs
 //! (the tenant's Gw VF, or the compartment's In/Out VF from the LG side).
 
-use crate::runtime::{nic_rx, vswitch_rx, wire_inject, Sim, World};
+use crate::runtime::{wire_inject, CoreEvent, Sim, World};
 use mts_apps::{App, AppCtx, ConnId};
 use mts_net::{Frame, Ipv4Packet, MacAddr, Payload, TcpFlags, TcpSegment, Transport};
 use mts_nic::{NicPort, PfId, VfId};
 #[cfg(test)]
 use mts_sim::Time;
-use mts_sim::{CoreId, DetRng, Dur, Histogram};
+use mts_sim::{CoreId, DetRng, Dur, Histogram, UNTAGGED_EVENT};
 use mts_tcp::{Connection, Output, TcpConfig};
 use mts_telemetry::DropCause;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -251,7 +251,7 @@ pub fn host_rx(w: &mut World, e: &mut Sim, h: usize, frame: Frame) {
                 0x3000 + h as u64,
                 cost,
             );
-            e.schedule_at(grant.end, move |w, e| host_exec(w, e, h, frame));
+            e.schedule_event(grant.end, UNTAGGED_EVENT, CoreEvent::HostExec { h, frame });
         }
         None => host_exec(w, e, h, frame),
     }
@@ -270,7 +270,8 @@ pub fn external_host_rx(w: &mut World, e: &mut Sim, h_default: usize, frame: Fra
     host_rx(w, e, h, frame);
 }
 
-fn host_exec(w: &mut World, e: &mut Sim, h: usize, frame: Frame) {
+/// Host `h`'s stack processes a received frame (its rx grant has ended).
+pub(crate) fn host_exec(w: &mut World, e: &mut Sim, h: usize, frame: Frame) {
     let now = e.now();
     // Gateway ARP replies complete dynamic resolution and flush queued
     // segments.
@@ -585,54 +586,48 @@ fn emit_segments(w: &mut World, e: &mut Sim, h: usize, emits: Vec<(Quad, TcpSegm
             None => now,
         }
     };
-    let frames: Vec<(Frame, HostAttach)> = {
-        let host = &w.hosts[h];
-        emits
-            .into_iter()
-            .map(|(quad, seg)| {
-                let frame = Frame::new(
-                    host.mac,
-                    host.route(quad.rip),
-                    Payload::Ipv4(Ipv4Packet {
-                        src: host.ip,
-                        dst: quad.rip,
-                        ttl: 64,
-                        tos: 0,
-                        transport: Transport::Tcp(seg),
-                    }),
-                )
-                .stamped(now.as_nanos());
-                (frame, host.attach)
-            })
-            .collect()
-    };
-    for (frame, attach) in frames {
-        e.schedule_at(depart, move |w, e| dispatch_frame(w, e, attach, frame));
+    let host = &w.hosts[h];
+    for (quad, seg) in emits {
+        let frame = Frame::new(
+            host.mac,
+            host.route(quad.rip),
+            Payload::Ipv4(Ipv4Packet {
+                src: host.ip,
+                dst: quad.rip,
+                ttl: 64,
+                tos: 0,
+                transport: Transport::Tcp(seg),
+            }),
+        )
+        .stamped(now.as_nanos());
+        let attach = host.attach;
+        e.schedule_event(depart, UNTAGGED_EVENT, CoreEvent::HostTx { attach, frame });
     }
 }
 
 /// Sends one frame into the datapath via a host attachment.
-fn dispatch_frame(w: &mut World, e: &mut Sim, attach: HostAttach, frame: Frame) {
+pub(crate) fn dispatch_frame(w: &mut World, e: &mut Sim, attach: HostAttach, frame: Frame) {
     match attach {
         HostAttach::Wire(pf) => wire_inject(w, e, pf, frame),
         HostAttach::Vf(pf, vf) => {
             let arr = w.nic.dma(e.now(), u64::from(frame.wire_len()));
             w.max_dma_wait = w.max_dma_wait.max(arr - e.now());
-            e.schedule_at(arr, move |w, e| nic_rx(w, e, pf, NicPort::Vf(vf), frame));
+            let port = NicPort::Vf(vf);
+            e.schedule_event(arr, UNTAGGED_EVENT, CoreEvent::NicRx { pf, port, frame });
         }
         HostAttach::Vhost(tenant, side) => {
+            // The vswitch port is looked up on arrival, and the frame
+            // dropped as `VhostUnrouted` if the channel has none.
             let arr = e.now() + w.cfg.host_notify;
-            e.schedule_at(arr, move |w, e| {
-                let found = w
-                    .vswitches
-                    .iter()
-                    .enumerate()
-                    .find_map(|(i, vs)| vs.inst.vhost.get(&(tenant, side)).map(|p| (i, *p)));
-                match found {
-                    Some((i, port)) => vswitch_rx(w, e, i, port, frame, true),
-                    None => w.drop_frame_traced(e.now(), frame.id, DropCause::VhostUnrouted),
-                }
-            });
+            e.schedule_event(
+                arr,
+                UNTAGGED_EVENT,
+                CoreEvent::VhostTx {
+                    tenant,
+                    side,
+                    frame,
+                },
+            );
         }
     }
 }
@@ -650,12 +645,15 @@ fn arm_conn_timer(w: &mut World, e: &mut Sim, h: usize, quad: Quad) {
     let Some(deadline) = rt.conn.next_timer() else {
         return;
     };
-    e.schedule_at(deadline, move |w, e| {
-        conn_timer_fire(w, e, h, quad, gen);
-    });
+    e.schedule_event(
+        deadline,
+        UNTAGGED_EVENT,
+        CoreEvent::ConnTimer { h, quad, gen },
+    );
 }
 
-fn conn_timer_fire(w: &mut World, e: &mut Sim, h: usize, quad: Quad, gen: u64) {
+/// A connection timer armed at generation `gen` fires.
+pub(crate) fn conn_timer_fire(w: &mut World, e: &mut Sim, h: usize, quad: Quad, gen: u64) {
     let now = e.now();
     let mut emits = Vec::new();
     let mut events = Vec::new();
@@ -952,6 +950,86 @@ mod tests {
         );
         let bytes = server.counter("iperf_bytes");
         assert!(bytes > 100_000, "iperf moved only {bytes} bytes after ARP");
+    }
+
+    /// A small Baseline Apache world: tenant 0 serves, one ApacheBench
+    /// client on the load generator (host 1) keeps `concurrency` requests
+    /// in flight over the vhost path.
+    fn apache_world(concurrency: u32) -> (World, Sim) {
+        use mts_apps::{http::HTTP_PORT, AbClient, HttpServer};
+        let spec =
+            DeploymentSpec::baseline(DatapathKind::Kernel, ResourceMode::Shared, 1, Scenario::P2v);
+        let d = Controller::deploy_workload(spec).unwrap();
+        let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 5);
+        let mut e = Sim::new();
+        let server = Box::new(HttpServer::new());
+        add_tenant_server(&mut w, 0, HTTP_PORT, server, Dur::nanos(1_500));
+        let server_ip = w.plan.tenants[0].ip;
+        let client = add_lg_client(
+            &mut w,
+            "ab",
+            Ipv4Addr::new(10, 255, 0, 10),
+            Box::new(AbClient::new(server_ip, concurrency)),
+            vec![(server_ip, Controller::baseline_router_mac(0))],
+        );
+        w.wire_ends = vec![WireEnd::Host(client)];
+        host_start(&mut w, &mut e, client);
+        (w, e)
+    }
+
+    #[test]
+    fn typed_host_events_keep_the_closures_dispatch_tags() {
+        let (mut w, mut e) = apache_world(4);
+        e.run_until(&mut w, Time::from_nanos(20_000_000));
+        let done = w.hosts[1].counter("http_requests_done");
+        assert!(done > 0, "no request completed; drops {:?}", w.drops);
+        // Exactly the kinds that fired in a Baseline TCP run when host
+        // events were boxed closures: the typed ones keep the closures'
+        // tag, so `"event"` is still there and nothing new is.
+        let tags: Vec<&str> = e.dispatch_counts().map(|(k, _)| k).collect();
+        assert_eq!(
+            tags,
+            [
+                "dma",
+                UNTAGGED_EVENT,
+                "nic.rx",
+                "vhost.deliver",
+                "vswitch.exec",
+                "vswitch.rx",
+                "wire.rx",
+                "wire.tx"
+            ]
+        );
+        let total: u64 = e.dispatch_counts().map(|(_, n)| n).sum();
+        assert_eq!(total, e.events_fired());
+    }
+
+    #[test]
+    fn superseded_conn_timer_does_nothing() {
+        use mts_sim::Event;
+        let (mut w, mut e) = apache_world(2);
+        e.run_until(&mut w, Time::from_nanos(5_000_000));
+        let h = 1;
+        let (quad, live) = w.hosts[h]
+            .conns
+            .iter()
+            .map(|(q, rt)| (*q, rt.timer_gen))
+            .next()
+            .expect("a live connection");
+        let pending = e.pending();
+        let stats = w.hosts[h].conns[&quad].conn.stats();
+        CoreEvent::ConnTimer {
+            h,
+            quad,
+            gen: live - 1,
+        }
+        .fire(&mut w, &mut e);
+        assert_eq!(w.hosts[h].conns[&quad].timer_gen, live);
+        assert_eq!(w.hosts[h].conns[&quad].conn.stats(), stats);
+        assert_eq!(e.pending(), pending, "a stale timer scheduled something");
+        // The live generation runs the stack's timer and re-arms.
+        CoreEvent::ConnTimer { h, quad, gen: live }.fire(&mut w, &mut e);
+        assert_eq!(w.hosts[h].conns[&quad].timer_gen, live + 1);
     }
 
     #[test]

@@ -205,7 +205,11 @@ impl FlowCache {
 
     /// Inserts a resolved operation list (plus matched-rule cookies) for a
     /// key; returns the interned program for immediate use.
-    pub fn insert(&mut self, key: FlowKey, ops: Vec<Op>, cookies: Vec<u64>) -> FlowProgram {
+    ///
+    /// The lists are borrowed: a program already in the pools is found by
+    /// slice and shared, so a slow-path miss that resolves to known actions
+    /// allocates nothing, and the caller keeps its buffers.
+    pub fn insert(&mut self, key: FlowKey, ops: &[Op], cookies: &[u64]) -> FlowProgram {
         if self.map.len() >= self.capacity {
             // Capacity flush, as OvS does when revalidation falls behind.
             self.map.clear();
@@ -228,14 +232,14 @@ impl FlowCache {
     }
 
     /// Deduplicates a list into pool-shared storage.
-    fn intern<T>(pool: &mut FastHashSet<Arc<[T]>>, items: Vec<T>) -> Arc<[T]>
+    fn intern<T>(pool: &mut FastHashSet<Arc<[T]>>, items: &[T]) -> Arc<[T]>
     where
-        T: std::hash::Hash + Eq,
+        T: std::hash::Hash + Eq + Clone,
     {
-        if let Some(shared) = pool.get(items.as_slice()) {
+        if let Some(shared) = pool.get(items) {
             return shared.clone();
         }
-        let shared: Arc<[T]> = items.into();
+        let shared: Arc<[T]> = Arc::from(items);
         pool.insert(shared.clone());
         shared
     }
@@ -275,7 +279,7 @@ mod tests {
         let mut c = FlowCache::new(100);
         let k = FlowKey::of(PortNo(1), &frame(80));
         assert!(c.get(&k).is_none());
-        c.insert(k, vec![Op::Emit(PortNo(3))], vec![7]);
+        c.insert(k, &[Op::Emit(PortNo(3))], &[7]);
         let hit = c.get(&k).expect("fresh entry");
         assert_eq!(hit.ops(), &[Op::Emit(PortNo(3))]);
         assert_eq!(hit.cookies(), &[7]);
@@ -287,7 +291,7 @@ mod tests {
     fn hits_share_storage_with_the_entry() {
         let mut c = FlowCache::new(100);
         let k = FlowKey::of(PortNo(1), &frame(80));
-        let inserted = c.insert(k, vec![Op::Emit(PortNo(3))], vec![7]);
+        let inserted = c.insert(k, &[Op::Emit(PortNo(3))], &[7]);
         let h1 = c.get(&k).unwrap();
         let h2 = c.get(&k).unwrap();
         assert!(h1.shares_storage_with(&inserted));
@@ -299,12 +303,12 @@ mod tests {
         let mut c = FlowCache::new(100);
         let k1 = FlowKey::of(PortNo(1), &frame(80));
         let k2 = FlowKey::of(PortNo(1), &frame(81));
-        let p1 = c.insert(k1, vec![Op::Emit(PortNo(3))], vec![7]);
-        let p2 = c.insert(k2, vec![Op::Emit(PortNo(3))], vec![7]);
+        let p1 = c.insert(k1, &[Op::Emit(PortNo(3))], &[7]);
+        let p2 = c.insert(k2, &[Op::Emit(PortNo(3))], &[7]);
         assert!(p1.shares_storage_with(&p2));
         // Different programs get their own storage.
         let k3 = FlowKey::of(PortNo(1), &frame(82));
-        let p3 = c.insert(k3, vec![Op::Emit(PortNo(4))], vec![7]);
+        let p3 = c.insert(k3, &[Op::Emit(PortNo(4))], &[7]);
         assert!(!p3.shares_storage_with(&p1));
     }
 
@@ -312,22 +316,49 @@ mod tests {
     fn generation_bump_invalidates() {
         let mut c = FlowCache::new(100);
         let k = FlowKey::of(PortNo(1), &frame(80));
-        c.insert(k, vec![Op::Emit(PortNo(3))], Vec::new());
+        c.insert(k, &[Op::Emit(PortNo(3))], &[]);
         c.bump_generation();
         assert!(c.get(&k).is_none());
         assert_eq!(c.stats().stale, 1);
         // Re-inserted entries are fresh again.
-        c.insert(k, vec![Op::Emit(PortNo(4))], Vec::new());
+        c.insert(k, &[Op::Emit(PortNo(4))], &[]);
         let hit = c.get(&k).expect("fresh entry");
         assert_eq!(hit.ops(), &[Op::Emit(PortNo(4))]);
         assert!(hit.cookies().is_empty());
     }
 
     #[test]
+    fn interning_from_a_reused_buffer_survives_a_capacity_flush() {
+        let key = |i: u32| FlowKey::of(PortNo(i), &frame(80));
+        let mut c = FlowCache::new(16);
+        // The caller rewrites one buffer between inserts, as the switch does.
+        let mut ops = vec![Op::Emit(PortNo(3))];
+        let first = c.insert(key(0), &ops, &[7]);
+        ops.clear();
+        ops.push(Op::Emit(PortNo(3)));
+        assert!(c.insert(key(1), &ops, &[7]).shares_storage_with(&first));
+        for i in 2..16 {
+            c.insert(key(i), &ops, &[7]);
+        }
+        assert_eq!(c.stats().flushes, 0);
+        // The 17th entry flushes the map and both pools.
+        let after = c.insert(key(16), &ops, &[7]);
+        assert_eq!(c.stats().flushes, 1);
+        assert_eq!(c.len(), 1);
+        assert!(c.get(&key(0)).is_none());
+        // Handles from before the flush stay valid; the program was interned
+        // anew, and later equal programs share the new storage.
+        assert_eq!(first.ops(), after.ops());
+        assert!(!after.shares_storage_with(&first));
+        assert!(c.insert(key(17), &ops, &[7]).shares_storage_with(&after));
+        assert!(c.get(&key(16)).expect("fresh").shares_storage_with(&after));
+    }
+
+    #[test]
     fn capacity_flush() {
         let mut c = FlowCache::new(16);
         for i in 0..17 {
-            c.insert(FlowKey::of(PortNo(i), &frame(80)), vec![], vec![]);
+            c.insert(FlowKey::of(PortNo(i), &frame(80)), &[], &[]);
         }
         assert_eq!(c.stats().flushes, 1);
         assert!(c.len() <= 16);

@@ -138,6 +138,12 @@ pub struct VirtualSwitch {
     /// vswitch CPU by hits and misses separately, since a miss costs an
     /// order of magnitude more than a hit.
     cookie_misses: FastHashMap<u64, u64>,
+    /// Slow-path scratch: [`Self::resolve`] writes the ops and cookies of
+    /// the frame at hand here and the cache interns from the slices, so a
+    /// miss allocates nothing once the buffers have grown. Cleared before
+    /// every use; never read across frames.
+    ops_scratch: Vec<Op>,
+    cookie_scratch: Vec<u64>,
 }
 
 /// Errors from switch configuration.
@@ -176,6 +182,8 @@ impl VirtualSwitch {
             stats: SwitchStats::default(),
             cookie_stats: FastHashMap::default(),
             cookie_misses: FastHashMap::default(),
+            ops_scratch: Vec::new(),
+            cookie_scratch: Vec::new(),
         }
     }
 
@@ -285,17 +293,31 @@ impl VirtualSwitch {
     /// cache is observable via [`Self::cache_stats`] — the runtime charges
     /// different CPU costs for hit and miss.
     pub fn process(&mut self, in_port: PortNo, frame: Frame) -> Vec<(PortNo, Frame)> {
+        let mut out = Vec::new();
+        self.process_into(in_port, frame, &mut out);
+        out
+    }
+
+    /// [`Self::process`] appending the emissions to a caller-owned buffer,
+    /// so a per-frame loop allocates nothing for them.
+    pub fn process_into(&mut self, in_port: PortNo, frame: Frame, out: &mut Vec<(PortNo, Frame)>) {
         self.stats.received += 1;
         let key = FlowKey::of(in_port, &frame);
         let (prog, missed) = match self.cache.get(&key) {
             Some(prog) => (prog, false),
             None => {
-                let (ops, cookies, cacheable) = self.resolve(in_port, &frame);
+                let mut ops = std::mem::take(&mut self.ops_scratch);
+                let mut cookies = std::mem::take(&mut self.cookie_scratch);
+                ops.clear();
+                cookies.clear();
+                let cacheable = self.resolve(in_port, &frame, &mut ops, &mut cookies);
                 let prog = if cacheable {
-                    self.cache.insert(key, ops, cookies)
+                    self.cache.insert(key, &ops, &cookies)
                 } else {
-                    FlowProgram::new(ops, cookies)
+                    FlowProgram::new(ops.clone(), cookies.clone())
                 };
+                self.ops_scratch = ops;
+                self.cookie_scratch = cookies;
                 (prog, true)
             }
         };
@@ -310,7 +332,7 @@ impl VirtualSwitch {
                 *self.cookie_misses.entry(cookie).or_insert(0) += 1;
             }
         }
-        self.apply(prog.ops(), frame)
+        self.apply(prog.ops(), frame, out);
     }
 
     /// Total packets/bytes handled on behalf of rules with `cookie`,
@@ -329,12 +351,17 @@ impl VirtualSwitch {
 
     /// Resolves the pipeline into concrete ops for this packet's key.
     ///
-    /// Also returns the cookies of matched rules (for statistics) and
-    /// whether the result is cacheable — `false` when the outcome depends
-    /// on fields outside the flow key (currently: TTL expiry).
-    fn resolve(&mut self, in_port: PortNo, original: &Frame) -> (Vec<Op>, Vec<u64>, bool) {
-        let mut ops = Vec::new();
-        let mut cookies = Vec::new();
+    /// Appends the ops, and the cookies of matched rules (for statistics),
+    /// to the caller's buffers. Returns whether the result is cacheable —
+    /// `false` when the outcome depends on fields outside the flow key
+    /// (currently: TTL expiry).
+    fn resolve(
+        &mut self,
+        in_port: PortNo,
+        original: &Frame,
+        ops: &mut Vec<Op>,
+        cookies: &mut Vec<u64>,
+    ) -> bool {
         let mut frame = original.clone();
         let mut tun_id: Option<Vni> = None;
         let mut table = 0usize;
@@ -344,34 +371,37 @@ impl VirtualSwitch {
             if hops > NUM_TABLES {
                 // Goto loop guard: treat as drop.
                 self.stats.action_drops += 1;
-                return (ops_without_emits(ops), cookies, true);
+                strip_emits(ops);
+                return true;
             }
-            let Some(t) = self.tables.get_mut(table) else {
+            // The matched rule stays borrowed from `tables` while its
+            // actions run; everything they touch is another field.
+            let Some(rule) = self
+                .tables
+                .get_mut(table)
+                .and_then(|t| t.lookup(in_port, &frame, tun_id))
+            else {
                 self.stats.no_match_drops += 1;
-                return (ops_without_emits(ops), cookies, true);
-            };
-            let Some(rule) = t.lookup(in_port, &frame, tun_id) else {
-                self.stats.no_match_drops += 1;
-                return (ops_without_emits(ops), cookies, true);
+                strip_emits(ops);
+                return true;
             };
             if rule.cookie != 0 {
                 cookies.push(rule.cookie);
             }
-            let actions = rule.actions.clone();
             let mut goto: Option<usize> = None;
-            for act in actions {
-                match act {
+            for act in &rule.actions {
+                match *act {
                     Action::Output(p) => ops.push(Op::Emit(p)),
-                    Action::Flood => {
-                        for (p, _) in self.ports.iter() {
-                            if *p != in_port {
-                                ops.push(Op::Emit(*p));
-                            }
-                        }
-                    }
-                    Action::Normal => {
-                        self.normal(in_port, &frame, &mut ops);
-                    }
+                    Action::Flood => flood(&self.ports, in_port, ops),
+                    Action::Normal => Self::normal(
+                        &mut self.mac_table,
+                        &mut self.cache,
+                        &mut self.stats,
+                        &self.ports,
+                        in_port,
+                        &frame,
+                        ops,
+                    ),
                     Action::SetEthDst(m) => {
                         frame.dst = m;
                         ops.push(Op::SetDst(m));
@@ -393,7 +423,8 @@ impl VirtualSwitch {
                             if ip.ttl <= 1 {
                                 self.stats.ttl_drops += 1;
                                 // TTL is not part of the flow key: do not cache.
-                                return (ops_without_emits(ops), cookies, false);
+                                strip_emits(ops);
+                                return false;
                             }
                             ip.ttl -= 1;
                         }
@@ -423,7 +454,8 @@ impl VirtualSwitch {
                         }
                         None => {
                             self.stats.decap_drops += 1;
-                            return (ops_without_emits(ops), cookies, true);
+                            strip_emits(ops);
+                            return true;
                         }
                     },
                     Action::GotoTable(TableId(t)) => {
@@ -431,7 +463,8 @@ impl VirtualSwitch {
                     }
                     Action::Drop => {
                         self.stats.action_drops += 1;
-                        return (ops_without_emits(ops), cookies, true);
+                        strip_emits(ops);
+                        return true;
                     }
                 }
             }
@@ -440,50 +473,56 @@ impl VirtualSwitch {
                 Some(_) => {
                     // Backward goto is illegal (loop); drop.
                     self.stats.action_drops += 1;
-                    return (ops_without_emits(ops), cookies, true);
+                    strip_emits(ops);
+                    return true;
                 }
-                None => return (ops, cookies, true),
+                None => return true,
             }
         }
     }
 
-    /// The `NORMAL` learning-switch behaviour.
-    fn normal(&mut self, in_port: PortNo, frame: &Frame, ops: &mut Vec<Op>) {
+    /// The `NORMAL` learning-switch behaviour. Takes the switch state it reads
+    /// and updates field by field, so it can run while the matched rule is
+    /// still borrowed from the tables.
+    fn normal(
+        mac_table: &mut FastHashMap<(u16, u64), PortNo>,
+        cache: &mut FlowCache,
+        stats: &mut SwitchStats,
+        ports: &BTreeMap<PortNo, PortInfo>,
+        in_port: PortNo,
+        frame: &Frame,
+        ops: &mut Vec<Op>,
+    ) {
         let vlan = frame.vlan.map(|t| t.vid).unwrap_or(0);
         // Learn the source towards the ingress port.
         if frame.src.is_unicast() {
             let key = (vlan, frame.src.as_u64());
-            let known = self.mac_table.get(&key).copied();
+            let known = mac_table.get(&key).copied();
             if known != Some(in_port) {
-                if self.mac_table.len() >= MAC_TABLE_CAP && known.is_none() {
-                    self.stats.learn_overflow += 1;
+                if mac_table.len() >= MAC_TABLE_CAP && known.is_none() {
+                    stats.learn_overflow += 1;
                 } else {
-                    self.mac_table.insert(key, in_port);
+                    mac_table.insert(key, in_port);
                     // Learning changes future NORMAL resolutions.
-                    self.cache.bump_generation();
+                    cache.bump_generation();
                 }
             }
         }
         // Forward or flood.
         if frame.dst.is_unicast() {
-            if let Some(port) = self.mac_table.get(&(vlan, frame.dst.as_u64())) {
+            if let Some(port) = mac_table.get(&(vlan, frame.dst.as_u64())) {
                 if *port != in_port {
                     ops.push(Op::Emit(*port));
                 }
                 return;
             }
         }
-        for (p, _) in self.ports.iter() {
-            if *p != in_port {
-                ops.push(Op::Emit(*p));
-            }
-        }
+        flood(ports, in_port, ops);
     }
 
-    /// Applies resolved ops to a frame, producing emissions.
-    fn apply(&mut self, ops: &[Op], frame: Frame) -> Vec<(PortNo, Frame)> {
+    /// Applies resolved ops to a frame, appending its emissions to `out`.
+    fn apply(&mut self, ops: &[Op], frame: Frame, out: &mut Vec<(PortNo, Frame)>) {
         let mut cur = frame;
-        let mut out = Vec::new();
         for op in ops {
             match op {
                 Op::SetDst(m) => cur.dst = *m,
@@ -512,7 +551,7 @@ impl VirtualSwitch {
                     Some((inner, _)) => cur = inner,
                     None => {
                         self.stats.decap_drops += 1;
-                        return out;
+                        return;
                     }
                 },
                 Op::Emit(p) => {
@@ -521,7 +560,6 @@ impl VirtualSwitch {
                 }
             }
         }
-        out
     }
 
     /// Returns what the MAC-learning table knows about `(vlan, mac)`.
@@ -546,9 +584,18 @@ impl VirtualSwitch {
 
 /// Strips emissions from an op list (the packet was ultimately dropped, but
 /// field rewrites may already be cached — the cached entry must also drop).
-fn ops_without_emits(mut ops: Vec<Op>) -> Vec<Op> {
+fn strip_emits(ops: &mut Vec<Op>) {
     ops.retain(|op| !matches!(op, Op::Emit(_)));
-    ops
+}
+
+/// Emits on every port except the ingress port, in port order.
+fn flood(ports: &BTreeMap<PortNo, PortInfo>, in_port: PortNo, ops: &mut Vec<Op>) {
+    ops.extend(
+        ports
+            .keys()
+            .filter(|p| **p != in_port)
+            .map(|p| Op::Emit(*p)),
+    );
 }
 
 /// Wraps a frame in a VXLAN envelope.

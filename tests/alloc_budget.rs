@@ -1,0 +1,236 @@
+//! The steady-state allocation budget of the datapath, inside tier-1.
+//!
+//! The frame itself — `Frame::new`'s shared payload — is the only heap
+//! allocation a frame may cost on the cache-hit path, on the slow path and
+//! on the overload drop path; everything else rides in caller-owned scratch
+//! buffers (DESIGN.md §5). `benchmark/` reads the same quantity as
+//! `allocs_per_op`, over whole runs and in release only; this test reads it
+//! after a warm-up window, in whatever profile `cargo test` builds, so a
+//! per-frame `Vec` or boxed closure sneaking back in fails here first.
+//!
+//! This is the one file in the workspace that needs `unsafe`: a
+//! `GlobalAlloc` cannot be written without it.
+#![allow(unsafe_code)]
+
+use mts::apps::http::HTTP_PORT;
+use mts::apps::{AbClient, HttpServer};
+use mts::core::controller::Controller;
+use mts::core::runtime::{start_udp_churn_generator, RuntimeCfg, Sim, WireEnd, World};
+use mts::core::spec::{DeploymentSpec, Scenario, SecurityLevel};
+use mts::core::tcphost::{add_lg_client, add_tenant_server, host_start};
+use mts::host::ResourceMode;
+use mts::net::MacAddr;
+use mts::sim::{Dur, Time};
+use mts::vswitch::DatapathKind;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Heap allocations made by the process so far (a `realloc` counts as one,
+/// as in `benchmark/`).
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method hands its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract, and returns what `System` returned.
+// The only addition is a relaxed increment of a statistic that publishes
+// no other data, never allocates and never touches the block.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above; `ptr` came from this allocator, that is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations per op over `(warmup, warmup + measure]` of simulated time,
+/// where `ops` reads the world's running count of completed ops.
+fn allocs_per_op(
+    w: &mut World,
+    e: &mut Sim,
+    warmup: Dur,
+    measure: Dur,
+    min_ops: u64,
+    ops: impl Fn(&World) -> u64,
+) -> f64 {
+    e.run_until(w, Time::ZERO + warmup);
+    let (ops_before, allocs_before) = (ops(w), ALLOCATIONS.load(Ordering::Relaxed));
+    e.run_until(w, Time::ZERO + warmup + measure);
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+    let done = ops(w) - ops_before;
+    assert!(done >= min_ops, "window too short: {done} ops");
+    allocs as f64 / done as f64
+}
+
+/// The paper's Level-2 p2v deployment under a 64 B UDP probe stream, one
+/// flow per tenant: `benchmark/`'s `prepare_udp`.
+fn udp_world(compartments: u8, rate_pps: f64, dport_span: u16) -> (World, Sim) {
+    let spec = DeploymentSpec::mts(
+        SecurityLevel::Level2 { compartments },
+        DatapathKind::Kernel,
+        ResourceMode::Isolated,
+        Scenario::P2v,
+    );
+    let mut cfg = RuntimeCfg::for_spec(&spec);
+    cfg.offered_pps = rate_pps;
+    let mut w = World::new(Controller::deploy(spec).expect("deploys"), cfg, 11);
+    let mut e = Sim::new();
+    w.sink.window = (Time::ZERO, Time::MAX);
+    let flows: Vec<(MacAddr, Ipv4Addr)> = w
+        .plan
+        .tenants
+        .iter()
+        .map(|t| {
+            let c = spec.compartment_of_tenant(t.index) as usize;
+            (w.plan.compartments[c].in_out[0].1, t.ip)
+        })
+        .collect();
+    start_udp_churn_generator(&mut e, flows, rate_pps, 64, Time::MAX, dport_span);
+    (w, e)
+}
+
+/// Baseline Apache under ApacheBench, one client per tenant server:
+/// `benchmark/`'s `prepare_tcp`.
+fn apache_world(concurrency: u32) -> (World, Sim, Vec<usize>) {
+    let spec =
+        DeploymentSpec::baseline(DatapathKind::Kernel, ResourceMode::Shared, 1, Scenario::P2v);
+    let mut cfg = RuntimeCfg::for_spec(&spec);
+    cfg.offered_pps = 1_000_000.0;
+    cfg.rx_ring = 1024;
+    let d = Controller::deploy_workload(spec).expect("deploys");
+    let mut w = World::new(d, cfg, 11);
+    let mut e = Sim::new();
+    for t in 0..spec.tenants {
+        let app = Box::new(HttpServer::new());
+        add_tenant_server(&mut w, t, HTTP_PORT, app, Dur::nanos(1_500));
+    }
+    let dmac = Controller::baseline_router_mac(0);
+    let mut clients = Vec::new();
+    for t in 0..spec.tenants {
+        let server_ip = w.plan.tenants[t as usize].ip;
+        clients.push(add_lg_client(
+            &mut w,
+            &format!("client-{t}"),
+            Ipv4Addr::new(10, 255, 0, 10 + t),
+            Box::new(AbClient::new(server_ip, concurrency)),
+            vec![(server_ip, dmac)],
+        ));
+    }
+    w.wire_ends = vec![WireEnd::Host(clients[0])];
+    for &h in &clients {
+        host_start(&mut w, &mut e, h);
+    }
+    (w, e, clients)
+}
+
+/// One test, because the counter is process-wide: a second test on another
+/// thread would be counted into this one's windows.
+#[test]
+fn steady_state_allocations_stay_within_budget() {
+    let frames_sent = |w: &World| w.sink.sent;
+
+    // Cache-hit path: 200 kpps into Level-2 with four compartments,
+    // loss-free. The warm-up grows the event slab, the l2fwd buffers, the
+    // scratch vectors and the histograms.
+    let (mut w, mut e) = udp_world(4, 200_000.0, 1);
+    let hit = allocs_per_op(
+        &mut w,
+        &mut e,
+        Dur::millis(30),
+        Dur::millis(120),
+        20_000,
+        frames_sent,
+    );
+    assert_eq!(w.total_drops(), 0, "drops: {:?}", w.drops);
+    assert!(
+        hit <= 1.01,
+        "cache-hit path: {hit:.4} allocations per frame"
+    );
+
+    // Slow path: 16 384 destination ports against 8 192 cache entries, so
+    // every frame is a miss and is delivered. The warm-up spans the first
+    // capacity flush of every cache (after which the maps stop growing).
+    let (mut w, mut e) = udp_world(2, 100_000.0, 16_384);
+    let miss = allocs_per_op(
+        &mut w,
+        &mut e,
+        Dur::millis(150),
+        Dur::millis(250),
+        20_000,
+        frames_sent,
+    );
+    let (hits, misses, flushes) = w.vswitches.iter().fold((0, 0, 0), |acc, vs| {
+        let cs = vs.inst.sw.cache_stats();
+        (acc.0 + cs.hits, acc.1 + cs.misses, acc.2 + cs.flushes)
+    });
+    assert!(
+        misses > 100 * hits.max(1) && flushes >= 4,
+        "not a slow-path run: {hits} hits, {misses} misses, {flushes} flushes"
+    );
+    assert_eq!(w.total_drops(), 0, "drops: {:?}", w.drops);
+    assert!(miss <= 1.01, "slow path: {miss:.4} allocations per frame");
+
+    // Overload: 4 Mpps into two compartments, most frames die at a full
+    // ring as typed drops.
+    let (mut w, mut e) = udp_world(2, 4_000_000.0, 1);
+    let flood = allocs_per_op(
+        &mut w,
+        &mut e,
+        Dur::millis(5),
+        Dur::millis(10),
+        20_000,
+        frames_sent,
+    );
+    assert!(
+        w.total_drops() > w.sink.received,
+        "not overloaded: {} drops, {} received",
+        w.total_drops(),
+        w.sink.received
+    );
+    assert!(flood <= 1.01, "drop path: {flood:.4} allocations per frame");
+
+    // TCP: Baseline Apache, 200 connections per client. The warm-up is the
+    // connection ramp; what remains per request (83 here, ~30 frames) is
+    // the TCP stack's and the applications' own bookkeeping. The 65 boxed
+    // host events, the ~60 per-pass vswitch vectors or the 12 per-emission
+    // frame lists a request used to cost would each break the budget.
+    let (mut w, mut e, clients) = apache_world(200);
+    let apache = allocs_per_op(
+        &mut w,
+        &mut e,
+        Dur::millis(100),
+        Dur::millis(100),
+        500,
+        |w: &World| {
+            clients
+                .iter()
+                .map(|&h| w.hosts[h].counter("http_requests_done"))
+                .sum()
+        },
+    );
+    assert!(
+        apache <= 90.0,
+        "Apache: {apache:.2} allocations per request"
+    );
+}
