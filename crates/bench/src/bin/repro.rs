@@ -273,6 +273,19 @@ fn export_telemetry(ctx: &Ctx, rec: &Recorder) -> Result<(), String> {
     Ok(())
 }
 
+/// Fails a traced run that outgrew a telemetry log cap: its audit and its
+/// exports cover only the part of the run that fitted. Silent when whole.
+fn untruncated(journey_hops: u64, trace_events: u64) -> Result<(), String> {
+    if journey_hops == 0 && trace_events == 0 {
+        return Ok(());
+    }
+    println!(
+        "telemetry truncated: {journey_hops} journey hops and {trace_events} trace events \
+         fell past the log caps and were not recorded"
+    );
+    Err("telemetry logs truncated: audit and exports cover a partial run".to_string())
+}
+
 /// The Level-2 (two compartments, kernel, isolated cores) deployment the
 /// `trace`, `overlay` and traced `faults` runs share.
 fn level2_spec(scenario: Scenario) -> DeploymentSpec {
@@ -354,7 +367,7 @@ fn run_trace(ctx: &Ctx) -> Result<(), String> {
     e.run_until(&mut w, Time::from_nanos(horizon * 3));
 
     let rec = w.telemetry.recorder().ok_or("telemetry not recording")?;
-    let report = MediationAuditor::sriov().audit(&rec.journeys);
+    let report = MediationAuditor::sriov().audit(rec);
     println!("== frame-journey trace (Level-2 v2v, kernel, isolated) ==");
     println!(
         "frames: sent {}  received {}  journeys {}  trace events {}",
@@ -375,7 +388,8 @@ fn run_trace(ctx: &Ctx) -> Result<(), String> {
     if !report.ok() {
         return Err("complete-mediation audit failed".to_string());
     }
-    export_telemetry(ctx, rec)
+    export_telemetry(ctx, rec)?;
+    untruncated(report.journey_hops_truncated, report.trace_events_truncated)
 }
 
 /// VXLAN overlay round trip (Sec. 3.2) on Level-2.
@@ -494,6 +508,7 @@ fn run_faults(ctx: &Ctx) -> Result<(), String> {
         .map_err(|e| format!("traced run: {e}"))?;
         let rec = w.telemetry.recorder().ok_or("telemetry not recording")?;
         export_telemetry(ctx, rec)?;
+        untruncated(rec.journeys.truncated(), rec.trace.truncated())?;
     }
     Ok(())
 }

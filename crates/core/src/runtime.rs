@@ -31,7 +31,7 @@ use mts_nic::{Delivery, NicPort, PfId, SriovNic, VfId};
 use mts_sim::{
     CoreId, CorePool, DetRng, Dur, Engine, Event, EventFn, FastHashMap, Histogram, Link, Time,
 };
-use mts_telemetry::{DropCause, Hop, NicEndpoint, Telemetry};
+use mts_telemetry::{Decimal, DropCause, Hop, NicEndpoint, Telemetry};
 use mts_vswitch::{DatapathCosts, DatapathKind, PortKind, PortNo};
 use std::collections::{BTreeMap, HashMap};
 
@@ -841,13 +841,10 @@ impl World {
 
     fn mirror_cycles(&mut self, layer: Layer, tenant: Option<usize>, attr: Attribution, d: Dur) {
         if let Some(rec) = self.telemetry.rec() {
-            let tenant_label = match tenant {
-                Some(t) => t.to_string(),
-                None => "unresolved".to_string(),
-            };
+            let tenant_index = tenant.map(|t| Decimal::of(t as u64));
             let labels = [
                 ("layer", layer.label()),
-                ("tenant", tenant_label.as_str()),
+                ("tenant", tenant_index.as_deref().unwrap_or("unresolved")),
                 ("attribution", attr.label()),
             ];
             rec.metrics
@@ -906,8 +903,10 @@ pub fn wire_inject(w: &mut World, e: &mut Sim, pf: PfId, frame: Frame) {
     }
     if let Some(rec) = w.telemetry.rec() {
         rec.hop(frame.id, now, Hop::WireIngress { pf: pf.0 });
-        rec.metrics
-            .counter_inc("mts_wire_ingress_total", &[("pf", &pf.0.to_string())]);
+        rec.metrics.counter_inc(
+            "mts_wire_ingress_total",
+            &[("pf", &Decimal::of(pf.0.into()))],
+        );
     }
     let arrival = w.wires_in[pf.0 as usize].transmit(now, u64::from(frame.wire_len()));
     e.schedule_event(
@@ -1037,7 +1036,7 @@ pub fn nic_rx(w: &mut World, e: &mut Sim, pf: PfId, port: NicPort, frame: Frame)
                 rec.metrics.counter_inc(
                     "mts_nic_switch_total",
                     &[
-                        ("pf", &pf.0.to_string()),
+                        ("pf", &Decimal::of(pf.0.into())),
                         ("hairpin", if d.hairpin { "1" } else { "0" }),
                     ],
                 );
@@ -1169,12 +1168,15 @@ pub fn vswitch_rx(
                 port: port.0,
             },
         );
-        let vs_label = i.to_string();
+        let vs_label = Decimal::of(i as u64);
         rec.metrics
             .counter_inc("mts_vswitch_rx_total", &[("vswitch", &vs_label)]);
         rec.metrics.gauge_max(
             "mts_vswitch_ring_hwm",
-            &[("vswitch", &vs_label), ("port", &port.0.to_string())],
+            &[
+                ("vswitch", &vs_label),
+                ("port", &Decimal::of(port.0.into())),
+            ],
             occupancy as f64,
         );
     }
@@ -1380,7 +1382,7 @@ fn vswitch_exec(w: &mut World, e: &mut Sim, i: usize, port: PortNo, frame: Frame
             "mts_vswitch_cache_total",
             &[
                 ("result", if missed { "miss" } else { "hit" }),
-                ("vswitch", &i.to_string()),
+                ("vswitch", &Decimal::of(i as u64)),
             ],
         );
     }
@@ -1465,7 +1467,7 @@ pub fn tenant_rx(w: &mut World, e: &mut Sim, t: usize, side: u8, frame: Frame) {
             },
         );
         rec.metrics
-            .counter_inc("mts_tenant_rx_total", &[("tenant", &t.to_string())]);
+            .counter_inc("mts_tenant_rx_total", &[("tenant", &Decimal::of(t as u64))]);
     }
     let tenant = &mut w.tenants[t];
     let core = tenant.cores[usize::from(side) % 2];
@@ -1585,7 +1587,7 @@ fn tenant_emit(w: &mut World, e: &mut Sim, t: usize, tx: u8, frames: &mut Vec<Fr
                 },
             );
             rec.metrics
-                .counter_inc("mts_tenant_tx_total", &[("tenant", &t.to_string())]);
+                .counter_inc("mts_tenant_tx_total", &[("tenant", &Decimal::of(t as u64))]);
         }
         let arr = w.nic.dma(now, u64::from(frame.wire_len()));
         e.schedule_event(
@@ -1637,8 +1639,10 @@ fn external_rx(w: &mut World, e: &mut Sim, pf: PfId, frame: Frame) {
     let now = e.now();
     if let Some(rec) = w.telemetry.rec() {
         rec.hop(frame.id, now, Hop::WireEgress { pf: pf.0 });
-        rec.metrics
-            .counter_inc("mts_wire_egress_total", &[("pf", &pf.0.to_string())]);
+        rec.metrics.counter_inc(
+            "mts_wire_egress_total",
+            &[("pf", &Decimal::of(pf.0.into()))],
+        );
     }
     if let Some(cap) = &mut w.capture {
         cap.record(now.as_nanos(), &frame);
@@ -1667,7 +1671,7 @@ fn external_rx(w: &mut World, e: &mut Sim, pf: PfId, frame: Frame) {
                     if let Some(idx) = flow {
                         rec.metrics.observe(
                             "mts_e2e_latency_ns_by_tenant",
-                            &[("tenant", &idx.to_string())],
+                            &[("tenant", &Decimal::of(idx as u64))],
                             lat,
                         );
                     }

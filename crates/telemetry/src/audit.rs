@@ -17,8 +17,13 @@
 //!
 //! Dropped frames are not violations — mediation is about what gets
 //! *delivered*.
+//!
+//! The verdict covers what was recorded. Both logs are capped, so the
+//! report carries how much fell outside them: a run audited from a
+//! partial log is not [`MediationReport::complete`].
 
-use crate::journey::{Hop, Journey, JourneyLog, NicEndpoint};
+use crate::journey::{Hop, Journey, NicEndpoint};
+use crate::recorder::Recorder;
 
 /// One mediation failure.
 #[derive(Clone, PartialEq, Debug)]
@@ -35,11 +40,27 @@ pub struct MediationReport {
     /// Segments skipped because no tenant endpoint was involved.
     pub skipped: usize,
     pub violations: Vec<MediationViolation>,
+    /// Hops the journey log did not record ([`JourneyLog::truncated`]):
+    /// frames first seen past its cap were not audited at all.
+    ///
+    /// [`JourneyLog::truncated`]: crate::JourneyLog::truncated
+    pub journey_hops_truncated: u64,
+    /// Events the trace log did not record ([`TraceLog::truncated`]): the
+    /// exported timeline stops short of the run.
+    ///
+    /// [`TraceLog::truncated`]: crate::TraceLog::truncated
+    pub trace_events_truncated: u64,
 }
 
 impl MediationReport {
+    /// No violation among the journeys that were recorded.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// The logs held the whole run: nothing was cut off at either cap.
+    pub fn complete(&self) -> bool {
+        self.journey_hops_truncated == 0 && self.trace_events_truncated == 0
     }
 }
 
@@ -67,26 +88,30 @@ impl MediationAuditor {
         }
     }
 
-    /// Audit every journey in `log`.
-    pub fn audit(&self, log: &JourneyLog) -> MediationReport {
-        let mut report = MediationReport::default();
-        for j in log.iter() {
+    /// Audit every journey `rec` holds.
+    pub fn audit(&self, rec: &Recorder) -> MediationReport {
+        let mut report = MediationReport {
+            journey_hops_truncated: rec.journeys.truncated(),
+            trace_events_truncated: rec.trace.truncated(),
+            ..MediationReport::default()
+        };
+        for j in rec.journeys.iter() {
             self.audit_journey(j, &mut report);
         }
         report
     }
 
     /// Audit one journey, accumulating into `report`.
-    pub fn audit_journey(&self, j: &Journey, report: &mut MediationReport) {
+    pub fn audit_journey(&self, j: Journey<'_>, report: &mut MediationReport) {
         // Segment state since the last origin endpoint.
         let mut origin: Option<Endpoint> = None;
         let mut saw_vswitch = false;
         let mut saw_nic_switch = false;
 
-        for rec in &j.hops {
-            match &rec.hop {
+        for rec in j.hops() {
+            match rec.hop {
                 Hop::TenantTx { tenant, .. } => {
-                    origin = Some(Endpoint::Tenant(*tenant));
+                    origin = Some(Endpoint::Tenant(tenant));
                     saw_vswitch = false;
                     saw_nic_switch = false;
                 }
@@ -121,7 +146,7 @@ impl MediationAuditor {
                     self.check_segment(
                         j.frame,
                         origin,
-                        Endpoint::Tenant(*tenant),
+                        Endpoint::Tenant(tenant),
                         saw_vswitch,
                         saw_nic_switch,
                         report,
@@ -217,9 +242,9 @@ mod tests {
     }
 
     /// A properly mediated tenant→tenant path (MTS v2v).
-    fn mediated_v2v(log: &mut JourneyLog, frame: u64) {
-        log.record(frame, t(0), Hop::TenantTx { tenant: 0, side: 0 });
-        log.record(
+    fn mediated_v2v(rec: &mut Recorder, frame: u64) {
+        rec.hop(frame, t(0), Hop::TenantTx { tenant: 0, side: 0 });
+        rec.hop(
             frame,
             t(10),
             Hop::NicSwitch {
@@ -229,7 +254,7 @@ mod tests {
                 hairpin: true,
             },
         );
-        log.record(
+        rec.hop(
             frame,
             t(20),
             Hop::VswitchRecv {
@@ -237,7 +262,7 @@ mod tests {
                 port: 1,
             },
         );
-        log.record(
+        rec.hop(
             frame,
             t(30),
             Hop::VswitchForward {
@@ -246,7 +271,7 @@ mod tests {
                 outputs: 1,
             },
         );
-        log.record(
+        rec.hop(
             frame,
             t(40),
             Hop::NicSwitch {
@@ -256,14 +281,14 @@ mod tests {
                 hairpin: true,
             },
         );
-        log.record(frame, t(50), Hop::TenantRx { tenant: 1, side: 0 });
+        rec.hop(frame, t(50), Hop::TenantRx { tenant: 1, side: 0 });
     }
 
     #[test]
     fn mediated_path_passes_strict_audit() {
-        let mut log = JourneyLog::new();
-        mediated_v2v(&mut log, 1);
-        let report = MediationAuditor::sriov().audit(&log);
+        let mut rec = Recorder::new();
+        mediated_v2v(&mut rec, 1);
+        let report = MediationAuditor::sriov().audit(&rec);
         assert!(
             report.ok(),
             "unexpected violations: {:?}",
@@ -274,9 +299,9 @@ mod tests {
 
     #[test]
     fn direct_vf_to_vf_is_flagged() {
-        let mut log = JourneyLog::new();
-        log.record(9, t(0), Hop::TenantTx { tenant: 0, side: 0 });
-        log.record(
+        let mut rec = Recorder::new();
+        rec.hop(9, t(0), Hop::TenantTx { tenant: 0, side: 0 });
+        rec.hop(
             9,
             t(10),
             Hop::NicSwitch {
@@ -286,8 +311,8 @@ mod tests {
                 hairpin: true,
             },
         );
-        log.record(9, t(20), Hop::TenantRx { tenant: 1, side: 0 });
-        let report = MediationAuditor::sriov().audit(&log);
+        rec.hop(9, t(20), Hop::TenantRx { tenant: 1, side: 0 });
+        let report = MediationAuditor::sriov().audit(&rec);
         // Flagged twice: once by the direct-forward rule, once by the
         // no-vswitch-in-segment rule.
         assert!(!report.ok());
@@ -296,25 +321,25 @@ mod tests {
 
     #[test]
     fn dropped_frames_are_not_violations() {
-        let mut log = JourneyLog::new();
-        log.record(3, t(0), Hop::TenantTx { tenant: 0, side: 0 });
-        log.record(
+        let mut rec = Recorder::new();
+        rec.hop(3, t(0), Hop::TenantTx { tenant: 0, side: 0 });
+        rec.hop(
             3,
             t(5),
             Hop::Drop {
                 cause: crate::DropCause::NicSpoof,
             },
         );
-        let report = MediationAuditor::sriov().audit(&log);
+        let report = MediationAuditor::sriov().audit(&rec);
         assert!(report.ok());
         assert_eq!(report.checked, 0);
     }
 
     #[test]
     fn wire_to_wire_segments_are_skipped() {
-        let mut log = JourneyLog::new();
-        log.record(4, t(0), Hop::WireIngress { pf: 0 });
-        log.record(
+        let mut rec = Recorder::new();
+        rec.hop(4, t(0), Hop::WireIngress { pf: 0 });
+        rec.hop(
             4,
             t(10),
             Hop::VswitchRecv {
@@ -322,20 +347,50 @@ mod tests {
                 port: 0,
             },
         );
-        log.record(4, t(20), Hop::WireEgress { pf: 1 });
-        let report = MediationAuditor::sriov().audit(&log);
+        rec.hop(4, t(20), Hop::WireEgress { pf: 1 });
+        let report = MediationAuditor::sriov().audit(&rec);
         assert!(report.ok());
         assert_eq!(report.checked, 0);
         assert_eq!(report.skipped, 1);
     }
 
     #[test]
+    fn truncation_at_either_cap_is_reported() {
+        use crate::{JourneyLog, TraceLog};
+        let mut rec = Recorder {
+            trace: TraceLog::with_cap(1),
+            journeys: JourneyLog::with_cap(1),
+            ..Recorder::new()
+        };
+        mediated_v2v(&mut rec, 1);
+        let whole_journey = MediationAuditor::sriov().audit(&rec);
+        assert!(whole_journey.ok());
+        assert_eq!(whole_journey.checked, 1);
+        assert_eq!(whole_journey.journey_hops_truncated, 0);
+        assert_eq!(whole_journey.trace_events_truncated, 5);
+        assert!(!whole_journey.complete());
+
+        // A second frame is past the journey cap: none of its six hops is
+        // audited, and the report says so instead of reading clean.
+        mediated_v2v(&mut rec, 2);
+        let report = MediationAuditor::sriov().audit(&rec);
+        assert_eq!(report.checked, 1);
+        assert_eq!(report.journey_hops_truncated, 6);
+        assert_eq!(report.trace_events_truncated, 11);
+        assert!(report.ok() && !report.complete());
+
+        let mut roomy = Recorder::new();
+        mediated_v2v(&mut roomy, 1);
+        assert!(MediationAuditor::sriov().audit(&roomy).complete());
+    }
+
+    #[test]
     fn lenient_auditor_accepts_vhost_baseline() {
         // Baseline: tenant traffic rides vhost into the PF vswitch —
         // no embedded-switch hop exists for the tenant leg.
-        let mut log = JourneyLog::new();
-        log.record(5, t(0), Hop::TenantTx { tenant: 0, side: 0 });
-        log.record(
+        let mut rec = Recorder::new();
+        rec.hop(5, t(0), Hop::TenantTx { tenant: 0, side: 0 });
+        rec.hop(
             5,
             t(10),
             Hop::VswitchRecv {
@@ -343,7 +398,7 @@ mod tests {
                 port: 2,
             },
         );
-        log.record(
+        rec.hop(
             5,
             t(20),
             Hop::VswitchForward {
@@ -352,8 +407,8 @@ mod tests {
                 outputs: 1,
             },
         );
-        log.record(5, t(30), Hop::TenantRx { tenant: 1, side: 0 });
-        assert!(MediationAuditor::new().audit(&log).ok());
-        assert!(!MediationAuditor::sriov().audit(&log).ok());
+        rec.hop(5, t(30), Hop::TenantRx { tenant: 1, side: 0 });
+        assert!(MediationAuditor::new().audit(&rec).ok());
+        assert!(!MediationAuditor::sriov().audit(&rec).ok());
     }
 }

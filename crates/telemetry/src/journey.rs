@@ -3,13 +3,20 @@
 //! A *journey* is the ordered list of hops one frame took through the
 //! deployment, correlated by the frame's globally-unique id. Journeys
 //! are what the [`crate::audit::MediationAuditor`] consumes to check the
-//! paper's complete-mediation property, and what the trace exporters
-//! flatten into timeline rows.
+//! paper's complete-mediation property.
+//!
+//! Storage: every hop is one 24-byte record (`at`, `hop`, link to the
+//! frame's next hop) appended to a chunked arena; a frame is one map entry
+//! holding the indices of its first and last record. Nothing is allocated
+//! per hop — only a chunk every 4096 records and a map node every
+//! half-dozen frames.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::fmt;
 
 use mts_sim::Time;
 
+use crate::arena::Chunked;
 use crate::drop_cause::DropCause;
 
 /// An endpoint class on the SR-IOV NIC, as seen by the embedded switch.
@@ -25,19 +32,21 @@ pub enum NicEndpoint {
     VswitchVf { vswitch: u8 },
 }
 
-impl NicEndpoint {
-    pub fn label(self) -> String {
+/// The label trace exports carry: `wire`, `pf`, `tenant-vf:N`,
+/// `vswitch-vf:N`.
+impl fmt::Display for NicEndpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NicEndpoint::Wire => "wire".to_string(),
-            NicEndpoint::Pf => "pf".to_string(),
-            NicEndpoint::TenantVf { tenant } => format!("tenant-vf:{tenant}"),
-            NicEndpoint::VswitchVf { vswitch } => format!("vswitch-vf:{vswitch}"),
+            NicEndpoint::Wire => f.write_str("wire"),
+            NicEndpoint::Pf => f.write_str("pf"),
+            NicEndpoint::TenantVf { tenant } => write!(f, "tenant-vf:{tenant}"),
+            NicEndpoint::VswitchVf { vswitch } => write!(f, "vswitch-vf:{vswitch}"),
         }
     }
 }
 
-/// One step of a frame's path through the deployment.
-#[derive(Clone, PartialEq, Debug)]
+/// One step of a frame's path through the deployment (8 bytes).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Hop {
     /// Frame entered from the external wire on physical port `pf`.
     WireIngress { pf: u8 },
@@ -86,30 +95,63 @@ impl Hop {
 }
 
 /// A hop plus the simulated instant it happened.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct JourneyHop {
     pub at: Time,
     pub hop: Hop,
 }
 
-/// The full recorded path of one frame.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Journey {
-    pub frame: u64,
-    pub hops: Vec<JourneyHop>,
+/// "No next hop": an index no arena reaches (`record` stops before it).
+const NONE: u32 = u32::MAX;
+
+/// A stored hop and the arena index of the same frame's next one.
+#[derive(Clone, Copy, Debug)]
+struct HopRecord {
+    at: Time,
+    hop: Hop,
+    next: u32,
 }
 
-impl Journey {
+/// One tracked frame: where its chain of hop records starts and ends.
+#[derive(Clone, Copy, Debug)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+/// The recorded path of one frame: a view into its [`JourneyLog`].
+#[derive(Clone, Copy, Debug)]
+pub struct Journey<'a> {
+    pub frame: u64,
+    head: u32,
+    records: &'a Chunked<HopRecord>,
+}
+
+impl Journey<'_> {
+    /// The frame's hops in the order they were recorded.
+    pub fn hops(&self) -> impl Iterator<Item = JourneyHop> + '_ {
+        let mut at = self.head;
+        std::iter::from_fn(move || {
+            let r = self.records.get(at as usize)?;
+            at = r.next;
+            Some(JourneyHop {
+                at: r.at,
+                hop: r.hop,
+            })
+        })
+    }
+
     /// True if any hop is a drop.
     pub fn dropped(&self) -> bool {
-        self.hops.iter().any(|h| matches!(h.hop, Hop::Drop { .. }))
+        self.hops().any(|h| matches!(h.hop, Hop::Drop { .. }))
     }
 }
 
 /// All journeys of a run, keyed by frame id (deterministic iteration).
 #[derive(Debug)]
 pub struct JourneyLog {
-    journeys: BTreeMap<u64, Journey>,
+    records: Chunked<HopRecord>,
+    frames: BTreeMap<u64, Chain>,
     /// Maximum number of distinct frames to track; hops for frames past
     /// the cap are counted in `truncated` instead of recorded.
     cap: usize,
@@ -119,7 +161,8 @@ pub struct JourneyLog {
 impl Default for JourneyLog {
     fn default() -> Self {
         JourneyLog {
-            journeys: BTreeMap::new(),
+            records: Chunked::default(),
+            frames: BTreeMap::new(),
             cap: 1_000_000,
             truncated: 0,
         }
@@ -142,42 +185,69 @@ impl JourneyLog {
 
     /// Append `hop` to frame `frame`'s journey at simulated time `at`.
     pub fn record(&mut self, frame: u64, at: Time, hop: Hop) {
-        if let Some(j) = self.journeys.get_mut(&frame) {
-            j.hops.push(JourneyHop { at, hop });
-            return;
+        let full = self.frames.len() >= self.cap;
+        // Record indices are `u32`, and `NONE` is never handed out.
+        let idx = match u32::try_from(self.records.len()) {
+            Ok(idx) if idx != NONE => idx,
+            _ => {
+                self.truncated += 1;
+                return;
+            }
+        };
+        match self.frames.entry(frame) {
+            Entry::Occupied(mut chain) => {
+                let last = std::mem::replace(&mut chain.get_mut().tail, idx);
+                self.records[last as usize].next = idx;
+            }
+            Entry::Vacant(slot) if !full => {
+                slot.insert(Chain {
+                    head: idx,
+                    tail: idx,
+                });
+            }
+            Entry::Vacant(_) => {
+                self.truncated += 1;
+                return;
+            }
         }
-        if self.journeys.len() >= self.cap {
-            self.truncated += 1;
-            return;
-        }
-        self.journeys.insert(
-            frame,
-            Journey {
-                frame,
-                hops: vec![JourneyHop { at, hop }],
-            },
-        );
+        self.records.push(HopRecord {
+            at,
+            hop,
+            next: NONE,
+        });
     }
 
-    pub fn get(&self, frame: u64) -> Option<&Journey> {
-        self.journeys.get(&frame)
+    pub fn get(&self, frame: u64) -> Option<Journey<'_>> {
+        self.frames.get_key_value(&frame).map(|e| self.view(e))
     }
 
+    /// Number of frames tracked.
     pub fn len(&self) -> usize {
-        self.journeys.len()
+        self.frames.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.journeys.is_empty()
+        self.frames.is_empty()
     }
 
-    /// Frames whose journeys were NOT recorded because the cap was hit.
+    /// Hops that were NOT recorded because they belong to frames first
+    /// seen after the cap was hit (one frame past the cap counts once per
+    /// hop it takes).
     pub fn truncated(&self) -> u64 {
         self.truncated
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &Journey> {
-        self.journeys.values()
+    /// Every journey, in ascending frame-id order.
+    pub fn iter(&self) -> impl Iterator<Item = Journey<'_>> {
+        self.frames.iter().map(|e| self.view(e))
+    }
+
+    fn view(&self, (&frame, chain): (&u64, &Chain)) -> Journey<'_> {
+        Journey {
+            frame,
+            head: chain.head,
+            records: &self.records,
+        }
     }
 }
 
@@ -204,8 +274,10 @@ mod tests {
             },
         );
         let j = log.get(7).unwrap();
-        assert_eq!(j.hops.len(), 2);
-        assert_eq!(j.hops[0].hop.name(), "tenant.tx");
+        let hops: Vec<JourneyHop> = j.hops().collect();
+        assert_eq!(hops.len(), 2);
+        assert_eq!(hops[0].hop.name(), "tenant.tx");
+        assert_eq!(hops[1].at, Time::from_nanos(20));
         assert!(!j.dropped());
     }
 
@@ -217,6 +289,23 @@ mod tests {
         log.record(1, Time::from_nanos(2), Hop::WireEgress { pf: 1 });
         assert_eq!(log.len(), 1);
         assert_eq!(log.truncated(), 1);
-        assert_eq!(log.get(1).unwrap().hops.len(), 2);
+        assert_eq!(log.get(1).unwrap().hops().count(), 2);
+        assert!(log.get(2).is_none());
+    }
+
+    #[test]
+    fn iteration_is_by_frame_id_whatever_the_arrival_order() {
+        let mut log = JourneyLog::new();
+        for frame in [9, 3, 7, 3, 9, 1] {
+            log.record(frame, Time::from_nanos(frame), Hop::WireIngress { pf: 0 });
+        }
+        let seen: Vec<(u64, usize)> = log.iter().map(|j| (j.frame, j.hops().count())).collect();
+        assert_eq!(seen, [(1, 1), (3, 2), (7, 1), (9, 2)]);
+    }
+
+    #[test]
+    fn records_stay_small() {
+        assert_eq!(std::mem::size_of::<Hop>(), 8);
+        assert_eq!(std::mem::size_of::<HopRecord>(), 24);
     }
 }

@@ -4,9 +4,15 @@
 //! so a full JSON serializer is unnecessary; the sole dynamic risk is
 //! string content, handled here per RFC 8259 §7.
 
-/// Escape `s` for inclusion inside a JSON string literal (no quotes added).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+use std::fmt::Write;
+
+/// Append `s` to `out`, escaped for inclusion inside a JSON string
+/// literal (no quotes added).
+pub fn escape_json_into(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        return;
+    }
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -15,17 +21,22 @@ pub fn escape_json(s: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn escape_json(s: &str) -> String {
+        let mut out = String::new();
+        escape_json_into(&mut out, s);
+        out
+    }
 
     #[test]
     fn escapes_specials() {

@@ -26,7 +26,9 @@
 //! uninstrumented runs pay nothing. See `OBSERVABILITY.md` at the repo
 //! root for the event taxonomy and exporter formats.
 
+mod arena;
 pub mod audit;
+mod decimal;
 pub mod drop_cause;
 pub mod journey;
 mod json;
@@ -35,8 +37,9 @@ pub mod recorder;
 pub mod trace;
 
 pub use audit::{MediationAuditor, MediationReport, MediationViolation};
+pub use decimal::Decimal;
 pub use drop_cause::DropCause;
-pub use journey::{Hop, Journey, JourneyLog, NicEndpoint};
+pub use journey::{Hop, Journey, JourneyHop, JourneyLog, NicEndpoint};
 pub use metrics::{MetricsRegistry, BUCKET_BOUNDS_NS};
 pub use recorder::{Recorder, Telemetry};
 pub use trace::{TraceEvent, TraceLog};

@@ -11,7 +11,7 @@ use mts_sim::{Dur, Time};
 
 use crate::journey::{Hop, JourneyLog};
 use crate::metrics::MetricsRegistry;
-use crate::trace::{track, ArgValue, TraceEvent, TraceLog};
+use crate::trace::TraceLog;
 
 /// The live recording state behind an enabled [`Telemetry`].
 #[derive(Debug, Default)]
@@ -34,64 +34,15 @@ impl Recorder {
 
     /// Like [`Recorder::hop`], with a duration: the trace event renders
     /// as a slice covering `dur` (e.g. vswitch processing cost).
+    ///
+    /// Two fixed-size records are appended and nothing is formatted: the
+    /// event's name, track and argument strings are derived from the hop
+    /// when the trace is exported.
     pub fn hop_timed(&mut self, frame: u64, at: Time, hop: Hop, dur: Option<Dur>) {
-        let (cat, pid, tid) = placement(&hop);
-        let mut args: Vec<(&'static str, ArgValue)> = vec![("frame", ArgValue::U64(frame))];
-        match &hop {
-            Hop::NicSwitch {
-                from, to, hairpin, ..
-            } => {
-                args.push(("from", ArgValue::Str(from.label())));
-                args.push(("to", ArgValue::Str(to.label())));
-                args.push(("hairpin", ArgValue::U64(u64::from(*hairpin))));
-            }
-            Hop::VswitchForward {
-                cache_hit, outputs, ..
-            } => {
-                args.push(("cache_hit", ArgValue::U64(u64::from(*cache_hit))));
-                args.push(("outputs", ArgValue::U64(u64::from(*outputs))));
-            }
-            Hop::Drop { cause } => {
-                args.push(("cause", ArgValue::Str(cause.as_str().to_string())));
-            }
-            _ => {}
-        }
-        self.trace.push(TraceEvent {
-            at,
-            name: hop.name(),
-            cat,
-            pid,
-            tid,
-            dur,
-            args,
-        });
+        self.trace.record(frame, at, hop, dur);
         self.journeys.record(frame, at, hop);
     }
 }
-
-/// Map a hop onto its trace-viewer category and (pid, tid) placement.
-fn placement(hop: &Hop) -> (&'static str, u32, u32) {
-    match hop {
-        Hop::WireIngress { pf } | Hop::WireEgress { pf } => ("wire", track::WIRE, u32::from(*pf)),
-        Hop::NicSwitch { pf, .. } => ("nic", track::NIC, u32::from(*pf)),
-        Hop::VswitchRecv { vswitch, port } => {
-            ("vswitch", track::VSWITCH_BASE + u32::from(*vswitch), *port)
-        }
-        Hop::VswitchForward { vswitch, .. } => {
-            ("vswitch", track::VSWITCH_BASE + u32::from(*vswitch), 0)
-        }
-        Hop::TenantRx { tenant, side } | Hop::TenantTx { tenant, side } => (
-            "tenant",
-            track::TENANT_BASE + u32::from(*tenant),
-            u32::from(*side),
-        ),
-        Hop::Drop { .. } => ("drop", track::NIC, 0),
-    }
-}
-
-/// Re-exported so instrumentation sites can build [`Hop::NicSwitch`]
-/// endpoints without importing the journey module separately.
-pub use crate::journey::NicEndpoint as Endpoint;
 
 /// The handle embedded in the simulation `World`.
 #[derive(Debug, Default)]
@@ -106,6 +57,10 @@ impl Telemetry {
     }
 
     /// A live sink recording metrics, traces and journeys.
+    ///
+    /// One allocation: the box of empty containers. The harness calls this
+    /// during set-up, so nothing may be pre-registered or pre-sized here —
+    /// chunks, series and histograms appear on first use, inside the run.
     pub fn enabled() -> Self {
         Telemetry {
             inner: Some(Box::default()),
@@ -138,6 +93,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::track;
     use crate::DropCause;
 
     #[test]

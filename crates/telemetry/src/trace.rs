@@ -14,24 +14,22 @@
 //!
 //! Both renderings are byte-for-byte deterministic for a given log.
 
+use std::fmt::Write;
+use std::num::NonZeroU64;
+
 use mts_sim::{Dur, Time};
 
-use crate::json::escape_json;
+use crate::arena::Chunked;
+use crate::journey::{Hop, NicEndpoint};
+use crate::json::escape_json_into;
 
 /// An argument value attached to a trace event.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum ArgValue {
     U64(u64),
-    Str(String),
-}
-
-impl ArgValue {
-    fn render_json(&self) -> String {
-        match self {
-            ArgValue::U64(v) => v.to_string(),
-            ArgValue::Str(s) => format!("\"{}\"", escape_json(s)),
-        }
-    }
+    Str(&'static str),
+    /// Rendered as the endpoint's label string (`"tenant-vf:3"`).
+    Endpoint(NicEndpoint),
 }
 
 /// Stable pid values for the Chrome-trace process grouping.
@@ -46,8 +44,10 @@ pub mod track {
     pub const TENANT_BASE: u32 = 200;
 }
 
-/// One structured trace event.
-#[derive(Clone, PartialEq, Debug)]
+/// One structured trace event, as the exporters render it. The log does
+/// not store these: [`TraceLog::iter`] derives each from a 32-byte hop
+/// record at export time, on the stack.
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct TraceEvent {
     /// Simulated start time.
     pub at: Time,
@@ -61,14 +61,80 @@ pub struct TraceEvent {
     pub tid: u32,
     /// `Some` renders a complete slice; `None` renders an instant.
     pub dur: Option<Dur>,
-    /// Key/value payload shown in the viewer's args pane.
-    pub args: Vec<(&'static str, ArgValue)>,
+    /// Key/value payload shown in the viewer's args pane, `None`s skipped
+    /// (the widest hop, `nic.switch`, has four).
+    pub args: [Option<(&'static str, ArgValue)>; 4],
 }
 
-/// An append-only event log with a size cap.
+/// What [`TraceLog`] keeps per hop. `dur` is nanoseconds plus one, so the
+/// record stays 32 bytes; a slice of `Dur::MAX` renders 1 ns short.
+#[derive(Clone, Copy, Debug)]
+struct TraceRecord {
+    frame: u64,
+    at: Time,
+    dur: Option<NonZeroU64>,
+    hop: Hop,
+}
+
+impl TraceRecord {
+    /// The hop's trace-viewer placement and argument list.
+    fn event(&self) -> TraceEvent {
+        let arg = |k, v| Some((k, v));
+        let flag = |k, b: bool| Some((k, ArgValue::U64(u64::from(b))));
+        let mut args = [arg("frame", ArgValue::U64(self.frame)), None, None, None];
+        let (cat, pid, tid) = match self.hop {
+            Hop::WireIngress { pf } | Hop::WireEgress { pf } => {
+                ("wire", track::WIRE, u32::from(pf))
+            }
+            Hop::NicSwitch {
+                pf,
+                from,
+                to,
+                hairpin,
+            } => {
+                args[1] = arg("from", ArgValue::Endpoint(from));
+                args[2] = arg("to", ArgValue::Endpoint(to));
+                args[3] = flag("hairpin", hairpin);
+                ("nic", track::NIC, u32::from(pf))
+            }
+            Hop::VswitchRecv { vswitch, port } => {
+                ("vswitch", track::VSWITCH_BASE + u32::from(vswitch), port)
+            }
+            Hop::VswitchForward {
+                vswitch,
+                cache_hit,
+                outputs,
+            } => {
+                args[1] = flag("cache_hit", cache_hit);
+                args[2] = arg("outputs", ArgValue::U64(u64::from(outputs)));
+                ("vswitch", track::VSWITCH_BASE + u32::from(vswitch), 0)
+            }
+            Hop::TenantRx { tenant, side } | Hop::TenantTx { tenant, side } => (
+                "tenant",
+                track::TENANT_BASE + u32::from(tenant),
+                u32::from(side),
+            ),
+            Hop::Drop { cause } => {
+                args[1] = arg("cause", ArgValue::Str(cause.as_str()));
+                ("drop", track::NIC, 0)
+            }
+        };
+        TraceEvent {
+            at: self.at,
+            name: self.hop.name(),
+            cat,
+            pid,
+            tid,
+            dur: self.dur.map(|d| Dur::nanos(d.get() - 1)),
+            args,
+        }
+    }
+}
+
+/// An append-only log of hop records with a size cap.
 #[derive(Debug)]
 pub struct TraceLog {
-    events: Vec<TraceEvent>,
+    records: Chunked<TraceRecord>,
     cap: usize,
     truncated: u64,
 }
@@ -76,7 +142,7 @@ pub struct TraceLog {
 impl Default for TraceLog {
     fn default() -> Self {
         TraceLog {
-            events: Vec::new(),
+            records: Chunked::default(),
             cap: 4_000_000,
             truncated: 0,
         }
@@ -95,141 +161,157 @@ impl TraceLog {
         }
     }
 
-    pub fn push(&mut self, ev: TraceEvent) {
-        if self.events.len() >= self.cap {
+    /// Append frame `frame`'s `hop` at simulated time `at`; `dur` makes
+    /// the event a slice. Past the cap the hop is counted, not stored.
+    pub fn record(&mut self, frame: u64, at: Time, hop: Hop, dur: Option<Dur>) {
+        if self.records.len() >= self.cap {
             self.truncated += 1;
             return;
         }
-        self.events.push(ev);
+        self.records.push(TraceRecord {
+            frame,
+            at,
+            dur: dur.map(|d| NonZeroU64::MIN.saturating_add(d.as_nanos())),
+            hop,
+        });
     }
 
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.records.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
+    /// Events that were NOT recorded because the cap was hit.
     pub fn truncated(&self) -> u64 {
         self.truncated
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
+    /// The recorded events, in recording order.
+    pub fn iter(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.records.iter().map(TraceRecord::event)
     }
 
     /// Render as a Chrome trace-event JSON document.
-    ///
-    /// Timestamps are microseconds with nanosecond precision kept as a
-    /// three-decimal fraction (the format's `ts` is a double).
     pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(&render_chrome_event(ev));
-        }
-        out.push_str("\n]}\n");
-        out
+        chrome_trace(self.iter())
     }
 
     /// Render as JSON Lines: one object per event.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&render_jsonl_event(ev));
-            out.push('\n');
+        jsonl(self.iter())
+    }
+}
+
+/// Render `events` as a Chrome trace-event JSON document.
+///
+/// Timestamps are microseconds with nanosecond precision kept as a
+/// three-decimal fraction (the format's `ts` is a double).
+pub fn chrome_trace(events: impl Iterator<Item = TraceEvent>) -> String {
+    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
+    for (i, ev) in events.enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
         }
-        out
+        write_name_cat(&mut out, "{\"name\":\"", &ev);
+        match ev.dur {
+            Some(d) => {
+                out.push_str("\",\"ph\":\"X\",\"ts\":");
+                write_us(&mut out, ev.at.as_nanos());
+                out.push_str(",\"dur\":");
+                write_us(&mut out, d.as_nanos());
+            }
+            None => {
+                out.push_str("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
+                write_us(&mut out, ev.at.as_nanos());
+            }
+        }
+        let _ = write!(out, ",\"pid\":{},\"tid\":{}", ev.pid, ev.tid);
+        write_args(&mut out, &ev);
     }
+    out.push_str("\n]}\n");
+    out
 }
 
-fn us_with_ns_precision(ns: u64) -> String {
-    let whole = ns / 1_000;
-    let frac = ns % 1_000;
-    if frac == 0 {
-        format!("{whole}")
+/// Render `events` as JSON Lines: one object per event.
+pub fn jsonl(events: impl Iterator<Item = TraceEvent>) -> String {
+    let mut out = String::new();
+    for ev in events {
+        let _ = write!(out, "{{\"t_ns\":{}", ev.at.as_nanos());
+        write_name_cat(&mut out, ",\"name\":\"", &ev);
+        let _ = write!(out, "\",\"pid\":{},\"tid\":{}", ev.pid, ev.tid);
+        if let Some(d) = ev.dur {
+            let _ = write!(out, ",\"dur_ns\":{}", d.as_nanos());
+        }
+        write_args(&mut out, &ev);
+        out.push('\n');
+    }
+    out
+}
+
+/// `<lead><name>","cat":"<cat>` — the closing quote is the caller's.
+fn write_name_cat(out: &mut String, lead: &str, ev: &TraceEvent) {
+    out.push_str(lead);
+    escape_json_into(out, ev.name);
+    out.push_str("\",\"cat\":\"");
+    escape_json_into(out, ev.cat);
+}
+
+/// `,"args":{…}}` — closes the event object.
+fn write_args(out: &mut String, ev: &TraceEvent) {
+    out.push_str(",\"args\":{");
+    for (i, (k, v)) in ev.args.iter().flatten().enumerate() {
+        out.push_str(if i > 0 { ",\"" } else { "\"" });
+        escape_json_into(out, k);
+        out.push_str("\":");
+        match v {
+            ArgValue::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            ArgValue::Str(s) => {
+                out.push('"');
+                escape_json_into(out, s);
+                out.push('"');
+            }
+            ArgValue::Endpoint(ep) => {
+                let _ = write!(out, "\"{ep}\"");
+            }
+        }
+    }
+    out.push_str("}}");
+}
+
+/// Nanoseconds as microseconds, the fraction kept only when non-zero.
+fn write_us(out: &mut String, ns: u64) {
+    let (whole, frac) = (ns / 1_000, ns % 1_000);
+    let _ = if frac == 0 {
+        write!(out, "{whole}")
     } else {
-        format!("{whole}.{frac:03}")
-    }
-}
-
-fn render_args(args: &[(&'static str, ArgValue)]) -> String {
-    let body: Vec<String> = args
-        .iter()
-        .map(|(k, v)| format!("\"{}\":{}", escape_json(k), v.render_json()))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-fn render_chrome_event(ev: &TraceEvent) -> String {
-    let ts = us_with_ns_precision(ev.at.as_nanos());
-    match ev.dur {
-        Some(d) => format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{}}}",
-            escape_json(ev.name),
-            escape_json(ev.cat),
-            ts,
-            us_with_ns_precision(d.as_nanos()),
-            ev.pid,
-            ev.tid,
-            render_args(&ev.args)
-        ),
-        None => format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{}}}",
-            escape_json(ev.name),
-            escape_json(ev.cat),
-            ts,
-            ev.pid,
-            ev.tid,
-            render_args(&ev.args)
-        ),
-    }
-}
-
-fn render_jsonl_event(ev: &TraceEvent) -> String {
-    let dur = match ev.dur {
-        Some(d) => format!(",\"dur_ns\":{}", d.as_nanos()),
-        None => String::new(),
+        write!(out, "{whole}.{frac:03}")
     };
-    format!(
-        "{{\"t_ns\":{},\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{},\"tid\":{}{},\"args\":{}}}",
-        ev.at.as_nanos(),
-        escape_json(ev.name),
-        escape_json(ev.cat),
-        ev.pid,
-        ev.tid,
-        dur,
-        render_args(&ev.args)
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DropCause;
 
     fn sample_log() -> TraceLog {
         let mut log = TraceLog::new();
-        log.push(TraceEvent {
-            at: Time::from_nanos(1_500),
-            name: "vswitch.forward",
-            cat: "vswitch",
-            pid: track::VSWITCH_BASE,
-            tid: 0,
-            dur: Some(Dur::nanos(250)),
-            args: vec![("frame", ArgValue::U64(42)), ("hit", ArgValue::U64(1))],
-        });
-        log.push(TraceEvent {
-            at: Time::from_nanos(2_000),
-            name: "frame.drop",
-            cat: "drop",
-            pid: track::NIC,
-            tid: 0,
-            dur: None,
-            args: vec![("cause", ArgValue::Str("nic-spoof".into()))],
-        });
+        log.record(
+            42,
+            Time::from_nanos(1_500),
+            Hop::VswitchForward {
+                vswitch: 0,
+                cache_hit: true,
+                outputs: 1,
+            },
+            Some(Dur::nanos(250)),
+        );
+        let cause = DropCause::NicSpoof;
+        log.record(42, Time::from_nanos(2_000), Hop::Drop { cause }, None);
         log
     }
 
@@ -258,17 +340,20 @@ mod tests {
     fn cap_truncates() {
         let mut log = TraceLog::with_cap(1);
         for _ in 0..3 {
-            log.push(TraceEvent {
-                at: Time::ZERO,
-                name: "x",
-                cat: "c",
-                pid: 1,
-                tid: 1,
-                dur: None,
-                args: vec![],
-            });
+            log.record(1, Time::ZERO, Hop::WireIngress { pf: 0 }, None);
         }
         assert_eq!(log.len(), 1);
         assert_eq!(log.truncated(), 2);
+    }
+
+    #[test]
+    fn records_are_32_bytes_and_keep_zero_apart_from_no_duration() {
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 32);
+        let mut log = TraceLog::new();
+        for dur in [None, Some(Dur::ZERO), Some(Dur::nanos(1 << 62))] {
+            log.record(1, Time::ZERO, Hop::WireIngress { pf: 0 }, dur);
+        }
+        let durs: Vec<Option<Dur>> = log.iter().map(|ev| ev.dur).collect();
+        assert_eq!(durs, [None, Some(Dur::ZERO), Some(Dur::nanos(1 << 62))]);
     }
 }

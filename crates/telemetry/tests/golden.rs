@@ -4,35 +4,40 @@
 //! log-bucketed histogram's bucket midpoints, not exact inputs.
 
 use mts_sim::{Dur, Time};
-use mts_telemetry::trace::{track, ArgValue};
-use mts_telemetry::{MetricsRegistry, TraceEvent, TraceLog};
+use mts_telemetry::trace::{chrome_trace, jsonl, track, ArgValue};
+use mts_telemetry::{Hop, MetricsRegistry, NicEndpoint, TraceEvent, TraceLog};
 
-fn sample_trace() -> TraceLog {
+/// The first event is derived from a recorded hop, as a run's are; the
+/// second is built by hand, with a placement and an argument list no hop
+/// produces, so the format is pinned apart from the hop vocabulary.
+fn sample_trace() -> Vec<TraceEvent> {
     let mut log = TraceLog::new();
-    log.push(TraceEvent {
-        at: Time::from_nanos(20_101),
-        name: "nic.switch",
-        cat: "nic",
-        pid: track::NIC,
-        tid: 0,
-        dur: None,
-        args: vec![
-            ("frame", ArgValue::U64(7)),
-            ("from", ArgValue::Str("wire".into())),
-            ("to", ArgValue::Str("vswitch-vf:1".into())),
-            ("hairpin", ArgValue::U64(0)),
-        ],
-    });
-    log.push(TraceEvent {
+    log.record(
+        7,
+        Time::from_nanos(20_101),
+        Hop::NicSwitch {
+            pf: 0,
+            from: NicEndpoint::Wire,
+            to: NicEndpoint::VswitchVf { vswitch: 1 },
+            hairpin: false,
+        },
+        None,
+    );
+    let by_hand = TraceEvent {
         at: Time::from_nanos(21_000),
         name: "vswitch.forward",
         cat: "vswitch",
         pid: track::VSWITCH_BASE + 1,
         tid: 3,
         dur: Some(Dur::nanos(1_250)),
-        args: vec![("frame", ArgValue::U64(7)), ("cache_hit", ArgValue::U64(1))],
-    });
-    log
+        args: [
+            Some(("frame", ArgValue::U64(7))),
+            Some(("cache_hit", ArgValue::U64(1))),
+            None,
+            None,
+        ],
+    };
+    log.iter().chain([by_hand]).collect()
 }
 
 fn sample_metrics() -> MetricsRegistry {
@@ -63,7 +68,7 @@ fn chrome_trace_golden() {
         "\"args\":{\"frame\":7,\"cache_hit\":1}}\n",
         "]}\n",
     );
-    assert_eq!(sample_trace().to_chrome_trace(), expected);
+    assert_eq!(chrome_trace(sample_trace().into_iter()), expected);
 }
 
 #[test]
@@ -76,7 +81,7 @@ fn jsonl_golden() {
         "\"pid\":101,\"tid\":3,\"dur_ns\":1250,",
         "\"args\":{\"frame\":7,\"cache_hit\":1}}\n",
     );
-    assert_eq!(sample_trace().to_jsonl(), expected);
+    assert_eq!(jsonl(sample_trace().into_iter()), expected);
 }
 
 #[test]
@@ -129,8 +134,11 @@ fn metrics_jsonl_golden() {
 
 #[test]
 fn renders_are_idempotent() {
-    let log = sample_trace();
-    assert_eq!(log.to_chrome_trace(), log.to_chrome_trace());
+    let events = sample_trace();
+    assert_eq!(
+        chrome_trace(events.iter().copied()),
+        chrome_trace(events.iter().copied())
+    );
     let m = sample_metrics();
     assert_eq!(m.render_prometheus(), m.render_prometheus());
 }

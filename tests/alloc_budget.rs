@@ -8,6 +8,11 @@
 //! after a warm-up window, in whatever profile `cargo test` builds, so a
 //! per-frame `Vec` or boxed closure sneaking back in fails here first.
 //!
+//! With telemetry recording the budget is two: the frame, plus the amortised
+//! share of a journey-index node and of the hop-record chunks (OBSERVABILITY.md,
+//! "Storage and cost") — and switching recording on costs set-up exactly one
+//! allocation, because `benchmark/` enables it inside `setup_s`.
+//!
 //! This is the one file in the workspace that needs `unsafe`: a
 //! `GlobalAlloc` cannot be written without it.
 #![allow(unsafe_code)]
@@ -21,36 +26,43 @@ use mts::core::tcphost::{add_lg_client, add_tenant_server, host_start};
 use mts::host::ResourceMode;
 use mts::net::MacAddr;
 use mts::sim::{Dur, Time};
+use mts::telemetry::Telemetry;
 use mts::vswitch::DatapathKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Heap allocations made by the process so far (a `realloc` counts as one,
-/// as in `benchmark/`).
+/// as in `benchmark/`), and the bytes they asked for.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 struct Counting;
 
 // SAFETY: every method hands its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract, and returns what `System` returned.
-// The only addition is a relaxed increment of a statistic that publishes
-// no other data, never allocates and never touches the block.
+// The only addition is a relaxed increment of two statistics that publish
+// no other data, never allocate and never touch the block.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: as above; `ptr` came from this allocator, that is `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -209,6 +221,70 @@ fn steady_state_allocations_stay_within_budget() {
         w.sink.received
     );
     assert!(flood <= 1.01, "drop path: {flood:.4} allocations per frame");
+
+    // Recording on. Enabling it is what `benchmark/` does between
+    // `World::new` and the timed region, so it may cost set-up one small
+    // allocation — the box of empty containers — and nothing until an event
+    // records something: no first chunk, no pre-registered series, no
+    // histogram (each is a zeroed 15 KB buffer).
+    let (mut w, mut e) = udp_world(4, 200_000.0, 1);
+    let before = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    w.telemetry = Telemetry::enabled();
+    let enabling = (
+        ALLOCATIONS.load(Ordering::Relaxed) - before.0,
+        BYTES.load(Ordering::Relaxed) - before.1,
+    );
+    assert!(
+        enabling.0 <= 1 && enabling.1 <= 512,
+        "Telemetry::enabled(): {} allocations, {} bytes",
+        enabling.0,
+        enabling.1
+    );
+    let rec = w.telemetry.recorder().expect("enabled");
+    assert!(rec.metrics.is_empty() && rec.trace.is_empty() && rec.journeys.is_empty());
+
+    // The same cache-hit traffic, every hop and metric update recorded. The
+    // warm-up registers every series and grows every histogram.
+    let traced_hit = allocs_per_op(
+        &mut w,
+        &mut e,
+        Dur::millis(30),
+        Dur::millis(120),
+        20_000,
+        frames_sent,
+    );
+    assert_eq!(w.total_drops(), 0, "drops: {:?}", w.drops);
+    let rec = w.telemetry.recorder().expect("enabled");
+    assert_eq!(rec.journeys.len() as u64, w.sink.sent);
+    assert!(
+        traced_hit <= 2.0,
+        "cache-hit path, recording on: {traced_hit:.4} allocations per frame"
+    );
+
+    // The overload flood recorded: `drop_frame_traced` and the `cause` label.
+    let (mut w, mut e) = udp_world(2, 4_000_000.0, 1);
+    w.telemetry = Telemetry::enabled();
+    let traced_flood = allocs_per_op(
+        &mut w,
+        &mut e,
+        Dur::millis(5),
+        Dur::millis(10),
+        20_000,
+        frames_sent,
+    );
+    assert!(
+        w.total_drops() > w.sink.received,
+        "not overloaded: {} drops, {} received",
+        w.total_drops(),
+        w.sink.received
+    );
+    assert!(
+        traced_flood <= 2.0,
+        "drop path, recording on: {traced_flood:.4} allocations per frame"
+    );
 
     // TCP: Baseline Apache, 200 connections per client. The warm-up is the
     // connection ramp; what remains per request (83 here, ~30 frames) is

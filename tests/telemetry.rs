@@ -133,8 +133,9 @@ fn mediation_audit_passes_on_all_sriov_levels() {
         run(&mut w, &mut e, flows);
         assert!(w.sink.received > 0, "{level:?} delivered nothing");
         let rec = w.telemetry.recorder().expect("enabled");
-        let report = MediationAuditor::sriov().audit(&rec.journeys);
+        let report = MediationAuditor::sriov().audit(rec);
         assert!(report.checked > 0, "{level:?} audited no segments");
         assert!(report.ok(), "{level:?} violations: {:?}", report.violations);
+        assert!(report.complete(), "{level:?} audited a partial log");
     }
 }
