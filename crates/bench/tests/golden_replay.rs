@@ -1,5 +1,6 @@
 //! Golden-replay determinism tests: re-running the quick SLO and faults
-//! panels must reproduce the committed CSVs byte for byte.
+//! panels and the quick TCP workloads must reproduce the committed CSVs
+//! byte for byte.
 //!
 //! The panels are pure functions of (spec, seed): no wall clock, no host
 //! state, no iteration-order dependence may leak into their output. These
@@ -16,9 +17,14 @@
 use std::fs;
 use std::path::PathBuf;
 
+use mts_bench::figures::fig6_csv;
 use mts_bench::slo;
+use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
+use mts_core::workloads::{run_workload, Workload, WorkloadOpts};
 use mts_faults::{blast_radius_panel, experiment, FaultOpts};
+use mts_host::ResourceMode;
 use mts_sim::{Dur, Time};
+use mts_vswitch::DatapathKind;
 
 fn golden_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; the workspace root is two up.
@@ -74,4 +80,76 @@ fn faults_panel_replays_byte_identical() {
     };
     let cells = blast_radius_panel(opts).expect("quick faults panel");
     check_or_bless("faults_blast_radius.quick.csv", &experiment::to_csv(&cells));
+}
+
+/// The TCP stack and hosts behind Fig. 6, gated where `fig6_*.csv` are not:
+/// every workload on Baseline (shared core) and Level-2 (isolated), p2v and
+/// v2v, over windows short enough for a debug build, plus Level-2 p2v iperf
+/// and Apache on shallow rx rings, where tail drops exercise retransmission,
+/// fast recovery and reassembly (the full-depth runs lose nothing). One line
+/// per host: the run's `fig6_csv` columns, its rx ring depth, then that
+/// host's TCP counters over every connection it had, then the run's drops
+/// by cause.
+#[test]
+fn tcp_workloads_replay_byte_identical() {
+    let opts = WorkloadOpts {
+        duration: Dur::millis(30),
+        warmup: Dur::millis(15),
+        ab_concurrency: 16,
+        memslap_connections: 8,
+        seed: 3,
+        ..WorkloadOpts::default()
+    };
+    let level2 = |scenario| {
+        DeploymentSpec::mts(
+            SecurityLevel::Level2 { compartments: 2 },
+            DatapathKind::Kernel,
+            ResourceMode::Isolated,
+            scenario,
+        )
+    };
+    let mut runs = Vec::new();
+    for scenario in [Scenario::P2v, Scenario::V2v] {
+        let baseline =
+            DeploymentSpec::baseline(DatapathKind::Kernel, ResourceMode::Shared, 1, scenario);
+        for spec in [baseline, level2(scenario)] {
+            runs.extend(Workload::ALL.map(|workload| (spec, workload, opts)));
+        }
+    }
+    let shallow = WorkloadOpts {
+        rx_ring: 16,
+        ..opts
+    };
+    for workload in [Workload::Iperf, Workload::Apache] {
+        runs.push((level2(Scenario::P2v), workload, shallow));
+    }
+
+    let mut csv = String::new();
+    for (spec, workload, opts) in runs {
+        let r = run_workload(spec, workload, opts).expect("deploys");
+        let fig6 = fig6_csv(std::slice::from_ref(&r));
+        let (header, row) = fig6.trim_end().split_once('\n').expect("one row");
+        if csv.is_empty() {
+            csv = format!(
+                "{header},rx_ring,host,retransmits,timeouts,fast_retransmits,dup_acks,\
+                 ooo_segments,bytes_acked,bytes_delivered,drops\n"
+            );
+        }
+        let drops: Vec<String> = r.drops.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        for (host, s) in &r.tcp {
+            csv.push_str(&format!(
+                "{row},{},{host},{},{},{},{},{},{},{},{}\n",
+                opts.rx_ring,
+                s.retransmits,
+                s.timeouts,
+                s.fast_retransmits,
+                s.dup_acks,
+                s.ooo_segments,
+                s.bytes_acked,
+                s.bytes_delivered,
+                drops.join(";")
+            ));
+        }
+    }
+    check_or_bless("tcp_workloads.quick.csv", &csv);
 }

@@ -19,7 +19,7 @@ use mts_nic::{NicPort, PfId, VfId};
 #[cfg(test)]
 use mts_sim::Time;
 use mts_sim::{CoreId, DetRng, Dur, Histogram, UNTAGGED_EVENT};
-use mts_tcp::{Connection, Output, TcpConfig};
+use mts_tcp::{ConnStats, Connection, Output, TcpConfig};
 use mts_telemetry::DropCause;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::Ipv4Addr;
@@ -89,6 +89,8 @@ pub struct TcpHostRt {
     app: Option<Box<dyn App>>,
     conns: HashMap<Quad, ConnRt>,
     by_id: HashMap<ConnId, Quad>,
+    /// Counters of the connections already reaped.
+    closed_stats: ConnStats,
     next_conn: u64,
     next_ephemeral: u16,
     rng: DetRng,
@@ -125,6 +127,7 @@ impl TcpHostRt {
             app: Some(app),
             conns: HashMap::new(),
             by_id: HashMap::new(),
+            closed_stats: ConnStats::default(),
             next_conn: 1,
             next_ephemeral: 32768,
             rng: seed_rng,
@@ -153,6 +156,17 @@ impl TcpHostRt {
     /// Number of live connections.
     pub fn conn_count(&self) -> usize {
         self.conns.len()
+    }
+
+    /// TCP counters summed over every connection the host has had, closed
+    /// ones included.
+    pub fn tcp_stats(&self) -> ConnStats {
+        let mut s = self.closed_stats;
+        // lint:allow(hashmap-iter): commutative += aggregation, order-insensitive
+        for c in self.conns.values() {
+            s += c.conn.stats();
+        }
+        s
     }
 
     fn alloc_conn_id(&mut self) -> ConnId {
@@ -377,7 +391,9 @@ fn collect(
         }
         if out.closed {
             events.push(AppEvent::Closed(id));
-            host.conns.remove(&quad);
+            if let Some(rt) = host.conns.remove(&quad) {
+                host.closed_stats += rt.conn.stats();
+            }
             host.by_id.remove(&id);
         }
     }
@@ -768,21 +784,14 @@ pub fn dummy() {}
 /// cumulative, so the values are exported as last-write-wins gauges —
 /// calling this more than once simply refreshes the snapshot.
 pub fn export_tcp_metrics(w: &mut World) {
-    let snapshots: Vec<(String, u64, mts_tcp::ConnStats)> = w
+    let snapshots: Vec<(String, u64, ConnStats)> = w
         .hosts
         .iter()
         .map(|host| {
-            let mut agg = mts_tcp::ConnStats::default();
+            let mut agg = ConnStats::default();
             // lint:allow(hashmap-iter): commutative += aggregation, order-insensitive
             for c in host.conns.values() {
-                let s = c.conn.stats();
-                agg.retransmits += s.retransmits;
-                agg.timeouts += s.timeouts;
-                agg.fast_retransmits += s.fast_retransmits;
-                agg.bytes_acked += s.bytes_acked;
-                agg.bytes_delivered += s.bytes_delivered;
-                agg.dup_acks += s.dup_acks;
-                agg.ooo_segments += s.ooo_segments;
+                agg += c.conn.stats();
             }
             (host.name.clone(), host.conns.len() as u64, agg)
         })

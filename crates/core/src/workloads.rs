@@ -67,6 +67,10 @@ pub struct WorkloadOpts {
     pub memslap_connections: u32,
     /// Seed.
     pub seed: u64,
+    /// Rx ring depth of every queue ([`RuntimeCfg::rx_ring`]). TCP needs
+    /// queue headroom to absorb slow-start bursts, so the default is the
+    /// full virtio/VF depth; a shallow ring turns bursts into tail drops.
+    pub rx_ring: usize,
 }
 
 impl Default for WorkloadOpts {
@@ -77,6 +81,7 @@ impl Default for WorkloadOpts {
             ab_concurrency: 200,
             memslap_connections: 32,
             seed: 1,
+            rx_ring: 1024,
         }
     }
 }
@@ -108,6 +113,9 @@ pub struct WorkloadResult {
     pub ci95: f64,
     /// Drop counters by cause (diagnostics).
     pub drops: std::collections::BTreeMap<String, u64>,
+    /// Per-host TCP counters over the whole run, warm-up included, in host
+    /// order: servers, then clients (diagnostics).
+    pub tcp: Vec<(String, mts_tcp::ConnStats)>,
 }
 
 /// Runs one workload on one configuration.
@@ -121,10 +129,9 @@ pub fn run_workload(
     // TCP is self-clocked at high rates; the vhost drain anomaly of
     // Sec. 4.2 only concerns low-rate UDP probing.
     cfg.offered_pps = 1_000_000.0;
-    // TCP needs queue headroom to absorb slow-start bursts: use full
-    // virtio/VF queue depths (the shallow UDP setting would turn tail
-    // drops into constant ACK loss and RTO storms on multi-hop chains).
-    cfg.rx_ring = 1024;
+    // The shallow UDP setting would turn tail drops into constant ACK loss
+    // and RTO storms on multi-hop chains (see `WorkloadOpts::rx_ring`).
+    cfg.rx_ring = opts.rx_ring;
     let mut w = World::new(d, cfg, opts.seed);
     let mut e = Sim::new();
 
@@ -244,6 +251,11 @@ pub fn run_workload(
             .iter()
             .map(|(k, v)| (k.as_str().to_string(), *v))
             .collect(),
+        tcp: w
+            .hosts
+            .iter()
+            .map(|host| (host.name.clone(), host.tcp_stats()))
+            .collect(),
     })
 }
 
@@ -297,6 +309,7 @@ mod tests {
             ab_concurrency: 20,
             memslap_connections: 8,
             seed: 5,
+            ..WorkloadOpts::default()
         }
     }
 

@@ -60,6 +60,18 @@ pub struct ConnStats {
     pub ooo_segments: u64,
 }
 
+impl std::ops::AddAssign for ConnStats {
+    fn add_assign(&mut self, o: ConnStats) {
+        self.retransmits += o.retransmits;
+        self.timeouts += o.timeouts;
+        self.fast_retransmits += o.fast_retransmits;
+        self.bytes_acked += o.bytes_acked;
+        self.bytes_delivered += o.bytes_delivered;
+        self.dup_acks += o.dup_acks;
+        self.ooo_segments += o.ooo_segments;
+    }
+}
+
 /// What a stack entry point produced.
 #[derive(Clone, Debug, Default)]
 pub struct Output {

@@ -24,6 +24,7 @@ fn main() {
         ab_concurrency: 100,
         memslap_connections: 32,
         seed: 1,
+        ..WorkloadOpts::default()
     };
 
     let baseline =

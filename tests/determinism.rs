@@ -55,6 +55,7 @@ fn workloads_are_deterministic_too() {
         ab_concurrency: 10,
         memslap_connections: 4,
         seed: 7,
+        ..WorkloadOpts::default()
     };
     let a = run_workload(spec(), Workload::Memcached, w_opts).expect("runs");
     let b = run_workload(spec(), Workload::Memcached, w_opts).expect("runs");
