@@ -13,8 +13,7 @@
 //! would absorb silently.
 
 use crate::traits::{App, AppCtx, ConnId};
-use mts_sim::{Dur, Time};
-use std::collections::HashMap;
+use mts_sim::{Dur, FastHashMap, Time};
 use std::net::Ipv4Addr;
 
 /// DNS-over-TCP port.
@@ -70,7 +69,7 @@ impl QueryKind {
 /// the fraction that miss its cache.
 #[derive(Default)]
 pub struct DnsServer {
-    buffered: HashMap<ConnId, u64>,
+    buffered: FastHashMap<ConnId, u64>,
     a_queries: u64,
     ptr_queries: u64,
     misses: u64,
@@ -160,7 +159,7 @@ struct Outstanding {
 pub struct DnsClient {
     server: Ipv4Addr,
     connections: u32,
-    outstanding: HashMap<ConnId, Option<Outstanding>>,
+    outstanding: FastHashMap<ConnId, Option<Outstanding>>,
     completed: u64,
 }
 
@@ -175,7 +174,7 @@ impl DnsClient {
         DnsClient {
             server,
             connections,
-            outstanding: HashMap::new(),
+            outstanding: FastHashMap::default(),
             completed: 0,
         }
     }

@@ -9,8 +9,7 @@
 //! connection, then close, then the closed-loop client opens a fresh one.
 
 use crate::traits::{App, AppCtx, ConnId};
-use mts_sim::{Dur, Time};
-use std::collections::HashMap;
+use mts_sim::{Dur, FastHashMap, Time};
 use std::net::Ipv4Addr;
 
 /// HTTP port.
@@ -30,7 +29,7 @@ const SERVICE_COST: Dur = Dur::micros(18);
 /// A static-file web server (one page, HTTP/1.0 semantics).
 #[derive(Default)]
 pub struct HttpServer {
-    pending: HashMap<ConnId, u64>,
+    pending: FastHashMap<ConnId, u64>,
     served: u64,
 }
 
@@ -82,7 +81,7 @@ struct InFlight {
 pub struct AbClient {
     server: Ipv4Addr,
     concurrency: u32,
-    inflight: HashMap<ConnId, InFlight>,
+    inflight: FastHashMap<ConnId, InFlight>,
     completed: u64,
     errors: u64,
 }
@@ -93,7 +92,7 @@ impl AbClient {
         AbClient {
             server,
             concurrency,
-            inflight: HashMap::new(),
+            inflight: FastHashMap::default(),
             completed: 0,
             errors: 0,
         }

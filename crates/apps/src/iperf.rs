@@ -6,8 +6,7 @@
 //! reported as the sum of throughput for each client-server."
 
 use crate::traits::{App, AppCtx, ConnId};
-use mts_sim::Time;
-use std::collections::HashMap;
+use mts_sim::{FastHashMap, Time};
 use std::net::Ipv4Addr;
 
 /// The iperf3 control/data port.
@@ -16,7 +15,7 @@ pub const IPERF_PORT: u16 = 5201;
 /// An iperf server: accepts one or more streams and counts bytes.
 #[derive(Default)]
 pub struct IperfServer {
-    received: HashMap<ConnId, u64>,
+    received: FastHashMap<ConnId, u64>,
     first_byte: Option<Time>,
     last_byte: Option<Time>,
 }

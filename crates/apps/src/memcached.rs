@@ -9,8 +9,7 @@
 //! outstanding operation per connection (closed loop).
 
 use crate::traits::{App, AppCtx, ConnId};
-use mts_sim::{Dur, Time};
-use std::collections::HashMap;
+use mts_sim::{Dur, FastHashMap, Time};
 use std::net::Ipv4Addr;
 
 /// Memcached port.
@@ -64,7 +63,7 @@ impl OpKind {
 /// operation per connection (memslap's behaviour) the framing is exact.
 #[derive(Default)]
 pub struct MemcachedServer {
-    buffered: HashMap<ConnId, u64>,
+    buffered: FastHashMap<ConnId, u64>,
     sets: u64,
     gets: u64,
 }
@@ -134,7 +133,7 @@ struct Outstanding {
 pub struct MemslapClient {
     server: Ipv4Addr,
     connections: u32,
-    outstanding: HashMap<ConnId, Option<Outstanding>>,
+    outstanding: FastHashMap<ConnId, Option<Outstanding>>,
     completed: u64,
 }
 
@@ -149,7 +148,7 @@ impl MemslapClient {
         MemslapClient {
             server,
             connections,
-            outstanding: HashMap::new(),
+            outstanding: FastHashMap::default(),
             completed: 0,
         }
     }

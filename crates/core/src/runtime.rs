@@ -24,7 +24,7 @@ use crate::meters::{Attribution, CycleMeters, Layer};
 use crate::spec::{DeploymentSpec, SecurityLevel};
 use crate::tcphost::{HostAttach, Quad, TcpHostRt};
 use crate::vfplan::AddressPlan;
-use mts_apps::L2Fwd;
+use mts_apps::{ConnId, L2Fwd};
 use mts_host::{LinuxBridge, ResourceMode, VhostCosts};
 use mts_net::{Frame, MacAddr};
 use mts_nic::{Delivery, NicPort, PfId, SriovNic, VfId};
@@ -329,9 +329,10 @@ pub type Sim = Engine<World, CoreEvent>;
 /// Dispatch-count tags are passed at the schedule site, so
 /// `Engine::dispatch_counts` breaks a run down per kind. The TCP-host
 /// variants ([`CoreEvent::HostExec`], [`CoreEvent::HostTx`],
-/// [`CoreEvent::ConnTimer`], and the `NicRx`/`VhostTx` a host's
-/// attachment schedules) fire under [`mts_sim::UNTAGGED_EVENT`]
-/// (`"event"`), the tag of the closures they replaced.
+/// [`CoreEvent::ConnTimer`], [`CoreEvent::HostConnect`], and the
+/// `NicRx`/`VhostTx` a host's attachment schedules) fire under
+/// [`mts_sim::UNTAGGED_EVENT`] (`"event"`), the tag of the closures they
+/// replaced.
 pub enum CoreEvent {
     /// A frame arrives at the NIC embedded switch (`"nic.rx"`).
     NicRx {
@@ -399,6 +400,14 @@ pub enum CoreEvent {
     /// A connection's retransmission/delayed-ACK timer fires; stale
     /// generations do nothing (`"event"`).
     ConnTimer { h: usize, quad: Quad, gen: u64 },
+    /// A TCP host opens the client connection its app asked for, at its
+    /// paced slot in the connection ramp (`"event"`).
+    HostConnect {
+        h: usize,
+        id: ConnId,
+        rip: std::net::Ipv4Addr,
+        rport: u16,
+    },
     /// Cold-path fallback: a boxed closure event.
     Call(EventFn<World, CoreEvent>),
 }
@@ -491,6 +500,9 @@ impl Event<World> for CoreEvent {
             }
             CoreEvent::ConnTimer { h, quad, gen } => {
                 crate::tcphost::conn_timer_fire(w, e, h, quad, gen)
+            }
+            CoreEvent::HostConnect { h, id, rip, rport } => {
+                crate::tcphost::open_client_conn(w, e, h, id, rip, rport)
             }
             CoreEvent::Call(f) => f(w, e),
         }

@@ -18,10 +18,10 @@ use mts_net::{Frame, Ipv4Packet, MacAddr, Payload, TcpFlags, TcpSegment, Transpo
 use mts_nic::{NicPort, PfId, VfId};
 #[cfg(test)]
 use mts_sim::Time;
-use mts_sim::{CoreId, DetRng, Dur, Histogram, UNTAGGED_EVENT};
-use mts_tcp::{ConnStats, Connection, Output, TcpConfig};
+use mts_sim::{CoreId, DetRng, Dur, FastHashMap, FastHashSet, Histogram, UNTAGGED_EVENT};
+use mts_tcp::{ConnStats, Connection, Progress, TcpConfig};
 use mts_telemetry::DropCause;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// How a host's frames reach the network.
@@ -75,7 +75,7 @@ pub struct TcpHostRt {
     /// TCP parameters.
     pub tcp_cfg: TcpConfig,
     /// Ports with listening applications.
-    pub listeners: HashSet<u16>,
+    pub listeners: FastHashSet<u16>,
     /// Application latency samples (ns).
     pub latencies: Histogram,
     /// Application counters.
@@ -87,13 +87,31 @@ pub struct TcpHostRt {
     arp_pending: Vec<(Quad, TcpSegment)>,
     arp_in_flight: bool,
     app: Option<Box<dyn App>>,
-    conns: HashMap<Quad, ConnRt>,
-    by_id: HashMap<ConnId, Quad>,
+    conns: FastHashMap<Quad, ConnRt>,
+    by_id: FastHashMap<ConnId, Quad>,
     /// Counters of the connections already reaped.
     closed_stats: ConnStats,
     next_conn: u64,
     next_ephemeral: u16,
     rng: DetRng,
+    scratch: Scratch,
+}
+
+/// The buffers one host event reuses; empty between events. An entry point
+/// takes them with [`with_scratch`], which puts them back on every path out
+/// (host handlers never re-enter one another, as with `World`'s scratch).
+#[derive(Default)]
+struct Scratch {
+    /// Segments the stack appended in its last call.
+    segs: Vec<TcpSegment>,
+    /// Segments to transmit, in order, with their connection.
+    emits: Vec<(Quad, TcpSegment)>,
+    /// App events not yet delivered.
+    events: Vec<AppEvent>,
+    /// Commands the app queued during one pass.
+    cmds: Vec<Cmd>,
+    /// Connections whose timers a pass of commands touched.
+    timer_quads: Vec<Quad>,
 }
 
 impl TcpHostRt {
@@ -118,19 +136,20 @@ impl TcpHostRt {
             cores,
             per_segment: Dur::nanos(1_500),
             tcp_cfg: TcpConfig::default(),
-            listeners: HashSet::new(),
+            listeners: FastHashSet::default(),
             latencies: Histogram::new(),
             counters: BTreeMap::new(),
             gw_ip: None,
             arp_pending: Vec::new(),
             arp_in_flight: false,
             app: Some(app),
-            conns: HashMap::new(),
-            by_id: HashMap::new(),
+            conns: FastHashMap::default(),
+            by_id: FastHashMap::default(),
             closed_stats: ConnStats::default(),
             next_conn: 1,
             next_ephemeral: 32768,
             rng: seed_rng,
+            scratch: Scratch::default(),
         }
     }
 
@@ -188,12 +207,17 @@ impl TcpHostRt {
     }
 }
 
-/// Buffered application context: side effects are queued and drained by the
-/// runtime after the app callback returns.
-struct CtxBuf {
-    cmds: Vec<Cmd>,
-    latencies: Vec<u64>,
-    counts: Vec<(&'static str, u64)>,
+/// Application context: sends and closes are queued for the runtime to
+/// apply after the callbacks return; connects are scheduled, and latencies
+/// and counts recorded, as they come.
+struct CtxBuf<'a> {
+    cmds: &'a mut Vec<Cmd>,
+    latencies: &'a mut Histogram,
+    counters: &'a mut BTreeMap<&'static str, u64>,
+    e: &'a mut Sim,
+    h: usize,
+    /// Connects so far in this pass of callbacks.
+    connects: u64,
     cpu: Dur,
     rng: DetRng,
     next_conn: u64,
@@ -202,27 +226,33 @@ struct CtxBuf {
 enum Cmd {
     Send(ConnId, u64),
     Close(ConnId),
-    Connect(ConnId, Ipv4Addr, u16),
 }
 
-impl AppCtx for CtxBuf {
+impl AppCtx for CtxBuf<'_> {
     fn send(&mut self, conn: ConnId, bytes: u64) {
         self.cmds.push(Cmd::Send(conn, bytes));
     }
     fn close(&mut self, conn: ConnId) {
         self.cmds.push(Cmd::Close(conn));
     }
-    fn connect(&mut self, remote: Ipv4Addr, port: u16) -> ConnId {
+    fn connect(&mut self, rip: Ipv4Addr, rport: u16) -> ConnId {
         let id = ConnId(self.next_conn);
         self.next_conn += 1;
-        self.cmds.push(Cmd::Connect(id, remote, port));
+        // Batched opens are paced (~250 us apart), as real closed-loop
+        // benchmark tools ramp their connection pools; an instantaneous SYN
+        // burst would only measure rx-ring overflow and RTO recovery.
+        let at = self.e.now() + Dur::micros(250) * self.connects;
+        self.connects += 1;
+        let h = self.h;
+        let ev = CoreEvent::HostConnect { h, id, rip, rport };
+        self.e.schedule_event(at, UNTAGGED_EVENT, ev);
         id
     }
     fn record_latency(&mut self, ns: u64) {
-        self.latencies.push(ns);
+        self.latencies.record(ns);
     }
     fn count(&mut self, what: &'static str, n: u64) {
-        self.counts.push((what, n));
+        *self.counters.entry(what).or_insert(0) += n;
     }
     fn consume_cpu(&mut self, cost: Dur) {
         self.cpu += cost;
@@ -240,9 +270,27 @@ enum AppEvent {
     Closed(ConnId),
 }
 
+/// Runs `f` on host `h` (if it exists) with the host's scratch taken out.
+fn with_scratch(
+    w: &mut World,
+    e: &mut Sim,
+    h: usize,
+    f: impl FnOnce(&mut World, &mut Sim, &mut Scratch),
+) {
+    let Some(host) = w.hosts.get_mut(h) else {
+        return;
+    };
+    let mut s = std::mem::take(&mut host.scratch);
+    f(w, e, &mut s);
+    w.hosts[h].scratch = s;
+}
+
 /// Boots host `h`: starts its application.
 pub fn host_start(w: &mut World, e: &mut Sim, h: usize) {
-    run_app_events_then_emit(w, e, h, vec![AppEvent::Started], Vec::new());
+    with_scratch(w, e, h, |w, e, s| {
+        s.events.push(AppEvent::Started);
+        run_app_events_then_emit(w, e, h, s);
+    });
 }
 
 /// A frame arrives at host `h` (already delivered to its NIC/VF).
@@ -286,36 +334,25 @@ pub fn external_host_rx(w: &mut World, e: &mut Sim, h_default: usize, frame: Fra
 
 /// Host `h`'s stack processes a received frame (its rx grant has ended).
 pub(crate) fn host_exec(w: &mut World, e: &mut Sim, h: usize, frame: Frame) {
-    let now = e.now();
-    // Gateway ARP replies complete dynamic resolution and flush queued
-    // segments.
-    if let mts_net::Payload::Arp(arp) = frame.payload.get() {
-        let flushed = {
-            let host = &mut w.hosts[h];
+    with_scratch(w, e, h, |w, e, s| {
+        let now = e.now();
+        let host = &mut w.hosts[h];
+        // Gateway ARP replies complete dynamic resolution and flush queued
+        // segments.
+        if let mts_net::Payload::Arp(arp) = frame.payload.get() {
             if arp.op == mts_net::ArpOp::Reply && host.gw_ip == Some(arp.sender_ip) {
                 host.default_route = arp.sender_mac;
                 host.arp_in_flight = false;
-                std::mem::take(&mut host.arp_pending)
-            } else {
-                Vec::new()
+                s.emits.append(&mut host.arp_pending);
+                emit_segments(w, e, h, s);
             }
-        };
-        if !flushed.is_empty() {
-            emit_segments(w, e, h, flushed);
+            return;
         }
-        return;
-    }
-    let mut emits: Vec<(Quad, TcpSegment)> = Vec::new();
-    let mut events: Vec<AppEvent> = Vec::new();
-    let touched: Option<Quad>;
-    {
-        let host = &mut w.hosts[h];
         let Some(ip) = frame.ipv4() else {
             return;
         };
         if ip.dst != host.ip {
-            let fid = frame.id;
-            w.drop_frame_traced(e.now(), fid, DropCause::HostMisaddressed);
+            w.drop_frame_traced(now, frame.id, DropCause::HostMisaddressed);
             return;
         }
         let Transport::Tcp(seg) = ip.transport else {
@@ -326,16 +363,17 @@ pub(crate) fn host_exec(w: &mut World, e: &mut Sim, h: usize, frame: Frame) {
             rip: ip.src,
             rport: seg.sport,
         };
-        touched = Some(quad);
         if let Some(rt) = host.conns.get_mut(&quad) {
-            let out = rt.conn.on_segment(&seg, now);
-            collect(host, quad, out, &mut emits, &mut events);
+            let p = rt.conn.on_segment_into(&seg, now, &mut s.segs);
+            collect(host, quad, p, s);
         } else if seg.flags.contains(TcpFlags::SYN)
             && !seg.flags.contains(TcpFlags::ACK)
             && host.listeners.contains(&seg.dport)
         {
             let iss = host.rng.below(u64::from(u32::MAX)) as u32;
-            if let Some((conn, out)) = Connection::server_from_syn(host.tcp_cfg, &seg, iss, now) {
+            if let Some(conn) =
+                Connection::server_from_syn_into(host.tcp_cfg, &seg, iss, now, &mut s.segs)
+            {
                 let id = host.alloc_conn_id();
                 host.conns.insert(
                     quad,
@@ -346,11 +384,11 @@ pub(crate) fn host_exec(w: &mut World, e: &mut Sim, h: usize, frame: Frame) {
                     },
                 );
                 host.by_id.insert(id, quad);
-                collect(host, quad, out, &mut emits, &mut events);
+                collect(host, quad, Progress::default(), s);
             }
         } else if !seg.flags.contains(TcpFlags::RST) {
             // Unknown connection: a real stack answers with RST.
-            emits.push((
+            s.emits.push((
                 quad,
                 TcpSegment {
                     sport: seg.dport,
@@ -363,82 +401,67 @@ pub(crate) fn host_exec(w: &mut World, e: &mut Sim, h: usize, frame: Frame) {
                 },
             ));
         }
-    }
-    run_app_events_then_emit(w, e, h, events, emits);
-    if let Some(quad) = touched {
+        run_app_events_then_emit(w, e, h, s);
         arm_conn_timer(w, e, h, quad);
-    }
+    });
 }
 
-/// Collects the stack output into emits + app events, reaping closed conns.
-fn collect(
-    host: &mut TcpHostRt,
-    quad: Quad,
-    out: Output,
-    emits: &mut Vec<(Quad, TcpSegment)>,
-    events: &mut Vec<AppEvent>,
-) {
-    let id = host.conns.get(&quad).map(|rt| rt.id);
-    for seg in out.segments {
-        emits.push((quad, seg));
+/// Moves the stack's segments into the emits and its progress into app
+/// events, reaping closed conns.
+fn collect(host: &mut TcpHostRt, quad: Quad, p: Progress, s: &mut Scratch) {
+    s.emits.extend(s.segs.drain(..).map(|seg| (quad, seg)));
+    let Some(id) = host.conns.get(&quad).map(|rt| rt.id) else {
+        return;
+    };
+    if p.connected {
+        s.events.push(AppEvent::Connected(id));
     }
-    if let Some(id) = id {
-        if out.connected {
-            events.push(AppEvent::Connected(id));
+    if p.delivered > 0 {
+        s.events.push(AppEvent::Data(id, p.delivered));
+    }
+    if p.closed {
+        s.events.push(AppEvent::Closed(id));
+        if let Some(rt) = host.conns.remove(&quad) {
+            host.closed_stats += rt.conn.stats();
         }
-        if out.delivered > 0 {
-            events.push(AppEvent::Data(id, out.delivered));
-        }
-        if out.closed {
-            events.push(AppEvent::Closed(id));
-            if let Some(rt) = host.conns.remove(&quad) {
-                host.closed_stats += rt.conn.stats();
-            }
-            host.by_id.remove(&id);
-        }
+        host.by_id.remove(&id);
     }
 }
 
 /// Delivers app events, applies the app's queued commands, then emits.
-fn run_app_events_then_emit(
-    w: &mut World,
-    e: &mut Sim,
-    h: usize,
-    events: Vec<AppEvent>,
-    mut emits: Vec<(Quad, TcpSegment)>,
-) {
-    if !events.is_empty() {
-        let more = run_app(w, e, h, events);
-        emits.extend(more);
-    }
-    emit_segments(w, e, h, emits);
+fn run_app_events_then_emit(w: &mut World, e: &mut Sim, h: usize, s: &mut Scratch) {
+    run_app(w, e, h, s);
+    emit_segments(w, e, h, s);
 }
 
-/// Runs app callbacks for `events`; returns additional segments to emit.
-fn run_app(w: &mut World, e: &mut Sim, h: usize, events: Vec<AppEvent>) -> Vec<(Quad, TcpSegment)> {
+/// Runs app callbacks for the queued events, appending the segments their
+/// commands produce to the emits.
+fn run_app(w: &mut World, e: &mut Sim, h: usize, s: &mut Scratch) {
     let now = e.now();
-    let mut emits: Vec<(Quad, TcpSegment)> = Vec::new();
-    let mut queue = events;
     let mut guard = 0;
-    while !queue.is_empty() {
+    while !s.events.is_empty() {
         guard += 1;
         if guard > 64 {
+            s.events.clear();
             break; // Defensive bound against app/command ping-pong.
         }
-        // Phase 1: call the app with a buffered context.
-        let (cmds, latencies, counts, cpu) = {
+        // Phase 1: call the app; it records into the host directly.
+        let cpu = {
             let host = &mut w.hosts[h];
             // lint:allow(no-unwrap): the app is re-stored before returning
             let mut app = host.app.take().expect("app present");
             let mut ctx = CtxBuf {
-                cmds: Vec::new(),
-                latencies: Vec::new(),
-                counts: Vec::new(),
+                cmds: &mut s.cmds,
+                latencies: &mut host.latencies,
+                counters: &mut host.counters,
+                e: &mut *e,
+                h,
+                connects: 0,
                 cpu: Dur::ZERO,
                 rng: host.rng.derive("app"),
                 next_conn: host.next_conn,
             };
-            for ev in queue.drain(..) {
+            for ev in s.events.drain(..) {
                 match ev {
                     AppEvent::Started => app.on_start(now, &mut ctx),
                     AppEvent::Connected(id) => app.on_connected(id, now, &mut ctx),
@@ -446,20 +469,15 @@ fn run_app(w: &mut World, e: &mut Sim, h: usize, events: Vec<AppEvent>) -> Vec<(
                     AppEvent::Closed(id) => app.on_closed(id, now, &mut ctx),
                 }
             }
-            host.app = Some(app);
+            let cpu = ctx.cpu;
             host.next_conn = ctx.next_conn;
+            host.app = Some(app);
             // The derived app rng advanced; fold it back so draws differ
             // next time.
             host.rng = host.rng.derive("fold");
-            (ctx.cmds, ctx.latencies, ctx.counts, ctx.cpu)
+            cpu
         };
         // Phase 2: apply side effects.
-        for ns in latencies {
-            w.hosts[h].latencies.record(ns);
-        }
-        for (what, n) in counts {
-            *w.hosts[h].counters.entry(what).or_insert(0) += n;
-        }
         if !cpu.is_zero() {
             if let Some(cores) = w.hosts[h].cores {
                 w.cores
@@ -469,66 +487,45 @@ fn run_app(w: &mut World, e: &mut Sim, h: usize, events: Vec<AppEvent>) -> Vec<(
                     .acquire(now, 0x3000 + h as u64, cpu);
             }
         }
-        let mut timer_quads = Vec::new();
-        let mut connects_in_batch: u64 = 0;
-        for cmd in cmds {
+        let mut cmds = std::mem::take(&mut s.cmds);
+        for cmd in cmds.drain(..) {
             let host = &mut w.hosts[h];
-            match cmd {
-                Cmd::Send(id, bytes) => {
-                    if let Some(quad) = host.by_id.get(&id).copied() {
-                        if let Some(rt) = host.conns.get_mut(&quad) {
-                            let out = rt.conn.send(bytes, now);
-                            let mut evs = Vec::new();
-                            collect(host, quad, out, &mut emits, &mut evs);
-                            queue.extend(evs);
-                            timer_quads.push(quad);
-                        }
-                    }
-                }
-                Cmd::Close(id) => {
-                    if let Some(quad) = host.by_id.get(&id).copied() {
-                        if let Some(rt) = host.conns.get_mut(&quad) {
-                            let out = rt.conn.close(now);
-                            let mut evs = Vec::new();
-                            collect(host, quad, out, &mut emits, &mut evs);
-                            queue.extend(evs);
-                            timer_quads.push(quad);
-                        }
-                    }
-                }
-                Cmd::Connect(id, rip, rport) => {
-                    // Batched opens are paced (~250 us apart), as real
-                    // closed-loop benchmark tools ramp their connection
-                    // pools; an instantaneous SYN burst would only measure
-                    // rx-ring overflow and RTO recovery.
-                    let delay = Dur::micros(250) * connects_in_batch;
-                    connects_in_batch += 1;
-                    e.schedule_at(now + delay, move |w, e| {
-                        open_client_conn(w, e, h, id, rip, rport);
-                    });
-                }
-            }
+            let (Cmd::Send(id, _) | Cmd::Close(id)) = cmd;
+            let Some(quad) = host.by_id.get(&id).copied() else {
+                continue;
+            };
+            let Some(rt) = host.conns.get_mut(&quad) else {
+                continue;
+            };
+            let p = match cmd {
+                Cmd::Send(_, bytes) => rt.conn.send_into(bytes, now, &mut s.segs),
+                Cmd::Close(_) => rt.conn.close_into(now, &mut s.segs),
+            };
+            collect(host, quad, p, s);
+            s.timer_quads.push(quad);
         }
-        for quad in timer_quads {
+        s.cmds = cmds;
+        for quad in s.timer_quads.drain(..) {
             arm_conn_timer(w, e, h, quad);
         }
     }
-    emits
 }
 
-/// Opens a staggered client connection (see `Cmd::Connect` handling).
-fn open_client_conn(w: &mut World, e: &mut Sim, h: usize, id: ConnId, rip: Ipv4Addr, rport: u16) {
-    let now = e.now();
-    let mut emits = Vec::new();
-    let mut evs = Vec::new();
-    let quad = {
-        let Some(host) = w.hosts.get_mut(h) else {
-            return;
-        };
+/// Opens a staggered client connection (see `CtxBuf::connect`).
+pub(crate) fn open_client_conn(
+    w: &mut World,
+    e: &mut Sim,
+    h: usize,
+    id: ConnId,
+    rip: Ipv4Addr,
+    rport: u16,
+) {
+    with_scratch(w, e, h, |w, e, s| {
+        let host = &mut w.hosts[h];
         let lport = host.alloc_ephemeral();
         let quad = Quad { lport, rip, rport };
         let iss = host.rng.below(u64::from(u32::MAX)) as u32;
-        let (conn, out) = Connection::client(host.tcp_cfg, lport, rport, iss, now);
+        let conn = Connection::client_into(host.tcp_cfg, lport, rport, iss, e.now(), &mut s.segs);
         host.conns.insert(
             quad,
             ConnRt {
@@ -538,72 +535,52 @@ fn open_client_conn(w: &mut World, e: &mut Sim, h: usize, id: ConnId, rip: Ipv4A
             },
         );
         host.by_id.insert(id, quad);
-        collect(host, quad, out, &mut emits, &mut evs);
-        quad
-    };
-    run_app_events_then_emit(w, e, h, evs, emits);
-    arm_conn_timer(w, e, h, quad);
+        collect(host, quad, Progress::default(), s);
+        run_app_events_then_emit(w, e, h, s);
+        arm_conn_timer(w, e, h, quad);
+    });
 }
 
-/// Transmits segments from host `h` into the datapath.
-fn emit_segments(w: &mut World, e: &mut Sim, h: usize, emits: Vec<(Quad, TcpSegment)>) {
+/// Transmits (drains) the emits of host `h` into the datapath.
+fn emit_segments(w: &mut World, e: &mut Sim, h: usize, s: &mut Scratch) {
+    let emits = &mut s.emits;
     if emits.is_empty() {
         return;
     }
     let now = e.now();
+    let host = &mut w.hosts[h];
     // Dynamic ARP: queue segments until the gateway resolves, sending one
     // who-has request (answered by the vswitch proxy-ARP responder).
-    let unresolved = {
-        let host = &w.hosts[h];
-        host.gw_ip.is_some() && host.default_route == MacAddr::ZERO
-    };
-    if unresolved {
-        let arp_request = {
-            let host = &mut w.hosts[h];
-            host.arp_pending.extend(emits);
-            if host.arp_in_flight {
-                None
-            } else {
-                host.arp_in_flight = true;
-                // lint:allow(no-unwrap): guarded by the gw_ip check above
-                let gw_ip = host.gw_ip.expect("checked above");
-                let req = mts_net::ArpPacket::request(host.mac, host.ip, gw_ip);
-                Some((Frame::arp(host.mac, req), host.attach))
-            }
-        };
-        if let Some((frame, attach)) = arp_request {
+    if host.gw_ip.is_some() && host.default_route == MacAddr::ZERO {
+        host.arp_pending.append(emits);
+        if let (Some(gw_ip), false) = (host.gw_ip, host.arp_in_flight) {
+            host.arp_in_flight = true;
+            let req = mts_net::ArpPacket::request(host.mac, host.ip, gw_ip);
+            let (frame, attach) = (Frame::arp(host.mac, req), host.attach);
             dispatch_frame(w, e, attach, frame);
         }
         return;
     }
     // Charge tx CPU (tenant hosts only) and compute the departure time.
-    let depart = {
-        let host = &w.hosts[h];
-        match host.cores {
-            Some(cores) => {
-                // GSO: bulk data segments cost less per segment to emit.
-                let cost = Dur::nanos(
-                    emits
-                        .iter()
-                        .map(|(_, seg)| {
-                            let f = if seg.payload_len >= 1_000 { 8 } else { 1 };
-                            host.per_segment.as_nanos() / f
-                        })
-                        .sum(),
-                );
-                let grant = w
-                    .cores
-                    .get_mut(cores[1])
-                    // lint:allow(no-unwrap): host cores are allocated at deploy time
-                    .expect("host core exists")
-                    .acquire(now, 0x3000 + h as u64, cost);
-                grant.end
-            }
-            None => now,
-        }
-    };
     let host = &w.hosts[h];
-    for (quad, seg) in emits {
+    let depart = match host.cores {
+        Some(cores) => {
+            // GSO: bulk data segments cost less per segment to emit.
+            let per_segment = host.per_segment.as_nanos();
+            let cost = emits
+                .iter()
+                .map(|(_, seg)| per_segment / if seg.payload_len >= 1_000 { 8 } else { 1 })
+                .sum();
+            w.cores
+                .get_mut(cores[1])
+                // lint:allow(no-unwrap): host cores are allocated at deploy time
+                .expect("host core exists")
+                .acquire(now, 0x3000 + h as u64, Dur::nanos(cost))
+                .end
+        }
+        None => now,
+    };
+    for (quad, seg) in emits.drain(..) {
         let frame = Frame::new(
             host.mac,
             host.route(quad.rip),
@@ -661,33 +638,25 @@ fn arm_conn_timer(w: &mut World, e: &mut Sim, h: usize, quad: Quad) {
     let Some(deadline) = rt.conn.next_timer() else {
         return;
     };
-    e.schedule_event(
-        deadline,
-        UNTAGGED_EVENT,
-        CoreEvent::ConnTimer { h, quad, gen },
-    );
+    let ev = CoreEvent::ConnTimer { h, quad, gen };
+    e.schedule_event(deadline, UNTAGGED_EVENT, ev);
 }
 
 /// A connection timer armed at generation `gen` fires.
 pub(crate) fn conn_timer_fire(w: &mut World, e: &mut Sim, h: usize, quad: Quad, gen: u64) {
-    let now = e.now();
-    let mut emits = Vec::new();
-    let mut events = Vec::new();
-    {
-        let Some(host) = w.hosts.get_mut(h) else {
-            return;
-        };
+    with_scratch(w, e, h, |w, e, s| {
+        let host = &mut w.hosts[h];
         let Some(rt) = host.conns.get_mut(&quad) else {
             return;
         };
         if rt.timer_gen != gen {
             return; // Superseded by later activity.
         }
-        let out = rt.conn.on_timer(now);
-        collect(host, quad, out, &mut emits, &mut events);
-    }
-    run_app_events_then_emit(w, e, h, events, emits);
-    arm_conn_timer(w, e, h, quad);
+        let p = rt.conn.on_timer_into(e.now(), &mut s.segs);
+        collect(host, quad, p, s);
+        run_app_events_then_emit(w, e, h, s);
+        arm_conn_timer(w, e, h, quad);
+    });
 }
 
 /// Registers a tenant-hosted server: creates the host, binds the listener,
@@ -774,10 +743,6 @@ pub fn add_lg_client(
     w.hosts.push(host);
     h
 }
-
-/// Wires the v2v forwarder attachment: in workload v2v mode the forwarder
-/// tenant keeps its l2fwd role, but its next hop is the *server* path.
-pub fn dummy() {}
 
 /// Snapshots every host's TCP connection statistics into the telemetry
 /// metrics registry (labelled by `host` name). Connection stats are
@@ -989,24 +954,28 @@ mod tests {
     #[test]
     fn typed_host_events_keep_the_closures_dispatch_tags() {
         let (mut w, mut e) = apache_world(4);
+        // The connect ramp is all that `host_start` schedules: one
+        // `HostConnect` per connection, 250 us apart.
+        assert_eq!(e.pending(), 4);
         e.run_until(&mut w, Time::from_nanos(20_000_000));
         let done = w.hosts[1].counter("http_requests_done");
         assert!(done > 0, "no request completed; drops {:?}", w.drops);
-        // Exactly the kinds that fired in a Baseline TCP run when host
-        // events were boxed closures: the typed ones keep the closures'
-        // tag, so `"event"` is still there and nothing new is.
-        let tags: Vec<&str> = e.dispatch_counts().map(|(k, _)| k).collect();
+        // Exactly the kinds and counts that fired in this run when host
+        // events, the connect ramp's and every re-connect's included, were
+        // boxed closures: the typed ones keep the closures' tag, instant
+        // and order.
+        let counts: Vec<(&str, u64)> = e.dispatch_counts().collect();
         assert_eq!(
-            tags,
+            counts,
             [
-                "dma",
-                UNTAGGED_EVENT,
-                "nic.rx",
-                "vhost.deliver",
-                "vswitch.exec",
-                "vswitch.rx",
-                "wire.rx",
-                "wire.tx"
+                ("dma", 5245),
+                (UNTAGGED_EVENT, 10731),
+                ("nic.rx", 5239),
+                ("vhost.deliver", 2233),
+                ("vswitch.exec", 5239),
+                ("vswitch.rx", 2249),
+                ("wire.rx", 2988),
+                ("wire.tx", 2989)
             ]
         );
         let total: u64 = e.dispatch_counts().map(|(_, n)| n).sum();

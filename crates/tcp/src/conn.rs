@@ -1,11 +1,14 @@
 //! The TCP connection state machine (Reno).
 //!
 //! One [`Connection`] is one endpoint. It is a *poll-style* machine: every
-//! entry point takes the current simulated time and returns an [`Output`]
-//! with segments to transmit. The caller (the `mts-core` runtime) wraps
-//! segments in IPv4/Ethernet frames, delivers the peer's segments back via
-//! [`Connection::on_segment`], and drives [`Connection::on_timer`] at
-//! [`Connection::next_timer`].
+//! entry point takes the current simulated time, appends the segments to
+//! transmit to a buffer the caller owns and returns a [`Progress`]. The
+//! caller (the `mts-core` runtime) keeps one buffer for all its
+//! connections, wraps segments in IPv4/Ethernet frames, delivers the peer's
+//! segments back via [`Connection::on_segment_into`], and drives
+//! [`Connection::on_timer_into`] at [`Connection::next_timer`]. The
+//! [`Output`]-returning forms collect the same segments into a fresh `Vec`,
+//! for callers that keep no buffer.
 //!
 //! Sequence numbers are tracked internally as 64-bit *sequence-space
 //! offsets* (offset 0 is the SYN, payload starts at offset 1) and wrapped
@@ -72,7 +75,19 @@ impl std::ops::AddAssign for ConnStats {
     }
 }
 
-/// What a stack entry point produced.
+/// What a stack entry point did besides emitting segments.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Progress {
+    /// Payload bytes newly delivered in order to the application.
+    pub delivered: u64,
+    /// Became established during this call.
+    pub connected: bool,
+    /// Reached a fully-closed state during this call.
+    pub closed: bool,
+}
+
+/// A [`Progress`] with the segments its call emitted, for callers that keep
+/// no segment buffer.
 #[derive(Clone, Debug, Default)]
 pub struct Output {
     /// Segments to transmit, in order.
@@ -86,11 +101,16 @@ pub struct Output {
 }
 
 impl Output {
-    fn merge(&mut self, mut other: Output) {
-        self.segments.append(&mut other.segments);
-        self.delivered += other.delivered;
-        self.connected |= other.connected;
-        self.closed |= other.closed;
+    /// Runs one `_into` call against a fresh buffer.
+    fn collect(call: impl FnOnce(&mut Vec<TcpSegment>) -> Progress) -> Output {
+        let mut segments = Vec::new();
+        let p = call(&mut segments);
+        Output {
+            segments,
+            delivered: p.delivered,
+            connected: p.connected,
+            closed: p.closed,
+        }
     }
 }
 
@@ -144,25 +164,40 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Opens a connection actively; returns the endpoint and its SYN.
-    pub fn client(cfg: TcpConfig, sport: u16, dport: u16, iss: u32, now: Time) -> (Self, Output) {
+    /// Opens a connection actively; appends its SYN to `out`.
+    pub fn client_into(
+        cfg: TcpConfig,
+        sport: u16,
+        dport: u16,
+        iss: u32,
+        now: Time,
+        out: &mut Vec<TcpSegment>,
+    ) -> Self {
         let mut c = Self::new(cfg, sport, dport, iss, State::SynSent);
-        let syn = c.make_segment(0, TcpFlags::SYN, 0);
+        out.push(c.make_segment(0, TcpFlags::SYN, 0));
         c.snd_nxt = 1;
         c.arm_rto(now);
-        let mut out = Output::default();
-        out.segments.push(syn);
-        (c, out)
+        c
     }
 
-    /// Opens a connection passively from a received SYN; returns the
-    /// endpoint and its SYN|ACK.
-    pub fn server_from_syn(
+    /// [`Connection::client_into`] with a fresh buffer.
+    pub fn client(cfg: TcpConfig, sport: u16, dport: u16, iss: u32, now: Time) -> (Self, Output) {
+        let mut out = Output::default();
+        (
+            Self::client_into(cfg, sport, dport, iss, now, &mut out.segments),
+            out,
+        )
+    }
+
+    /// Opens a connection passively from a received SYN; appends its
+    /// SYN|ACK to `out`.
+    pub fn server_from_syn_into(
         cfg: TcpConfig,
         syn: &TcpSegment,
         iss: u32,
         now: Time,
-    ) -> Option<(Self, Output)> {
+        out: &mut Vec<TcpSegment>,
+    ) -> Option<Self> {
         if !syn.flags.contains(TcpFlags::SYN) || syn.flags.contains(TcpFlags::ACK) {
             return None;
         }
@@ -170,12 +205,24 @@ impl Connection {
         c.peer_iss = syn.seq;
         c.rcv_nxt = 1; // consumed the SYN
         c.peer_window = u64::from(syn.window) << WINDOW_SHIFT;
-        let synack = c.make_segment(0, TcpFlags::SYN | TcpFlags::ACK, 0);
+        out.push(c.make_segment(0, TcpFlags::SYN | TcpFlags::ACK, 0));
         c.snd_nxt = 1;
         c.arm_rto(now);
+        Some(c)
+    }
+
+    /// [`Connection::server_from_syn_into`] with a fresh buffer.
+    pub fn server_from_syn(
+        cfg: TcpConfig,
+        syn: &TcpSegment,
+        iss: u32,
+        now: Time,
+    ) -> Option<(Self, Output)> {
         let mut out = Output::default();
-        out.segments.push(synack);
-        Some((c, out))
+        Some((
+            Self::server_from_syn_into(cfg, syn, iss, now, &mut out.segments)?,
+            out,
+        ))
     }
 
     fn new(cfg: TcpConfig, sport: u16, dport: u16, iss: u32, state: State) -> Self {
@@ -255,73 +302,91 @@ impl Connection {
     }
 
     /// Queues `bytes` of application payload and transmits what fits.
-    pub fn send(&mut self, bytes: u64, now: Time) -> Output {
-        if self.fin_requested || self.is_closed() {
-            return Output::default();
+    pub fn send_into(&mut self, bytes: u64, now: Time, out: &mut Vec<TcpSegment>) -> Progress {
+        if !self.fin_requested && !self.is_closed() {
+            self.app_total += bytes;
+            self.pump(now, out);
         }
-        self.app_total += bytes;
-        self.pump(now)
+        Progress::default()
+    }
+
+    /// [`Connection::send_into`] with a fresh buffer.
+    pub fn send(&mut self, bytes: u64, now: Time) -> Output {
+        Output::collect(|out| self.send_into(bytes, now, out))
     }
 
     /// Requests a graceful close; the FIN goes out once data is flushed.
-    pub fn close(&mut self, now: Time) -> Output {
-        if self.fin_requested || self.is_closed() {
-            return Output::default();
+    pub fn close_into(&mut self, now: Time, out: &mut Vec<TcpSegment>) -> Progress {
+        if !self.fin_requested && !self.is_closed() {
+            self.fin_requested = true;
+            self.pump(now, out);
         }
-        self.fin_requested = true;
-        self.pump(now)
+        Progress::default()
+    }
+
+    /// [`Connection::close_into`] with a fresh buffer.
+    pub fn close(&mut self, now: Time) -> Output {
+        Output::collect(|out| self.close_into(now, out))
     }
 
     /// Aborts the connection, emitting an RST.
-    pub fn abort(&mut self) -> Output {
-        let mut out = Output::default();
-        if !self.is_closed() {
-            out.segments
-                .push(self.make_segment(self.snd_nxt, TcpFlags::RST | TcpFlags::ACK, 0));
-            self.state = State::Reset;
-            self.rto_deadline = None;
-            self.delack_deadline = None;
-            out.closed = true;
+    pub fn abort_into(&mut self, out: &mut Vec<TcpSegment>) -> Progress {
+        if self.is_closed() {
+            return Progress::default();
         }
-        out
+        out.push(self.make_segment(self.snd_nxt, TcpFlags::RST | TcpFlags::ACK, 0));
+        self.state = State::Reset;
+        self.rto_deadline = None;
+        self.delack_deadline = None;
+        Progress {
+            closed: true,
+            ..Progress::default()
+        }
+    }
+
+    /// [`Connection::abort_into`] with a fresh buffer.
+    pub fn abort(&mut self) -> Output {
+        Output::collect(|out| self.abort_into(out))
     }
 
     /// The earliest pending timer, if any.
     pub fn next_timer(&self) -> Option<Time> {
-        match (self.rto_deadline, self.delack_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        }
+        self.rto_deadline
+            .into_iter()
+            .chain(self.delack_deadline)
+            .min()
     }
 
     /// Fires any timers whose deadline is `<= now`.
-    pub fn on_timer(&mut self, now: Time) -> Output {
-        let mut out = Output::default();
+    pub fn on_timer_into(&mut self, now: Time, out: &mut Vec<TcpSegment>) -> Progress {
         if self.delack_deadline.is_some_and(|d| d <= now) {
             self.delack_deadline = None;
             if self.unacked_segs > 0 {
                 self.unacked_segs = 0;
-                out.segments.push(self.make_ack());
+                out.push(self.make_ack());
             }
         }
         if self.rto_deadline.is_some_and(|d| d <= now) {
             self.rto_deadline = None;
             if self.flight() > 0 || matches!(self.state, State::SynSent | State::SynReceived) {
-                out.merge(self.on_rto(now));
+                return self.on_rto(now, out);
             }
         }
-        out
+        Progress::default()
     }
 
-    fn on_rto(&mut self, now: Time) -> Output {
+    /// [`Connection::on_timer_into`] with a fresh buffer.
+    pub fn on_timer(&mut self, now: Time) -> Output {
+        Output::collect(|out| self.on_timer_into(now, out))
+    }
+
+    fn on_rto(&mut self, now: Time, out: &mut Vec<TcpSegment>) -> Progress {
         self.stats.timeouts += 1;
         self.rto_retries += 1;
         if self.rto_retries > self.cfg.rto_max_retries {
             // Retry budget exhausted (Linux tcp_retries2): the path is
             // dead; fail cleanly instead of retransmitting forever.
-            return self.abort();
+            return self.abort_into(out);
         }
         // Karn: invalidate the RTT probe; collapse the window.
         self.rtt_probe = None;
@@ -331,23 +396,28 @@ impl Connection {
         self.recover = None;
         self.dupacks = 0;
         self.rto_backoff = (self.rto_backoff + 1).min(10);
-        let out = self.retransmit_una(now);
+        self.retransmit_una(out);
         self.arm_rto(now);
-        out
+        Progress::default()
     }
 
     /// Handles one incoming segment.
-    pub fn on_segment(&mut self, seg: &TcpSegment, now: Time) -> Output {
-        let mut out = Output::default();
+    pub fn on_segment_into(
+        &mut self,
+        seg: &TcpSegment,
+        now: Time,
+        out: &mut Vec<TcpSegment>,
+    ) -> Progress {
+        let mut p = Progress::default();
         if self.is_closed() {
-            return out;
+            return p;
         }
         if seg.flags.contains(TcpFlags::RST) {
             self.state = State::Reset;
             self.rto_deadline = None;
             self.delack_deadline = None;
-            out.closed = true;
-            return out;
+            p.closed = true;
+            return p;
         }
         self.peer_window = u64::from(seg.window) << WINDOW_SHIFT;
 
@@ -362,53 +432,53 @@ impl Connection {
                     self.rto_deadline = None;
                     self.rto_backoff = 0;
                     self.rto_retries = 0;
-                    out.connected = true;
-                    out.segments.push(self.make_ack());
-                    out.merge(self.pump(now));
+                    p.connected = true;
+                    out.push(self.make_ack());
+                    self.pump(now, out);
                 }
-                return out;
+                return p;
             }
             State::SynReceived => {
-                if seg.flags.contains(TcpFlags::ACK) {
-                    let ack_off = self.unwrap_ack(seg.ack);
-                    if ack_off >= 1 {
-                        self.snd_una = self.snd_una.max(1);
-                        self.state = State::Established;
-                        self.rto_deadline = None;
-                        self.rto_backoff = 0;
-                        self.rto_retries = 0;
-                        out.connected = true;
-                        // Fall through: the ACK may carry data.
-                    } else {
-                        return out;
-                    }
-                } else {
-                    return out;
+                if !seg.flags.contains(TcpFlags::ACK) || self.unwrap_ack(seg.ack) == 0 {
+                    return p;
                 }
+                self.snd_una = self.snd_una.max(1);
+                self.state = State::Established;
+                self.rto_deadline = None;
+                self.rto_backoff = 0;
+                self.rto_retries = 0;
+                p.connected = true;
+                // Fall through: the ACK may carry data.
             }
             _ => {}
         }
 
         // --- ACK processing. ---
         if seg.flags.contains(TcpFlags::ACK) {
-            out.merge(self.process_ack(seg, now));
+            self.process_ack(seg, now, out);
         }
 
         // --- Payload / FIN reception. ---
         if seg.seq_space() > 0 || seg.payload_len > 0 || seg.flags.contains(TcpFlags::FIN) {
-            out.merge(self.process_data(seg, now));
+            p.delivered = self.process_data(seg, now, out);
         }
 
-        out.merge(self.pump(now));
-        out
+        self.pump(now, out);
+        // It was open on entry, so a closed state was reached by this call.
+        p.closed = self.is_closed();
+        p
     }
 
-    fn process_ack(&mut self, seg: &TcpSegment, now: Time) -> Output {
-        let mut out = Output::default();
+    /// [`Connection::on_segment_into`] with a fresh buffer.
+    pub fn on_segment(&mut self, seg: &TcpSegment, now: Time) -> Output {
+        Output::collect(|out| self.on_segment_into(seg, now, out))
+    }
+
+    fn process_ack(&mut self, seg: &TcpSegment, now: Time, out: &mut Vec<TcpSegment>) {
         let ack_off = self.unwrap_ack(seg.ack);
         if ack_off > self.snd_nxt {
             // Acks something we never sent; ignore.
-            return out;
+            return;
         }
         if ack_off > self.snd_una {
             let newly = ack_off - self.snd_una;
@@ -434,7 +504,7 @@ impl Connection {
                     self.cwnd = self.ssthresh;
                 } else {
                     // Partial ACK (NewReno): retransmit the next hole.
-                    out.merge(self.retransmit_una(now));
+                    self.retransmit_una(out);
                     self.cwnd = self.cwnd.saturating_sub(newly) + u64::from(self.cfg.mss);
                 }
             } else if self.cwnd < self.ssthresh {
@@ -448,14 +518,7 @@ impl Connection {
             if self.fin_sent() && self.snd_una == self.fin_off() + 1 {
                 match self.state {
                     State::FinWait1 => self.state = State::FinWait2,
-                    State::Closing => {
-                        self.state = State::Closed;
-                        out.closed = true;
-                    }
-                    State::LastAck => {
-                        self.state = State::Closed;
-                        out.closed = true;
-                    }
+                    State::Closing | State::LastAck => self.state = State::Closed,
                     _ => {}
                 }
             }
@@ -482,18 +545,17 @@ impl Connection {
                 self.recover = Some(self.snd_nxt);
                 self.cwnd = self.ssthresh + 3 * u64::from(self.cfg.mss);
                 self.rtt_probe = None;
-                out.merge(self.retransmit_una(now));
+                self.retransmit_una(out);
                 self.arm_rto(now);
             } else if self.dupacks > 3 {
                 // Window inflation during recovery.
                 self.cwnd += u64::from(self.cfg.mss);
             }
         }
-        out
     }
 
-    fn process_data(&mut self, seg: &TcpSegment, now: Time) -> Output {
-        let mut out = Output::default();
+    /// Returns the payload bytes newly delivered in order.
+    fn process_data(&mut self, seg: &TcpSegment, now: Time, out: &mut Vec<TcpSegment>) -> u64 {
         let start = self.unwrap_seq(seg.seq);
         let space = u64::from(seg.seq_space())
             - u64::from(seg.flags.contains(TcpFlags::SYN)) // SYN slot already consumed pre-establishment
@@ -504,44 +566,32 @@ impl Connection {
         }
         if end <= self.rcv_nxt {
             // Complete duplicate: re-ACK immediately.
-            out.segments.push(self.make_ack());
+            out.push(self.make_ack());
             self.unacked_segs = 0;
             self.delack_deadline = None;
-            return out;
+            return 0;
         }
         if start > self.rcv_nxt {
             // Out of order: buffer the range, send an immediate dup-ACK.
             self.stats.ooo_segments += 1;
             insert_range(&mut self.ooo, (start, end));
-            out.segments.push(self.make_ack());
+            out.push(self.make_ack());
             self.unacked_segs = 0;
             self.delack_deadline = None;
-            return out;
+            return 0;
         }
         // In order (possibly overlapping the left edge).
         let before = self.rcv_nxt;
         self.rcv_nxt = end;
-        // Absorb any now-contiguous buffered ranges.
-        loop {
-            let mut advanced = false;
-            self.ooo.retain(|&(s, e)| {
-                if s <= self.rcv_nxt {
-                    if e > self.rcv_nxt {
-                        self.rcv_nxt = e;
-                    }
-                    advanced = true;
-                    false
-                } else {
-                    true
-                }
-            });
-            if !advanced {
-                break;
-            }
+        // Absorb the now-contiguous buffered ranges: a sorted prefix.
+        let mut absorbed = 0;
+        while let Some(&(_, e)) = self.ooo.get(absorbed).filter(|r| r.0 <= self.rcv_nxt) {
+            self.rcv_nxt = self.rcv_nxt.max(e);
+            absorbed += 1;
         }
+        self.ooo.drain(..absorbed);
         let delivered = payload_within_recv(before, self.rcv_nxt, self.peer_fin);
         self.stats.bytes_delivered += delivered;
-        out.delivered = delivered;
 
         // Did we consume the peer's FIN?
         let fin_consumed = self.peer_fin.is_some_and(|f| self.rcv_nxt > f);
@@ -552,17 +602,14 @@ impl Connection {
                     // Simultaneous close; our FIN not yet acked.
                     self.state = State::Closing;
                 }
-                State::FinWait2 => {
-                    self.state = State::Closed;
-                    out.closed = true;
-                }
+                State::FinWait2 => self.state = State::Closed,
                 _ => {}
             }
             // FIN is always acked immediately.
-            out.segments.push(self.make_ack());
+            out.push(self.make_ack());
             self.unacked_segs = 0;
             self.delack_deadline = None;
-            return out;
+            return delivered;
         }
 
         // Delayed-ACK policy: ACK every second segment, else arm the timer.
@@ -570,18 +617,17 @@ impl Connection {
         if self.unacked_segs >= 2 {
             self.unacked_segs = 0;
             self.delack_deadline = None;
-            out.segments.push(self.make_ack());
+            out.push(self.make_ack());
         } else if self.delack_deadline.is_none() {
             self.delack_deadline = Some(now + self.cfg.delack);
         }
-        out
+        delivered
     }
 
     /// Transmits whatever the window allows (new data, then FIN).
-    fn pump(&mut self, now: Time) -> Output {
-        let mut out = Output::default();
+    fn pump(&mut self, now: Time, out: &mut Vec<TcpSegment>) {
         if !self.is_established() && self.state != State::Closing && self.state != State::LastAck {
-            return out;
+            return;
         }
         let mss = u64::from(self.cfg.mss);
         let wnd = self.cwnd.min(self.peer_window.max(mss));
@@ -602,7 +648,7 @@ impl Connection {
                 if self.rtt_probe.is_none() {
                     self.rtt_probe = Some((self.snd_nxt, now));
                 }
-                out.segments.push(seg);
+                out.push(seg);
                 sent_any = true;
                 continue;
             }
@@ -615,7 +661,7 @@ impl Connection {
                     State::CloseWait => self.state = State::LastAck,
                     _ => {}
                 }
-                out.segments.push(seg);
+                out.push(seg);
                 sent_any = true;
             }
             break;
@@ -623,12 +669,10 @@ impl Connection {
         if sent_any && self.rto_deadline.is_none() {
             self.arm_rto(now);
         }
-        out
     }
 
     /// Retransmits one segment starting at `snd_una`.
-    fn retransmit_una(&mut self, _now: Time) -> Output {
-        let mut out = Output::default();
+    fn retransmit_una(&mut self, out: &mut Vec<TcpSegment>) {
         self.stats.retransmits += 1;
         self.rtt_probe = None; // Karn's algorithm
         let mss = u64::from(self.cfg.mss);
@@ -649,8 +693,7 @@ impl Connection {
                 self.make_segment(una, TcpFlags::ACK, len as u32)
             }
         };
-        out.segments.push(seg);
-        out
+        out.push(seg);
     }
 
     fn fin_off(&self) -> u64 {
@@ -742,18 +785,20 @@ fn payload_within_recv(from: u64, to: u64, fin: Option<u64>) -> u64 {
     hi.saturating_sub(lo)
 }
 
-/// Inserts a range into a sorted disjoint range set, merging overlaps.
+/// Inserts a range into a sorted range set whose members neither overlap
+/// nor touch, merging it with every member it overlaps or touches, in
+/// place.
 fn insert_range(set: &mut Vec<(u64, u64)>, (s, e): (u64, u64)) {
-    set.push((s, e));
-    set.sort_unstable();
-    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(set.len());
-    for &(s, e) in set.iter() {
-        match merged.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => merged.push((s, e)),
-        }
+    // Members `lo..hi` are the ones with end >= s and start <= e: a
+    // contiguous run, since both starts and ends ascend.
+    let lo = set.partition_point(|&(_, end)| end < s);
+    let hi = lo + set[lo..].partition_point(|&(start, _)| start <= e);
+    if lo == hi {
+        set.insert(lo, (s, e));
+    } else {
+        set[lo] = (set[lo].0.min(s), set[hi - 1].1.max(e));
+        set.drain(lo + 1..hi);
     }
-    *set = merged;
 }
 
 #[cfg(test)]
@@ -1036,6 +1081,37 @@ mod tests {
         assert_eq!(set, vec![(10, 40), (50, 60)]);
         insert_range(&mut set, (40, 50));
         assert_eq!(set, vec![(10, 60)]);
+    }
+
+    /// The implementation `insert_range` replaced: append, sort, and merge
+    /// into a fresh `Vec`.
+    fn insert_range_by_sorting(set: &mut Vec<(u64, u64)>, (s, e): (u64, u64)) {
+        set.push((s, e));
+        set.sort_unstable();
+        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(set.len());
+        for &(s, e) in set.iter() {
+            match merged.last_mut() {
+                Some(last) if s <= last.1 => last.1 = last.1.max(e),
+                _ => merged.push((s, e)),
+            }
+        }
+        *set = merged;
+    }
+
+    #[test]
+    fn range_insertion_matches_the_sorting_implementation() {
+        for seed in 0..500 {
+            let mut rng = mts_sim::DetRng::new(seed);
+            let (mut in_place, mut sorted) = (Vec::new(), Vec::new());
+            for _ in 0..60 {
+                // Empty ranges too: a bare SYN in sequence space is one.
+                let s = rng.below(400);
+                let range = (s, s + rng.below(120));
+                insert_range(&mut in_place, range);
+                insert_range_by_sorting(&mut sorted, range);
+                assert_eq!(in_place, sorted, "seed {seed}, inserting {range:?}");
+            }
+        }
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! iperf transfers survive 32-bit sequence wraparound.
 //!
 //! The stack is deliberately runtime-agnostic: every method takes `now` and
-//! returns segments to emit; `mts-core` wires it to the event engine.
+//! appends the segments to emit to a caller-owned buffer; `mts-core` wires
+//! it to the event engine.
 
 pub mod config;
 pub mod conn;
 
 pub use config::TcpConfig;
-pub use conn::{ConnStats, Connection, Output, State};
+pub use conn::{ConnStats, Connection, Output, Progress, State};
