@@ -1,6 +1,6 @@
 //! Golden-replay determinism tests: re-running the quick SLO and faults
-//! panels and the quick TCP workloads must reproduce the committed CSVs
-//! byte for byte.
+//! panels, the quick TCP workloads and the verifier's reports must
+//! reproduce the committed files byte for byte.
 //!
 //! The panels are pure functions of (spec, seed): no wall clock, no host
 //! state, no iteration-order dependence may leak into their output. These
@@ -14,17 +14,22 @@
 //! MTS_BLESS=1 cargo test -p mts-bench --test golden_replay
 //! ```
 
+use std::fmt::Write;
 use std::fs;
 use std::path::PathBuf;
 
 use mts_bench::figures::fig6_csv;
 use mts_bench::slo;
+use mts_core::controller::Controller;
+use mts_core::overlay::{install_overlay_rules, OverlayConfig};
+use mts_core::runtime::{RuntimeCfg, World};
 use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts_core::workloads::{run_workload, Workload, WorkloadOpts};
-use mts_faults::{blast_radius_panel, experiment, FaultOpts};
+use mts_faults::{blast_radius_panel, experiment, run_traced, FaultCase, FaultOpts};
 use mts_host::ResourceMode;
+use mts_isocheck::{IncrementalChecker, Misconfig};
 use mts_sim::{Dur, Time};
-use mts_vswitch::DatapathKind;
+use mts_vswitch::{Action, DatapathKind, FlowMatch, FlowRule};
 
 fn golden_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; the workspace root is two up.
@@ -152,4 +157,115 @@ fn tcp_workloads_replay_byte_identical() {
         }
     }
     check_or_bless("tcp_workloads.quick.csv", &csv);
+}
+
+/// The verifier's reports, gated where `repro verify` is not: that target
+/// holds the incremental checker to the from-scratch one, and both run the
+/// same cube algebra, so a change to it moves both sides together. Pinned
+/// here: every shipped report, every seeded misconfiguration's report with
+/// its witnesses, the model notes of the Baseline reports and of an overlay
+/// deployment, the Baseline-vs-hardened diffs, and the incremental verdict
+/// after every delta of `verify-churn-l2-4`'s fault-recovery stream (its VEB
+/// flush and first static reinstall leave transient `HostReach` witnesses).
+#[test]
+fn isocheck_reports_replay_byte_identical() {
+    let mut out = String::new();
+    for r in mts_isocheck::verify_shipped().expect("shipped configurations verify") {
+        writeln!(out, "{r}").expect("write to String");
+    }
+
+    // The control `repro verify` seeds its misconfigurations into.
+    let control = DeploymentSpec::mts(
+        SecurityLevel::Level1,
+        DatapathKind::Kernel,
+        ResourceMode::Shared,
+        Scenario::P2v,
+    );
+    for mc in Misconfig::ALL {
+        let mut d = Controller::deploy(control).expect("control deploys");
+        let what = mc.seed(&mut d).expect("misconfiguration seeds");
+        let r = mts_isocheck::verify(&d).expect("seeded deployment verifies");
+        writeln!(out, "-- seeded {}: {what}\n{r}", mc.label()).expect("write to String");
+    }
+
+    for scenario in Scenario::ALL {
+        let base = DeploymentSpec::mts(
+            SecurityLevel::Baseline,
+            DatapathKind::Kernel,
+            ResourceMode::Shared,
+            scenario,
+        );
+        let r = mts_isocheck::verify_spec(base).expect("baseline verifies");
+        writeln!(out, "{r}").expect("write to String");
+    }
+    // VXLAN and NORMAL notes, from several vswitches: `repro overlay`'s
+    // rules on four compartments, plus a fat-fingered NORMAL rule.
+    let overlay = DeploymentSpec::mts(
+        SecurityLevel::Level2 { compartments: 4 },
+        DatapathKind::Kernel,
+        ResourceMode::Isolated,
+        Scenario::P2v,
+    );
+    let mut d = Controller::build(overlay, 2).expect("overlay deploys");
+    install_overlay_rules(&mut d, OverlayConfig::default()).expect("overlay rules install");
+    d.vswitches[2]
+        .sw
+        .install(0, FlowRule::new(1, FlowMatch::any(), vec![Action::Normal]))
+        .expect("NORMAL rule installs");
+    let r = mts_isocheck::verify(&d).expect("overlay verifies");
+    writeln!(out, "{r}").expect("write to String");
+
+    for spec in mts_isocheck::shipped_matrix() {
+        let base = DeploymentSpec::mts(
+            SecurityLevel::Baseline,
+            spec.datapath,
+            spec.resource_mode,
+            spec.scenario,
+        );
+        let base = Controller::deploy(base).expect("baseline deploys");
+        let hard = Controller::deploy(spec).expect("hardened deploys");
+        let diff = mts_isocheck::diff_levels(&base, &hard).expect("levels diff");
+        writeln!(out, "{diff}").expect("write to String");
+    }
+
+    // `benchmark/`'s verify-churn-l2-4 stream and world.
+    let spec = DeploymentSpec::mts(
+        SecurityLevel::Level2 { compartments: 4 },
+        DatapathKind::Kernel,
+        ResourceMode::Isolated,
+        Scenario::P2v,
+    );
+    let opts = FaultOpts {
+        rate_pps: 50_000.0,
+        seed: 1,
+        ..FaultOpts::default()
+    };
+    let mut deltas = Vec::new();
+    for case in [
+        FaultCase::CrashLoop,
+        FaultCase::WipeFlows,
+        FaultCase::LoseRules,
+        FaultCase::FlushVeb,
+        FaultCase::Crash,
+    ] {
+        let mut w = run_traced(spec, case, opts).expect("fault run deploys");
+        deltas.extend(w.deltas.drain().into_iter().map(|(_, d)| d));
+    }
+    let mut cfg = RuntimeCfg::for_spec(&spec);
+    cfg.offered_pps = opts.rate_pps;
+    let world = World::new(Controller::deploy(spec).expect("deploys"), cfg, 11);
+    let mut checker = IncrementalChecker::of_world(&world).expect("checker builds");
+    let first = checker.report().expect("verdict");
+    writeln!(
+        out,
+        "-- verify-churn-l2-4: {} deltas\n{first}",
+        deltas.len()
+    )
+    .expect("write to String");
+    for (i, d) in deltas.iter().enumerate() {
+        checker.apply(d);
+        let r = checker.report().expect("verdict");
+        writeln!(out, "-- delta {i}: {d}\n{r}").expect("write to String");
+    }
+    check_or_bless("isocheck.quick.txt", &out);
 }
