@@ -60,6 +60,10 @@ pub use billing::{bill, billing_accuracy, BillingAccuracy, BillingReport, Tenant
 pub use controller::Controller;
 pub use delta::{ConfigDelta, DeltaLog};
 pub use meters::{Attribution, CycleMeters, Layer};
+/// The simulator's deterministic hash maps, for crates that reach
+/// `mts-sim` only through this one: `benchmark/Cargo.lock` pins every
+/// crate's dependency list, so `mts-isocheck` cannot name `mts-sim` itself.
+pub use mts_sim::hash::{FastHashMap, FastHashSet};
 pub use overlay::OverlayConfig;
 pub use perfiso::{noisy_matrix, NoisyOpts, SloCell};
 pub use reconcile::{reconcile, DesiredConfig, ReconcileReport};

@@ -24,8 +24,8 @@
 //! are the same *connectivity* fact, and only connectivity is compared
 //! here. Mediation policy is the per-deployment verifier's job.
 
-use crate::engine::{fixed_point, fixed_point_seeded, Loc, Reach, Source};
-use crate::header::{DomainOverflow, HeaderSet};
+use crate::engine::{fixed_point, seeds, Loc, Reach, Scratch, Source};
+use crate::header::DomainOverflow;
 use crate::model::{Collector, Model};
 use mts_core::controller::{Deployment, PortAttach};
 use std::collections::BTreeMap;
@@ -152,31 +152,41 @@ impl fmt::Display for LevelDiff {
 pub fn reach_pairs(m: &Model) -> BTreeMap<(Endpoint, Endpoint), bool> {
     let mut out = BTreeMap::new();
     let mut col = Collector::default();
+    let mut reach = Reach::new();
+    let mut sc = Scratch::default();
     for ti in &m.tenants {
-        let reach = if !m.compartmentalized {
-            let mut seed_list = Vec::new();
-            for (i, vs) in m.vswitches.iter().enumerate() {
-                for (port, a) in &vs.attach {
-                    if matches!(a, PortAttach::Vhost(t, _) if *t == ti.index) {
-                        seed_list.push((
+        if m.compartmentalized {
+            let seed_list = seeds(m, Source::Tenant(ti.index));
+            fixed_point(m, seed_list, &mut col, &mut reach, &mut sc);
+        } else {
+            let full = m.dom.full_cube();
+            let seed_list = m.vswitches.iter().enumerate().flat_map(|(i, vs)| {
+                vs.attach
+                    .iter()
+                    .filter(|(_, a)| matches!(a, PortAttach::Vhost(t, _) if *t == ti.index))
+                    .map(move |(port, _)| {
+                        (
                             Loc::VsIn {
                                 inst: i,
                                 port: *port,
                             },
-                            HeaderSet::from_cube(m.dom.full_cube()),
-                        ));
-                    }
-                }
-            }
-            fixed_point_seeded(m, seed_list, &mut col)
-        } else {
-            fixed_point(m, Source::Tenant(ti.index), &mut col)
-        };
+                            full,
+                        )
+                    })
+            });
+            fixed_point(m, seed_list, &mut col, &mut reach, &mut sc);
+        }
         collect_pairs(Endpoint::Tenant(ti.index), &reach, &mut out);
     }
     for p in 0..m.pfs.len() {
         let pf = u8::try_from(p).unwrap_or(u8::MAX);
-        let reach = fixed_point(m, Source::External(pf), &mut col);
+        fixed_point(
+            m,
+            seeds(m, Source::External(pf)),
+            &mut col,
+            &mut reach,
+            &mut sc,
+        );
         collect_pairs(Endpoint::Wire, &reach, &mut out);
     }
     out

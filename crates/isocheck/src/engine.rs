@@ -10,15 +10,19 @@
 //! replayed through the same transfer functions to reproduce the offending
 //! path hop by hop.
 
-use crate::header::{Cube, HeaderSet};
-use crate::model::{nic_transfer, vswitch_transfer, Collector, Model, NPort, VfRole};
+use crate::header::{Cube, HeaderSet, SortedSet};
+use crate::model::{
+    admit, nic_transfer, vswitch_transfer, Collector, Model, NPort, PortSets, TransferScratch,
+    VfRole,
+};
 use crate::report::{Stats, VerifyReport, Violation, ViolationKind, Warning, WarningKind, Witness};
 use mts_core::controller::PortAttach;
+use mts_core::{FastHashMap, FastHashSet};
 use mts_nic::{FilterAction, PortClass};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// A place a symbolic frame can be.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Loc {
     /// Entering PF `pf`'s VEB from `port`.
     NicIn {
@@ -81,38 +85,39 @@ impl Source {
     }
 }
 
-/// Per-location reach sets, keyed by `(location, mediated)`.
+/// Per-location reach sets, keyed by `(location, mediated)`. A recomputed
+/// source clears its sets in place rather than removing entries, so an
+/// entry whose set is empty counts as absent.
 pub(crate) type Reach = BTreeMap<(Loc, bool), HeaderSet>;
 
-pub(crate) fn seeds(m: &Model, source: Source) -> Vec<(Loc, HeaderSet)> {
-    match source {
-        Source::Tenant(t) => m
-            .tenants
-            .iter()
-            .filter(|ti| ti.index == t)
-            .flat_map(|ti| ti.vfs.iter())
-            .map(|(pf, vf, _)| {
-                (
-                    Loc::NicIn {
-                        pf: *pf,
-                        port: NPort::Vf(*vf),
-                    },
-                    HeaderSet::from_cube(m.dom.full_cube()),
-                )
-            })
-            .collect(),
-        Source::External(pf) => {
-            let mut c = m.dom.full_cube();
-            c.vlan = 1; // untagged only (fabric-trust assumption)
-            vec![(
-                Loc::NicIn {
-                    pf,
-                    port: NPort::Wire,
-                },
-                HeaderSet::from_cube(c),
-            )]
-        }
-    }
+/// Where a source injects: one cube per seed location.
+pub(crate) fn seeds(m: &Model, source: Source) -> impl Iterator<Item = (Loc, Cube)> + '_ {
+    let (tenant, wire) = match source {
+        Source::Tenant(t) => (Some(t), None),
+        Source::External(pf) => (None, Some(pf)),
+    };
+    let full = m.dom.full_cube();
+    let vfs = m
+        .tenants
+        .iter()
+        .filter(move |ti| Some(ti.index) == tenant)
+        .flat_map(|ti| ti.vfs.iter())
+        .map(move |(pf, vf, _)| {
+            let loc = Loc::NicIn {
+                pf: *pf,
+                port: NPort::Vf(*vf),
+            };
+            (loc, full)
+        });
+    // The wire injects untagged only (fabric-trust assumption).
+    let wire = wire.map(|pf| {
+        let loc = Loc::NicIn {
+            pf,
+            port: NPort::Wire,
+        };
+        (loc, Cube { vlan: 1, ..full })
+    });
+    vfs.chain(wire)
 }
 
 /// Where a NIC delivery lands in the location graph.
@@ -188,96 +193,149 @@ fn route_vs(m: &Model, inst: usize, port: u32) -> Option<(Loc, bool)> {
     }
 }
 
-fn successors(
-    m: &Model,
-    loc: Loc,
-    mediated: bool,
-    hs: &HeaderSet,
-    col: &mut Collector,
-) -> Vec<(Loc, bool, HeaderSet)> {
-    let mut out = Vec::new();
-    match loc {
-        Loc::NicIn { pf, port } => {
-            for (dst, set) in nic_transfer(m, pf, port, hs, col) {
-                if let Some((loc2, med2)) = route_nic(m, pf, dst, mediated) {
-                    out.push((loc2, med2, set));
-                }
-            }
-        }
-        Loc::VsIn { inst, port } => {
-            for (p, set) in vswitch_transfer(m, inst, port, hs, col) {
-                if let Some((loc2, med2)) = route_vs(m, inst, p) {
-                    out.push((loc2, med2, set));
-                }
-            }
-        }
-        // Terminal locations.
-        Loc::TenantRx { .. } | Loc::HostRx { .. } | Loc::WireTx { .. } | Loc::VhostRx { .. } => {}
-    }
-    out
+/// One hop's buffers: the transfer temporaries and both output lists.
+#[derive(Default)]
+struct Hop {
+    t: TransferScratch,
+    nic: PortSets<NPort>,
+    vs: PortSets<u32>,
 }
 
-/// Computes the per-location reach sets for one source to fixed point.
-pub(crate) fn fixed_point(m: &Model, source: Source, col: &mut Collector) -> Reach {
-    fixed_point_seeded(m, seeds(m, source), col)
+impl Hop {
+    /// Pushes `hs` through the element at `loc`, calling `emit` with every
+    /// successor location and the set reaching it, in port order.
+    fn successors(
+        &mut self,
+        m: &Model,
+        loc: Loc,
+        mediated: bool,
+        hs: &HeaderSet,
+        col: &mut Collector,
+        mut emit: impl FnMut(Loc, bool, &HeaderSet),
+    ) {
+        match loc {
+            Loc::NicIn { pf, port } => {
+                nic_transfer(m, pf, port, hs, col, &mut self.t, &mut self.nic);
+                for (dst, set) in self.nic.iter() {
+                    if let Some((loc2, med2)) = route_nic(m, pf, dst, mediated) {
+                        emit(loc2, med2, set);
+                    }
+                }
+            }
+            Loc::VsIn { inst, port } => {
+                vswitch_transfer(m, inst, port, hs, col, &mut self.t, &mut self.vs);
+                for (p, set) in self.vs.iter() {
+                    if let Some((loc2, med2)) = route_vs(m, inst, p) {
+                        emit(loc2, med2, set);
+                    }
+                }
+            }
+            // Terminal locations.
+            Loc::TenantRx { .. }
+            | Loc::HostRx { .. }
+            | Loc::WireTx { .. }
+            | Loc::VhostRx { .. } => {}
+        }
+    }
 }
 
-/// [`fixed_point`] from an explicit seed list (used by the cross-level
-/// differ, which seeds Baseline tenants at their vhost-attached vswitch
-/// ports instead of at VFs).
-pub(crate) fn fixed_point_seeded(
+/// The buffers the analysis reuses: across sources within one analysis,
+/// and — owned by the incremental checker — across deltas. Everything
+/// starts empty and grows to the largest use; nothing in it outlives the
+/// call that filled it.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    hop: Hop,
+    /// Fixed-point work queue. A popped item's set goes back to `spare`.
+    queue: VecDeque<(Loc, bool, HeaderSet)>,
+    /// Empty sets recycled through `queue`.
+    spare: Vec<HeaderSet>,
+    splinters: Vec<Cube>,
+    /// A single-cube class, for the witness search's steps and the
+    /// envelope check.
+    one: HeaderSet,
+    bfs: Bfs,
+    /// The witness search's abstract chain, seed first.
+    chain: Vec<Node>,
+    /// Coverage nobody reads (the witness search's), then the merged
+    /// coverage of every source while a report is assembled.
+    col: Collector,
+    /// Distinct locations reached, while a report is assembled.
+    locs: SortedSet<Loc>,
+    /// The allow filters admitting a tenant VF's traffic (envelope check).
+    admitting: Vec<usize>,
+}
+
+/// Computes the per-location reach sets of one source to fixed point,
+/// refilling `reach` in place. `seeds` are the source's injection points
+/// (the cross-level differ seeds Baseline tenants at their vhost-attached
+/// vswitch ports instead of at VFs).
+pub(crate) fn fixed_point(
     m: &Model,
-    seed_list: Vec<(Loc, HeaderSet)>,
+    seeds: impl IntoIterator<Item = (Loc, Cube)>,
     col: &mut Collector,
-) -> Reach {
-    let mut reach: Reach = BTreeMap::new();
-    let mut work: VecDeque<(Loc, bool, HeaderSet)> = VecDeque::new();
-    for (loc, hs) in seed_list {
-        reach.entry((loc, false)).or_default().union(&hs);
-        work.push_back((loc, false, hs));
+    reach: &mut Reach,
+    sc: &mut Scratch,
+) {
+    for set in reach.values_mut() {
+        set.clear();
     }
-    while let Some((loc, med, delta)) = work.pop_front() {
-        for (loc2, med2, hs2) in successors(m, loc, med, &delta, col) {
+    let Scratch {
+        hop,
+        queue,
+        spare,
+        splinters,
+        ..
+    } = sc;
+    for (loc, c) in seeds {
+        reach.entry((loc, false)).or_default().insert(c);
+        let mut hs = spare.pop().unwrap_or_default();
+        hs.insert(c);
+        queue.push_back((loc, false, hs));
+    }
+    while let Some((loc, med, mut delta)) = queue.pop_front() {
+        hop.successors(m, loc, med, &delta, col, |loc2, med2, hs2| {
             let entry = reach.entry((loc2, med2)).or_default();
-            let new = hs2.minus(entry);
-            if !new.is_empty() {
+            let mut new = spare.pop().unwrap_or_default();
+            hs2.minus_into(entry, &mut new, splinters);
+            if new.is_empty() {
+                spare.push(new);
+            } else {
                 entry.union(&new);
-                work.push_back((loc2, med2, new));
+                queue.push_back((loc2, med2, new));
             }
-        }
+        });
+        delta.clear();
+        spare.push(delta);
     }
-    reach
 }
 
 // ---------------------------------------------------------------------------
 // Verdicts
 
 struct TenantView {
+    source: Source,
     mac_mask: u128,
     own_vlan_mask: u32,
-    seed_locs: BTreeSet<Loc>,
 }
 
-fn tenant_view(m: &Model, t: u8) -> TenantView {
+fn tenant_view(m: &Model, source: Source) -> TenantView {
     let mut mac_mask = 0u128;
     let mut own_vlan_mask = 0u32;
-    let mut seed_locs = BTreeSet::new();
-    for ti in m.tenants.iter().filter(|ti| ti.index == t) {
-        for (pf, vf, mac) in &ti.vfs {
-            mac_mask |= m.dom.mac_bit(*mac);
-            seed_locs.insert(Loc::NicIn {
-                pf: *pf,
-                port: NPort::Vf(*vf),
-            });
-            if let Some(v) = m.pfs[*pf as usize].vfs.get(vf).and_then(|c| c.vlan) {
-                own_vlan_mask |= m.dom.vlan_bit(v);
+    if let Source::Tenant(t) = source {
+        for ti in m.tenants.iter().filter(|ti| ti.index == t) {
+            for (pf, vf, mac) in &ti.vfs {
+                mac_mask |= m.dom.mac_bit(*mac);
+                if let Some(v) = m.pfs[*pf as usize].vfs.get(vf).and_then(|c| c.vlan) {
+                    own_vlan_mask |= m.dom.vlan_bit(v);
+                }
             }
         }
     }
     TenantView {
+        source,
         mac_mask,
         own_vlan_mask,
-        seed_locs,
     }
 }
 
@@ -337,7 +395,7 @@ fn goal_cube(
             _ => None,
         },
         ViolationKind::SpoofableSource { .. } => {
-            if mediated || view.seed_locs.contains(loc) {
+            if mediated || seeds(m, view.source).any(|(seed, _)| seed == *loc) {
                 return None;
             }
             let c = Cube {
@@ -354,51 +412,59 @@ fn goal_cube(
     }
 }
 
-fn violations_for(m: &Model, source: Source, reach: &Reach) -> Vec<Violation> {
-    let mut kinds: Vec<ViolationKind> = Vec::new();
-    let view = match source {
-        Source::Tenant(t) => tenant_view(m, t),
-        Source::External(_) => TenantView {
-            mac_mask: 0,
-            own_vlan_mask: 0,
-            seed_locs: BTreeSet::new(),
-        },
+/// The violation kinds a source is checked for: a tenant against every
+/// other tenant and for its own mediation, the wire for ingress to every
+/// tenant.
+fn candidate_kinds(m: &Model, source: Source) -> impl Iterator<Item = ViolationKind> + '_ {
+    let (tenant, wire) = match source {
+        Source::Tenant(t) => (Some(t), false),
+        Source::External(_) => (None, true),
     };
+    let cross = m.tenants.iter().filter_map(move |ti| match tenant {
+        Some(t) if ti.index != t => Some(ViolationKind::CrossTenantReach {
+            attacker: t,
+            victim: ti.index,
+        }),
+        _ => None,
+    });
+    let own = tenant.into_iter().flat_map(|t| {
+        [
+            ViolationKind::UnmediatedPeerReach { tenant: t },
+            ViolationKind::UnmediatedEgress { tenant: t },
+            ViolationKind::HostReach { tenant: t },
+            ViolationKind::SpoofableSource { tenant: t },
+        ]
+    });
+    let ingress = m
+        .tenants
+        .iter()
+        .filter(move |_| wire)
+        .map(|ti| ViolationKind::UnmediatedIngress { tenant: ti.index });
+    cross.chain(own).chain(ingress)
+}
 
-    // Enumerate candidate kinds for this source.
-    match source {
-        Source::Tenant(t) => {
-            for ti in &m.tenants {
-                if ti.index != t {
-                    kinds.push(ViolationKind::CrossTenantReach {
-                        attacker: t,
-                        victim: ti.index,
-                    });
-                }
-            }
-            kinds.push(ViolationKind::UnmediatedPeerReach { tenant: t });
-            kinds.push(ViolationKind::UnmediatedEgress { tenant: t });
-            kinds.push(ViolationKind::HostReach { tenant: t });
-            kinds.push(ViolationKind::SpoofableSource { tenant: t });
-        }
-        Source::External(_) => {
-            for ti in &m.tenants {
-                kinds.push(ViolationKind::UnmediatedIngress { tenant: ti.index });
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    for kind in kinds {
+/// Appends the violations a source's reach shows, each with its witness.
+fn violations_for(
+    m: &Model,
+    source: Source,
+    reach: &Reach,
+    sc: &mut Scratch,
+    out: &mut Vec<Violation>,
+) {
+    let view = tenant_view(m, source);
+    for kind in candidate_kinds(m, source) {
         let hit = reach.iter().any(|((loc, med), hs)| {
             hs.cubes()
                 .iter()
                 .any(|c| goal_cube(m, &view, &kind, loc, *med, c).is_some())
         });
         if hit {
-            let witness = find_witness(m, source, |loc, med, c| {
-                goal_cube(m, &view, &kind, loc, med, c)
-            });
+            let witness = find_witness(
+                m,
+                source,
+                |loc, med, c| goal_cube(m, &view, &kind, loc, med, c),
+                sc,
+            );
             out.push(Violation {
                 kind,
                 source: source.label(),
@@ -406,64 +472,37 @@ fn violations_for(m: &Model, source: Source, reach: &Reach) -> Vec<Violation> {
             });
         }
     }
-    out
 }
 
 /// The local policy-envelope check: a tenant VF's VEB-admitted traffic must
 /// stay within "my gateway(s) or broadcast/multicast". Anything broader
 /// means tenant frames enter the switching fabric that the vswitch never
 /// mediates — a complete-mediation breach even when VLAN confinement still
-/// contains it.
-fn envelope_breaches(m: &Model) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let mut flagged: BTreeSet<u8> = BTreeSet::new();
+/// contains it. Appends at most one breach per tenant.
+fn envelope_breaches(m: &Model, sc: &mut Scratch, out: &mut Vec<Violation>) {
+    let Scratch {
+        hop,
+        one,
+        admitting,
+        ..
+    } = sc;
     for ti in &m.tenants {
         for (pf, vf, _) in &ti.vfs {
-            if flagged.contains(&ti.index) {
-                break;
-            }
             let model = &m.pfs[*pf as usize];
             let Some(cfg) = model.vfs.get(vf) else {
                 continue;
             };
             // Admission policy of nic_transfer up to (not including)
             // forwarding: spoof check, VST, then the security filters.
-            let mut cur = HeaderSet::from_cube(m.dom.full_cube());
-            if cfg.spoof_check {
-                let mut c = m.dom.full_cube();
-                c.src = m.dom.mac_bit(cfg.mac);
-                cur = cur.intersect_cube(&c);
-            }
-            if let Some(v) = cfg.vlan {
-                let mut untagged = m.dom.full_cube();
-                untagged.vlan = 1;
-                cur = cur
-                    .intersect_cube(&untagged)
-                    .rewrite(crate::header::Field::Vlan, u128::from(m.dom.vlan_bit(v)));
-            }
-            let from = NPort::Vf(*vf);
-            let mut admitted = HeaderSet::empty();
-            let mut remaining = cur;
-            let mut admitting_filter: Vec<usize> = Vec::new();
-            for (orig, rule) in &model.filters {
-                if remaining.is_empty() {
-                    break;
-                }
-                if !rule.from.matches(from.to_nic()) {
-                    continue;
-                }
-                let cube = m.filter_cube(rule);
-                let matched = remaining.intersect_cube(&cube);
-                if !matched.is_empty() {
-                    if rule.action == FilterAction::Allow {
-                        admitted.union(&matched);
-                        admitting_filter.push(*orig);
+            one.clear();
+            one.insert(m.dom.full_cube());
+            admitting.clear();
+            let (admitted, by_default) =
+                admit(m, *pf, NPort::Vf(*vf), one, &mut hop.t, |orig, action| {
+                    if action == FilterAction::Allow {
+                        admitting.push(orig);
                     }
-                    remaining.subtract_cube(&cube);
-                }
-            }
-            let default_admitted = !remaining.is_empty();
-            admitted.union(&remaining);
+                });
 
             // Envelope: multicast/broadcast, plus the MACs of vswitch-owned
             // VFs in the tenant's VLAN on this PF (its gateways).
@@ -477,38 +516,158 @@ fn envelope_breaches(m: &Model) -> Vec<Violation> {
             }
             let mut excess_cube = m.dom.full_cube();
             excess_cube.dst = m.dom.mac_all() & !dst_ok;
-            let excess = admitted.intersect_cube(&excess_cube);
-            if let Some(c) = excess.cubes().first() {
-                let admitted_by = if default_admitted {
-                    "default-allow (no filter matched)".to_string()
-                } else {
-                    format!("allow filter(s) {admitting_filter:?}")
-                };
-                out.push(Violation {
-                    kind: ViolationKind::EnvelopeBreach { tenant: ti.index },
-                    source: format!("tenant {}", ti.index),
-                    witness: Some(Witness {
-                        injected: m.dom.concretize(c),
-                        observed: m.dom.concretize(c),
-                        path: vec![
-                            format!("pf{pf}:vf{vf} VEB ingress (tenant {})", ti.index),
-                            format!(
-                                "admitted past the security filters by {admitted_by}; \
-                                 destination is neither this tenant's gateway nor \
-                                 broadcast"
-                            ),
-                        ],
-                    }),
-                });
-                flagged.insert(ti.index);
-            }
+            one.clear();
+            admitted.intersect_into(&excess_cube, one);
+            let Some(c) = one.cubes().first() else {
+                continue;
+            };
+            let admitted_by = if by_default {
+                "default-allow (no filter matched)".to_string()
+            } else {
+                format!("allow filter(s) {admitting:?}")
+            };
+            out.push(Violation {
+                kind: ViolationKind::EnvelopeBreach { tenant: ti.index },
+                source: format!("tenant {}", ti.index),
+                witness: Some(Witness {
+                    injected: m.dom.concretize(c),
+                    observed: m.dom.concretize(c),
+                    path: vec![
+                        format!("pf{pf}:vf{vf} VEB ingress (tenant {})", ti.index),
+                        format!(
+                            "admitted past the security filters by {admitted_by}; \
+                             destination is neither this tenant's gateway nor \
+                             broadcast"
+                        ),
+                    ],
+                }),
+            });
+            break;
         }
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
 // Witness search
+
+/// A witness-search node: a location, the mediated flag and one cube.
+type Node = (Loc, bool, Cube);
+
+/// Breadth-first search over [`Node`]s. The maps are only looked up, never
+/// iterated, so hashing cannot reorder anything: the FIFO queue alone fixes
+/// the visiting order.
+#[derive(Default)]
+struct Bfs {
+    parent: FastHashMap<Node, Node>,
+    seen: FastHashSet<Node>,
+    queue: VecDeque<Node>,
+}
+
+impl Bfs {
+    /// Searches from `starts` until `goal` holds for a node, giving up once
+    /// more than `limit` nodes have been seen. Returns the goal node and the
+    /// violating cube `goal` returned.
+    #[allow(clippy::too_many_arguments)]
+    fn search(
+        &mut self,
+        m: &Model,
+        starts: impl IntoIterator<Item = Node>,
+        limit: usize,
+        goal: &impl Fn(&Loc, bool, &Cube) -> Option<Cube>,
+        hop: &mut Hop,
+        one: &mut HeaderSet,
+        col: &mut Collector,
+    ) -> Option<(Node, Cube)> {
+        let Bfs {
+            parent,
+            seen,
+            queue,
+        } = self;
+        parent.clear();
+        seen.clear();
+        queue.clear();
+        for n in starts {
+            if seen.insert(n) {
+                queue.push_back(n);
+            }
+        }
+        while let Some(n) = queue.pop_front() {
+            if let Some(obs) = goal(&n.0, n.1, &n.2) {
+                return Some((n, obs));
+            }
+            if seen.len() > limit {
+                return None;
+            }
+            one.clear();
+            one.insert(n.2);
+            hop.successors(m, n.0, n.1, one, col, |loc2, med2, hs2| {
+                for c in hs2.cubes() {
+                    let n2 = (loc2, med2, *c);
+                    if seen.insert(n2) {
+                        parent.insert(n2, n);
+                        queue.push_back(n2);
+                    }
+                }
+            });
+        }
+        None
+    }
+
+    /// The path from the search's start to `n`, goal first.
+    fn path_back(&self, n: Node) -> impl Iterator<Item = Node> + '_ {
+        std::iter::successors(Some(n), |x| self.parent.get(x).copied())
+    }
+}
+
+/// Up to `N` distinct candidate atoms, in the order first offered.
+struct Picks<T, const N: usize> {
+    v: [T; N],
+    n: usize,
+}
+
+impl<T: Copy + Default + PartialEq, const N: usize> Picks<T, N> {
+    fn new() -> Self {
+        Picks {
+            v: [T::default(); N],
+            n: 0,
+        }
+    }
+
+    fn offer(&mut self, x: T) {
+        if self.n < N && !self.as_slice().contains(&x) {
+            self.v[self.n] = x;
+            self.n += 1;
+        }
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.v[..self.n]
+    }
+}
+
+/// The lowest goal atom the seed can carry, then the seed's lowest atom.
+fn pick(goal_mask: u64, seed_mask: u64) -> Picks<u64, 2> {
+    let mut v = Picks::new();
+    if goal_mask & seed_mask != 0 {
+        v.offer(lowest_bit(goal_mask & seed_mask));
+    }
+    if seed_mask != 0 {
+        v.offer(lowest_bit(seed_mask));
+    }
+    v
+}
+
+/// [`pick`] over 128-bit MAC masks, leaving room for two more candidates.
+fn pick128(goal_mask: u128, seed_mask: u128) -> Picks<u128, 4> {
+    let mut v = Picks::new();
+    if goal_mask & seed_mask != 0 {
+        v.offer(lowest_bit128(goal_mask & seed_mask));
+    }
+    if seed_mask != 0 {
+        v.offer(lowest_bit128(seed_mask));
+    }
+    v
+}
 
 /// Finds a concrete witness for a goal predicate: a coarse symbolic BFS
 /// locates an abstract offending path, candidate headers are sampled from
@@ -519,101 +678,47 @@ fn find_witness(
     m: &Model,
     source: Source,
     goal: impl Fn(&Loc, bool, &Cube) -> Option<Cube>,
+    sc: &mut Scratch,
 ) -> Option<Witness> {
-    let mut scratch = Collector::default();
     // Phase A: coarse BFS with parent pointers.
-    type Node = (Loc, bool, Cube);
-    let mut parent: BTreeMap<Node, Node> = BTreeMap::new();
-    let mut queue: VecDeque<Node> = VecDeque::new();
-    let mut seen: BTreeSet<Node> = BTreeSet::new();
-    for (loc, hs) in seeds(m, source) {
-        for c in hs.cubes() {
-            let n = (loc, false, *c);
-            if seen.insert(n) {
-                queue.push_back(n);
-            }
-        }
-    }
-    let mut found: Option<(Node, Cube)> = None;
-    'bfs: while let Some(n) = queue.pop_front() {
-        if let Some(obs) = goal(&n.0, n.1, &n.2) {
-            found = Some((n, obs));
-            break 'bfs;
-        }
-        if seen.len() > 20_000 {
-            break;
-        }
-        let hs = HeaderSet::from_cube(n.2);
-        for (loc2, med2, hs2) in successors(m, n.0, n.1, &hs, &mut scratch) {
-            for c in hs2.cubes() {
-                let n2 = (loc2, med2, *c);
-                if seen.insert(n2) {
-                    parent.insert(n2, n);
-                    queue.push_back(n2);
-                }
-            }
-        }
-    }
-    let (goal_node, observed_cube) = found?;
+    let starts = seeds(m, source).map(|(loc, c)| (loc, false, c));
+    let (goal_node, observed_cube) = sc.bfs.search(
+        m,
+        starts,
+        20_000,
+        &goal,
+        &mut sc.hop,
+        &mut sc.one,
+        &mut sc.col,
+    )?;
 
     // Reconstruct the abstract chain, seed first.
-    let mut chain = vec![goal_node];
-    while let Some(p) = parent.get(chain.last()?) {
-        chain.push(*p);
-    }
-    chain.reverse();
-    let seed_node = *chain.first()?;
+    sc.chain.clear();
+    sc.chain.extend(sc.bfs.path_back(goal_node));
+    sc.chain.reverse();
+    let seed_node = *sc.chain.first()?;
 
     // Phase B: sample candidate injected headers. Fields the path never
     // rewrites keep their goal value; rewritten fields (VLAN under VST,
     // MACs under SetEth*) are tried over the atoms seen along the chain,
     // with "untagged" first for the VLAN (VST drops tagged VF frames).
     let seed_cube = seed_node.2;
-    let pick = |goal_mask: u64, seed_mask: u64| -> Vec<u64> {
-        let mut v = Vec::new();
-        if goal_mask & seed_mask != 0 {
-            v.push(lowest_bit(goal_mask & seed_mask));
-        }
-        if seed_mask != 0 {
-            let b = lowest_bit(seed_mask);
-            if !v.contains(&b) {
-                v.push(b);
-            }
-        }
-        v
-    };
-    let pick128 = |goal_mask: u128, seed_mask: u128| -> Vec<u128> {
-        let mut v = Vec::new();
-        if goal_mask & seed_mask != 0 {
-            v.push(lowest_bit128(goal_mask & seed_mask));
-        }
-        if seed_mask != 0 {
-            let b = lowest_bit128(seed_mask);
-            if !v.contains(&b) {
-                v.push(b);
-            }
-        }
-        v
-    };
-    let mut vlan_opts: Vec<u32> = Vec::new();
+    let mut vlan_opts: Picks<u32, 32> = Picks::new();
     if seed_cube.vlan & 1 != 0 {
-        vlan_opts.push(1); // untagged first: survives VST tagging
+        vlan_opts.offer(1); // untagged first: survives VST tagging
     }
-    for c in &chain {
+    for c in &sc.chain {
         let b = 1u32 << c.2.vlan.trailing_zeros().min(31);
-        if c.2.vlan != 0 && seed_cube.vlan & b != 0 && !vlan_opts.contains(&b) {
-            vlan_opts.push(b);
+        if c.2.vlan != 0 && seed_cube.vlan & b != 0 {
+            vlan_opts.offer(b);
         }
     }
     let mut dst_opts = pick128(observed_cube.dst, seed_cube.dst);
-    for c in &chain {
-        if dst_opts.len() >= 4 {
-            break;
-        }
+    for c in &sc.chain {
         if c.2.dst != 0 {
             let b = lowest_bit128(c.2.dst & seed_cube.dst);
-            if b != 0 && !dst_opts.contains(&b) {
-                dst_opts.push(b);
+            if b != 0 {
+                dst_opts.offer(b);
             }
         }
     }
@@ -622,12 +727,12 @@ fn find_witness(
     let ip_src_opts = pick(observed_cube.ip_src, seed_cube.ip_src);
     let ip_dst_opts = pick(observed_cube.ip_dst, seed_cube.ip_dst);
 
-    for vlan in &vlan_opts {
-        for dst in &dst_opts {
-            for src in &src_opts {
-                for ether in &ether_opts {
-                    for ip_src in &ip_src_opts {
-                        for ip_dst in &ip_dst_opts {
+    for vlan in vlan_opts.as_slice() {
+        for dst in dst_opts.as_slice() {
+            for src in src_opts.as_slice() {
+                for ether in ether_opts.as_slice() {
+                    for ip_src in ip_src_opts.as_slice() {
+                        for ip_dst in ip_dst_opts.as_slice() {
                             let h = Cube {
                                 src: *src,
                                 dst: *dst,
@@ -640,7 +745,7 @@ fn find_witness(
                             if h.is_empty() {
                                 continue;
                             }
-                            if let Some(w) = replay(m, seed_node.0, h, &goal) {
+                            if let Some(w) = replay(m, seed_node.0, h, &goal, sc) {
                                 return Some(w);
                             }
                         }
@@ -655,7 +760,7 @@ fn find_witness(
     Some(Witness {
         injected: m.dom.concretize(&seed_cube),
         observed: m.dom.concretize(&observed_cube),
-        path: chain.iter().map(|n| render_loc(m, &n.0, n.1)).collect(),
+        path: sc.chain.iter().map(|n| render_loc(m, &n.0, n.1)).collect(),
     })
 }
 
@@ -666,43 +771,26 @@ fn replay(
     seed_loc: Loc,
     h: Cube,
     goal: &impl Fn(&Loc, bool, &Cube) -> Option<Cube>,
+    sc: &mut Scratch,
 ) -> Option<Witness> {
-    let mut scratch = Collector::default();
-    type Node = (Loc, bool, Cube);
-    let start: Node = (seed_loc, false, h);
-    let mut parent: BTreeMap<Node, Node> = BTreeMap::new();
-    let mut queue: VecDeque<Node> = VecDeque::new();
-    let mut seen: BTreeSet<Node> = BTreeSet::new();
-    seen.insert(start);
-    queue.push_back(start);
-    while let Some(n) = queue.pop_front() {
-        if let Some(obs) = goal(&n.0, n.1, &n.2) {
-            let mut chain = vec![n];
-            while let Some(p) = parent.get(chain.last()?) {
-                chain.push(*p);
-            }
-            chain.reverse();
-            return Some(Witness {
-                injected: m.dom.concretize(&h),
-                observed: m.dom.concretize(&obs),
-                path: chain.iter().map(|x| render_loc(m, &x.0, x.1)).collect(),
-            });
-        }
-        if seen.len() > 4_000 {
-            return None;
-        }
-        let hs = HeaderSet::from_cube(n.2);
-        for (loc2, med2, hs2) in successors(m, n.0, n.1, &hs, &mut scratch) {
-            for c in hs2.cubes() {
-                let n2 = (loc2, med2, *c);
-                if seen.insert(n2) {
-                    parent.insert(n2, n);
-                    queue.push_back(n2);
-                }
-            }
-        }
-    }
-    None
+    let start = (seed_loc, false, h);
+    let (n, obs) = sc.bfs.search(
+        m,
+        [start],
+        4_000,
+        goal,
+        &mut sc.hop,
+        &mut sc.one,
+        &mut sc.col,
+    )?;
+    let mut path = Vec::with_capacity(sc.bfs.path_back(n).count());
+    path.extend(sc.bfs.path_back(n).map(|x| render_loc(m, &x.0, x.1)));
+    path.reverse();
+    Some(Witness {
+        injected: m.dom.concretize(&h),
+        observed: m.dom.concretize(&obs),
+        path,
+    })
 }
 
 fn render_loc(m: &Model, loc: &Loc, mediated: bool) -> String {
@@ -711,12 +799,10 @@ fn render_loc(m: &Model, loc: &Loc, mediated: bool) -> String {
         Loc::NicIn { pf, port } => format!("pf{pf} VEB ingress from {port}{med}"),
         Loc::VsIn { inst, port } => {
             let vs = &m.vswitches[*inst];
-            let name = vs
-                .port_names
-                .get(port)
-                .cloned()
-                .unwrap_or_else(|| format!("port{port}"));
-            format!("{} ingress at {name}{med}", vs.name)
+            match vs.port_names.get(port) {
+                Some(name) => format!("{} ingress at {name}{med}", vs.name),
+                None => format!("{} ingress at port{port}{med}", vs.name),
+            }
         }
         Loc::TenantRx { tenant, pf, vf } => {
             format!("tenant {tenant} VM rx at pf{pf}/vf{vf}{med}")
@@ -844,13 +930,26 @@ fn warnings(m: &Model, col: &Collector) -> Vec<Warning> {
         }
     }
 
-    for note in &col.notes {
+    // Model notes, in the order of their text.
+    let notes = out.len();
+    if !m.compartmentalized {
         out.push(Warning {
             kind: WarningKind::ModelNote,
-            detail: note.clone(),
+            detail: "Baseline deployment: the vswitch is co-located with the host and the NIC \
+                     enforces no tenant isolation; static verdicts do not apply (see the \
+                     dynamic attack analysis in mts-core::attacks)"
+                .to_string(),
             witness: None,
         });
     }
+    for note in col.notes.iter() {
+        out.push(Warning {
+            kind: WarningKind::ModelNote,
+            detail: note.render(m),
+            witness: None,
+        });
+    }
+    out[notes..].sort_unstable_by(|a, b| a.detail.cmp(&b.detail));
     out
 }
 
@@ -859,9 +958,9 @@ fn warnings(m: &Model, col: &Collector) -> Vec<Warning> {
 
 /// Everything the analysis derives for one source: its reach map, the
 /// coverage facts its traversal collected, and its extracted violations.
-/// Cached per source by the incremental checker and recomputed only when a
-/// configuration delta can affect the source's cone.
-#[derive(Clone)]
+/// Cached per source by the incremental checker and refilled in place only
+/// when a configuration delta can affect the source's cone.
+#[derive(Clone, Default)]
 pub(crate) struct SourceAnalysis {
     /// Per-location reach sets at fixed point.
     pub reach: Reach,
@@ -887,19 +986,14 @@ pub(crate) fn source_list(m: &Model) -> Vec<Source> {
     out
 }
 
-/// Runs one source to fixed point and extracts its violations.
-pub(crate) fn analyze_source(m: &Model, source: Source) -> SourceAnalysis {
-    let mut col = Collector::default();
-    let reach = fixed_point(m, source, &mut col);
-    let violations = if m.compartmentalized {
-        violations_for(m, source, &reach)
-    } else {
-        Vec::new()
-    };
-    SourceAnalysis {
-        reach,
-        col,
-        violations,
+/// Runs one source to fixed point and extracts its violations, refilling
+/// `st` in place.
+pub(crate) fn analyze_source(m: &Model, source: Source, st: &mut SourceAnalysis, sc: &mut Scratch) {
+    st.col.clear();
+    fixed_point(m, seeds(m, source), &mut st.col, &mut st.reach, sc);
+    st.violations.clear();
+    if m.compartmentalized {
+        violations_for(m, source, &st.reach, sc, &mut st.violations);
     }
 }
 
@@ -908,35 +1002,27 @@ pub(crate) fn analyze_source(m: &Model, source: Source) -> SourceAnalysis {
 /// and runs the dead/shadowed warning pass. Byte-identical to the
 /// monolithic pass this was factored from — collectors are write-only sets,
 /// so per-source accumulation then merge equals one shared accumulator.
-pub(crate) fn assemble(m: &Model, analyses: &[SourceAnalysis]) -> VerifyReport {
-    let mut col = Collector::default();
-    let mut violations = Vec::new();
-    let mut locations: BTreeSet<Loc> = BTreeSet::new();
-
+pub(crate) fn assemble(m: &Model, analyses: &[SourceAnalysis], sc: &mut Scratch) -> VerifyReport {
     let informational = !m.compartmentalized;
-    if informational {
-        col.notes.insert(
-            "Baseline deployment: the vswitch is co-located with the host and the NIC \
-             enforces no tenant isolation; static verdicts do not apply (see the \
-             dynamic attack analysis in mts-core::attacks)"
-                .to_string(),
-        );
-    }
-
+    let mut violations = Vec::new();
+    sc.col.clear();
+    sc.locs.clear();
     for a in analyses {
-        col.merge(&a.col);
-        for (loc, _) in a.reach.keys() {
-            locations.insert(*loc);
+        sc.col.merge(&a.col);
+        for ((loc, _), hs) in &a.reach {
+            if !hs.is_empty() {
+                sc.locs.insert(*loc);
+            }
         }
         violations.extend(a.violations.iter().cloned());
     }
     if !informational {
-        violations.extend(envelope_breaches(m));
+        envelope_breaches(m, sc, &mut violations);
     }
 
     let stats = Stats {
         sources: analyses.len(),
-        locations: locations.len(),
+        locations: sc.locs.as_slice().len(),
         mac_atoms: m.dom.macs.len(),
         vlan_atoms: m.dom.vlans.len(),
         ip_atoms: m.dom.ip_starts.len(),
@@ -952,7 +1038,7 @@ pub(crate) fn assemble(m: &Model, analyses: &[SourceAnalysis]) -> VerifyReport {
         label: m.label.clone(),
         informational,
         violations,
-        warnings: warnings(m, &col),
+        warnings: warnings(m, &sc.col),
         stats,
     }
 }
@@ -961,9 +1047,14 @@ pub(crate) fn assemble(m: &Model, analyses: &[SourceAnalysis]) -> VerifyReport {
 /// fixed point, verdict extraction with witnesses, then the dead/shadowed
 /// coverage pass.
 pub fn analyze(m: &Model) -> VerifyReport {
+    let mut sc = Scratch::default();
     let analyses: Vec<SourceAnalysis> = source_list(m)
         .into_iter()
-        .map(|s| analyze_source(m, s))
+        .map(|s| {
+            let mut st = SourceAnalysis::default();
+            analyze_source(m, s, &mut st, &mut sc);
+            st
+        })
         .collect();
-    assemble(m, &analyses)
+    assemble(m, &analyses, &mut sc)
 }

@@ -14,7 +14,7 @@
 
 use mts_net::{EtherType, MacAddr};
 use mts_vswitch::Ipv4Prefix;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -52,12 +52,76 @@ impl fmt::Display for DomainOverflow {
 impl std::error::Error for DomainOverflow {}
 
 /// Collects every field value a deployment references, then atomizes.
+///
+/// The values are kept as sorted `Vec`s (EtherTypes in first-seen order),
+/// so a builder that is [reset](DomainsBuilder::reset) and refilled keeps
+/// its capacity, and [`DomainsBuilder::same_atoms`] can compare what it
+/// would build against existing [`Domains`] without building them.
 #[derive(Default)]
 pub struct DomainsBuilder {
-    macs: BTreeSet<u64>,
-    vlans: BTreeSet<u16>,
+    macs: SortedSet<u64>,
+    vlans: SortedSet<u16>,
     ethers: Vec<EtherType>,
-    ip_bounds: BTreeSet<u64>,
+    ip_bounds: SortedSet<u64>,
+}
+
+/// A set kept as a sorted `Vec`, so that clearing and refilling it keeps its
+/// capacity (a `BTreeSet` frees its nodes on `clear`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SortedSet<T>(Vec<T>);
+
+impl<T> Default for SortedSet<T> {
+    fn default() -> Self {
+        SortedSet(Vec::new())
+    }
+}
+
+impl<T: Ord + Copy> SortedSet<T> {
+    /// Adds a member.
+    pub fn insert(&mut self, x: T) {
+        if let Err(pos) = self.0.binary_search(&x) {
+            self.0.insert(pos, x);
+        }
+    }
+
+    /// Whether `x` is a member.
+    pub fn contains(&self, x: &T) -> bool {
+        self.0.binary_search(x).is_ok()
+    }
+
+    /// The members in ascending order.
+    pub fn as_slice(&self) -> &[T] {
+        &self.0
+    }
+
+    /// Iterates the members in ascending order.
+    pub fn iter(&self) -> std::slice::Iter<'_, T> {
+        self.0.iter()
+    }
+
+    /// Removes every member, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Adds every member of `other`.
+    pub fn union(&mut self, other: &SortedSet<T>) {
+        for x in &other.0 {
+            self.insert(*x);
+        }
+    }
+
+    /// Keeps the members `f` accepts.
+    pub fn retain(&mut self, f: impl FnMut(&T) -> bool) {
+        self.0.retain(f);
+    }
+
+    /// Rewrites members in place, dropping those `f` returns `false` for.
+    /// `f` must keep the surviving members in ascending order.
+    pub fn remap(&mut self, f: impl FnMut(&mut T) -> bool) {
+        self.0.retain_mut(f);
+        debug_assert!(self.0.windows(2).all(|w| w[0] < w[1]));
+    }
 }
 
 impl DomainsBuilder {
@@ -65,13 +129,23 @@ impl DomainsBuilder {
     /// broadcast, untagged/VLAN-0, IPv4 and ARP.
     pub fn new() -> Self {
         let mut b = DomainsBuilder::default();
-        b.add_mac(MacAddr::BROADCAST);
-        b.add_vlan(0);
-        b.add_ether(EtherType::Ipv4);
-        b.add_ether(EtherType::Arp);
-        b.ip_bounds.insert(0);
-        b.ip_bounds.insert(1 << 32);
+        b.reset();
         b
+    }
+
+    /// Forgets every registered value, back to [`DomainsBuilder::new`]'s
+    /// seeds, keeping the capacity.
+    pub fn reset(&mut self) {
+        self.macs.clear();
+        self.vlans.clear();
+        self.ethers.clear();
+        self.ip_bounds.clear();
+        self.add_mac(MacAddr::BROADCAST);
+        self.add_vlan(0);
+        self.add_ether(EtherType::Ipv4);
+        self.add_ether(EtherType::Arp);
+        self.ip_bounds.insert(0);
+        self.ip_bounds.insert(1 << 32);
     }
 
     /// Registers a MAC address as an atom.
@@ -109,21 +183,79 @@ impl DomainsBuilder {
         self.add_prefix(Ipv4Prefix::host(a));
     }
 
-    /// Atomizes the collected values into [`Domains`].
-    pub fn build(self) -> Result<Domains, DomainOverflow> {
-        // MAC atoms: every referenced address, plus one representative each
-        // for "any other unicast" and "any other multicast" source/dest.
-        let mut macs: Vec<MacAddr> = self.macs.iter().map(|m| MacAddr::from_u64(*m)).collect();
-        let pick = |mut candidate: u64, taken: &BTreeSet<u64>, step: u64| {
-            while taken.contains(&candidate) {
-                candidate += step;
+    /// The representatives of "any other unicast" and "any other
+    /// multicast" MAC: the first free address from a fixed start each.
+    fn other_macs(&self) -> (u64, u64) {
+        let pick = |mut candidate: u64| {
+            while self.macs.contains(&candidate) {
+                candidate += 1;
             }
             candidate
         };
-        let other_uni = pick(MacAddr::local(0x00ff_ff00).as_u64(), &self.macs, 1);
-        let other_multi = pick(0x0100_5e00_0001, &self.macs, 1);
-        macs.push(MacAddr::from_u64(other_uni));
-        macs.push(MacAddr::from_u64(other_multi));
+        (
+            pick(MacAddr::local(0x00ff_ff00).as_u64()),
+            pick(0x0100_5e00_0001),
+        )
+    }
+
+    /// The VLAN atoms: atom 0 is untagged / VLAN 0, then the referenced
+    /// ids, then one unused id as the "any other tag" representative.
+    fn vlan_atoms(&self) -> impl Iterator<Item = u16> + '_ {
+        let mut other = 4000u16;
+        while self.vlans.contains(&other) {
+            other += 1;
+        }
+        std::iter::once(0)
+            .chain(self.vlans.iter().copied().filter(|v| *v != 0))
+            .chain(std::iter::once(other))
+    }
+
+    /// The EtherType atoms plus an "anything else" representative.
+    fn ether_atoms(&self) -> impl Iterator<Item = EtherType> + '_ {
+        let mut other = 0x88b5u16;
+        while self.ethers.contains(&EtherType::Other(other)) {
+            other += 1;
+        }
+        self.ethers
+            .iter()
+            .copied()
+            .chain(std::iter::once(EtherType::Other(other)))
+    }
+
+    /// The IP atoms' starts: every boundary but the last closes an
+    /// elementary interval.
+    fn ip_starts(&self) -> &[u64] {
+        let bounds = self.ip_bounds.as_slice();
+        &bounds[..bounds.len() - 1]
+    }
+
+    /// Whether [`DomainsBuilder::build`] would assign exactly `dom`'s
+    /// atoms to every field — the precondition for reusing symbolic header
+    /// sets built under `dom`. Checked without building: the index maps and
+    /// the multicast mask derive from the atom vectors.
+    pub fn same_atoms(&self, dom: &Domains) -> bool {
+        let (other_uni, other_multi) = self.other_macs();
+        dom.macs.iter().map(|m| m.as_u64()).eq(self
+            .macs
+            .iter()
+            .copied()
+            .chain([other_uni, other_multi]))
+            && dom.vlans.iter().copied().eq(self.vlan_atoms())
+            && dom.ethers.iter().copied().eq(self.ether_atoms())
+            && dom.ip_starts == self.ip_starts()
+    }
+
+    /// Atomizes the collected values into [`Domains`].
+    pub fn build(&self) -> Result<Domains, DomainOverflow> {
+        // MAC atoms: every referenced address, plus one representative each
+        // for "any other unicast" and "any other multicast" source/dest.
+        let (other_uni, other_multi) = self.other_macs();
+        let macs: Vec<MacAddr> = self
+            .macs
+            .iter()
+            .chain(&[other_uni, other_multi])
+            .map(|m| MacAddr::from_u64(*m))
+            .collect();
         if macs.len() > MAX_MAC_ATOMS {
             return Err(DomainOverflow {
                 field: "mac",
@@ -143,16 +275,7 @@ impl DomainsBuilder {
             }
         }
 
-        // VLAN atoms: atom 0 is untagged / VLAN 0, plus one unused id as
-        // the "any other tag" representative.
-        let mut vlans: Vec<u16> = Vec::new();
-        vlans.push(0);
-        vlans.extend(self.vlans.iter().filter(|v| **v != 0));
-        let mut other_vlan = 4000u16;
-        while self.vlans.contains(&other_vlan) {
-            other_vlan += 1;
-        }
-        vlans.push(other_vlan);
+        let vlans: Vec<u16> = self.vlan_atoms().collect();
         if vlans.len() > MAX_VLAN_ATOMS {
             return Err(DomainOverflow {
                 field: "vlan",
@@ -163,13 +286,7 @@ impl DomainsBuilder {
         let vlan_index: BTreeMap<u16, usize> =
             vlans.iter().enumerate().map(|(i, v)| (*v, i)).collect();
 
-        // EtherType atoms plus an "anything else" representative.
-        let mut ethers = self.ethers;
-        let mut other = 0x88b5u16;
-        while ethers.contains(&EtherType::Other(other)) {
-            other += 1;
-        }
-        ethers.push(EtherType::Other(other));
+        let ethers: Vec<EtherType> = self.ether_atoms().collect();
         if ethers.len() > MAX_ETHER_ATOMS {
             return Err(DomainOverflow {
                 field: "ethertype",
@@ -179,8 +296,7 @@ impl DomainsBuilder {
         }
 
         // IP atoms: elementary intervals between the collected boundaries.
-        let bounds: Vec<u64> = self.ip_bounds.into_iter().collect();
-        let ip_starts: Vec<u64> = bounds[..bounds.len() - 1].to_vec();
+        let ip_starts = self.ip_starts().to_vec();
         if ip_starts.len() > MAX_IP_ATOMS {
             return Err(DomainOverflow {
                 field: "ipv4",
@@ -219,17 +335,6 @@ pub struct Domains {
 }
 
 impl Domains {
-    /// Whether two atomizations assign identical atoms to every field —
-    /// the precondition for reusing symbolic header sets built under one
-    /// against the other. The index maps and multicast mask are derived
-    /// from the atom vectors, so comparing the vectors suffices.
-    pub fn same_atoms(&self, other: &Domains) -> bool {
-        self.macs == other.macs
-            && self.vlans == other.vlans
-            && self.ethers == other.ethers
-            && self.ip_starts == other.ip_starts
-    }
-
     /// All-ones mask over the MAC atoms.
     pub fn mac_all(&self) -> u128 {
         mask_ones(self.macs.len())
@@ -390,7 +495,7 @@ impl fmt::Display for ConcreteHeader {
 
 /// One packet class: per-field atom bitmasks; the class is the Cartesian
 /// product of its fields. Empty in any field = empty class.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Cube {
     /// Source MAC atoms.
     pub src: u128,
@@ -468,9 +573,31 @@ impl Cube {
 }
 
 /// A union of cubes, pruned of empty and subsumed members.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// The cube *sequence*, not just the set it denotes, is part of the
+/// contract: witnesses concretize a set's first cube and the witness search
+/// takes the first hit of a breadth-first walk over cubes in order, so every
+/// operation below yields exactly the sequence that inserting its result
+/// cubes one by one into an empty set would ([`HeaderSet::insert`]: drop the
+/// members the new cube subsumes, then push it). The operations work in
+/// place or append into a caller's set, so a set that is cleared and
+/// refilled keeps its capacity.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct HeaderSet {
     cubes: Vec<Cube>,
+}
+
+impl Clone for HeaderSet {
+    fn clone(&self) -> Self {
+        HeaderSet {
+            cubes: self.cubes.clone(),
+        }
+    }
+
+    /// Copies into the existing buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.cubes.clone_from(&source.cubes);
+    }
 }
 
 impl HeaderSet {
@@ -496,6 +623,11 @@ impl HeaderSet {
         &self.cubes
     }
 
+    /// Empties the class, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.cubes.clear();
+    }
+
     /// Adds a cube, keeping the union normalized.
     pub fn insert(&mut self, c: Cube) {
         if c.is_empty() || self.cubes.iter().any(|e| e.contains(&c)) {
@@ -512,52 +644,82 @@ impl HeaderSet {
         }
     }
 
-    /// Intersection with one cube.
-    pub fn intersect_cube(&self, c: &Cube) -> HeaderSet {
-        let mut out = HeaderSet::default();
+    /// Whether the class meets a cube.
+    pub fn intersects(&self, c: &Cube) -> bool {
+        self.cubes.iter().any(|e| !e.and(c).is_empty())
+    }
+
+    /// Unions `self ∩ c` into `out`.
+    pub fn intersect_into(&self, c: &Cube, out: &mut HeaderSet) {
         for e in &self.cubes {
             out.insert(e.and(c));
         }
-        out
     }
 
-    /// Removes one cube from the class.
-    pub fn subtract_cube(&mut self, c: &Cube) {
-        let mut next = Vec::new();
+    /// Narrows the class to `self ∩ c`.
+    pub fn intersect_in_place(&mut self, c: &Cube) {
+        self.map_in_place(|e| e.and(c));
+    }
+
+    /// Removes one cube from the class. `splinters` is scratch for the
+    /// pieces each member splits into; its contents are discarded.
+    pub fn subtract_cube(&mut self, c: &Cube, splinters: &mut Vec<Cube>) {
+        splinters.clear();
         for e in &self.cubes {
-            e.minus(c, &mut next);
+            e.minus(c, splinters);
         }
-        let mut out = HeaderSet::default();
-        for e in next {
-            out.insert(e);
+        self.cubes.clear();
+        for e in splinters.iter() {
+            self.insert(*e);
         }
-        *self = out;
     }
 
-    /// `self − other`, leaving both intact.
-    pub fn minus(&self, other: &HeaderSet) -> HeaderSet {
-        let mut out = self.clone();
+    /// Replaces `out` with `self − other`. `splinters` is scratch, as in
+    /// [`HeaderSet::subtract_cube`].
+    pub fn minus_into(&self, other: &HeaderSet, out: &mut HeaderSet, splinters: &mut Vec<Cube>) {
+        out.clone_from(self);
         for c in &other.cubes {
-            out.subtract_cube(c);
+            out.subtract_cube(c, splinters);
         }
-        out
     }
 
     /// Rewrites a field to a fixed atom in every cube (empty target mask
     /// empties the class — an unknown rewrite value cannot be represented).
-    pub fn rewrite(&self, field: Field, to: u128) -> HeaderSet {
-        let mut out = HeaderSet::default();
-        for e in &self.cubes {
-            let mut c = *e;
+    pub fn rewrite_in_place(&mut self, field: Field, to: u128) {
+        self.map_in_place(|mut c| {
             match field {
                 Field::Src => c.src = to,
                 Field::Dst => c.dst = to,
                 // lint:allow(lossy-cast): the vlan mask is the low u32 of the rewrite value by contract
                 Field::Vlan => c.vlan = to as u32,
             }
-            out.insert(c);
+            c
+        });
+    }
+
+    /// Replaces every member `e` by `f(e)`, leaving the sequence inserting
+    /// the images one by one into an empty set would. The normalized prefix
+    /// is built over the members already read: it never holds more cubes
+    /// than were read, so a write never lands on an unread member.
+    fn map_in_place(&mut self, f: impl Fn(Cube) -> Cube) {
+        let mut len = 0;
+        for i in 0..self.cubes.len() {
+            let c = f(self.cubes[i]);
+            if c.is_empty() || self.cubes[..len].iter().any(|e| e.contains(&c)) {
+                continue;
+            }
+            let mut kept = 0;
+            for j in 0..len {
+                let e = self.cubes[j];
+                if !c.contains(&e) {
+                    self.cubes[kept] = e;
+                    kept += 1;
+                }
+            }
+            self.cubes[kept] = c;
+            len = kept + 1;
         }
-        out
+        self.cubes.truncate(len);
     }
 }
 
@@ -642,10 +804,13 @@ mod tests {
             s.insert(c);
         }
         s.insert(a);
-        assert_eq!(s.minus(&HeaderSet::from_cube(full)), HeaderSet::empty());
+        let mut left = HeaderSet::empty();
+        let mut splinters = Vec::new();
+        s.minus_into(&HeaderSet::from_cube(full), &mut left, &mut splinters);
+        assert_eq!(left, HeaderSet::empty());
         let mut t = HeaderSet::from_cube(full);
-        t.subtract_cube(&a);
-        t.subtract_cube(&b);
+        t.subtract_cube(&a, &mut splinters);
+        t.subtract_cube(&b, &mut splinters);
         // No cube retains mac-1 dst or vlan 1.
         for c in t.cubes() {
             assert_eq!(c.dst & d.mac_bit(MacAddr::local(1)), 0);
@@ -665,8 +830,8 @@ mod tests {
         s.insert(full);
         assert_eq!(s.cubes().len(), 1, "subsumed cube pruned");
         assert_eq!(s.cubes()[0], full);
-        let r = s.rewrite(Field::Vlan, u128::from(d.vlan_bit(2)));
-        assert_eq!(r.cubes()[0].vlan, d.vlan_bit(2));
+        s.rewrite_in_place(Field::Vlan, u128::from(d.vlan_bit(2)));
+        assert_eq!(s.cubes()[0].vlan, d.vlan_bit(2));
     }
 
     #[test]

@@ -25,13 +25,20 @@
 //!    costs one affectedness scan per delta, and each dirty source is
 //!    re-run once when the verdict is next demanded, not once per delta.
 //!    At that point the atomization is re-derived
-//!    ([`Model::derive_domains`], a cheap value scan); if any atom
-//!    changed, every cached symbolic set is invalid and all sources
-//!    recompute ("full rebuild"). Affectedness tests between flushes run
-//!    against the possibly-stale atomization, which is still sound:
-//!    values the stale atomization does not name fall into its "other"
-//!    catch-all classes, so the match-cube intersection only
-//!    over-approximates — it can dirty too much, never too little.
+//!    ([`Model::derive_domains`], a value scan into a reused builder,
+//!    compared against the current atoms in place); if any atom changed,
+//!    every cached symbolic set is invalid and all sources recompute
+//!    ("full rebuild"). Affectedness tests between flushes run against the
+//!    possibly-stale atomization, which on its own is *not* sound: a MAC or
+//!    VLAN the stale atomization does not name gets bit 0 (an empty cube),
+//!    not the "other" atom, so a rule naming one intersects nothing and
+//!    dirties no source. Soundness comes from the flush: a value new to the
+//!    configuration changes the atomization, and the atom comparison then
+//!    forces the full rebuild.
+//! 4. **Reuses its storage** — a recomputed source refills its own reach
+//!    sets and collector in place, and the fixed point, the witness search,
+//!    the envelope check and report assembly run on scratch the checker
+//!    owns, so a delta allocates its report and little else.
 //!
 //! The equivalence contract is *byte-identity*: whenever the verdict is
 //! demanded, the rendered [`VerifyReport`] from
@@ -43,8 +50,8 @@
 //!
 //! [`report`]: IncrementalChecker::report
 
-use crate::engine::{analyze_source, assemble, source_list, Loc, Source, SourceAnalysis};
-use crate::header::DomainOverflow;
+use crate::engine::{analyze_source, assemble, source_list, Loc, Scratch, Source, SourceAnalysis};
+use crate::header::{Cube, DomainOverflow, DomainsBuilder};
 use crate::model::{Collector, Model, NPort};
 use crate::report::VerifyReport;
 use mts_core::controller::Deployment;
@@ -53,7 +60,6 @@ use mts_core::runtime::World;
 use mts_core::vfplan::AddressPlan;
 use mts_net::MacAddr;
 use mts_vswitch::table::FlowStats;
-use mts_vswitch::FlowRule;
 
 /// Work counters the checker accumulates, for benchmarking and for the
 /// fault panels' re-verification accounting.
@@ -78,9 +84,9 @@ enum Touch {
     Pf(u8),
     /// Vswitch `inst`'s whole pipeline (wipe).
     Vswitch(usize),
-    /// One rule of vswitch `inst`; carries the rule so the affected check
-    /// can intersect its match cube with each source's arriving headers.
-    VswitchRule(usize, FlowRule),
+    /// One rule of vswitch `inst`; carries the rule's match cube so the
+    /// affected check can intersect it with each source's arriving headers.
+    VswitchRule(usize, Cube),
 }
 
 /// The incremental verifier: a maintained model plus cached per-source
@@ -97,6 +103,9 @@ pub struct IncrementalChecker {
     /// atomization to be re-derived and compared.
     atoms_pending: bool,
     stats: IncrStats,
+    /// The re-derived atom values, compared against the model's atoms.
+    builder: DomainsBuilder,
+    scratch: Scratch,
 }
 
 impl IncrementalChecker {
@@ -114,8 +123,15 @@ impl IncrementalChecker {
 
     fn from_model(model: Model, plan: AddressPlan) -> Self {
         let sources = source_list(&model);
-        let states: Vec<SourceAnalysis> =
-            sources.iter().map(|s| analyze_source(&model, *s)).collect();
+        let mut scratch = Scratch::default();
+        let states: Vec<SourceAnalysis> = sources
+            .iter()
+            .map(|s| {
+                let mut st = SourceAnalysis::default();
+                analyze_source(&model, *s, &mut st, &mut scratch);
+                st
+            })
+            .collect();
         let dirty = vec![false; states.len()];
         IncrementalChecker {
             model,
@@ -125,6 +141,8 @@ impl IncrementalChecker {
             dirty,
             atoms_pending: false,
             stats: IncrStats::default(),
+            builder: DomainsBuilder::default(),
+            scratch,
         }
     }
 
@@ -176,22 +194,23 @@ impl IncrementalChecker {
     /// under which a from-scratch verification would fail.
     pub fn report(&mut self) -> Result<VerifyReport, DomainOverflow> {
         self.flush()?;
-        Ok(assemble(&self.model, &self.states))
+        Ok(assemble(&self.model, &self.states, &mut self.scratch))
     }
 
     fn flush(&mut self) -> Result<(), DomainOverflow> {
         if self.atoms_pending {
             self.atoms_pending = false;
-            let dom = self.model.derive_domains(&self.plan)?;
-            if !dom.same_atoms(&self.model.dom) {
-                self.model.dom = dom;
+            self.model.derive_domains(&self.plan, &mut self.builder);
+            if !self.builder.same_atoms(&self.model.dom) {
+                self.model.dom = self.builder.build()?;
                 self.stats.full_rebuilds += 1;
                 self.dirty.iter_mut().for_each(|d| *d = true);
             }
         }
         for i in 0..self.sources.len() {
             if self.dirty[i] {
-                self.states[i] = analyze_source(&self.model, self.sources[i]);
+                let source = self.sources[i];
+                analyze_source(&self.model, source, &mut self.states[i], &mut self.scratch);
                 self.stats.sources_recomputed += 1;
                 self.dirty[i] = false;
             }
@@ -207,27 +226,27 @@ impl IncrementalChecker {
     /// with the old one on every reached class, so the cached fixed point
     /// is also the updated least fixed point (seeds are unchanged — they
     /// derive from the immutable address plan).
+    ///
+    /// Reach entries left empty by a recomputation count as absent.
     fn affected(&self, state: &SourceAnalysis, touch: &Touch) -> bool {
+        let reaches = |at: &dyn Fn(&Loc) -> bool| {
+            state
+                .reach
+                .iter()
+                .any(|((loc, _), hs)| at(loc) && !hs.is_empty())
+        };
         match touch {
             Touch::Nothing => false,
-            Touch::Pf(p) => state
-                .reach
-                .keys()
-                .any(|(loc, _)| matches!(loc, Loc::NicIn { pf, .. } if pf == p)),
-            Touch::Vswitch(i) => state
-                .reach
-                .keys()
-                .any(|(loc, _)| matches!(loc, Loc::VsIn { inst, .. } if inst == i)),
-            Touch::VswitchRule(i, rule) => {
+            Touch::Pf(p) => reaches(&|loc| matches!(loc, Loc::NicIn { pf, .. } if pf == p)),
+            Touch::Vswitch(i) => reaches(&|loc| matches!(loc, Loc::VsIn { inst, .. } if inst == i)),
+            Touch::VswitchRule(i, cube) => {
                 // The rule only alters the pipeline's behavior on headers
                 // that can match it; in_port and table placement only
                 // narrow that further, so intersecting the (over-approx)
                 // match cube with everything this source delivers into the
                 // vswitch is a sound affectedness test.
-                let (cube, _) = self.model.match_cube(&rule.m);
                 state.reach.iter().any(|((loc, _), hs)| {
-                    matches!(loc, Loc::VsIn { inst, .. } if inst == i)
-                        && !hs.intersect_cube(&cube).is_empty()
+                    matches!(loc, Loc::VsIn { inst, .. } if inst == i) && hs.intersects(cube)
                 })
             }
         }
@@ -242,6 +261,7 @@ impl IncrementalChecker {
                 table,
                 rule,
             } => {
+                let (cube, _) = self.model.match_cube(&rule.m);
                 let Some(vs) = self.model.vswitches.get_mut(*vswitch) else {
                     return Touch::Nothing;
                 };
@@ -254,7 +274,7 @@ impl IncrementalChecker {
                 let mut r = rule.clone();
                 r.stats = FlowStats::default();
                 let pos = vs.tables[t].partition_point(|x| x.priority >= r.priority);
-                vs.tables[t].insert(pos, r.clone());
+                vs.tables[t].insert(pos, r);
                 // Cached coverage facts index rules by table position;
                 // shift the skipped sources' hits past the insertion point.
                 for st in &mut self.states {
@@ -266,13 +286,15 @@ impl IncrementalChecker {
                         }
                     });
                 }
-                Touch::VswitchRule(*vswitch, r)
+                Touch::VswitchRule(*vswitch, cube)
             }
             ConfigDelta::RuleRemoved {
                 vswitch,
                 table,
                 rule,
             } => {
+                // The removed rule's match equals `rule.m`.
+                let (cube, _) = self.model.match_cube(&rule.m);
                 let Some(vs) = self.model.vswitches.get_mut(*vswitch) else {
                     return Touch::Nothing;
                 };
@@ -288,7 +310,7 @@ impl IncrementalChecker {
                 }) else {
                     return Touch::Nothing;
                 };
-                let removed = rules.remove(pos);
+                rules.remove(pos);
                 // Extraction sizes the table vector to the last non-empty
                 // table; keep the maintained model in the same shape.
                 while vs.tables.last().is_some_and(Vec::is_empty) {
@@ -301,7 +323,7 @@ impl IncrementalChecker {
                         i => Some(i - 1),
                     });
                 }
-                Touch::VswitchRule(*vswitch, removed)
+                Touch::VswitchRule(*vswitch, cube)
             }
             ConfigDelta::RulesWiped { vswitch } => {
                 let Some(vs) = self.model.vswitches.get_mut(*vswitch) else {
@@ -323,10 +345,10 @@ impl IncrementalChecker {
                 };
                 // Evaluation order: stable priority-descending over the
                 // installation order, keeping original indices.
-                let mut evaluated: Vec<(usize, mts_nic::FilterRule)> =
-                    filters.iter().cloned().enumerate().collect();
-                evaluated.sort_by_key(|(_, r)| std::cmp::Reverse(r.priority));
-                pfm.filters = evaluated;
+                pfm.filters.clear();
+                pfm.filters.extend(filters.iter().cloned().enumerate());
+                pfm.filters
+                    .sort_by_key(|(_, r)| std::cmp::Reverse(r.priority));
                 for st in &mut self.states {
                     st.col.filter_hits.retain(|(p, _)| p != pf);
                 }
@@ -366,18 +388,15 @@ impl IncrementalChecker {
                 // derived from VF registers are re-populated by the
                 // hardware. Later VF ids win colliding (vlan, mac) keys,
                 // matching ascending-id reinsertion into the keyed table.
-                let mut rebuilt: std::collections::BTreeMap<(u16, u64), (MacAddr, NPort)> =
-                    std::collections::BTreeMap::new();
+                pfm.statics.clear();
                 for (id, cfg) in &pfm.vfs {
-                    rebuilt.insert(
-                        (cfg.vlan.unwrap_or(0), cfg.mac.as_u64()),
-                        (cfg.mac, NPort::Vf(*id)),
+                    upsert_static(
+                        &mut pfm.statics,
+                        cfg.vlan.unwrap_or(0),
+                        cfg.mac,
+                        NPort::Vf(*id),
                     );
                 }
-                pfm.statics = rebuilt
-                    .into_iter()
-                    .map(|((vlan, _), (mac, port))| (vlan, mac, port))
-                    .collect();
                 Touch::Pf(*pf)
             }
             ConfigDelta::VfConfigured { pf, vf, cfg } => {
@@ -432,30 +451,25 @@ fn upsert_static(statics: &mut Vec<(u16, MacAddr, NPort)>, vlan: u16, mac: MacAd
 
 /// Re-indexes one vswitch table's cached rule hits after an insertion or
 /// removal shifted rule positions; `f` maps old index to new (or drops it).
+/// Both shifts are monotone, so the hits stay sorted.
 fn remap_rule_hits(
     col: &mut Collector,
     inst: usize,
     table: u8,
     f: impl Fn(usize) -> Option<usize>,
 ) {
-    if !col
-        .rule_hits
-        .iter()
-        .any(|(i, t, _)| *i == inst && *t == table)
-    {
-        return;
-    }
-    let hits = std::mem::take(&mut col.rule_hits);
-    col.rule_hits = hits
-        .into_iter()
-        .filter_map(|(i, t, idx)| {
-            if i == inst && t == table {
-                f(idx).map(|nx| (i, t, nx))
-            } else {
-                Some((i, t, idx))
+    col.rule_hits.remap(|(i, t, idx)| {
+        if *i != inst || *t != table {
+            return true;
+        }
+        match f(*idx) {
+            Some(nx) => {
+                *idx = nx;
+                true
             }
-        })
-        .collect();
+            None => false,
+        }
+    });
 }
 
 #[cfg(test)]

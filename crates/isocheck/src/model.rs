@@ -9,18 +9,18 @@
 //! what learning could ever do (see [`PfModel::injectors`]), so its verdicts
 //! hold for every possible learning history.
 
-use crate::header::{Cube, DomainOverflow, Domains, DomainsBuilder, Field, HeaderSet};
+use crate::header::{Cube, DomainOverflow, Domains, DomainsBuilder, Field, HeaderSet, SortedSet};
 use mts_core::controller::{Deployment, PortAttach, VswitchInstance};
 use mts_core::runtime::World;
 use mts_core::vfplan::AddressPlan;
 use mts_net::{EtherType, MacAddr};
 use mts_nic::{FilterAction, FilterRule, NicPort, PfId, SriovNic, VfConfig, VfId};
 use mts_vswitch::{Action, FlowMatch, FlowRule, VlanMatch};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A NIC switch port, ordered (unlike [`NicPort`]) so it can key maps.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum NPort {
     /// The physical fabric port.
     Wire,
@@ -97,21 +97,33 @@ pub struct PfModel {
 }
 
 impl PfModel {
-    /// VLAN broadcast-domain members, mirroring the VEB's membership rule:
-    /// the wire always, the PF only in VLAN 0, a VF when its VST tag is
-    /// `vid` (or it is untagged and `vid` is 0).
-    pub fn members(&self, vid: u16) -> Vec<NPort> {
-        let mut out = vec![NPort::Wire];
-        if vid == 0 {
-            out.push(NPort::Pf);
-        }
-        for (id, cfg) in &self.vfs {
-            if cfg.vlan == Some(vid) || (cfg.vlan.is_none() && vid == 0) {
-                out.push(NPort::Vf(*id));
-            }
-        }
-        out
+    /// VLAN broadcast-domain members in port order, mirroring the VEB's
+    /// membership rule: the wire always, the PF only in VLAN 0, a VF when
+    /// its VST tag is `vid` (or it is untagged and `vid` is 0).
+    pub fn members(&self, vid: u16) -> impl Iterator<Item = NPort> + '_ {
+        self.ports_where(vid, move |_, cfg| in_vlan(cfg, vid))
     }
+
+    /// The wire, the PF in VLAN 0, then the VFs `vf` accepts, in port order.
+    fn ports_where<'a>(
+        &'a self,
+        vid: u16,
+        vf: impl Fn(u8, &VfConfig) -> bool + 'a,
+    ) -> impl Iterator<Item = NPort> + 'a {
+        std::iter::once(NPort::Wire)
+            .chain((vid == 0).then_some(NPort::Pf))
+            .chain(
+                self.vfs
+                    .iter()
+                    .filter(move |(id, cfg)| vf(**id, cfg))
+                    .map(|(id, _)| NPort::Vf(*id)),
+            )
+    }
+}
+
+/// Whether a VF is a member of VLAN `vid`'s broadcast domain.
+fn in_vlan(cfg: &VfConfig, vid: u16) -> bool {
+    cfg.vlan == Some(vid) || (cfg.vlan.is_none() && vid == 0)
 }
 
 /// One vswitch pipeline plus its port attachments.
@@ -188,22 +200,7 @@ impl Model {
         nic: &SriovNic,
         insts: &[&VswitchInstance],
     ) -> Result<Model, DomainOverflow> {
-        let mut b = DomainsBuilder::new();
-
-        // Seed domains from the address plan.
-        b.add_mac(plan.lg_mac);
-        b.add_mac(plan.sink_mac);
-        b.add_ip(plan.lg_ip);
-        for t in &plan.tenants {
-            b.add_vlan(t.vlan);
-            b.add_ip(t.ip);
-            b.add_ip(t.gw_ip);
-            for (_, mac) in &t.vf {
-                b.add_mac(*mac);
-            }
-        }
-
-        // …from the NIC state…
+        // PF models: filters in evaluation order (stable priority-desc).
         let mut pfs = Vec::new();
         for p in 0..ports {
             let pf = nic.pf(PfId(p)).map_err(|_| DomainOverflow {
@@ -211,65 +208,6 @@ impl Model {
                 needed: p as usize + 1,
                 cap: 0,
             })?;
-            for (vlan, mac, _) in pf.static_macs() {
-                b.add_vlan(vlan);
-                b.add_mac(mac);
-            }
-            for (_, cfg) in pf.vfs() {
-                b.add_mac(cfg.mac);
-                if let Some(v) = cfg.vlan {
-                    b.add_vlan(v);
-                }
-            }
-            for r in pf.filters() {
-                if let Some(m) = r.src_mac {
-                    b.add_mac(m);
-                }
-                if let Some(m) = r.dst_mac {
-                    b.add_mac(m);
-                }
-                if let Some(v) = r.vlan {
-                    b.add_vlan(v);
-                }
-                if let Some(e) = r.ethertype {
-                    b.add_ether(e);
-                }
-            }
-        }
-
-        // …and from the flow pipelines.
-        for inst in insts {
-            for (_, rule) in inst.sw.dump_rules() {
-                seed_from_match(&mut b, &rule.m);
-                for a in &rule.actions {
-                    match a {
-                        Action::SetEthDst(m) | Action::SetEthSrc(m) => b.add_mac(*m),
-                        Action::PushVlan(v) => b.add_vlan(*v),
-                        Action::VxlanEncap {
-                            src_ip,
-                            dst_ip,
-                            src_mac,
-                            dst_mac,
-                            ..
-                        } => {
-                            b.add_ip(*src_ip);
-                            b.add_ip(*dst_ip);
-                            b.add_mac(*src_mac);
-                            b.add_mac(*dst_mac);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-
-        let dom = b.build()?;
-
-        // PF models: filters in evaluation order (stable priority-desc).
-        for p in 0..ports {
-            let pf = nic
-                .pf(PfId(p))
-                .unwrap_or_else(|_| unreachable!("pf {p} checked above"));
             let mut filters: Vec<(usize, FilterRule)> = pf
                 .filters()
                 .iter()
@@ -322,6 +260,10 @@ impl Model {
             });
         }
 
+        let mut b = DomainsBuilder::new();
+        seed_domains(&mut b, plan, &pfs, &vswitches);
+        let dom = b.build()?;
+
         let mut tenants = Vec::new();
         for t in &plan.tenants {
             let mut vfs = Vec::new();
@@ -347,93 +289,19 @@ impl Model {
         })
     }
 
-    /// Re-derives the header-field atomization from the model's *current*
-    /// switching state plus the (immutable) address plan.
+    /// Collects into `b` every value the model's *current* switching state
+    /// and the (immutable) address plan reference: the values
+    /// [`Model::of_parts`] atomized, re-derived.
     ///
-    /// This replicates [`Model::of_parts`]'s domain seeding exactly — same
-    /// values, same order — so that a model maintained delta-by-delta
-    /// produces the same [`Domains`] a from-scratch extraction would. The
-    /// MAC/VLAN/IP collections atomize canonically (sets), and the only
-    /// insertion-ordered field (EtherType) is walked in the same order:
-    /// NIC filters in installation order, then flow rules table-ascending.
-    /// The incremental checker compares the result against its cached
-    /// atomization after every delta; a difference invalidates every
-    /// cached symbolic set and forces a full recomputation.
-    pub fn derive_domains(&self, plan: &AddressPlan) -> Result<Domains, DomainOverflow> {
-        let mut b = DomainsBuilder::new();
-
-        b.add_mac(plan.lg_mac);
-        b.add_mac(plan.sink_mac);
-        b.add_ip(plan.lg_ip);
-        for t in &plan.tenants {
-            b.add_vlan(t.vlan);
-            b.add_ip(t.ip);
-            b.add_ip(t.gw_ip);
-            for (_, mac) in &t.vf {
-                b.add_mac(*mac);
-            }
-        }
-
-        for pfm in &self.pfs {
-            for (vlan, mac, _) in &pfm.statics {
-                b.add_vlan(*vlan);
-                b.add_mac(*mac);
-            }
-            for cfg in pfm.vfs.values() {
-                b.add_mac(cfg.mac);
-                if let Some(v) = cfg.vlan {
-                    b.add_vlan(v);
-                }
-            }
-            // Filters are stored in evaluation order; recover installation
-            // order (what the live NIC's `filters()` returns) by original
-            // index so EtherType atoms appear in the same order.
-            let mut by_install: Vec<&(usize, FilterRule)> = pfm.filters.iter().collect();
-            by_install.sort_by_key(|(orig, _)| *orig);
-            for (_, r) in by_install {
-                if let Some(m) = r.src_mac {
-                    b.add_mac(m);
-                }
-                if let Some(m) = r.dst_mac {
-                    b.add_mac(m);
-                }
-                if let Some(v) = r.vlan {
-                    b.add_vlan(v);
-                }
-                if let Some(e) = r.ethertype {
-                    b.add_ether(e);
-                }
-            }
-        }
-
-        for vs in &self.vswitches {
-            for rules in &vs.tables {
-                for rule in rules {
-                    seed_from_match(&mut b, &rule.m);
-                    for a in &rule.actions {
-                        match a {
-                            Action::SetEthDst(m) | Action::SetEthSrc(m) => b.add_mac(*m),
-                            Action::PushVlan(v) => b.add_vlan(*v),
-                            Action::VxlanEncap {
-                                src_ip,
-                                dst_ip,
-                                src_mac,
-                                dst_mac,
-                                ..
-                            } => {
-                                b.add_ip(*src_ip);
-                                b.add_ip(*dst_ip);
-                                b.add_mac(*src_mac);
-                                b.add_mac(*dst_mac);
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-
-        b.build()
+    /// Extraction seeds its domains through the same walk, so a model
+    /// maintained delta by delta yields the atoms a from-scratch extraction
+    /// would. The incremental checker compares `b` against its cached
+    /// atomization ([`DomainsBuilder::same_atoms`]) after every mutating
+    /// delta; a difference invalidates every cached symbolic set and forces
+    /// a full recomputation.
+    pub fn derive_domains(&self, plan: &AddressPlan, b: &mut DomainsBuilder) {
+        b.reset();
+        seed_domains(b, plan, &self.pfs, &self.vswitches);
     }
 
     /// Where unknown unicast in VLAN `vid` on PF `pf` can end up, over all
@@ -455,23 +323,14 @@ impl Model {
     /// beyond their membership: the vswitch VM is the trusted mediation
     /// layer and the controller's pipelines emit untagged frames to it, so
     /// it can only populate VLAN-0 entries — covered by `members(0)`.
-    pub fn learned_targets(&self, pf: u8, vid: u16) -> BTreeSet<NPort> {
-        let model = &self.pfs[pf as usize];
-        let mut out: BTreeSet<NPort> = model
-            .members(vid)
-            .into_iter()
-            .filter(|p| *p != NPort::Pf)
-            .collect();
-        if vid == 0 {
-            out.insert(NPort::Pf);
-        }
-        for (id, cfg) in &model.vfs {
-            let tenant_owned = matches!(self.vf_role.get(&(pf, *id)), Some(VfRole::Tenant { .. }));
-            if cfg.vlan.is_none() && tenant_owned {
-                out.insert(NPort::Vf(*id));
-            }
-        }
-        out
+    ///
+    /// Every member qualifies (the PF exactly when `vid` is 0), so the
+    /// targets are the members plus the untagged tenant VFs, in port order.
+    pub fn learned_targets(&self, pf: u8, vid: u16) -> impl Iterator<Item = NPort> + '_ {
+        self.pfs[pf as usize].ports_where(vid, move |id, cfg| {
+            let tenant_owned = matches!(self.vf_role.get(&(pf, id)), Some(VfRole::Tenant { .. }));
+            in_vlan(cfg, vid) || (cfg.vlan.is_none() && tenant_owned)
+        })
     }
 
     /// The symbolic match cube of a NIC security filter (its [`PortClass`]
@@ -536,6 +395,84 @@ impl Model {
     }
 }
 
+/// Registers every value the plan, the VEBs and the flow pipelines
+/// reference. MAC, VLAN and IP atoms are sets; EtherType atoms keep
+/// first-seen order, so NIC filters are walked in installation order (what
+/// the live NIC's `filters()` returns), then flow rules table by table.
+fn seed_domains(
+    b: &mut DomainsBuilder,
+    plan: &AddressPlan,
+    pfs: &[PfModel],
+    vswitches: &[VsModel],
+) {
+    b.add_mac(plan.lg_mac);
+    b.add_mac(plan.sink_mac);
+    b.add_ip(plan.lg_ip);
+    for t in &plan.tenants {
+        b.add_vlan(t.vlan);
+        b.add_ip(t.ip);
+        b.add_ip(t.gw_ip);
+        for (_, mac) in &t.vf {
+            b.add_mac(*mac);
+        }
+    }
+
+    for pfm in pfs {
+        for (vlan, mac, _) in &pfm.statics {
+            b.add_vlan(*vlan);
+            b.add_mac(*mac);
+        }
+        for cfg in pfm.vfs.values() {
+            b.add_mac(cfg.mac);
+            if let Some(v) = cfg.vlan {
+                b.add_vlan(v);
+            }
+        }
+        // Filters are stored in evaluation order; their original indices
+        // are a permutation of the installation order.
+        for i in 0..pfm.filters.len() {
+            let Some((_, r)) = pfm.filters.iter().find(|(orig, _)| *orig == i) else {
+                continue;
+            };
+            if let Some(m) = r.src_mac {
+                b.add_mac(m);
+            }
+            if let Some(m) = r.dst_mac {
+                b.add_mac(m);
+            }
+            if let Some(v) = r.vlan {
+                b.add_vlan(v);
+            }
+            if let Some(e) = r.ethertype {
+                b.add_ether(e);
+            }
+        }
+    }
+
+    for rule in vswitches.iter().flat_map(|vs| vs.tables.iter().flatten()) {
+        seed_from_match(b, &rule.m);
+        for a in &rule.actions {
+            match a {
+                Action::SetEthDst(m) | Action::SetEthSrc(m) => b.add_mac(*m),
+                Action::PushVlan(v) => b.add_vlan(*v),
+                Action::VxlanEncap {
+                    src_ip,
+                    dst_ip,
+                    src_mac,
+                    dst_mac,
+                    ..
+                } => {
+                    b.add_ip(*src_ip);
+                    b.add_ip(*dst_ip);
+                    b.add_mac(*src_mac);
+                    b.add_mac(*dst_mac);
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
 fn seed_from_match(b: &mut DomainsBuilder, m: &FlowMatch) {
     if let Some(mac) = m.eth_src {
         b.add_mac(mac);
@@ -557,18 +494,46 @@ fn seed_from_match(b: &mut DomainsBuilder, m: &FlowMatch) {
     }
 }
 
+/// A model-truncation note, recorded as the transfer functions meet it and
+/// rendered once, by the warning pass.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum Note {
+    /// Vswitch `.0` has a NORMAL action, over-approximated as a flood.
+    Normal(usize),
+    /// Vswitch `.0` encapsulates or decapsulates VXLAN, which is not traced
+    /// through.
+    Vxlan(usize),
+}
+
+impl Note {
+    /// The warning text.
+    pub fn render(self, m: &Model) -> String {
+        match self {
+            Note::Normal(i) => format!(
+                "{}: NORMAL action over-approximated as flood",
+                m.vswitches[i].name
+            ),
+            Note::Vxlan(i) => format!(
+                "{}: VXLAN tunnel not traced through (overlay headers are outside the \
+                 modelled fields)",
+                m.vswitches[i].name
+            ),
+        }
+    }
+}
+
 /// Coverage facts accumulated while pushing header sets through the model,
 /// consumed by the dead/shadowed-rule warning pass.
 #[derive(Clone, Default)]
 pub struct Collector {
     /// `(pf, original filter index)` of NIC filters that matched something.
-    pub filter_hits: BTreeSet<(u8, usize)>,
+    pub filter_hits: SortedSet<(u8, usize)>,
     /// `(vswitch, table, rule index)` of flow rules that matched something.
-    pub rule_hits: BTreeSet<(usize, u8, usize)>,
+    pub rule_hits: SortedSet<(usize, u8, usize)>,
     /// `(pf, vf)` of VFs some frame was delivered to.
-    pub vf_delivered: BTreeSet<(u8, u8)>,
+    pub vf_delivered: SortedSet<(u8, u8)>,
     /// Model-truncation notes (e.g. VXLAN tunnels not traced through).
-    pub notes: BTreeSet<String>,
+    pub notes: SortedSet<Note>,
 }
 
 impl Collector {
@@ -577,16 +542,162 @@ impl Collector {
     /// warning pass), so merging per-source collectors is exactly
     /// equivalent to accumulating into a single one.
     pub fn merge(&mut self, other: &Collector) {
-        self.filter_hits.extend(other.filter_hits.iter().copied());
-        self.rule_hits.extend(other.rule_hits.iter().copied());
-        self.vf_delivered.extend(other.vf_delivered.iter().copied());
-        self.notes.extend(other.notes.iter().cloned());
+        self.filter_hits.union(&other.filter_hits);
+        self.rule_hits.union(&other.rule_hits);
+        self.vf_delivered.union(&other.vf_delivered);
+        self.notes.union(&other.notes);
+    }
+
+    /// Forgets every fact, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.filter_hits.clear();
+        self.rule_hits.clear();
+        self.vf_delivered.clear();
+        self.notes.clear();
     }
 }
 
-/// Pushes a header set into PF `pf` of the NIC at `from`, returning the
-/// egress deliveries. Mirrors `PfSwitch::ingress`: spoof check → VST →
-/// security filters → forwarding (statics, then the learned-entry
+/// What a transfer function emits: one header set per egress port, in
+/// ascending port order. Clearing keeps every set (and its capacity) for
+/// the next port an entry is made for, so a list that is cleared and
+/// refilled allocates nothing once it has held its largest output.
+#[derive(Debug)]
+pub struct PortSets<P> {
+    slots: Vec<(P, HeaderSet)>,
+    /// Slots in use; the rest hold empty sets kept for reuse.
+    len: usize,
+}
+
+impl<P> Default for PortSets<P> {
+    fn default() -> Self {
+        PortSets {
+            slots: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<P: Copy + Ord> PortSets<P> {
+    /// Removes every entry, keeping the sets for reuse.
+    pub fn clear(&mut self) {
+        for (_, s) in &mut self.slots[..self.len] {
+            s.clear();
+        }
+        self.len = 0;
+    }
+
+    /// The set emitted on `port`, entered empty (in port order) if absent.
+    pub fn entry(&mut self, port: P) -> &mut HeaderSet {
+        let pos = self.slots[..self.len].partition_point(|(p, _)| *p < port);
+        if pos == self.len || self.slots[pos].0 != port {
+            if self.len == self.slots.len() {
+                self.slots.push((port, HeaderSet::empty()));
+            } else {
+                self.slots[self.len].0 = port;
+            }
+            self.slots[pos..=self.len].rotate_right(1);
+            self.len += 1;
+        }
+        &mut self.slots[pos].1
+    }
+
+    /// The ports with a non-empty set, in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = (P, &HeaderSet)> {
+        self.slots[..self.len]
+            .iter()
+            .filter(|(_, s)| !s.is_empty())
+            .map(|(p, s)| (*p, s))
+    }
+}
+
+/// The temporaries of [`nic_transfer`] and [`vswitch_transfer`]. Their
+/// caller keeps them, so that a transfer allocates nothing once they have
+/// grown; their contents between calls mean nothing.
+#[derive(Default)]
+pub struct TransferScratch {
+    cur: HeaderSet,
+    admitted: HeaderSet,
+    matched: HeaderSet,
+    in_vlan: HeaderSet,
+    splinters: Vec<Cube>,
+    /// `vswitch_transfer`'s pending `GotoTable` branches.
+    stack: Vec<(u8, HeaderSet)>,
+    /// Empty sets recycled between `stack` entries.
+    spare: Vec<HeaderSet>,
+}
+
+/// VEB admission at PF `pf`'s ingress port `from`, as `PfSwitch::ingress`
+/// applies it before forwarding: anti-spoofing and VST for a VF (an
+/// unconfigured VF admits nothing), then the security filters — first match
+/// in evaluation order wins, and what no filter matches is allowed by
+/// default. Returns the admitted class and whether some of it was admitted
+/// by the default rule; `on_match` sees the original index and the action of
+/// every filter that matched something.
+pub(crate) fn admit<'s>(
+    m: &Model,
+    pf: u8,
+    from: NPort,
+    arriving: &HeaderSet,
+    sc: &'s mut TransferScratch,
+    mut on_match: impl FnMut(usize, FilterAction),
+) -> (&'s HeaderSet, bool) {
+    let model = &m.pfs[pf as usize];
+    let dom = &m.dom;
+    let TransferScratch {
+        cur,
+        admitted,
+        matched,
+        splinters,
+        ..
+    } = sc;
+    cur.clone_from(arriving);
+    admitted.clear();
+
+    // VF ingress policy: anti-spoofing constrains the source MAC; VST
+    // drops tagged frames and tags the rest with the VF's VLAN.
+    if let NPort::Vf(id) = from {
+        let Some(cfg) = model.vfs.get(&id) else {
+            return (admitted, false);
+        };
+        if cfg.spoof_check {
+            let mut c = dom.full_cube();
+            c.src = dom.mac_bit(cfg.mac);
+            cur.intersect_in_place(&c);
+        }
+        if let Some(v) = cfg.vlan {
+            let mut untagged = dom.full_cube();
+            untagged.vlan = 1; // atom 0 = untagged
+            cur.intersect_in_place(&untagged);
+            cur.rewrite_in_place(Field::Vlan, u128::from(dom.vlan_bit(v)));
+        }
+    }
+
+    for (orig, rule) in &model.filters {
+        if cur.is_empty() {
+            break;
+        }
+        if !rule.from.matches(from.to_nic()) {
+            continue;
+        }
+        let cube = m.filter_cube(rule);
+        matched.clear();
+        cur.intersect_into(&cube, matched);
+        if !matched.is_empty() {
+            on_match(*orig, rule.action);
+            if rule.action == FilterAction::Allow {
+                admitted.union(matched);
+            }
+            cur.subtract_cube(&cube, splinters);
+        }
+    }
+    let by_default = !cur.is_empty();
+    admitted.union(cur);
+    (admitted, by_default)
+}
+
+/// Pushes a header set into PF `pf` of the NIC at `from`, replacing `out`
+/// with the egress deliveries. Mirrors `PfSwitch::ingress`: spoof check →
+/// VST → security filters → forwarding (statics, then the learned-entry
 /// over-approximation) → VST egress strip.
 pub fn nic_transfer(
     m: &Model,
@@ -594,66 +705,35 @@ pub fn nic_transfer(
     from: NPort,
     hs: &HeaderSet,
     col: &mut Collector,
-) -> Vec<(NPort, HeaderSet)> {
+    sc: &mut TransferScratch,
+    out: &mut PortSets<NPort>,
+) {
     let model = &m.pfs[pf as usize];
     let dom = &m.dom;
-    let mut cur = hs.clone();
-
-    // VF ingress policy: anti-spoofing constrains the source MAC; VST
-    // drops tagged frames and tags the rest with the VF's VLAN.
-    if let NPort::Vf(id) = from {
-        let Some(cfg) = model.vfs.get(&id) else {
-            return Vec::new(); // unconfigured VF: no traffic
-        };
-        if cfg.spoof_check {
-            let mut c = dom.full_cube();
-            c.src = dom.mac_bit(cfg.mac);
-            cur = cur.intersect_cube(&c);
-        }
-        if let Some(v) = cfg.vlan {
-            let mut untagged = dom.full_cube();
-            untagged.vlan = 1; // atom 0 = untagged
-            cur = cur.intersect_cube(&untagged);
-            cur = cur.rewrite(Field::Vlan, u128::from(dom.vlan_bit(v)));
-        }
-    }
-    if cur.is_empty() {
-        return Vec::new();
-    }
-
-    // Security filters: first match in evaluation order wins.
-    let mut admitted = HeaderSet::empty();
-    let mut remaining = cur;
-    for (orig, rule) in &model.filters {
-        if remaining.is_empty() {
-            break;
-        }
-        if !rule.from.matches(from.to_nic()) {
-            continue;
-        }
-        let cube = m.filter_cube(rule);
-        let matched = remaining.intersect_cube(&cube);
-        if !matched.is_empty() {
-            col.filter_hits.insert((pf, *orig));
-            if rule.action == FilterAction::Allow {
-                admitted.union(&matched);
-            }
-            remaining.subtract_cube(&cube);
-        }
-    }
-    admitted.union(&remaining); // default action is Allow
+    out.clear();
+    admit(m, pf, from, hs, sc, |orig, _| {
+        col.filter_hits.insert((pf, orig))
+    });
 
     // Forwarding, per VLAN atom.
-    let mut out: BTreeMap<NPort, HeaderSet> = BTreeMap::new();
-    let deliver = |port: NPort, set: &HeaderSet, out: &mut BTreeMap<NPort, HeaderSet>| {
+    let TransferScratch {
+        cur: unicast,
+        admitted,
+        matched,
+        in_vlan,
+        splinters,
+        ..
+    } = sc;
+    let mut deliver = |port: NPort, set: &HeaderSet| {
         if port != from && !set.is_empty() {
-            out.entry(port).or_default().union(set);
+            out.entry(port).union(set);
         }
     };
     for (atom, vid) in dom.vlans.iter().enumerate() {
         let mut vcube = dom.full_cube();
         vcube.vlan = 1 << atom;
-        let in_vlan = admitted.intersect_cube(&vcube);
+        in_vlan.clear();
+        admitted.intersect_into(&vcube, in_vlan);
         if in_vlan.is_empty() {
             continue;
         }
@@ -661,10 +741,11 @@ pub fn nic_transfer(
         // Multicast / broadcast: flood the VLAN's members.
         let mut mc = dom.full_cube();
         mc.dst = dom.mac_multicast();
-        let multicast = in_vlan.intersect_cube(&mc);
-        if !multicast.is_empty() {
+        matched.clear();
+        in_vlan.intersect_into(&mc, matched);
+        if !matched.is_empty() {
             for port in model.members(*vid) {
-                deliver(port, &multicast, &mut out);
+                deliver(port, matched);
             }
         }
 
@@ -673,67 +754,69 @@ pub fn nic_transfer(
         // inside `deliver`), then the learned-entry over-approximation.
         let mut uc = dom.full_cube();
         uc.dst = dom.mac_unicast();
-        let mut unicast = in_vlan.intersect_cube(&uc);
+        unicast.clear();
+        in_vlan.intersect_into(&uc, unicast);
         for (svlan, mac, port) in &model.statics {
             if svlan != vid || unicast.is_empty() {
                 continue;
             }
             let mut c = dom.full_cube();
             c.dst = dom.mac_bit(*mac);
-            let part = unicast.intersect_cube(&c);
-            deliver(*port, &part, &mut out);
-            unicast.subtract_cube(&c);
+            matched.clear();
+            unicast.intersect_into(&c, matched);
+            deliver(*port, matched);
+            unicast.subtract_cube(&c, splinters);
         }
         if !unicast.is_empty() {
             // Unknown unicast: union of the fresh-table flood and every
             // possible learned-entry delivery (see `Model::learned_targets`).
             for port in m.learned_targets(pf, *vid) {
-                deliver(port, &unicast, &mut out);
+                deliver(port, unicast);
             }
         }
     }
 
     // Egress: record VF deliveries and strip the VST tag towards VST VFs.
-    let mut result = Vec::new();
-    for (port, set) in out {
-        let set = match port {
-            NPort::Vf(id) => {
-                col.vf_delivered.insert((pf, id));
-                match model.vfs.get(&id).and_then(|c| c.vlan) {
-                    Some(_) => set.rewrite(Field::Vlan, 1),
-                    None => set,
-                }
+    for (port, set) in &mut out.slots[..out.len] {
+        if let NPort::Vf(id) = *port {
+            col.vf_delivered.insert((pf, id));
+            if model.vfs.get(&id).and_then(|c| c.vlan).is_some() {
+                set.rewrite_in_place(Field::Vlan, 1);
             }
-            _ => set,
-        };
-        if !set.is_empty() {
-            result.push((port, set));
         }
     }
-    result
 }
 
-/// Pushes a header set into vswitch `inst` at `in_port`, returning the
-/// emissions. Mirrors `VirtualSwitch::resolve`: one best-match rule per
-/// table, actions applied in order, forward-only `GotoTable`, table miss
-/// drops.
+/// Pushes a header set into vswitch `inst` at `in_port`, replacing `out`
+/// with the emissions. Mirrors `VirtualSwitch::resolve`: one best-match
+/// rule per table, actions applied in order, forward-only `GotoTable`,
+/// table miss drops.
 pub fn vswitch_transfer(
     m: &Model,
     inst: usize,
     in_port: u32,
     hs: &HeaderSet,
     col: &mut Collector,
-) -> Vec<(u32, HeaderSet)> {
+    sc: &mut TransferScratch,
+    out: &mut PortSets<u32>,
+) {
     let vs = &m.vswitches[inst];
     let dom = &m.dom;
-    let mut out: BTreeMap<u32, HeaderSet> = BTreeMap::new();
-    let mut stack: Vec<(u8, HeaderSet)> = vec![(0, hs.clone())];
+    out.clear();
+    let TransferScratch {
+        matched: work,
+        splinters,
+        stack,
+        spare,
+        ..
+    } = sc;
+    let mut first = spare.pop().unwrap_or_default();
+    first.clone_from(hs);
+    stack.push((0, first));
 
     while let Some((t, mut cur)) = stack.pop() {
-        let Some(rules) = vs.tables.get(t as usize) else {
-            continue; // table miss: drop
-        };
-        for (idx, rule) in rules.iter().enumerate() {
+        // A missing table is a table miss: drop.
+        for (idx, rule) in vs.tables.get(t as usize).into_iter().flatten().enumerate() {
             if cur.is_empty() {
                 break;
             }
@@ -743,63 +826,51 @@ pub fn vswitch_transfer(
                 }
             }
             let (cube, exact) = m.match_cube(&rule.m);
-            let matched = cur.intersect_cube(&cube);
-            if matched.is_empty() {
+            work.clear();
+            cur.intersect_into(&cube, work);
+            if work.is_empty() {
                 continue;
             }
             col.rule_hits.insert((inst, t, idx));
             if exact {
-                cur.subtract_cube(&cube);
+                cur.subtract_cube(&cube, splinters);
             }
 
             // Apply the action list to the matched class.
-            let mut work = matched;
             let mut goto: Option<u8> = None;
             let mut dropped = false;
             for a in &rule.actions {
                 match a {
                     Action::Output(p) => {
-                        out.entry(p.0).or_default().union(&work);
+                        out.entry(p.0).union(work);
                     }
-                    Action::Flood => {
-                        for p in &vs.ports {
-                            if *p != in_port {
-                                out.entry(*p).or_default().union(&work);
-                            }
-                        }
-                    }
-                    Action::Normal => {
+                    Action::Flood | Action::Normal => {
                         // Learning-switch NORMAL: over-approximated as a
                         // flood (learning can deliver to at most these).
-                        col.notes.insert(format!(
-                            "{}: NORMAL action over-approximated as flood",
-                            vs.name
-                        ));
+                        if matches!(a, Action::Normal) {
+                            col.notes.insert(Note::Normal(inst));
+                        }
                         for p in &vs.ports {
                             if *p != in_port {
-                                out.entry(*p).or_default().union(&work);
+                                out.entry(*p).union(work);
                             }
                         }
                     }
                     Action::SetEthDst(mac) => {
-                        work = work.rewrite(Field::Dst, dom.mac_bit(*mac));
+                        work.rewrite_in_place(Field::Dst, dom.mac_bit(*mac));
                     }
                     Action::SetEthSrc(mac) => {
-                        work = work.rewrite(Field::Src, dom.mac_bit(*mac));
+                        work.rewrite_in_place(Field::Src, dom.mac_bit(*mac));
                     }
                     Action::PushVlan(v) => {
-                        work = work.rewrite(Field::Vlan, u128::from(dom.vlan_bit(*v)));
+                        work.rewrite_in_place(Field::Vlan, u128::from(dom.vlan_bit(*v)));
                     }
                     Action::PopVlan => {
-                        work = work.rewrite(Field::Vlan, 1);
+                        work.rewrite_in_place(Field::Vlan, 1);
                     }
                     Action::DecTtl => {}
                     Action::VxlanEncap { .. } | Action::VxlanDecap => {
-                        col.notes.insert(format!(
-                            "{}: VXLAN tunnel not traced through (overlay headers are \
-                             outside the modelled fields)",
-                            vs.name
-                        ));
+                        col.notes.insert(Note::Vxlan(inst));
                         dropped = true;
                         break;
                     }
@@ -815,14 +886,16 @@ pub fn vswitch_transfer(
             if !dropped {
                 if let Some(next) = goto {
                     if next > t && !work.is_empty() {
-                        stack.push((next, work));
+                        let mut branch = spare.pop().unwrap_or_default();
+                        std::mem::swap(&mut branch, work);
+                        stack.push((next, branch));
                     }
                     // Backward goto drops, like the real pipeline.
                 }
             }
         }
         // Whatever matched no rule is a table miss: dropped.
+        cur.clear();
+        spare.push(cur);
     }
-
-    out.into_iter().filter(|(_, s)| !s.is_empty()).collect()
 }

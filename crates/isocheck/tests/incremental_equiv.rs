@@ -14,14 +14,22 @@
 //! Operations that are one logical reconfiguration but several deltas
 //! (cookie-wide rule removal, wipe-and-reinstall) compare at the operation
 //! boundary; single-delta operations compare after every delta.
+//!
+//! One operation installs, then removes, a rule naming a value outside the
+//! atomization (a fresh MAC, prefix or EtherType). Both deltas change the
+//! atoms, so each must force a full rebuild: under the stale atomization an
+//! unknown MAC maps to no atom at all, and only the rebuild keeps the
+//! verdict exact.
 
 use mts_core::controller::{Controller, Deployment};
 use mts_core::delta::ConfigDelta;
 use mts_core::{DeploymentSpec, ResourceMode, Scenario, SecurityLevel};
 use mts_isocheck::{IncrementalChecker, Misconfig};
+use mts_net::{EtherType, MacAddr};
 use mts_sim::DetRng;
-use mts_vswitch::DatapathKind;
+use mts_vswitch::{Action, DatapathKind, FlowMatch, FlowRule, Ipv4Prefix};
 use proptest::prelude::*;
+use std::net::Ipv4Addr;
 
 fn control_spec() -> DeploymentSpec {
     // The same configuration `repro verify` seeds misconfigurations into.
@@ -66,6 +74,62 @@ fn vf_delta(d: &Deployment, r: mts_core::vfplan::VfRef) -> Result<ConfigDelta, S
     })
 }
 
+/// Installs on vswitch `v`'s table 0, then removes, a rule matching a value
+/// no part of the configuration names: a MAC (`kind` 0), an IPv4 prefix (1)
+/// or an EtherType (2), picked by `n`. Checks byte-identity after each delta
+/// and that each one rebuilt the atoms.
+fn fresh_value_op(
+    d: &mut Deployment,
+    checker: &mut IncrementalChecker,
+    v: usize,
+    kind: u64,
+    n: u8,
+    priority: u16,
+) -> Result<(), String> {
+    let m = match kind {
+        0 => FlowMatch {
+            eth_dst: Some(MacAddr::local(0x7e_5700 + u32::from(n))),
+            ..FlowMatch::default()
+        },
+        1 => FlowMatch {
+            ip_dst: Some(Ipv4Prefix::new(Ipv4Addr::new(198, 51, 100, n & 0xf0), 28)),
+            ..FlowMatch::default()
+        },
+        _ => FlowMatch {
+            ethertype: Some(EtherType::Other(0x9000 + u16::from(n))),
+            ..FlowMatch::default()
+        },
+    };
+    let rule = FlowRule::new(priority, m, vec![Action::Drop]).with_cookie(0x7e57_0000);
+    let rebuilds = checker.stats().full_rebuilds;
+    d.vswitches[v]
+        .sw
+        .install(0, rule.clone())
+        .map_err(|e| format!("{e:?}"))?;
+    let delta = ConfigDelta::RuleInstalled {
+        vswitch: v,
+        table: 0,
+        rule: rule.clone(),
+    };
+    step(checker, d, &delta);
+    check_equiv(checker, d, "fresh-value install")?;
+    d.vswitches[v].sw.remove_by_cookie(rule.cookie);
+    let delta = ConfigDelta::RuleRemoved {
+        vswitch: v,
+        table: 0,
+        rule,
+    };
+    step(checker, d, &delta);
+    check_equiv(checker, d, "fresh-value removal")?;
+    let rebuilt = checker.stats().full_rebuilds - rebuilds;
+    if rebuilt != 2 {
+        return Err(format!(
+            "a fresh value (kind {kind}) installed and removed rebuilt the atoms {rebuilt} times, not 2"
+        ));
+    }
+    Ok(())
+}
+
 /// One random configuration operation: mutates the deployment through its
 /// public API, applies the matching delta(s), and checks equivalence.
 fn random_op(
@@ -74,7 +138,7 @@ fn random_op(
     checker: &mut IncrementalChecker,
 ) -> Result<(), String> {
     let tenants = d.plan.tenants.len();
-    match rng.below(8) {
+    match rng.below(9) {
         // Wipe a vswitch, then reinstall a random prefix of its rules in
         // dump order — crash recovery that may stop partway.
         0 => {
@@ -214,6 +278,13 @@ fn random_op(
             step(checker, d, &delta);
             check_equiv(checker, d, "vf-vlan-move")
         }
+        // A rule naming a value the atomization does not have.
+        8 => {
+            let v = rng.index(d.vswitches.len());
+            let (kind, n) = (rng.below(3), rng.below(256) as u8);
+            let priority = rng.between(1, 100) as u16;
+            fresh_value_op(d, checker, v, kind, n, priority)
+        }
         // Toggle spoof-check on a random VF.
         _ => {
             let t = rng.index(tenants);
@@ -256,6 +327,20 @@ proptest! {
         let spec = matrix[spec_idx % matrix.len()];
         if let Err(e) = run_stream(seed, spec, 12) {
             panic!("{e}");
+        }
+    }
+}
+
+/// Each kind of fresh value, on every shipped configuration.
+#[test]
+fn fresh_values_rebuild_the_atoms_and_stay_identical() {
+    for spec in mts_isocheck::shipped_matrix() {
+        let mut d = Controller::deploy(spec).expect("deploy");
+        let mut checker = IncrementalChecker::of_deployment(&d).expect("checker");
+        for kind in 0..3 {
+            if let Err(e) = fresh_value_op(&mut d, &mut checker, 0, kind, 0x42, 50) {
+                panic!("{}: {e}", spec.label());
+            }
         }
     }
 }

@@ -13,6 +13,11 @@
 //! "Storage and cost") — and switching recording on costs set-up exactly one
 //! allocation, because `benchmark/` enables it inside `setup_s`.
 //!
+//! The control plane has a row too: past its first replay of the
+//! verify-churn-l2-4 stream, the incremental verifier allocates what each
+//! delta's report owns and little else (DESIGN.md §5, "Checker-owned
+//! scratch in the verifier").
+//!
 //! This is the one file in the workspace that needs `unsafe`: a
 //! `GlobalAlloc` cannot be written without it.
 #![allow(unsafe_code)]
@@ -20,10 +25,13 @@
 use mts::apps::http::HTTP_PORT;
 use mts::apps::{AbClient, HttpServer};
 use mts::core::controller::Controller;
+use mts::core::delta::ConfigDelta;
 use mts::core::runtime::{start_udp_churn_generator, RuntimeCfg, Sim, WireEnd, World};
 use mts::core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts::core::tcphost::{add_lg_client, add_tenant_server, host_start};
+use mts::faults::{run_traced, FaultCase, FaultOpts};
 use mts::host::ResourceMode;
+use mts::isocheck::IncrementalChecker;
 use mts::net::MacAddr;
 use mts::net::TcpSegment;
 use mts::sim::{DetRng, Dur, Time};
@@ -330,6 +338,88 @@ fn steady_state_allocations_stay_within_budget() {
     );
     assert!(segments > 500, "only {segments} segments");
     assert_eq!(allocs, 0, "{allocs} allocations over {segments} segments");
+
+    // The verifier: `benchmark/`'s verify-churn-l2-4 replay, `apply` then
+    // `report` after every delta. The first replay grows every reach set and
+    // scratch buffer; after it a delta costs its report's strings, the
+    // transient violations' witness paths and a rule clone per install
+    // (11.18 measured; 505.88 before the checker kept its scratch). The
+    // same sources recompute as before — fewer allocations, not less work.
+    let (mut checker, deltas) = verify_churn();
+    replay(&mut checker, &deltas);
+    let stats = checker.stats();
+    assert_eq!(
+        (
+            stats.sources_recomputed,
+            stats.sources_skipped,
+            stats.full_rebuilds
+        ),
+        (80, 64, 0),
+        "work done by one replay"
+    );
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..10 {
+        replay(&mut checker, &deltas);
+    }
+    let per_delta =
+        (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / (10 * deltas.len()) as f64;
+    assert!(
+        per_delta <= 1.1 * 11.18,
+        "verifier: {per_delta:.4} allocations per delta"
+    );
+
+    // A liveness delta changes nothing, so its report costs only what the
+    // report owns: the label, the warnings `Vec` and one string for each of
+    // its four warnings.
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    checker.apply(&ConfigDelta::VswitchDown { vswitch: 0 });
+    let report = checker.report().expect("verdict");
+    let liveness = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(report.is_clean() && report.warnings.len() == 4, "{report}");
+    assert!(
+        liveness <= 6,
+        "VswitchDown + report: {liveness} allocations"
+    );
+}
+
+/// `benchmark/`'s verify-churn-l2-4: the delta stream of five fault runs on
+/// Level-2 with four compartments, and a checker over a fresh world.
+fn verify_churn() -> (IncrementalChecker, Vec<ConfigDelta>) {
+    let spec = DeploymentSpec::mts(
+        SecurityLevel::Level2 { compartments: 4 },
+        DatapathKind::Kernel,
+        ResourceMode::Isolated,
+        Scenario::P2v,
+    );
+    let opts = FaultOpts {
+        rate_pps: 50_000.0,
+        seed: 1,
+        ..FaultOpts::default()
+    };
+    let mut deltas = Vec::new();
+    for case in [
+        FaultCase::CrashLoop,
+        FaultCase::WipeFlows,
+        FaultCase::LoseRules,
+        FaultCase::FlushVeb,
+        FaultCase::Crash,
+    ] {
+        let mut w = run_traced(spec, case, opts).expect("fault run deploys");
+        deltas.extend(w.deltas.drain().into_iter().map(|(_, d)| d));
+    }
+    let mut cfg = RuntimeCfg::for_spec(&spec);
+    cfg.offered_pps = opts.rate_pps;
+    let w = World::new(Controller::deploy(spec).expect("deploys"), cfg, 11);
+    let checker = IncrementalChecker::of_world(&w).expect("checker builds");
+    (checker, deltas)
+}
+
+/// One replay of the stream, as `benchmark/` runs it.
+fn replay(checker: &mut IncrementalChecker, deltas: &[ConfigDelta]) {
+    for d in deltas {
+        checker.apply(d);
+        std::hint::black_box(checker.report().expect("verdict"));
+    }
 }
 
 /// A client/server `Connection` pair and the channel between them, which
