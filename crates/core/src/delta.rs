@@ -1,7 +1,7 @@
 //! Typed configuration-delta stream for incremental verification.
 //!
 //! Every runtime path that mutates *configuration* — controller
-//! reconciliation ([`crate::reconcile`]), supervisor restarts
+//! reconciliation ([`crate::reconcile`](mod@crate::reconcile)), supervisor restarts
 //! ([`crate::supervisor`]), and fault injection (`mts-faults`) — records
 //! what it changed as a [`ConfigDelta`] in the world's [`DeltaLog`].
 //! Dynamic state (MAC learning, flow-cache contents, rule hit counters)

@@ -28,7 +28,7 @@
 //! - [`overlay`] — VXLAN overlay rules and generators (Sec. 3.2).
 //! - [`perfiso`] — the noisy-neighbor performance-isolation experiments
 //!   (single-victim result and the per-level SLO matrix).
-//! - [`reconcile`] — controller reconciliation: snapshot of the desired
+//! - [`reconcile`](mod@reconcile) — controller reconciliation: snapshot of the desired
 //!   dataplane state and the idempotent re-programming pass that restores
 //!   it after faults.
 //! - [`supervisor`] — the vswitch-VM watchdog: heartbeat failure

@@ -232,16 +232,6 @@ impl CycleMeters {
         sum
     }
 
-    /// Number of vswitches metered.
-    pub fn vswitch_count(&self) -> usize {
-        self.vswitch_total.len()
-    }
-
-    /// Number of tenants metered.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants
-    }
-
     /// Internal conservation: for every layer,
     /// `Σ per-tenant truth + unresolved == total`. Holds by construction;
     /// verified anyway so a future refactor cannot silently break it.

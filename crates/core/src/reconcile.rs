@@ -13,7 +13,7 @@
 //! healthy dataplane. Rule comparison deliberately ignores hit statistics
 //! ([`FlowStats`] is runtime state, not configuration).
 //!
-//! [`FlowStats`]: mts_vswitch::FlowStats
+//! [`FlowStats`]: mts_vswitch::table::FlowStats
 
 use crate::delta::ConfigDelta;
 use crate::runtime::World;

@@ -7,8 +7,8 @@
 //! missed beats, and restarts it with exponential backoff plus
 //! deterministic jitter. A restarted vswitch VM boots with empty flow
 //! tables, so every successful restart is followed by a
-//! [`crate::reconcile`] pass that re-programs the controller's desired
-//! state. A VM that keeps crashing exhausts its restart budget and is
+//! [`reconcile`](crate::reconcile()) pass that re-programs the controller's
+//! desired state. A VM that keeps crashing exhausts its restart budget and is
 //! marked **degraded** — its tenants lose service, but the supervisor
 //! never panics and never touches other compartments (the blast-radius
 //! property `crates/faults` measures).

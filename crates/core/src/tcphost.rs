@@ -12,7 +12,7 @@
 //! each host is configured with routes mapping remote IPs to next-hop MACs
 //! (the tenant's Gw VF, or the compartment's In/Out VF from the LG side).
 
-use crate::runtime::{wire_inject, CoreEvent, Sim, World};
+use crate::runtime::{wire_inject, with_scratch, Charge, CoreEvent, Sim, World};
 use mts_apps::{App, AppCtx, ConnId};
 use mts_net::{Frame, Ipv4Packet, MacAddr, Payload, TcpFlags, TcpSegment, Transport};
 use mts_nic::{NicPort, PfId, VfId};
@@ -98,8 +98,9 @@ pub struct TcpHostRt {
 }
 
 /// The buffers one host event reuses; empty between events. An entry point
-/// takes them with [`with_scratch`], which puts them back on every path out
-/// (host handlers never re-enter one another, as with `World`'s scratch).
+/// takes them with [`with_host_scratch`], the runtime's one scratch helper,
+/// which puts them back on every path out (host handlers never re-enter one
+/// another, as with `World`'s scratch).
 #[derive(Default)]
 struct Scratch {
     /// Segments the stack appended in its last call.
@@ -170,11 +171,6 @@ impl TcpHostRt {
     /// A counter value.
     pub fn counter(&self, what: &str) -> u64 {
         self.counters.get(what).copied().unwrap_or(0)
-    }
-
-    /// Number of live connections.
-    pub fn conn_count(&self) -> usize {
-        self.conns.len()
     }
 
     /// TCP counters summed over every connection the host has had, closed
@@ -271,23 +267,20 @@ enum AppEvent {
 }
 
 /// Runs `f` on host `h` (if it exists) with the host's scratch taken out.
-fn with_scratch(
+fn with_host_scratch(
     w: &mut World,
     e: &mut Sim,
     h: usize,
     f: impl FnOnce(&mut World, &mut Sim, &mut Scratch),
 ) {
-    let Some(host) = w.hosts.get_mut(h) else {
-        return;
-    };
-    let mut s = std::mem::take(&mut host.scratch);
-    f(w, e, &mut s);
-    w.hosts[h].scratch = s;
+    if h < w.hosts.len() {
+        with_scratch(w, e, |w| &mut w.hosts[h].scratch, f);
+    }
 }
 
 /// Boots host `h`: starts its application.
 pub fn host_start(w: &mut World, e: &mut Sim, h: usize) {
-    with_scratch(w, e, h, |w, e, s| {
+    with_host_scratch(w, e, h, |w, e, s| {
         s.events.push(AppEvent::Started);
         run_app_events_then_emit(w, e, h, s);
     });
@@ -296,7 +289,7 @@ pub fn host_start(w: &mut World, e: &mut Sim, h: usize) {
 /// A frame arrives at host `h` (already delivered to its NIC/VF).
 pub fn host_rx(w: &mut World, e: &mut Sim, h: usize, frame: Frame) {
     let now = e.now();
-    let Some(host) = w.hosts.get_mut(h) else {
+    let Some(host) = w.hosts.get(h) else {
         let fid = frame.id;
         w.drop_frame_traced(now, fid, DropCause::NoSuchHost);
         return;
@@ -307,12 +300,7 @@ pub fn host_rx(w: &mut World, e: &mut Sim, h: usize, frame: Frame) {
         Some(cores) => {
             let core = cores[(frame.flow_hash() % 2) as usize];
             let cost = host.per_segment / crate::runtime::tso_factor(&frame);
-            // lint:allow(no-unwrap): host cores are allocated at deploy time
-            let grant = w.cores.get_mut(core).expect("host core exists").acquire(
-                now,
-                0x3000 + h as u64,
-                cost,
-            );
+            let grant = w.grant(core, now, Charge::Host(h), cost);
             e.schedule_event(grant.end, UNTAGGED_EVENT, CoreEvent::HostExec { h, frame });
         }
         None => host_exec(w, e, h, frame),
@@ -334,7 +322,7 @@ pub fn external_host_rx(w: &mut World, e: &mut Sim, h_default: usize, frame: Fra
 
 /// Host `h`'s stack processes a received frame (its rx grant has ended).
 pub(crate) fn host_exec(w: &mut World, e: &mut Sim, h: usize, frame: Frame) {
-    with_scratch(w, e, h, |w, e, s| {
+    with_host_scratch(w, e, h, |w, e, s| {
         let now = e.now();
         let host = &mut w.hosts[h];
         // Gateway ARP replies complete dynamic resolution and flush queued
@@ -480,11 +468,7 @@ fn run_app(w: &mut World, e: &mut Sim, h: usize, s: &mut Scratch) {
         // Phase 2: apply side effects.
         if !cpu.is_zero() {
             if let Some(cores) = w.hosts[h].cores {
-                w.cores
-                    .get_mut(cores[0])
-                    // lint:allow(no-unwrap): host cores are allocated at deploy time
-                    .expect("host core exists")
-                    .acquire(now, 0x3000 + h as u64, cpu);
+                w.grant(cores[0], now, Charge::Host(h), cpu);
             }
         }
         let mut cmds = std::mem::take(&mut s.cmds);
@@ -520,7 +504,7 @@ pub(crate) fn open_client_conn(
     rip: Ipv4Addr,
     rport: u16,
 ) {
-    with_scratch(w, e, h, |w, e, s| {
+    with_host_scratch(w, e, h, |w, e, s| {
         let host = &mut w.hosts[h];
         let lport = host.alloc_ephemeral();
         let quad = Quad { lport, rip, rport };
@@ -562,7 +546,6 @@ fn emit_segments(w: &mut World, e: &mut Sim, h: usize, s: &mut Scratch) {
         return;
     }
     // Charge tx CPU (tenant hosts only) and compute the departure time.
-    let host = &w.hosts[h];
     let depart = match host.cores {
         Some(cores) => {
             // GSO: bulk data segments cost less per segment to emit.
@@ -571,15 +554,12 @@ fn emit_segments(w: &mut World, e: &mut Sim, h: usize, s: &mut Scratch) {
                 .iter()
                 .map(|(_, seg)| per_segment / if seg.payload_len >= 1_000 { 8 } else { 1 })
                 .sum();
-            w.cores
-                .get_mut(cores[1])
-                // lint:allow(no-unwrap): host cores are allocated at deploy time
-                .expect("host core exists")
-                .acquire(now, 0x3000 + h as u64, Dur::nanos(cost))
+            w.grant(cores[1], now, Charge::Host(h), Dur::nanos(cost))
                 .end
         }
         None => now,
     };
+    let host = &w.hosts[h];
     for (quad, seg) in emits.drain(..) {
         let frame = Frame::new(
             host.mac,
@@ -604,7 +584,6 @@ pub(crate) fn dispatch_frame(w: &mut World, e: &mut Sim, attach: HostAttach, fra
         HostAttach::Wire(pf) => wire_inject(w, e, pf, frame),
         HostAttach::Vf(pf, vf) => {
             let arr = w.nic.dma(e.now(), u64::from(frame.wire_len()));
-            w.max_dma_wait = w.max_dma_wait.max(arr - e.now());
             let port = NicPort::Vf(vf);
             e.schedule_event(arr, UNTAGGED_EVENT, CoreEvent::NicRx { pf, port, frame });
         }
@@ -644,7 +623,7 @@ fn arm_conn_timer(w: &mut World, e: &mut Sim, h: usize, quad: Quad) {
 
 /// A connection timer armed at generation `gen` fires.
 pub(crate) fn conn_timer_fire(w: &mut World, e: &mut Sim, h: usize, quad: Quad, gen: u64) {
-    with_scratch(w, e, h, |w, e, s| {
+    with_host_scratch(w, e, h, |w, e, s| {
         let host = &mut w.hosts[h];
         let Some(rt) = host.conns.get_mut(&quad) else {
             return;
@@ -742,50 +721,6 @@ pub fn add_lg_client(
     let h = w.hosts.len();
     w.hosts.push(host);
     h
-}
-
-/// Snapshots every host's TCP connection statistics into the telemetry
-/// metrics registry (labelled by `host` name). Connection stats are
-/// cumulative, so the values are exported as last-write-wins gauges —
-/// calling this more than once simply refreshes the snapshot.
-pub fn export_tcp_metrics(w: &mut World) {
-    let snapshots: Vec<(String, u64, ConnStats)> = w
-        .hosts
-        .iter()
-        .map(|host| {
-            let mut agg = ConnStats::default();
-            // lint:allow(hashmap-iter): commutative += aggregation, order-insensitive
-            for c in host.conns.values() {
-                agg += c.conn.stats();
-            }
-            (host.name.clone(), host.conns.len() as u64, agg)
-        })
-        .collect();
-    let Some(rec) = w.telemetry.rec() else {
-        return;
-    };
-    for (name, conns, s) in snapshots {
-        let labels: &[(&str, &str)] = &[("host", &name)];
-        rec.metrics
-            .gauge_set("mts_tcp_connections", labels, conns as f64);
-        rec.metrics
-            .gauge_set("mts_tcp_retransmits", labels, s.retransmits as f64);
-        rec.metrics
-            .gauge_set("mts_tcp_timeouts", labels, s.timeouts as f64);
-        rec.metrics.gauge_set(
-            "mts_tcp_fast_retransmits",
-            labels,
-            s.fast_retransmits as f64,
-        );
-        rec.metrics
-            .gauge_set("mts_tcp_bytes_acked", labels, s.bytes_acked as f64);
-        rec.metrics
-            .gauge_set("mts_tcp_bytes_delivered", labels, s.bytes_delivered as f64);
-        rec.metrics
-            .gauge_set("mts_tcp_dup_acks", labels, s.dup_acks as f64);
-        rec.metrics
-            .gauge_set("mts_tcp_ooo_segments", labels, s.ooo_segments as f64);
-    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   flaps, vhost stalls, and controller-channel loss, each pinned to a
 //!   simulated-time instant. Plans can be built programmatically or
 //!   parsed from a compact text form (`@10ms crash vswitch=0`).
-//! - [`inject`] — schedules a plan into the discrete-event engine. All
+//! - [`inject`](mod@inject) — schedules a plan into the discrete-event engine. All
 //!   randomness (partial rule loss) draws from the world's dedicated
 //!   `fault_rng` stream, so fault runs are bit-reproducible and an empty
 //!   plan leaves the traffic byte-identical to a fault-free run.
@@ -24,7 +24,7 @@
 //!   a post-recovery `mts-isocheck` verification.
 //!
 //! Recovery itself lives in `mts-core` ([`mts_core::supervisor`],
-//! [`mts_core::reconcile`]); this crate injects the faults and measures
+//! [`mts_core::reconcile`](mod@mts_core::reconcile)); this crate injects the faults and measures
 //! the response. See `ROBUSTNESS.md` for the experiment design and the
 //! expected containment results.
 

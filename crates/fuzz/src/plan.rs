@@ -6,7 +6,7 @@
 //! level: dropped `@` prefixes, missing keys, malformed numbers, absurd
 //! durations, unknown verbs, and stray junk tokens.
 //!
-//! The oracle: `parse` must return `Ok` or a typed [`PlanParseError`] —
+//! The oracle: `parse` must return `Ok` or a typed [`PlanParseError`](mts_faults::PlanParseError) —
 //! never panic — and a plan that parses once must parse again to the same
 //! event list (parser determinism).
 

@@ -6,7 +6,7 @@
 //! anti-spoofing), wildcard security filters, and the per-vswitch flow
 //! pipelines with their port attachments. Learned (dynamic) MAC entries are
 //! deliberately *not* modelled — the analysis instead over-approximates
-//! what learning could ever do (see [`PfModel::injectors`]), so its verdicts
+//! what learning could ever do (see [`Model::learned_targets`]), so its verdicts
 //! hold for every possible learning history.
 
 use crate::header::{Cube, DomainOverflow, Domains, DomainsBuilder, Field, HeaderSet, SortedSet};

@@ -16,7 +16,6 @@
 //! - [`vxlan`] — VXLAN tunnel encapsulation (RFC 7348), used for overlays.
 //! - [`frame`] — the [`Frame`] type tying it all together, plus sizes.
 //! - [`wire`] — byte-exact serialization and parsing.
-//! - [`pcap`] — Wireshark-readable capture writing (the DAG-tap analogue).
 //! - [`checksum`] — the internet checksum.
 
 pub mod addr;
@@ -25,7 +24,6 @@ pub mod checksum;
 pub mod ethertype;
 pub mod frame;
 pub mod ipv4;
-pub mod pcap;
 pub mod vxlan;
 pub mod wire;
 

@@ -3,11 +3,12 @@
 //! the core scheduler's measured vswitch cycle total — *exactly*, in
 //! integer nanoseconds, with no tolerance. The same identity must survive
 //! a vswitch crash with supervisor recovery, because billing that drifts
-//! under faults is billing that can be gamed by inducing faults.
+//! under faults is billing that can be gamed by inducing faults. Each
+//! tenant's VM meter is held to the core ledger the same way.
 
 use mts::core::controller::Controller;
 use mts::core::meters::Layer;
-use mts::core::runtime::{start_udp_generator, RuntimeCfg, Sim, World};
+use mts::core::runtime::{start_udp_generator, Charge, RuntimeCfg, Sim, World};
 use mts::core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts::core::{bill, billing_accuracy};
 use mts::faults::{run_traced, FaultCase, FaultOpts};
@@ -90,6 +91,26 @@ fn assert_conserved(w: &World, what: &str) {
         w.meters.layer_total(Layer::NicVeb),
         w.nic.veb_busy_total(),
         "{what}: NIC VEB meter disagrees with the NIC's own ledger"
+    );
+    // Tenant-VM work is metered by the same grant the core ledger records,
+    // under the user id of the core serving each rx side.
+    for t in 0..w.tenants.len() {
+        let mut ledger = Dur::ZERO;
+        for side in 0..2 {
+            let user = Charge::TenantVm { t, side }.user();
+            for core in w.cores.iter() {
+                ledger += core.busy_for(user);
+            }
+        }
+        assert_eq!(
+            w.meters.layer_truth(Layer::TenantVm, t),
+            ledger,
+            "{what}: tenant {t}'s VM meter disagrees with the core ledger"
+        );
+    }
+    assert!(
+        w.meters.layer_total(Layer::TenantVm) > Dur::ZERO,
+        "{what}: vacuous — no tenant VM did any work"
     );
     assert!(
         w.meters.internally_consistent(),

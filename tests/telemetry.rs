@@ -5,6 +5,7 @@
 use mts::core::controller::Controller;
 use mts::core::runtime::{start_udp_generator, RuntimeCfg, Sim, World};
 use mts::core::spec::{DeploymentSpec, Scenario, SecurityLevel};
+use mts::faults::{run_traced, FaultCase, FaultOpts};
 use mts::host::ResourceMode;
 use mts::net::MacAddr;
 use mts::sim::Time;
@@ -115,6 +116,45 @@ fn every_drop_cause_is_documented() {
             doc.contains(&format!("`{cause}`")),
             "OBSERVABILITY.md does not list drop cause `{cause}`"
         );
+    }
+}
+
+/// OBSERVABILITY.md's metrics table is the operator's key to the
+/// Prometheus export; a series the code starts emitting must be added there.
+#[test]
+fn every_emitted_metric_is_documented() {
+    let doc = include_str!("../OBSERVABILITY.md");
+    let table = doc
+        .split("\n## Metrics\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("OBSERVABILITY.md has a Metrics section");
+    let spec = DeploymentSpec::mts(
+        SecurityLevel::Level2 { compartments: 2 },
+        DatapathKind::Kernel,
+        ResourceMode::Isolated,
+        Scenario::P2v,
+    );
+    for case in [FaultCase::Crash, FaultCase::CrashLoop] {
+        let w = run_traced(spec, case, FaultOpts::default()).expect("deploys");
+        let prom = w
+            .telemetry
+            .recorder()
+            .expect("traced")
+            .metrics
+            .render_prometheus();
+        let names: Vec<&str> = prom
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split(' ').next())
+            .collect();
+        assert!(names.len() > 10, "{case:?} emitted only {names:?}");
+        for name in names {
+            assert!(
+                table.contains(&format!("`{name}`")),
+                "OBSERVABILITY.md's metrics table does not list `{name}` ({case:?})"
+            );
+        }
     }
 }
 
