@@ -1,6 +1,6 @@
 //! Golden-replay determinism tests: re-running the quick SLO and faults
-//! panels, the quick TCP workloads and the verifier's reports must
-//! reproduce the committed files byte for byte.
+//! panels, the quick TCP workloads, the controller's deployments and the
+//! verifier's reports must reproduce the committed files byte for byte.
 //!
 //! The panels are pure functions of (spec, seed): no wall clock, no host
 //! state, no iteration-order dependence may leak into their output. These
@@ -20,7 +20,7 @@ use std::path::PathBuf;
 
 use mts_bench::figures::fig6_csv;
 use mts_bench::slo;
-use mts_core::controller::Controller;
+use mts_core::controller::{Controller, Deployment};
 use mts_core::overlay::{install_overlay_rules, OverlayConfig};
 use mts_core::runtime::{RuntimeCfg, World};
 use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
@@ -28,6 +28,7 @@ use mts_core::workloads::{run_workload, Workload, WorkloadOpts};
 use mts_faults::{blast_radius_panel, experiment, run_traced, FaultCase, FaultOpts};
 use mts_host::ResourceMode;
 use mts_isocheck::{IncrementalChecker, Misconfig};
+use mts_nic::PfId;
 use mts_sim::{Dur, Time};
 use mts_vswitch::{Action, DatapathKind, FlowMatch, FlowRule};
 
@@ -157,6 +158,81 @@ fn tcp_workloads_replay_byte_identical() {
         }
     }
     check_or_bless("tcp_workloads.quick.csv", &csv);
+}
+
+/// Renders what a deployment programmed into its devices, in a fixed order:
+/// per PF its static MAC entries, filters and VFs; per vswitch its ports
+/// with their attachments, its proxy-ARP entries and its rules in dump
+/// order.
+fn dump_deployment(out: &mut String, d: &Deployment) {
+    for p in 0..d.ports {
+        let pf = d.nic.pf(PfId(p)).expect("deployed PF");
+        writeln!(out, "pf{p} statics:").expect("write to String");
+        for (vlan, mac, port) in pf.static_macs() {
+            writeln!(out, "  vlan {vlan} {mac} -> {port}").expect("write to String");
+        }
+        writeln!(out, "pf{p} filters:").expect("write to String");
+        for f in pf.filters() {
+            writeln!(out, "  {f:?}").expect("write to String");
+        }
+        writeln!(out, "pf{p} vfs:").expect("write to String");
+        for (id, cfg) in pf.vfs() {
+            writeln!(out, "  {id} {cfg:?}").expect("write to String");
+        }
+    }
+    for inst in &d.vswitches {
+        writeln!(out, "vswitch {} {}:", inst.index, inst.sw.name()).expect("write to String");
+        for (no, info) in inst.sw.ports() {
+            let attach = inst.attach.get(&no);
+            writeln!(out, "  port {no} {} {:?} {attach:?}", info.name, info.kind)
+                .expect("write to String");
+        }
+        for (ip, mac) in &inst.proxy_arp {
+            writeln!(out, "  proxy-arp {ip} {mac}").expect("write to String");
+        }
+        for (table, rule) in inst.sw.dump_rules() {
+            writeln!(out, "  table {table} {rule:?}").expect("write to String");
+        }
+    }
+}
+
+/// What the controller programs, device by device: every shipped
+/// configuration and the kernel Baseline in each scenario, each through
+/// `deploy` (Sec. 4, two ports) and `deploy_workload` (Sec. 5, one port),
+/// plus `repro overlay`'s deployment; then the isolation matrix, whose
+/// attacks probe those devices.
+#[test]
+fn deployments_replay_byte_identical() {
+    let mut specs = mts_isocheck::shipped_matrix();
+    specs.extend(
+        Scenario::ALL
+            .map(|s| DeploymentSpec::baseline(DatapathKind::Kernel, ResourceMode::Shared, 1, s)),
+    );
+    let mut out = String::new();
+    for spec in specs {
+        for (entry, deployed) in [
+            ("deploy", Controller::deploy(spec)),
+            ("deploy_workload", Controller::deploy_workload(spec)),
+        ] {
+            writeln!(out, "== {entry} {spec:?}").expect("write to String");
+            match deployed {
+                Ok(d) => dump_deployment(&mut out, &d),
+                Err(e) => writeln!(out, "error: {e}").expect("write to String"),
+            }
+        }
+    }
+    let overlay = DeploymentSpec::mts(
+        SecurityLevel::Level2 { compartments: 2 },
+        DatapathKind::Kernel,
+        ResourceMode::Isolated,
+        Scenario::P2v,
+    );
+    let mut d = Controller::build(overlay, 2).expect("overlay deploys");
+    install_overlay_rules(&mut d, OverlayConfig::default()).expect("overlay rules install");
+    writeln!(out, "== overlay {overlay:?}").expect("write to String");
+    dump_deployment(&mut out, &d);
+    out.push_str(&mts_bench::figures::isolation_matrix());
+    check_or_bless("deploy.quick.txt", &out);
 }
 
 /// The verifier's reports, gated where `repro verify` is not: that target
