@@ -20,8 +20,9 @@ use std::path::PathBuf;
 
 use mts_bench::figures::fig6_csv;
 use mts_bench::slo;
-use mts_core::controller::{Controller, Deployment};
+use mts_core::controller::{Controller, DeployError, Deployment};
 use mts_core::overlay::{install_overlay_rules, OverlayConfig};
+use mts_core::reconcile;
 use mts_core::runtime::{RuntimeCfg, World};
 use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts_core::workloads::{run_workload, Workload, WorkloadOpts};
@@ -199,27 +200,21 @@ fn dump_deployment(out: &mut String, d: &Deployment) {
 /// What the controller programs, device by device: every shipped
 /// configuration and the kernel Baseline in each scenario, each through
 /// `deploy` (Sec. 4, two ports) and `deploy_workload` (Sec. 5, one port),
-/// plus `repro overlay`'s deployment; then the isolation matrix, whose
-/// attacks probe those devices.
-#[test]
-fn deployments_replay_byte_identical() {
+/// plus `repro overlay`'s deployment. Labelled as `deploy.quick.txt`
+/// heads them.
+fn golden_deployments() -> Vec<(String, Result<Deployment, DeployError>)> {
     let mut specs = mts_isocheck::shipped_matrix();
     specs.extend(
         Scenario::ALL
             .map(|s| DeploymentSpec::baseline(DatapathKind::Kernel, ResourceMode::Shared, 1, s)),
     );
-    let mut out = String::new();
+    let mut out = Vec::new();
     for spec in specs {
-        for (entry, deployed) in [
-            ("deploy", Controller::deploy(spec)),
-            ("deploy_workload", Controller::deploy_workload(spec)),
-        ] {
-            writeln!(out, "== {entry} {spec:?}").expect("write to String");
-            match deployed {
-                Ok(d) => dump_deployment(&mut out, &d),
-                Err(e) => writeln!(out, "error: {e}").expect("write to String"),
-            }
-        }
+        out.push((format!("deploy {spec:?}"), Controller::deploy(spec)));
+        out.push((
+            format!("deploy_workload {spec:?}"),
+            Controller::deploy_workload(spec),
+        ));
     }
     let overlay = DeploymentSpec::mts(
         SecurityLevel::Level2 { compartments: 2 },
@@ -229,10 +224,80 @@ fn deployments_replay_byte_identical() {
     );
     let mut d = Controller::build(overlay, 2).expect("overlay deploys");
     install_overlay_rules(&mut d, OverlayConfig::default()).expect("overlay rules install");
-    writeln!(out, "== overlay {overlay:?}").expect("write to String");
-    dump_deployment(&mut out, &d);
+    out.push((format!("overlay {overlay:?}"), Ok(d)));
+    out
+}
+
+/// The golden deployments' devices, then the isolation matrix, whose
+/// attacks probe those devices.
+#[test]
+fn deployments_replay_byte_identical() {
+    let mut out = String::new();
+    for (label, deployed) in golden_deployments() {
+        writeln!(out, "== {label}").expect("write to String");
+        match deployed {
+            Ok(d) => dump_deployment(&mut out, &d),
+            Err(e) => writeln!(out, "error: {e}").expect("write to String"),
+        }
+    }
     out.push_str(&mts_bench::figures::isolation_matrix());
     check_or_bless("deploy.quick.txt", &out);
+}
+
+/// Deploy is reconcile from empty, so a fresh world holds its desired
+/// config field for field, in the devices' own order (which recovery's
+/// `RuleInstalled` deltas follow), has nothing to repair and no deltas on
+/// record.
+#[test]
+fn reconcile_on_a_fresh_world_has_zero_churn() {
+    for (label, deployed) in golden_deployments() {
+        let Ok(d) = deployed else { continue };
+        let spec = d.spec;
+        let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 11);
+        for (p, statics) in w.desired.statics.iter().enumerate() {
+            let pf = w.nic.pf(PfId(p as u8)).expect("deployed PF");
+            let vfs: Vec<_> = pf.vfs().map(|(id, cfg)| (id, cfg.clone())).collect();
+            assert_eq!(statics, &pf.static_macs(), "{label}: pf{p} statics");
+            assert_eq!(w.desired.filters[p], pf.filters(), "{label}: pf{p} filters");
+            assert_eq!(w.desired.vfs[p], vfs, "{label}: pf{p} VFs");
+        }
+        assert_eq!(w.desired.rules.len(), w.vswitches.len(), "{label}");
+        for (i, (rules, vs)) in w.desired.rules.iter().zip(&w.vswitches).enumerate() {
+            assert_eq!(
+                rules,
+                &vs.inst.sw.dump_rules(),
+                "{label}: vswitch {i} rules"
+            );
+        }
+        assert!(w.deltas.is_empty(), "{label}: deploy's deltas were kept");
+        let r = reconcile(&mut w);
+        assert_eq!(r.churn(), 0, "{label}: {r}");
+    }
+}
+
+/// The converge pass that deploys a spec, rerun on its empty topology and
+/// fed delta by delta to an incremental checker, lands on the devices the
+/// deployment holds and on the verdict `verify` gives from scratch.
+#[test]
+fn deploy_deltas_reach_the_full_verdict_incrementally() {
+    for (label, deployed) in golden_deployments() {
+        let Ok(d) = deployed else { continue };
+        let mut empty = Controller::topology(d.spec, d.ports);
+        empty.desired = d.desired.clone();
+        let mut checker = IncrementalChecker::of_deployment(&empty).expect("checker builds");
+        empty
+            .converge(&mut |delta| {
+                checker.apply(&delta);
+            })
+            .expect("the empty topology converges");
+        let (mut want, mut have) = (String::new(), String::new());
+        dump_deployment(&mut want, &d);
+        dump_deployment(&mut have, &empty);
+        assert!(want == have, "{label}: devices differ");
+        let full = mts_isocheck::verify(&d).expect("verifies").to_string();
+        let fed = checker.report().expect("verdict").to_string();
+        assert!(fed == full, "{label}:\n{fed}\nvs\n{full}");
+    }
 }
 
 /// The verifier's reports, gated where `repro verify` is not: that target

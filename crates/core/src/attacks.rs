@@ -259,11 +259,13 @@ fn flow_rule_misconfiguration(spec: DeploymentSpec) -> Result<AttackOutcome, Dep
     let victim = d.plan.tenants[victim_t as usize].clone();
     let unmatched_ip = Ipv4Addr::new(10, 99, 99, 99);
 
-    let inst = &mut d.vswitches[comp];
-    crate::controller::install0(
-        &mut inst.sw,
+    d.desired.add_rule(
+        comp,
+        0,
         FlowRule::new(1, FlowMatch::any(), vec![Action::Normal]),
     );
+    d.converge(&mut |_| {})?;
+    let inst = &mut d.vswitches[comp];
 
     if spec.level.compartmentalized() {
         // Attacker frame enters via its gateway port and floods.

@@ -1,19 +1,24 @@
 //! The logically-centralized controller.
 //!
-//! Builds a [`Deployment`] from a [`DeploymentSpec`]: creates and
-//! configures the SR-IOV NIC (VFs, VST VLAN tags, MAC anti-spoofing,
-//! wildcard security filters), instantiates the vswitches (one per
-//! compartment, or the single co-located Baseline switch), and installs the
-//! ingress/egress chain flow rules of Fig. 3 for the chosen traffic
-//! scenario. Sec. 3.2 "System support" lists exactly these duties: "modify
-//! the centralized controllers to appropriately configure tenant specific
-//! VFs with Vlan tags and MAC addresses, and insert correct flow rules to
-//! ensure the vswitch-tenant connectivity".
+//! Computes a [`Deployment`] from a [`DeploymentSpec`]: the empty topology
+//! (PFs, vswitches with their ports — one per compartment, or the single
+//! co-located Baseline switch — attach maps and proxy-ARP tables) and, as
+//! plain data, the desired config: SR-IOV VFs with their VST VLAN tags and
+//! MAC anti-spoofing, static MAC entries, wildcard security filters, and
+//! the ingress/egress chain flow rules of Fig. 3 for the chosen traffic
+//! scenario. The desired config is computed by the controller and applied
+//! by the one converge pass ([`crate::reconcile::converge`]): deploy is
+//! reconcile from empty. Sec. 3.2 "System support" lists exactly these
+//! duties: "modify the centralized controllers to appropriately configure
+//! tenant specific VFs with Vlan tags and MAC addresses, and insert correct
+//! flow rules to ensure the vswitch-tenant connectivity".
 
-use crate::spec::{DeploymentSpec, Scenario, SecurityLevel};
-use crate::vfplan::AddressPlan;
+use crate::delta::ConfigDelta;
+use crate::reconcile::{DesiredConfig, ReconcileReport};
+use crate::spec::{DeploymentSpec, Scenario};
+use crate::vfplan::{AddressPlan, VfRef};
 use mts_net::MacAddr;
-use mts_nic::{FilterRule, NicError, NicModel, PfId, PortClass, SriovNic, VfConfig, VfId};
+use mts_nic::{FilterRule, NicError, NicModel, NicPort, PfId, PortClass, SriovNic, VfConfig, VfId};
 use mts_vswitch::{Action, DatapathCosts, FlowMatch, FlowRule, PortKind, PortNo, VirtualSwitch};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -51,6 +56,40 @@ pub struct VswitchInstance {
     pub proxy_arp: Vec<(std::net::Ipv4Addr, MacAddr)>,
 }
 
+impl VswitchInstance {
+    /// The ports facing the physical NIC ports: In/Out VF ports (MTS) or PF
+    /// ports (Baseline).
+    fn uplinks(&self) -> &[PortNo] {
+        if self.phys.is_empty() {
+            &self.in_out
+        } else {
+            &self.phys
+        }
+    }
+
+    /// Tenant `t`'s port on `side`: its gateway VF port (MTS) or its vhost
+    /// port (Baseline).
+    fn tenant_port(&self, t: u8, side: u8) -> PortNo {
+        match self.gw.get(&(t, side)) {
+            Some(port) => *port,
+            None => self.vhost[&(t, side)],
+        }
+    }
+
+    fn new(index: u8, name: String) -> Self {
+        VswitchInstance {
+            index,
+            sw: VirtualSwitch::new(name),
+            in_out: Vec::new(),
+            gw: BTreeMap::new(),
+            phys: Vec::new(),
+            vhost: BTreeMap::new(),
+            attach: BTreeMap::new(),
+            proxy_arp: Vec::new(),
+        }
+    }
+}
+
 /// A fully-configured deployment, ready for the runtime.
 pub struct Deployment {
     /// The specification it was built from.
@@ -65,6 +104,26 @@ pub struct Deployment {
     pub vswitches: Vec<VswitchInstance>,
     /// Datapath cost model in effect.
     pub costs: DatapathCosts,
+    /// The dataplane state the controller wants: computed from the spec,
+    /// applied to `nic` and `vswitches` by [`Deployment::converge`].
+    pub desired: DesiredConfig,
+}
+
+impl Deployment {
+    /// Converges the NIC and the vswitches to [`Deployment::desired`]
+    /// through the one converge pass ([`crate::reconcile::converge`]),
+    /// reporting each mutation to `emit`.
+    pub fn converge(
+        &mut self,
+        emit: &mut dyn FnMut(ConfigDelta),
+    ) -> Result<ReconcileReport, NicError> {
+        crate::reconcile::converge(
+            &self.desired,
+            &mut self.nic,
+            self.vswitches.iter_mut().map(|inst| &mut inst.sw),
+            emit,
+        )
+    }
 }
 
 /// Errors while building a deployment.
@@ -94,20 +153,26 @@ impl From<NicError> for DeployError {
     }
 }
 
-/// Installs a rule into a pipeline table that is known to exist.
-///
-/// Tables `0..NUM_TABLES` always exist, so the controller treats an
-/// installation failure as a programming error rather than threading a
-/// `Result` through every rule helper.
-pub(crate) fn install_at(sw: &mut VirtualSwitch, table: u8, rule: FlowRule) {
-    if sw.install(table, rule).is_err() {
-        unreachable!("pipeline table {table} exists");
-    }
-}
-
-/// [`install_at`] for table 0, where the controller puts most rules.
-pub(crate) fn install0(sw: &mut VirtualSwitch, rule: FlowRule) {
-    install_at(sw, 0, rule);
+/// Adds a table-0 rule to vswitch `vswitch`: traffic matching `m` is
+/// re-addressed to `dst`, when given, and sent out of `out`.
+fn fwd(
+    want: &mut DesiredConfig,
+    vswitch: usize,
+    priority: u16,
+    m: FlowMatch,
+    dst: Option<MacAddr>,
+    out: PortNo,
+    cookie: u64,
+) {
+    let actions = match dst {
+        Some(mac) => vec![Action::SetEthDst(mac), Action::Output(out)],
+        None => vec![Action::Output(out)],
+    };
+    want.add_rule(
+        vswitch,
+        0,
+        FlowRule::new(priority, m, actions).with_cookie(cookie),
+    );
 }
 
 /// The centralized controller.
@@ -117,42 +182,63 @@ impl Controller {
     /// Builds and fully configures a deployment for the UDP forwarding
     /// experiments (Sec. 4): dual-port, scenario rules installed.
     pub fn deploy(spec: DeploymentSpec) -> Result<Deployment, DeployError> {
-        let mut d = Self::build(spec, 2)?;
-        Self::install_scenario_rules(&mut d)?;
-        Ok(d)
+        Self::converged(spec, 2, Self::scenario_rules)
     }
 
     /// Builds and configures a deployment for the TCP workload experiments
     /// (Sec. 5): single-port, server rules installed.
     pub fn deploy_workload(spec: DeploymentSpec) -> Result<Deployment, DeployError> {
-        let mut d = Self::build(spec, 1)?;
-        Self::install_workload_rules(&mut d)?;
-        Ok(d)
+        Self::converged(spec, 1, Self::workload_rules)
     }
 
     /// Builds the NIC and vswitches without flow rules.
     pub fn build(spec: DeploymentSpec, ports: u8) -> Result<Deployment, DeployError> {
+        Self::converged(spec, ports, |_| Ok(()))
+    }
+
+    /// Adds the flow rules `rules` computes to the topology's desired
+    /// config, then converges the empty devices to it.
+    fn converged(
+        spec: DeploymentSpec,
+        ports: u8,
+        rules: impl FnOnce(&mut Deployment) -> Result<(), DeployError>,
+    ) -> Result<Deployment, DeployError> {
+        let mut d = Self::topology(spec, ports);
+        let rules = rules(&mut d);
+        // Deploy's deltas describe a build from nothing: nobody keeps them.
+        // A NIC error takes precedence over an unsupported scenario.
+        d.converge(&mut |_| {})?;
+        rules?;
+        Ok(d)
+    }
+
+    /// The deployment before any device is programmed: the PFs, the
+    /// vswitches with their ports, attach maps and proxy-ARP tables, and a
+    /// desired config that holds the NIC state and no flow rules yet.
+    pub fn topology(spec: DeploymentSpec, ports: u8) -> Deployment {
         let ports = ports.max(1);
         let plan = AddressPlan::build(&spec, ports);
-        let mut nic = SriovNic::new(ports, NicModel::default());
-        let costs = DatapathCosts::for_kind(spec.datapath);
-
-        // External MACs are reachable via the wire on every PF.
-        for p in 0..ports {
-            let sw = nic.pf_mut(PfId(p))?;
-            sw.install_static_mac(0, plan.lg_mac, mts_nic::NicPort::Wire);
-            sw.install_static_mac(0, plan.sink_mac, mts_nic::NicPort::Wire);
-        }
-
-        // The host PF is addressable on every port (management plane); in
-        // MTS a wildcard filter stops any VF from reaching it — "to prevent
-        // the Host from receiving packets from the tenant VMs" (Sec. 3.2).
+        let per_pf = usize::from(ports);
+        let mut desired = DesiredConfig {
+            statics: vec![Vec::new(); per_pf],
+            filters: vec![Vec::new(); per_pf],
+            vfs: vec![Vec::new(); per_pf],
+            rules: Vec::new(),
+        };
         for p in 0..ports {
             let pf_mac = Self::baseline_router_mac(p);
-            let sw = nic.pf_mut(PfId(p))?;
-            sw.install_static_mac(0, pf_mac, mts_nic::NicPort::Pf);
+            let statics = &mut desired.statics[usize::from(p)];
+            // External MACs are reachable via the wire on every PF.
+            statics.push((0, plan.lg_mac, NicPort::Wire));
+            statics.push((0, plan.sink_mac, NicPort::Wire));
+            // The host PF is addressable on every port (management plane;
+            // in the Baseline, the LG-facing MAC that delivers wire traffic
+            // to the host switch). In MTS a wildcard filter stops any VF
+            // from reaching it — "to prevent the Host from receiving
+            // packets from the tenant VMs" (Sec. 3.2).
+            statics.push((0, pf_mac, NicPort::Pf));
             if spec.level.compartmentalized() {
-                sw.add_filter(FilterRule {
+                desired.filters[usize::from(p)].push(FilterRule {
                     priority: 50,
                     from: PortClass::AnyVf,
                     src_mac: None,
@@ -166,19 +252,9 @@ impl Controller {
 
         let mut vswitches = Vec::new();
         if spec.level.compartmentalized() {
-            Self::configure_nic_mts(&spec, &plan, &mut nic)?;
+            Self::desired_nic_mts(&spec, &plan, &mut desired);
             for c in &plan.compartments {
-                let mut sw = VirtualSwitch::new(format!("vswitch-vm{}", c.index));
-                let mut inst = VswitchInstance {
-                    index: c.index,
-                    sw: VirtualSwitch::new("placeholder"),
-                    in_out: Vec::new(),
-                    gw: BTreeMap::new(),
-                    phys: Vec::new(),
-                    vhost: BTreeMap::new(),
-                    attach: BTreeMap::new(),
-                    proxy_arp: Vec::new(),
-                };
+                let mut inst = VswitchInstance::new(c.index, format!("vswitch-vm{}", c.index));
                 // The compartment answers ARP for its tenants' gateways.
                 for t in spec.tenants_of_compartment(c.index) {
                     let ta = &plan.tenants[t as usize];
@@ -187,33 +263,24 @@ impl Controller {
                     }
                 }
                 for (p, (vf, _mac)) in c.in_out.iter().enumerate() {
-                    let port = sw.add_port(format!("in_out{p}"), PortKind::VfBacked);
+                    let port = inst.sw.add_port(format!("in_out{p}"), PortKind::VfBacked);
                     inst.in_out.push(port);
                     inst.attach.insert(port, PortAttach::Vf(vf.pf, vf.vf));
                 }
                 for ((t, p), (vf, _mac)) in &c.gw {
-                    let port = sw.add_port(format!("gw-t{t}-p{p}"), PortKind::VfBacked);
+                    let port = inst
+                        .sw
+                        .add_port(format!("gw-t{t}-p{p}"), PortKind::VfBacked);
                     inst.gw.insert((*t, *p), port);
                     inst.attach.insert(port, PortAttach::Vf(vf.pf, vf.vf));
                 }
-                inst.sw = sw;
                 vswitches.push(inst);
             }
         } else {
             // Baseline: one switch, PF-attached, vhost tenant ports.
-            let mut sw = VirtualSwitch::new("br-int");
-            let mut inst = VswitchInstance {
-                index: 0,
-                sw: VirtualSwitch::new("placeholder"),
-                in_out: Vec::new(),
-                gw: BTreeMap::new(),
-                phys: Vec::new(),
-                vhost: BTreeMap::new(),
-                attach: BTreeMap::new(),
-                proxy_arp: Vec::new(),
-            };
+            let mut inst = VswitchInstance::new(0, "br-int".into());
             for p in 0..ports {
-                let port = sw.add_port(format!("phy{p}"), PortKind::Physical);
+                let port = inst.sw.add_port(format!("phy{p}"), PortKind::Physical);
                 inst.phys.push(port);
                 inst.attach.insert(port, PortAttach::Pf(PfId(p)));
             }
@@ -226,32 +293,31 @@ impl Controller {
             let sides = 2;
             for t in 0..spec.tenants {
                 for side in 0..sides {
-                    let port = sw.add_port(format!("vhost-t{t}-{side}"), vhost_kind);
+                    let port = inst.sw.add_port(format!("vhost-t{t}-{side}"), vhost_kind);
                     inst.vhost.insert((t, side), port);
                     inst.attach.insert(port, PortAttach::Vhost(t, side));
                 }
             }
-            // The PF carries untagged traffic; give it the LG-facing MAC so
-            // the NIC delivers wire traffic to the host switch.
-            for p in 0..ports {
-                nic.pf_mut(PfId(p))?.install_static_mac(
-                    0,
-                    Self::baseline_router_mac(p),
-                    mts_nic::NicPort::Pf,
-                );
-            }
-            inst.sw = sw;
             vswitches.push(inst);
         }
 
-        Ok(Deployment {
+        for statics in &mut desired.statics {
+            statics.sort_unstable_by_key(|&(vlan, mac, _)| (vlan, mac.as_u64()));
+        }
+        // Held for the whole run: no spare capacity.
+        for filters in &mut desired.filters {
+            filters.shrink_to_fit();
+        }
+        desired.rules = vec![Vec::new(); vswitches.len()];
+        Deployment {
             spec,
             ports,
             plan,
-            nic,
+            nic: SriovNic::new(ports, NicModel::default()),
             vswitches,
-            costs,
-        })
+            costs: DatapathCosts::for_kind(spec.datapath),
+            desired,
+        }
     }
 
     /// The MAC the load generator addresses Baseline traffic to (the host
@@ -260,270 +326,87 @@ impl Controller {
         MacAddr::local(0x0500_0000 | u32::from(p))
     }
 
-    /// Configures VFs, VLANs, anti-spoofing and wildcard filters for MTS.
-    fn configure_nic_mts(
-        spec: &DeploymentSpec,
-        plan: &AddressPlan,
-        nic: &mut SriovNic,
-    ) -> Result<(), DeployError> {
+    /// The MTS NIC state: VFs with their VLANs and anti-spoofing (each
+    /// with its static MAC entry), and the wildcard filters.
+    fn desired_nic_mts(spec: &DeploymentSpec, plan: &AddressPlan, desired: &mut DesiredConfig) {
+        let mut vf = |r: &VfRef, cfg: VfConfig| {
+            let pf = usize::from(r.pf.0);
+            desired.statics[pf].push((cfg.vlan.unwrap_or(0), cfg.mac, NicPort::Vf(r.vf)));
+            desired.vfs[pf].push((r.vf, cfg));
+        };
         // In/Out VFs: untagged infrastructure VFs of each compartment.
         for c in &plan.compartments {
-            for (vf, mac) in &c.in_out {
-                nic.create_vf(vf.pf, vf.vf, VfConfig::infrastructure(*mac))?;
+            for (r, mac) in &c.in_out {
+                vf(r, VfConfig::infrastructure(*mac));
             }
-            for ((t, _p), (vf, mac)) in &c.gw {
-                let vlan = plan.tenants[*t as usize].vlan;
-                nic.create_vf(vf.pf, vf.vf, VfConfig::gateway(*mac, vlan))?;
+            for ((t, _p), (r, mac)) in &c.gw {
+                vf(r, VfConfig::gateway(*mac, plan.tenants[*t as usize].vlan));
             }
         }
         // Tenant VM VFs: tagged, spoof-checked.
         for t in &plan.tenants {
-            for (vf, mac) in &t.vf {
-                nic.create_vf(vf.pf, vf.vf, VfConfig::tenant(*mac, t.vlan))?;
+            for (r, mac) in &t.vf {
+                vf(r, VfConfig::tenant(*mac, t.vlan));
             }
         }
         // Wildcard filters (Sec. 3.2): tenant VFs may only talk to their
         // gateway (or broadcast for ARP); everything else from them drops.
         for t in &plan.tenants {
             let comp = &plan.compartments[spec.compartment_of_tenant(t.index) as usize];
-            for (p, (vf, _mac)) in t.vf.iter().enumerate() {
-                let sw = nic.pf_mut(vf.pf)?;
+            for (p, (r, _mac)) in t.vf.iter().enumerate() {
+                let filters = &mut desired.filters[usize::from(r.pf.0)];
                 if let Some((_, gw_mac)) = comp.gw_for(t.index, p as u8) {
-                    sw.add_filter(FilterRule::allow_to(PortClass::Vf(vf.vf), gw_mac, 10));
+                    filters.push(FilterRule::allow_to(PortClass::Vf(r.vf), gw_mac, 10));
                 }
-                sw.add_filter(FilterRule::allow_to(
-                    PortClass::Vf(vf.vf),
+                filters.push(FilterRule::allow_to(
+                    PortClass::Vf(r.vf),
                     MacAddr::BROADCAST,
                     5,
                 ));
-                sw.add_filter(FilterRule::drop_all_from(PortClass::Vf(vf.vf)));
+                filters.push(FilterRule::drop_all_from(PortClass::Vf(r.vf)));
             }
         }
-        Ok(())
     }
 
-    /// Installs the forwarding rules for the spec's traffic scenario
-    /// (dual-port Sec. 4 layouts).
-    pub fn install_scenario_rules(d: &mut Deployment) -> Result<(), DeployError> {
-        if d.ports < 2 {
-            return Err(DeployError::Unsupported(
-                "scenario rules need two physical ports".into(),
-            ));
-        }
-        match (d.spec.level, d.spec.scenario) {
-            (SecurityLevel::Baseline, Scenario::P2p) => Self::rules_baseline_p2p(d),
-            (SecurityLevel::Baseline, Scenario::P2v) => Self::rules_baseline_p2v(d),
-            (SecurityLevel::Baseline, Scenario::V2v) => Self::rules_baseline_v2v(d),
-            (_, Scenario::P2p) => Self::rules_mts_p2p(d),
-            (_, Scenario::P2v) => Self::rules_mts_p2v(d),
-            (_, Scenario::V2v) => Self::rules_mts_v2v(d),
-        }
-    }
-
-    fn rules_baseline_p2p(d: &mut Deployment) -> Result<(), DeployError> {
-        let (sink, lg) = (d.plan.sink_mac, d.plan.lg_mac);
-        let inst = &mut d.vswitches[0];
-        let (p0, p1) = (inst.phys[0], inst.phys[1]);
-        install0(
-            &mut inst.sw,
-            FlowRule::new(
-                10,
-                FlowMatch::on_port(p0),
-                vec![Action::SetEthDst(sink), Action::Output(p1)],
-            ),
-        );
-        install0(
-            &mut inst.sw,
-            FlowRule::new(
-                10,
-                FlowMatch::on_port(p1),
-                vec![Action::SetEthDst(lg), Action::Output(p0)],
-            ),
-        );
-        Ok(())
-    }
-
-    fn rules_baseline_p2v(d: &mut Deployment) -> Result<(), DeployError> {
-        let tenants: Vec<_> = d.plan.tenants.clone();
-        let inst = &mut d.vswitches[0];
-        let (p0, p1) = (inst.phys[0], inst.phys[1]);
-        for t in &tenants {
-            let va = inst.vhost[&(t.index, 0)];
-            let vb = inst.vhost[&(t.index, 1)];
-            let cookie = u64::from(t.index) + 1;
-            install0(
-                &mut inst.sw,
-                FlowRule::new(
-                    20,
-                    FlowMatch::to_ip(t.ip).and_port(p0),
-                    vec![Action::Output(va)],
-                )
-                .with_cookie(cookie),
-            );
-            install0(
-                &mut inst.sw,
-                FlowRule::new(
-                    20,
-                    FlowMatch::to_ip(t.ip).and_port(vb),
-                    vec![Action::SetEthDst(d.plan.sink_mac), Action::Output(p1)],
-                )
-                .with_cookie(cookie),
-            );
-        }
-        Ok(())
-    }
-
-    fn rules_baseline_v2v(d: &mut Deployment) -> Result<(), DeployError> {
-        let pairs = Self::v2v_pairs(&d.spec)?;
-        let tenants: Vec<_> = d.plan.tenants.clone();
-        let sink = d.plan.sink_mac;
-        let inst = &mut d.vswitches[0];
-        let (p0, p1) = (inst.phys[0], inst.phys[1]);
-        for t in &tenants {
-            let partner = pairs[&t.index];
-            let t_a = inst.vhost[&(t.index, 0)];
-            let t_b = inst.vhost[&(t.index, 1)];
-            let q_a = inst.vhost[&(partner, 0)];
-            let q_b = inst.vhost[&(partner, 1)];
-            let _ = q_a;
-            // Wire -> first tenant.
-            install0(
-                &mut inst.sw,
-                FlowRule::new(
-                    20,
-                    FlowMatch::to_ip(t.ip).and_port(p0),
-                    vec![Action::Output(t_a)],
-                ),
-            );
-            // First tenant's far side -> partner tenant.
-            install0(
-                &mut inst.sw,
-                FlowRule::new(
-                    20,
-                    FlowMatch::to_ip(t.ip).and_port(t_b),
-                    vec![Action::Output(q_b)],
-                ),
-            );
-            // Partner tenant's near side -> out.
-            install0(
-                &mut inst.sw,
-                FlowRule::new(
-                    20,
-                    FlowMatch::to_ip(t.ip).and_port(q_a),
-                    vec![Action::SetEthDst(sink), Action::Output(p1)],
-                ),
-            );
-        }
-        Ok(())
-    }
-
-    fn rules_mts_p2p(d: &mut Deployment) -> Result<(), DeployError> {
-        let (sink, lg) = (d.plan.sink_mac, d.plan.lg_mac);
-        for inst in &mut d.vswitches {
-            let (i0, i1) = (inst.in_out[0], inst.in_out[1]);
-            install0(
-                &mut inst.sw,
-                FlowRule::new(
-                    10,
-                    FlowMatch::on_port(i0),
-                    vec![Action::SetEthDst(sink), Action::Output(i1)],
-                ),
-            );
-            install0(
-                &mut inst.sw,
-                FlowRule::new(
-                    10,
-                    FlowMatch::on_port(i1),
-                    vec![Action::SetEthDst(lg), Action::Output(i0)],
-                ),
-            );
-        }
-        Ok(())
-    }
-
-    fn rules_mts_p2v(d: &mut Deployment) -> Result<(), DeployError> {
-        let spec = d.spec;
-        let plan = d.plan.clone();
-        for inst in &mut d.vswitches {
-            let comp = &plan.compartments[inst.index as usize];
-            let i0 = inst.in_out[0];
-            let i1 = inst.in_out[1];
-            for t in spec.tenants_of_compartment(inst.index) {
-                let ta = &plan.tenants[t as usize];
-                let (_, t_mac0) = ta.vf[0];
-                let cookie = u64::from(t) + 1;
-                // Ingress chain (Fig. 3a): rewrite to the tenant VF's MAC
-                // and emit on the tenant's gateway port.
-                install0(
-                    &mut inst.sw,
-                    FlowRule::new(
-                        20,
-                        FlowMatch::to_ip(ta.ip).and_port(i0),
-                        vec![Action::SetEthDst(t_mac0), Action::Output(inst.gw[&(t, 0)])],
-                    )
-                    .with_cookie(cookie),
-                );
-                // Egress chain (Fig. 3b): from the far-side gateway port,
-                // rewrite to the external gateway/sink and emit In/Out.
-                install0(
-                    &mut inst.sw,
-                    FlowRule::new(
-                        20,
-                        FlowMatch::to_ip(ta.ip).and_port(inst.gw[&(t, 1)]),
-                        vec![Action::SetEthDst(plan.sink_mac), Action::Output(i1)],
-                    )
-                    .with_cookie(cookie),
-                );
-                let _ = comp;
+    /// Adds the forwarding rules for the spec's traffic scenario (dual-port
+    /// Sec. 4 layouts) to the desired config. Baseline and MTS share the
+    /// chains; they differ in the tenant ports (vhost or gateway VF) and in
+    /// MTS re-addressing frames to the tenant VF, as the NIC switches on MAC.
+    fn scenario_rules(d: &mut Deployment) -> Result<(), DeployError> {
+        let pairs = Self::pairs_for(&d.spec)?;
+        let (plan, mts) = (&d.plan, d.spec.level.compartmentalized());
+        let mac = |t: u8, side: usize| mts.then(|| plan.tenants[usize::from(t)].vf[side].1);
+        let (sink, lg) = (Some(plan.sink_mac), Some(plan.lg_mac));
+        let want = &mut d.desired;
+        for (i, inst) in d.vswitches.iter().enumerate() {
+            let (up0, up1) = (inst.uplinks()[0], inst.uplinks()[1]);
+            if d.spec.scenario == Scenario::P2p {
+                fwd(want, i, 10, FlowMatch::on_port(up0), sink, up1, 0);
+                fwd(want, i, 10, FlowMatch::on_port(up1), lg, up0, 0);
+                continue;
             }
-        }
-        Ok(())
-    }
-
-    fn rules_mts_v2v(d: &mut Deployment) -> Result<(), DeployError> {
-        let pairs = Self::v2v_pairs(&d.spec)?;
-        let spec = d.spec;
-        let plan = d.plan.clone();
-        for inst in &mut d.vswitches {
-            let i0 = inst.in_out[0];
-            let i1 = inst.in_out[1];
-            for t in spec.tenants_of_compartment(inst.index) {
-                let ta = &plan.tenants[t as usize];
-                let partner = pairs[&t];
-                let pa = &plan.tenants[partner as usize];
-                let (_, t_mac0) = ta.vf[0];
-                let (_, p_mac1) = pa.vf[1];
-                // Wire -> first tenant (port-0 side).
-                install0(
-                    &mut inst.sw,
-                    FlowRule::new(
-                        20,
-                        FlowMatch::to_ip(ta.ip).and_port(i0),
-                        vec![Action::SetEthDst(t_mac0), Action::Output(inst.gw[&(t, 0)])],
-                    ),
-                );
-                // Back from the first tenant (port-1 side) -> partner
-                // tenant (port-1 side).
-                install0(
-                    &mut inst.sw,
-                    FlowRule::new(
-                        20,
-                        FlowMatch::to_ip(ta.ip).and_port(inst.gw[&(t, 1)]),
-                        vec![
-                            Action::SetEthDst(p_mac1),
-                            Action::Output(inst.gw[&(partner, 1)]),
-                        ],
-                    ),
-                );
-                // Back from the partner (port-0 side) -> out.
-                install0(
-                    &mut inst.sw,
-                    FlowRule::new(
-                        20,
-                        FlowMatch::to_ip(ta.ip).and_port(inst.gw[&(partner, 0)]),
-                        vec![Action::SetEthDst(plan.sink_mac), Action::Output(i1)],
-                    ),
-                );
+            for t in d.spec.tenants_of_compartment(inst.index) {
+                let ip = plan.tenants[usize::from(t)].ip;
+                let to = |port| FlowMatch::to_ip(ip).and_port(port);
+                let (t0, t1) = (inst.tenant_port(t, 0), inst.tenant_port(t, 1));
+                match pairs.as_ref().map(|p| p[&t]) {
+                    // p2v: the ingress chain (Fig. 3a) delivers to the
+                    // tenant's first side, the egress chain (Fig. 3b) takes
+                    // its second side out to the sink.
+                    None => {
+                        let cookie = u64::from(t) + 1;
+                        fwd(want, i, 20, to(up0), mac(t, 0), t0, cookie);
+                        fwd(want, i, 20, to(t1), sink, up1, cookie);
+                    }
+                    // v2v: wire -> first tenant (side 0); its side 1 ->
+                    // the partner's side 1; the partner's side 0 -> out.
+                    Some(q) => {
+                        let (q0, q1) = (inst.tenant_port(q, 0), inst.tenant_port(q, 1));
+                        fwd(want, i, 20, to(up0), mac(t, 0), t0, 0);
+                        fwd(want, i, 20, to(t1), mac(q, 1), q1, 0);
+                        fwd(want, i, 20, to(q0), sink, up1, 0);
+                    }
+                }
             }
         }
         Ok(())
@@ -552,132 +435,44 @@ impl Controller {
         Ok(pairs)
     }
 
-    /// Installs the Sec. 5 workload rules (single-port, TCP servers; in
-    /// v2v one tenant of each pair forwards with l2fwd).
-    pub fn install_workload_rules(d: &mut Deployment) -> Result<(), DeployError> {
-        let spec = d.spec;
-        let plan = d.plan.clone();
-        let v2v = spec.scenario == Scenario::V2v;
-        let pairs = if v2v {
-            Some(Self::v2v_pairs(&spec)?)
-        } else {
-            None
-        };
-        match spec.level {
-            SecurityLevel::Baseline => {
-                let inst = &mut d.vswitches[0];
-                let p0 = inst.phys[0];
-                for t in &plan.tenants {
-                    let va = inst.vhost[&(t.index, 0)];
-                    match pairs.as_ref().map(|p| p[&t.index]) {
-                        // v2v: traffic to a *server* tenant goes through
-                        // its forwarder partner first. Pairs are (fwd,
-                        // srv) = (even, odd) positions; route only server
-                        // IPs.
-                        Some(partner) if Self::is_v2v_server(&spec, t.index) => {
-                            let fa = inst.vhost[&(partner, 0)];
-                            let fb = inst.vhost[&(partner, 1)];
-                            install0(
-                                &mut inst.sw,
-                                FlowRule::new(
-                                    20,
-                                    FlowMatch::to_ip(t.ip).and_port(p0),
-                                    vec![Action::Output(fa)],
-                                ),
-                            );
-                            install0(
-                                &mut inst.sw,
-                                FlowRule::new(
-                                    20,
-                                    FlowMatch::to_ip(t.ip).and_port(fb),
-                                    vec![Action::Output(va)],
-                                ),
-                            );
-                        }
-                        Some(_) => {} // forwarder tenants host no service
-                        None => {
-                            install0(
-                                &mut inst.sw,
-                                FlowRule::new(
-                                    20,
-                                    FlowMatch::to_ip(t.ip).and_port(p0),
-                                    vec![Action::Output(va)],
-                                ),
-                            );
-                        }
+    /// The chain partners of a v2v spec; none for the other scenarios.
+    fn pairs_for(spec: &DeploymentSpec) -> Result<Option<BTreeMap<u8, u8>>, DeployError> {
+        match spec.scenario {
+            Scenario::V2v => Self::v2v_pairs(spec).map(Some),
+            Scenario::P2p | Scenario::P2v => Ok(None),
+        }
+    }
+
+    /// Adds the Sec. 5 workload rules (single-port, TCP servers; in v2v one
+    /// tenant of each pair forwards with l2fwd) to the desired config.
+    fn workload_rules(d: &mut Deployment) -> Result<(), DeployError> {
+        let pairs = Self::pairs_for(&d.spec)?;
+        let (spec, plan, mts) = (&d.spec, &d.plan, d.spec.level.compartmentalized());
+        let mac = |t: u8, side: usize| mts.then(|| plan.tenants[usize::from(t)].vf[side].1);
+        let lg = Some(plan.lg_mac);
+        let want = &mut d.desired;
+        for (i, inst) in d.vswitches.iter().enumerate() {
+            let up = inst.uplinks()[0];
+            for t in spec.tenants_of_compartment(inst.index) {
+                let ip = plan.tenants[usize::from(t)].ip;
+                let to = |port| FlowMatch::to_ip(ip).and_port(port);
+                let t0 = inst.tenant_port(t, 0);
+                match pairs.as_ref().map(|p| p[&t]) {
+                    // v2v: traffic to a *server* tenant goes through its
+                    // forwarder partner first. Pairs are (fwd, srv) =
+                    // (even, odd) positions; route only server IPs. The
+                    // forwarder hands frames back on its only VF (MTS
+                    // l2fwd) or its other virtio NIC (Baseline guest bridge).
+                    Some(q) if Self::is_v2v_server(spec, t) => {
+                        let back = inst.tenant_port(q, if mts { 0 } else { 1 });
+                        fwd(want, i, 20, to(up), mac(q, 0), inst.tenant_port(q, 0), 0);
+                        fwd(want, i, 20, to(back), mac(t, 0), t0, 0);
                     }
-                    // Replies to any external client go straight out.
-                    install0(
-                        &mut inst.sw,
-                        FlowRule::new(
-                            15,
-                            FlowMatch::on_port(va),
-                            vec![Action::SetEthDst(plan.lg_mac), Action::Output(p0)],
-                        ),
-                    );
+                    Some(_) => {} // forwarder tenants host no service
+                    None => fwd(want, i, 20, to(up), mac(t, 0), t0, 0),
                 }
-            }
-            _ => {
-                for inst in &mut d.vswitches {
-                    let i0 = inst.in_out[0];
-                    for t in spec.tenants_of_compartment(inst.index) {
-                        let ta = &plan.tenants[t as usize];
-                        let (_, t_mac) = ta.vf[0];
-                        match pairs.as_ref().map(|p| p[&t]) {
-                            Some(partner) if Self::is_v2v_server(&spec, t) => {
-                                let fa = &plan.tenants[partner as usize];
-                                let (_, f_mac) = fa.vf[0];
-                                // LG -> forwarder.
-                                install0(
-                                    &mut inst.sw,
-                                    FlowRule::new(
-                                        20,
-                                        FlowMatch::to_ip(ta.ip).and_port(i0),
-                                        vec![
-                                            Action::SetEthDst(f_mac),
-                                            Action::Output(inst.gw[&(partner, 0)]),
-                                        ],
-                                    ),
-                                );
-                                // Forwarder -> server.
-                                install0(
-                                    &mut inst.sw,
-                                    FlowRule::new(
-                                        20,
-                                        FlowMatch::to_ip(ta.ip).and_port(inst.gw[&(partner, 0)]),
-                                        vec![
-                                            Action::SetEthDst(t_mac),
-                                            Action::Output(inst.gw[&(t, 0)]),
-                                        ],
-                                    ),
-                                );
-                            }
-                            Some(_) => {}
-                            None => {
-                                install0(
-                                    &mut inst.sw,
-                                    FlowRule::new(
-                                        20,
-                                        FlowMatch::to_ip(ta.ip).and_port(i0),
-                                        vec![
-                                            Action::SetEthDst(t_mac),
-                                            Action::Output(inst.gw[&(t, 0)]),
-                                        ],
-                                    ),
-                                );
-                            }
-                        }
-                        // Replies to any external client.
-                        install0(
-                            &mut inst.sw,
-                            FlowRule::new(
-                                15,
-                                FlowMatch::on_port(inst.gw[&(t, 0)]),
-                                vec![Action::SetEthDst(plan.lg_mac), Action::Output(i0)],
-                            ),
-                        );
-                    }
-                }
+                // Replies to any external client go straight out.
+                fwd(want, i, 15, FlowMatch::on_port(t0), lg, up, 0);
             }
         }
         Ok(())
@@ -698,6 +493,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SecurityLevel;
     use mts_host::ResourceMode;
     use mts_vswitch::DatapathKind;
 
@@ -799,6 +595,25 @@ mod tests {
         let d = Controller::deploy_workload(s).unwrap();
         // Servers: 2 forward rules + reply; forwarders: reply only.
         assert_eq!(d.vswitches[0].sw.rule_count(), 2 * 3 + 2);
+    }
+
+    #[test]
+    fn deploy_stops_at_the_vf_ceiling() {
+        // Level-1 needs one In/Out VF plus a gateway and a tenant VF per
+        // tenant on each PF: 31 tenants take 63 of the 64 VFs, 32 would
+        // take 65.
+        let mut s = spec(SecurityLevel::Level1, Scenario::P2v);
+        s.tenants = 31;
+        let d = Controller::deploy(s).unwrap();
+        assert_eq!(d.nic.pf(PfId(0)).unwrap().vf_count(), 63);
+        s.tenants = 32;
+        let ceiling = Some(DeployError::Nic(NicError::VfLimit(PfId(0))));
+        assert_eq!(Controller::deploy(s).err(), ceiling);
+        // The NIC's error comes first even when the scenario is also
+        // unsupported (33 tenants cannot pair up for v2v).
+        s.tenants = 33;
+        s.scenario = Scenario::V2v;
+        assert_eq!(Controller::deploy(s).err(), ceiling);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!   [`spec::DeploymentSpec`] tying them together.
 //! - [`vfplan`] — VF, VLAN, MAC and IP allocation (paper Sec. 3.2,
 //!   including the VF-count arithmetic).
-//! - [`controller`] — the logically-centralized controller: programs the
-//!   SR-IOV NIC (VF configs, anti-spoofing, wildcard filters) and installs
-//!   the ingress/egress chain flow rules of Fig. 3 into each vswitch.
+//! - [`controller`] — the logically-centralized controller: computes the
+//!   desired SR-IOV NIC state (VF configs, anti-spoofing, wildcard
+//!   filters) and the ingress/egress chain flow rules of Fig. 3 for each
+//!   vswitch, as data, and deploys by converging an empty topology to it.
 //! - [`runtime`] — the packet-pipeline runtime binding vswitches, tenant
 //!   VMs, vhost channels and the NIC to simulated CPU cores and links.
 //! - [`testbed`] — the two-server measurement harness (load generator,
@@ -28,9 +29,9 @@
 //! - [`overlay`] — VXLAN overlay rules and generators (Sec. 3.2).
 //! - [`perfiso`] — the noisy-neighbor performance-isolation experiments
 //!   (single-victim result and the per-level SLO matrix).
-//! - [`reconcile`](mod@reconcile) — controller reconciliation: snapshot of the desired
-//!   dataplane state and the idempotent re-programming pass that restores
-//!   it after faults.
+//! - [`reconcile`](mod@reconcile) — the desired dataplane state, computed
+//!   by the controller, applied by the one converge pass — the only code
+//!   that programs a device — at deploy and, idempotently, after faults.
 //! - [`supervisor`] — the vswitch-VM watchdog: heartbeat failure
 //!   detection, capped exponential-backoff restarts, degraded-mode
 //!   fallback (see `mts-faults`).

@@ -14,7 +14,7 @@
 //! measurement probes in VXLAN envelopes so the whole chain is exercised
 //! end to end.
 
-use crate::controller::{install0, install_at, DeployError, Deployment};
+use crate::controller::{DeployError, Deployment};
 use crate::runtime::{wire_inject, Sim, World};
 use crate::spec::SecurityLevel;
 use mts_net::IpProto;
@@ -54,9 +54,9 @@ impl OverlayConfig {
     }
 }
 
-/// Installs overlay rules on an MTS deployment (replaces the plain p2v
-/// rules; call on a [`crate::Controller::build`] output without scenario
-/// rules, dual-port).
+/// Adds the overlay rules to an MTS deployment's desired config and
+/// converges its vswitches to it (replaces the plain p2v rules; call on a
+/// [`crate::Controller::build`] output without scenario rules, dual-port).
 ///
 /// Ingress: `in0 → decap → (tun_id, dst ip) → tenant gateway`.
 /// Egress: `gw(t,1) → encap(vni_t, local→remote) → in_out(1)`.
@@ -69,16 +69,16 @@ pub fn install_overlay_rules(d: &mut Deployment, cfg: OverlayConfig) -> Result<(
     if d.ports < 2 {
         return Err(DeployError::Unsupported("overlay needs two ports".into()));
     }
-    let spec = d.spec;
-    let plan = d.plan.clone();
-    for inst in &mut d.vswitches {
+    let plan = &d.plan;
+    for (i, inst) in d.vswitches.iter().enumerate() {
         let i0 = inst.in_out[0];
         let i1 = inst.in_out[1];
         let comp = &plan.compartments[inst.index as usize];
         let (_, out_mac) = comp.in_out[1];
         // Table 0: decapsulate VXLAN arriving on the fabric side.
-        install0(
-            &mut inst.sw,
+        d.desired.add_rule(
+            i,
+            0,
             FlowRule::new(
                 30,
                 FlowMatch {
@@ -90,14 +90,14 @@ pub fn install_overlay_rules(d: &mut Deployment, cfg: OverlayConfig) -> Result<(
                 vec![Action::VxlanDecap, Action::GotoTable(TableId(1))],
             ),
         );
-        for t in spec.tenants_of_compartment(inst.index) {
+        for t in d.spec.tenants_of_compartment(inst.index) {
             let ta = &plan.tenants[t as usize];
             let (_, t_mac0) = ta.vf[0];
             let cookie = u64::from(t) + 1;
             // Table 1: tunnel id + inner destination → tenant VM (Fig. 3a
             // with the tunnel id in play).
-            install_at(
-                &mut inst.sw,
+            d.desired.add_rule(
+                i,
                 1,
                 FlowRule::new(
                     20,
@@ -107,8 +107,9 @@ pub fn install_overlay_rules(d: &mut Deployment, cfg: OverlayConfig) -> Result<(
                 .with_cookie(cookie),
             );
             // Egress: re-encapsulate towards the remote VTEP.
-            install0(
-                &mut inst.sw,
+            d.desired.add_rule(
+                i,
+                0,
                 FlowRule::new(
                     20,
                     FlowMatch::to_ip(ta.ip).and_port(inst.gw[&(t, 1)]),
@@ -127,6 +128,7 @@ pub fn install_overlay_rules(d: &mut Deployment, cfg: OverlayConfig) -> Result<(
             );
         }
     }
+    d.converge(&mut |_| {})?;
     Ok(())
 }
 

@@ -1,11 +1,13 @@
-//! Controller reconciliation: re-derive and re-program dataplane state.
+//! Controller reconciliation: converge the devices to the desired state.
 //!
-//! The controller captures the configuration it programmed at deploy time
-//! — per-PF static MAC entries, security filters and VF configurations,
-//! plus every vswitch's flow rules — as a [`DesiredConfig`]. After any
-//! fault (VEB table flush, flow-rule wipe or partial loss, a vswitch-VM
-//! restart with empty tables), [`reconcile`] diffs the live state against
-//! the snapshot and re-programs exactly the missing or stray pieces.
+//! The controller computes the dataplane state it wants — per-PF static MAC
+//! entries, security filters and VF configurations, plus every vswitch's
+//! flow rules — as a plain-data [`DesiredConfig`]. [`converge`] is the one
+//! function that programs a device: it diffs the live state against the
+//! desired config and programs exactly the missing or stray pieces. Deploy
+//! converges an empty topology; after any fault (VEB table flush, flow-rule
+//! wipe or partial loss, a vswitch-VM restart with empty tables),
+//! [`reconcile`] converges the damaged world to the same value.
 //!
 //! The pass is **idempotent**: running it on an already-correct world is a
 //! no-op with zero churn — the property `crates/faults` tests assert, and
@@ -18,66 +20,46 @@
 use crate::delta::ConfigDelta;
 use crate::runtime::World;
 use mts_net::MacAddr;
-use mts_nic::{FilterRule, NicPort, PfId, VfConfig, VfId};
-use mts_vswitch::{Action, FlowMatch, FlowRule};
+use mts_nic::{FilterRule, NicError, NicPort, PfId, SriovNic, VfConfig, VfId};
+use mts_vswitch::{FlowRule, VirtualSwitch};
+use std::cmp::Reverse;
 use std::fmt;
 
-/// The controller's desired dataplane state: the reconciliation target.
-#[derive(Clone)]
+/// The controller's desired dataplane state: computed by the controller,
+/// applied by the one converge pass ([`converge`]).
+#[derive(Clone, Debug, PartialEq)]
 pub struct DesiredConfig {
-    /// Per-PF static MAC entries `(vlan, mac, port)`, sorted.
+    /// Per-PF static MAC entries `(vlan, mac, port)`, sorted by
+    /// `(vlan, mac)`; VF entries included.
     pub statics: Vec<Vec<(u16, MacAddr, NicPort)>>,
     /// Per-PF security filter lists, in installation order.
     pub filters: Vec<Vec<FilterRule>>,
-    /// Per-PF VF configurations.
+    /// Per-PF VF configurations, by VF id.
     pub vfs: Vec<Vec<(VfId, VfConfig)>>,
-    /// Per-vswitch flow rules as `(table, rule)` pairs.
+    /// Per-vswitch flow rules as `(table, rule)` pairs, in
+    /// [`VirtualSwitch::dump_rules`] order.
     pub rules: Vec<Vec<(u8, FlowRule)>>,
 }
 
-/// The configuration identity of a flow rule: everything except its hit
-/// statistics.
-type RuleKey = (u8, u16, FlowMatch, Vec<Action>, u64);
-
-fn rule_key(table: u8, r: &FlowRule) -> RuleKey {
-    (table, r.priority, r.m.clone(), r.actions.clone(), r.cookie)
+impl DesiredConfig {
+    /// Adds a rule to vswitch `vswitch`'s table `table`, where
+    /// [`VirtualSwitch::dump_rules`] would list it once installed: by table,
+    /// then by descending priority, after the rules of equal priority.
+    pub fn add_rule(&mut self, vswitch: usize, table: u8, rule: FlowRule) {
+        let rules = &mut self.rules[vswitch];
+        let key = (table, Reverse(rule.priority));
+        let pos = rules.partition_point(|(t, r)| (*t, Reverse(r.priority)) <= key);
+        rules.insert(pos, (table, rule));
+    }
 }
 
-impl DesiredConfig {
-    /// Snapshots the live state of a freshly-built world. Called by
-    /// `World::new` right after the controller finished programming, so
-    /// the snapshot *is* the controller's intent.
-    pub fn capture(w: &World) -> DesiredConfig {
-        let ports = w.wires_out.len();
-        let mut statics = Vec::with_capacity(ports);
-        let mut filters = Vec::with_capacity(ports);
-        let mut vfs = Vec::with_capacity(ports);
-        for p in 0..ports {
-            match w.nic.pf(PfId(p as u8)) {
-                Ok(sw) => {
-                    statics.push(sw.static_macs());
-                    filters.push(sw.filters().to_vec());
-                    vfs.push(sw.vfs().map(|(id, cfg)| (id, cfg.clone())).collect());
-                }
-                Err(_) => {
-                    statics.push(Vec::new());
-                    filters.push(Vec::new());
-                    vfs.push(Vec::new());
-                }
-            }
-        }
-        let rules = w
-            .vswitches
-            .iter()
-            .map(|vs| vs.inst.sw.dump_rules())
-            .collect();
-        DesiredConfig {
-            statics,
-            filters,
-            vfs,
-            rules,
-        }
-    }
+/// Everything but hit statistics: the configuration identity of a rule.
+fn same_rule((ta, a): &(u8, FlowRule), (tb, b): &(u8, FlowRule)) -> bool {
+    ta == tb
+        && a.priority == b.priority
+        && a.m == b.m
+        && a.actions == b.actions
+        && a.cookie == b.cookie
 }
 
 /// What one reconciliation pass changed.
@@ -93,7 +75,7 @@ pub struct ReconcileReport {
     pub vfs_reconfigured: u64,
     /// Flow rules re-installed (missing from a live table).
     pub rules_installed: u64,
-    /// Stray flow rules removed (present live, absent from the snapshot).
+    /// Stray flow rules removed (present live, absent from the desired config).
     pub rules_removed: u64,
     /// Vswitches whose tables were rebuilt.
     pub vswitches_rebuilt: u64,
@@ -128,95 +110,81 @@ impl fmt::Display for ReconcileReport {
     }
 }
 
-/// Runs one reconciliation pass, restoring the world's NIC and vswitch
-/// state to the captured [`DesiredConfig`]. Returns what changed.
+/// Converges the NIC and the vswitches (in world order) to `want`,
+/// programming only what differs and reporting each mutation to `emit`, in
+/// order. The one function that programs a device.
 ///
-/// Rebuilding a diverged vswitch table resets its flow-rule hit counters —
-/// acceptable after a fault, and the reason the pass only rebuilds when
-/// the rule *set* actually differs.
-pub fn reconcile(w: &mut World) -> ReconcileReport {
+/// A VF that does not exist yet is created through
+/// [`SriovNic::create_vf`], so deploy keeps the NIC's VF-limit and
+/// duplicate-MAC checks; its error aborts the pass. Rebuilding a diverged
+/// vswitch table resets its flow-rule hit counters — acceptable after a
+/// fault, and the reason the pass only rebuilds when the rule *set*
+/// actually differs.
+pub fn converge<'a>(
+    want: &DesiredConfig,
+    nic: &mut SriovNic,
+    switches: impl IntoIterator<Item = &'a mut VirtualSwitch>,
+    emit: &mut dyn FnMut(ConfigDelta),
+) -> Result<ReconcileReport, NicError> {
     let mut report = ReconcileReport::default();
-    let Some(desired) = w.desired.clone() else {
-        return report;
-    };
-    // Deltas are collected locally (the NIC borrow is held across the
-    // loop) and emitted, in mutation order, once the pass is done.
-    let mut emitted: Vec<ConfigDelta> = Vec::new();
-
-    // NIC state, per PF.
-    for (p, want_statics) in desired.statics.iter().enumerate() {
-        let Ok(sw) = w.nic.pf_mut(PfId(p as u8)) else {
-            continue;
-        };
+    for (p, want_statics) in want.statics.iter().enumerate() {
         let pf = p as u8;
         // VF configurations first: their static entries come with them.
-        if let Some(want_vfs) = desired.vfs.get(p) {
-            for (id, cfg) in want_vfs {
-                if sw.vf(*id) != Some(cfg) {
-                    sw.configure_vf(*id, cfg.clone());
-                    emitted.push(ConfigDelta::VfConfigured {
-                        pf,
-                        vf: id.0,
-                        cfg: cfg.clone(),
-                    });
-                    report.vfs_reconfigured += 1;
+        for (id, cfg) in &want.vfs[p] {
+            match nic.pf(PfId(pf))?.vf(*id) {
+                Some(have) if have == cfg => continue,
+                Some(_) => {
+                    nic.pf_mut(PfId(pf))?.configure_vf(*id, cfg.clone());
                 }
+                None => nic.create_vf(PfId(pf), *id, cfg.clone())?,
             }
+            emit(ConfigDelta::VfConfigured {
+                pf,
+                vf: id.0,
+                cfg: cfg.clone(),
+            });
+            report.vfs_reconfigured += 1;
         }
+        let sw = nic.pf_mut(PfId(pf))?;
         let have = sw.static_macs();
-        for entry in want_statics {
-            if !have.contains(entry) {
-                sw.install_static_mac(entry.0, entry.1, entry.2);
-                emitted.push(ConfigDelta::StaticInstalled {
+        for &(vlan, mac, port) in want_statics {
+            if !have.contains(&(vlan, mac, port)) {
+                sw.install_static_mac(vlan, mac, port);
+                emit(ConfigDelta::StaticInstalled {
                     pf,
-                    vlan: entry.0,
-                    mac: entry.1,
-                    port: entry.2,
+                    vlan,
+                    mac,
+                    port,
                 });
                 report.statics_installed += 1;
             }
         }
-        for entry in &have {
+        for entry @ &(vlan, mac, _) in &have {
             if !want_statics.contains(entry) {
-                sw.remove_static_mac(entry.0, entry.1);
-                emitted.push(ConfigDelta::StaticRemoved {
-                    pf,
-                    vlan: entry.0,
-                    mac: entry.1,
-                });
+                sw.remove_static_mac(vlan, mac);
+                emit(ConfigDelta::StaticRemoved { pf, vlan, mac });
                 report.statics_removed += 1;
             }
         }
-        if let Some(want_filters) = desired.filters.get(p) {
-            if sw.filters() != want_filters.as_slice() {
-                sw.set_filters(want_filters.clone());
-                emitted.push(ConfigDelta::FiltersSet {
-                    pf,
-                    filters: want_filters.clone(),
-                });
-                report.filter_sets_replaced += 1;
-            }
+        let want_filters = &want.filters[p];
+        if sw.filters() != want_filters.as_slice() {
+            sw.set_filters(want_filters.clone());
+            emit(ConfigDelta::FiltersSet {
+                pf,
+                filters: want_filters.clone(),
+            });
+            report.filter_sets_replaced += 1;
         }
     }
 
     // Vswitch flow tables: compare rule multisets ignoring hit stats;
     // rebuild only a table set that diverged.
-    for (i, want) in desired.rules.iter().enumerate() {
-        let Some(vs) = w.vswitches.get_mut(i) else {
-            continue;
-        };
-        let have: Vec<RuleKey> = vs
-            .inst
-            .sw
-            .dump_rules()
-            .iter()
-            .map(|(t, r)| rule_key(*t, r))
-            .collect();
-        let want_keys: Vec<RuleKey> = want.iter().map(|(t, r)| rule_key(*t, r)).collect();
+    for (i, (want_rules, sw)) in want.rules.iter().zip(switches).enumerate() {
+        let have = sw.dump_rules();
+        let mut unmatched: Vec<&(u8, FlowRule)> = have.iter().collect();
         let mut missing = 0u64;
-        let mut unmatched = have.clone();
-        for k in &want_keys {
-            match unmatched.iter().position(|h| h == k) {
+        for w in want_rules {
+            match unmatched.iter().position(|h| same_rule(h, w)) {
                 Some(pos) => {
                     unmatched.swap_remove(pos);
                 }
@@ -225,25 +193,43 @@ pub fn reconcile(w: &mut World) -> ReconcileReport {
         }
         let extra = unmatched.len() as u64;
         if missing > 0 || extra > 0 {
-            vs.inst.sw.clear();
-            emitted.push(ConfigDelta::RulesWiped { vswitch: i });
-            for (t, r) in want {
-                let mut rule = r.clone();
-                rule.stats = Default::default();
-                emitted.push(ConfigDelta::RuleInstalled {
+            sw.clear();
+            emit(ConfigDelta::RulesWiped { vswitch: i });
+            for (table, rule) in want_rules {
+                emit(ConfigDelta::RuleInstalled {
                     vswitch: i,
-                    table: *t,
+                    table: *table,
                     rule: rule.clone(),
                 });
-                let _ = vs.inst.sw.install(*t, rule);
+                let _ = sw.install(*table, rule.clone());
             }
             report.rules_installed += missing;
             report.rules_removed += extra;
             report.vswitches_rebuilt += 1;
         }
+    }
+    Ok(report)
+}
+
+/// Runs one reconciliation pass, converging the world's NIC and vswitches
+/// back to its [`DesiredConfig`]. Returns what changed.
+pub fn reconcile(w: &mut World) -> ReconcileReport {
+    // Deltas are collected locally (the devices are borrowed across the
+    // pass) and emitted, in mutation order, once the pass is done.
+    let mut emitted: Vec<ConfigDelta> = Vec::new();
+    let converged = converge(
+        &w.desired,
+        &mut w.nic,
+        w.vswitches.iter_mut().map(|vs| &mut vs.inst.sw),
+        &mut |d| emitted.push(d),
+    );
+    // Only creating a VF can fail, and faults reconfigure VFs but never
+    // remove them: every VF the pass touches here already exists.
+    debug_assert!(converged.is_ok(), "reconcile created a VF: {converged:?}");
+    let report = converged.unwrap_or_default();
+    for vs in w.vswitches.iter_mut().take(w.desired.rules.len()) {
         vs.rules_dirty = false;
     }
-
     for d in emitted {
         w.emit_delta(d);
     }
@@ -263,7 +249,7 @@ mod tests {
     use crate::runtime::{RuntimeCfg, World};
     use crate::spec::{DeploymentSpec, Scenario, SecurityLevel};
     use mts_host::ResourceMode;
-    use mts_vswitch::DatapathKind;
+    use mts_vswitch::{Action, DatapathKind, FlowMatch};
 
     fn world() -> World {
         let spec = DeploymentSpec::mts(

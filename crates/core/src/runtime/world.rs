@@ -162,9 +162,10 @@ pub struct World {
     pub crashloop: Vec<u32>,
     /// Tenants marked degraded after an exhausted restart budget.
     pub degraded: Vec<bool>,
-    /// Desired dataplane state for controller reconciliation, captured at
-    /// deploy time.
-    pub desired: Option<crate::reconcile::DesiredConfig>,
+    /// Desired dataplane state: computed by the controller, applied by the
+    /// one converge pass ([`crate::reconcile::converge`]) at deploy and by
+    /// every reconciliation after a fault.
+    pub desired: crate::reconcile::DesiredConfig,
     /// Supervisor state (heartbeats, backoff, recovery log), when started.
     pub supervisor: Option<crate::supervisor::Supervisor>,
     /// Telemetry sink (disabled by default; see `mts-telemetry`).
@@ -347,7 +348,7 @@ impl World {
             .map(|t| (u32::from(t.ip), t.index))
             .collect();
         let root = DetRng::new(seed);
-        let mut w = World {
+        World {
             spec,
             plan: d.plan,
             nic: d.nic,
@@ -379,16 +380,12 @@ impl World {
             controller_down_until: Time::ZERO,
             crashloop: vec![0; n_vswitches],
             degraded: vec![false; spec.tenants as usize],
-            desired: None,
+            desired: d.desired,
             supervisor: None,
             telemetry: Telemetry::disabled(),
             deltas: crate::delta::DeltaLog::default(),
             meters: CycleMeters::new(spec.tenants as usize, vswitch_attr),
-        };
-        // The controller remembers what it programmed: the reconciliation
-        // target after any fault (see `crate::reconcile`).
-        w.desired = Some(crate::reconcile::DesiredConfig::capture(&w));
-        w
+        }
     }
 
     /// Records a configuration delta (and its telemetry mirror). Every

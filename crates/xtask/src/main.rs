@@ -21,6 +21,13 @@
 //!   silent truncation corrupts both without failing any test. `as usize` /
 //!   `as u128` (never lossy here) and float casts (rounding by intent) are
 //!   exempt.
+//! * `device-programming` — no call that programs a device
+//!   (`install_static_mac(`, `remove_static_mac(`, `create_vf(`,
+//!   `configure_vf(`, `add_filter(`, `set_filters(`, a vswitch `.install(`)
+//!   in `crates/core/src` outside `reconcile.rs`. The controller computes
+//!   the desired config as data; the one converge pass there applies it at
+//!   deploy and after every fault, so a second programming path cannot
+//!   drift from it.
 //!
 //! A finding is waived by a comment `lint:allow(<check>)` on the same line
 //! or the line directly above, which is expected to justify *why* the site
@@ -47,7 +54,8 @@ fn main() -> ExitCode {
         other => {
             eprintln!(
                 "usage: cargo xtask lint    (got {:?})\n\n\
-                 lint checks: wall-clock, no-print, no-unwrap, hashmap-iter, lossy-cast\n\
+                 lint checks: wall-clock, no-print, no-unwrap, hashmap-iter, lossy-cast,\n\
+                 device-programming\n\
                  (plus unused-waiver: a lint:allow tag that suppresses nothing)",
                 other.unwrap_or("nothing")
             );
@@ -276,6 +284,24 @@ fn lossy_cast_scope(file: &Path) -> bool {
         || file.components().any(|c| c.as_os_str() == "isocheck")
 }
 
+/// The `device-programming` check covers `mts-core` except the converge
+/// pass in `reconcile.rs`.
+fn device_programming_scope(file: &Path) -> bool {
+    let path = file.to_string_lossy().replace('\\', "/");
+    path.contains("crates/core/src/") && !path.ends_with("/reconcile.rs")
+}
+
+/// Calls that program a NIC or a vswitch.
+const DEVICE_PROGRAMMING: [&str; 7] = [
+    "install_static_mac(",
+    "remove_static_mac(",
+    "create_vf(",
+    "configure_vf(",
+    "add_filter(",
+    "set_filters(",
+    ".install(",
+];
+
 const LOSSY_CAST_TARGETS: [&str; 8] = ["u8", "u16", "u32", "u64", "i8", "i16", "i32", "i64"];
 
 /// `as u8`/`as i64`-style casts that can silently truncate or wrap.
@@ -302,6 +328,7 @@ fn scan_file(file: &Path, text: &str, findings: &mut Vec<Finding>) {
     let lines: Vec<&str> = text.lines().collect();
     let hash_ids = hash_idents(&lines);
     let lossy_scope = lossy_cast_scope(file);
+    let programming_scope = device_programming_scope(file);
     let mut waivers: Vec<WaiverSite> = Vec::new();
 
     // Pass: walk lines, skipping `#[cfg(test)]` items via brace counting.
@@ -369,6 +396,12 @@ fn scan_file(file: &Path, text: &str, findings: &mut Vec<Finding>) {
         }
         if lossy_scope && has_lossy_cast(&code) && !waive(&mut waivers, idx, "lossy-cast") {
             push("lossy-cast");
+        }
+        if programming_scope
+            && DEVICE_PROGRAMMING.iter().any(|call| code.contains(call))
+            && !waive(&mut waivers, idx, "device-programming")
+        {
+            push("device-programming");
         }
         if iterates_hash(&lines, idx, &code, &hash_ids) && !waive(&mut waivers, idx, "hashmap-iter")
         {
@@ -535,6 +568,24 @@ mod tests {
     fn waiver_in_test_code_is_not_stale() {
         let src = "#[cfg(test)]\nmod tests {\n    // lint:allow(no-unwrap): tests may panic\n    fn f() {}\n}\n";
         assert!(scan(src, "crates/core/src/billing.rs").is_empty());
+    }
+
+    #[test]
+    fn device_programming_is_confined_to_the_converge_pass() {
+        let src = "fn f(sw: &mut VirtualSwitch) {\n    let _ = sw.install(0, rule);\n}\n";
+        assert_eq!(
+            scan(src, "crates/core/src/controller.rs"),
+            vec![(2, "device-programming")]
+        );
+        assert!(scan(src, "crates/core/src/reconcile.rs").is_empty());
+        assert!(scan(src, "crates/faults/src/inject.rs").is_empty());
+        let nic = "nic.create_vf(pf, vf, cfg)?;\nsw.set_filters(rules);\n";
+        assert_eq!(
+            scan(nic, "crates/core/src/overlay.rs"),
+            vec![(1, "device-programming"), (2, "device-programming")]
+        );
+        let test_only = "#[cfg(test)]\nmod tests {\n    fn f() { sw.add_filter(rule); }\n}\n";
+        assert!(scan(test_only, "crates/core/src/attacks.rs").is_empty());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! failures stay contained to the tenant they hit.
 
 use mts::core::controller::Controller;
+use mts::core::reconcile;
 use mts::core::runtime::{start_udp_generator, RuntimeCfg, Sim, World};
 use mts::core::spec::{DeploymentSpec, Scenario, SecurityLevel};
+use mts::faults::{inject, FaultKind};
 use mts::host::ResourceMode;
 use mts::net::MacAddr;
 use mts::sim::Time;
@@ -62,8 +64,8 @@ fn wiping_one_compartments_rules_does_not_touch_the_other() {
     start_udp_generator(&mut e, flows, 40_000.0, 64, Time::from_nanos(20_000_000));
     // At t = 5 ms, compartment 0's controller connection "dies" and its
     // tables are wiped (fail-closed: no rules, no forwarding).
-    e.schedule_at(Time::from_nanos(5_000_000), |w: &mut World, _e| {
-        w.vswitches[0].inst.sw.clear();
+    e.schedule_at(Time::from_nanos(5_000_000), |w: &mut World, e| {
+        inject(w, e, FaultKind::WipeFlows { vswitch: 0 });
     });
     e.run_until(&mut w, Time::from_nanos(40_000_000));
 
@@ -95,21 +97,13 @@ fn rule_reinstallation_recovers_forwarding() {
     let (mut w, mut e, flows) = build(SecurityLevel::Level1);
     start_udp_generator(&mut e, flows, 40_000.0, 64, Time::from_nanos(30_000_000));
     // Wipe at 5 ms; the controller reconciles at 15 ms.
-    e.schedule_at(Time::from_nanos(5_000_000), |w: &mut World, _e| {
-        w.vswitches[0].inst.sw.clear();
+    e.schedule_at(Time::from_nanos(5_000_000), |w: &mut World, e| {
+        inject(w, e, FaultKind::WipeFlows { vswitch: 0 });
     });
     e.schedule_at(Time::from_nanos(15_000_000), |w: &mut World, _e| {
-        // Reinstall the p2v scenario rules exactly as the controller would.
-        let spec = w.spec;
-        let fresh = Controller::deploy(spec).expect("redeploys");
-        let rules: Vec<_> = fresh.vswitches[0].sw.dump_rules().into_iter().collect();
-        for (table, rule) in rules {
-            w.vswitches[0]
-                .inst
-                .sw
-                .install(table, rule)
-                .expect("reinstall");
-        }
+        let r = reconcile(w);
+        assert_eq!(r.vswitches_rebuilt, 1, "{r}");
+        assert!(!w.vswitches[0].rules_dirty);
     });
     e.run_until(&mut w, Time::from_nanos(50_000_000));
 
