@@ -26,7 +26,6 @@ use mts_core::survey;
 use mts_core::workloads::Workload;
 use mts_core::{overlay, Controller};
 use mts_host::ResourceMode;
-use mts_net::MacAddr;
 use mts_nic::{FilterAction, FilterRule, NicPort, PfId, PortClass, VfConfig};
 use mts_sim::Time;
 use mts_telemetry::{MediationAuditor, Recorder, Telemetry};
@@ -339,19 +338,6 @@ fn run_fig6(ctx: &Ctx) -> Result<(), String> {
     Ok(())
 }
 
-/// Per-tenant `(gateway MAC, tenant IP)` probe flows of a compartmentalized
-/// world.
-fn tenant_flows(w: &World) -> Vec<(MacAddr, std::net::Ipv4Addr)> {
-    w.plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let c = w.spec.compartment_of_tenant(t.index) as usize;
-            (w.plan.compartments[c].in_out[0].1, t.ip)
-        })
-        .collect()
-}
-
 /// The observability showcase: a Level-2 v2v run with full telemetry,
 /// mediation audit, and the trace/metrics exporters.
 fn run_trace(ctx: &Ctx) -> Result<(), String> {
@@ -362,7 +348,7 @@ fn run_trace(ctx: &Ctx) -> Result<(), String> {
     w.telemetry = Telemetry::enabled();
     let mut e = Sim::new();
     let horizon = if ctx.quick { 2_000_000 } else { 10_000_000 };
-    let flows = tenant_flows(&w);
+    let flows = w.tenant_flows();
     start_udp_generator(&mut e, flows, 50_000.0, 64, Time::from_nanos(horizon));
     e.run_until(&mut w, Time::from_nanos(horizon * 3));
 
@@ -401,7 +387,8 @@ fn run_overlay(_: &Ctx) -> Result<(), String> {
     let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 1);
     w.sink.window = (Time::ZERO, Time::MAX);
     let mut e = Sim::new();
-    let flows: Vec<_> = tenant_flows(&w)
+    let flows: Vec<_> = w
+        .tenant_flows()
         .into_iter()
         .zip(&w.plan.tenants)
         .map(|((dmac, ip), t)| (dmac, ip, cfg.vni(t.index)))

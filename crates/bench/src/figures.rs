@@ -111,7 +111,7 @@ pub fn fig5_panel(
     let mut res = ThroughputReport::new(format!("{r_name} resources, {} mode", panel.label()));
     for scenario in Scenario::ALL {
         for spec in panel.matrix(scenario) {
-            crate::precheck::precheck_or_panic(spec);
+            crate::precheck::precheck_or_panic(spec, Controller::deploy);
             let tb = Testbed::new(spec);
             let t_opts = RunOpts::throughput().scaled(opts.scale);
             if let Ok(m) = tb.run_repeated(t_opts, &opts.seeds()) {
@@ -147,7 +147,7 @@ pub fn pktsize_sweep(opts: ReproOpts) -> ThroughputReport {
                 Scenario::P2v,
             ),
         ] {
-            crate::precheck::precheck_or_panic(spec);
+            crate::precheck::precheck_or_panic(spec, Controller::deploy);
             let o = RunOpts::latency()
                 .scaled(opts.scale)
                 .with_wire_len(wire_len);
@@ -197,7 +197,7 @@ pub fn fig6_panel(panel: Fig6Panel, opts: ReproOpts) -> Vec<WorkloadResult> {
     w_opts.warmup = w_opts.warmup.mul_f64(opts.scale.max(0.25));
     for scenario in [Scenario::P2v, Scenario::V2v] {
         for spec in panel.row.matrix(scenario) {
-            crate::precheck::precheck_or_panic(spec);
+            crate::precheck::precheck_or_panic(spec, Controller::deploy_workload);
             if let Ok(r) = run_workload_repeated(spec, panel.workload, w_opts, &opts.seeds()) {
                 out.push(r);
             }

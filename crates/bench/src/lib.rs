@@ -6,7 +6,8 @@
 //! cycle-conservation panels; the `repro` binary prints them and writes CSV
 //! files. Timing the simulator is `benchmark/`'s job, not this crate's.
 //!
-//! Every compartmentalized scenario is statically verified by
+//! Every deployment the Fig. 5, packet-size and Fig. 6 runs simulate is
+//! built with the run's own deploy function and statically verified by
 //! `mts-isocheck` before it is simulated ([`precheck`]); the `repro verify`
 //! target runs the full static suite, including seeded-misconfiguration
 //! negative controls. See `VERIFICATION.md`.

@@ -27,10 +27,8 @@ use mts_core::perfiso::{noisy_matrix, NoisyOpts, SloCell};
 use mts_core::runtime::{start_udp_generator, RuntimeCfg, Sim, World};
 use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts_host::ResourceMode;
-use mts_net::MacAddr;
 use mts_sim::{Dur, Time};
 use mts_vswitch::DatapathKind;
-use std::net::Ipv4Addr;
 
 /// One deployment on the panel's configuration axis.
 #[derive(Clone, Copy, Debug)]
@@ -164,20 +162,7 @@ fn billing_run(spec: DeploymentSpec, quick: bool) -> Result<World, DeployError> 
     let cfg = RuntimeCfg::for_spec(&spec);
     let mut w = World::new(d, cfg, 9);
     let mut e = Sim::new();
-    let flows: Vec<(MacAddr, Ipv4Addr)> = w
-        .plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let dmac = if spec.level.compartmentalized() {
-                let c = spec.compartment_of_tenant(t.index) as usize;
-                w.plan.compartments[c].in_out[0].1
-            } else {
-                Controller::baseline_router_mac(0)
-            };
-            (dmac, t.ip)
-        })
-        .collect();
+    let flows = w.tenant_flows();
     w.sink.window = (Time::ZERO, Time::MAX);
     let (gen_until, run_until) = if quick {
         (Time::from_nanos(2_000_000), Time::from_nanos(6_000_000))

@@ -28,7 +28,7 @@ use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts_core::workloads::{run_workload, Workload, WorkloadOpts};
 use mts_faults::{blast_radius_panel, experiment, run_traced, FaultCase, FaultOpts};
 use mts_host::ResourceMode;
-use mts_isocheck::{IncrementalChecker, Misconfig};
+use mts_isocheck::{analyze, IncrementalChecker, Misconfig, Model};
 use mts_nic::PfId;
 use mts_sim::{Dur, Time};
 use mts_vswitch::{Action, DatapathKind, FlowMatch, FlowRule};
@@ -244,31 +244,25 @@ fn deployments_replay_byte_identical() {
     check_or_bless("deploy.quick.txt", &out);
 }
 
-/// Deploy is reconcile from empty, so a fresh world holds its desired
-/// config field for field, in the devices' own order (which recovery's
-/// `RuleInstalled` deltas follow), has nothing to repair and no deltas on
-/// record.
+/// Deploy is reconcile from empty, so a fresh world's devices read back as
+/// its desired config, in the devices' own order (which recovery's
+/// `RuleInstalled` deltas follow); it has nothing to repair and no deltas
+/// on record. The model of its intent earns the verdict `verify` gives its
+/// devices.
 #[test]
 fn reconcile_on_a_fresh_world_has_zero_churn() {
     for (label, deployed) in golden_deployments() {
         let Ok(d) = deployed else { continue };
         let spec = d.spec;
+        let full = mts_isocheck::verify(&d).expect("verifies").to_string();
         let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 11);
-        for (p, statics) in w.desired.statics.iter().enumerate() {
-            let pf = w.nic.pf(PfId(p as u8)).expect("deployed PF");
-            let vfs: Vec<_> = pf.vfs().map(|(id, cfg)| (id, cfg.clone())).collect();
-            assert_eq!(statics, &pf.static_macs(), "{label}: pf{p} statics");
-            assert_eq!(w.desired.filters[p], pf.filters(), "{label}: pf{p} filters");
-            assert_eq!(w.desired.vfs[p], vfs, "{label}: pf{p} VFs");
-        }
-        assert_eq!(w.desired.rules.len(), w.vswitches.len(), "{label}");
-        for (i, (rules, vs)) in w.desired.rules.iter().zip(&w.vswitches).enumerate() {
-            assert_eq!(
-                rules,
-                &vs.inst.sw.dump_rules(),
-                "{label}: vswitch {i} rules"
-            );
-        }
+        let devices = reconcile::observed(&w.nic, w.vswitches.iter().map(|vs| &vs.inst.sw));
+        assert_eq!(devices, w.desired, "{label}");
+        let intent = Model::of_intent(&w).expect("intent model builds");
+        assert!(
+            analyze(&intent).to_string() == full,
+            "{label}: intent verdict"
+        );
         assert!(w.deltas.is_empty(), "{label}: deploy's deltas were kept");
         let r = reconcile(&mut w);
         assert_eq!(r.churn(), 0, "{label}: {r}");

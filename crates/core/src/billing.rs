@@ -394,7 +394,7 @@ mod tests {
     use crate::runtime::{start_udp_generator, RuntimeCfg, Sim, World};
     use crate::spec::{DeploymentSpec, Scenario, SecurityLevel};
     use mts_host::ResourceMode;
-    use mts_net::MacAddr;
+
     use mts_sim::Time;
     use mts_vswitch::DatapathKind;
 
@@ -403,20 +403,7 @@ mod tests {
         let cfg = RuntimeCfg::for_spec(&spec);
         let mut w = World::new(d, cfg, 9);
         let mut e = Sim::new();
-        let flows: Vec<(MacAddr, std::net::Ipv4Addr)> = w
-            .plan
-            .tenants
-            .iter()
-            .map(|t| {
-                let dmac = if spec.level.compartmentalized() {
-                    let c = spec.compartment_of_tenant(t.index) as usize;
-                    w.plan.compartments[c].in_out[0].1
-                } else {
-                    Controller::baseline_router_mac(0)
-                };
-                (dmac, t.ip)
-            })
-            .collect();
+        let flows = w.tenant_flows();
         w.sink.window = (Time::ZERO, Time::MAX);
         start_udp_generator(&mut e, flows, 100_000.0, 64, Time::from_nanos(4_000_000));
         e.run_until(&mut w, Time::from_nanos(10_000_000));

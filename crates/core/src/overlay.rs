@@ -280,10 +280,7 @@ mod tests {
             .plan
             .tenants
             .iter()
-            .map(|t| {
-                let c = w.spec.compartment_of_tenant(t.index) as usize;
-                (w.plan.compartments[c].in_out[0].1, t.ip, cfg.vni(t.index))
-            })
+            .map(|t| (w.route_mac(t.index), t.ip, cfg.vni(t.index)))
             .collect();
         start_overlay_generator(
             &mut e,
@@ -307,10 +304,7 @@ mod tests {
             .plan
             .tenants
             .iter()
-            .map(|t| {
-                let c = w.spec.compartment_of_tenant(t.index) as usize;
-                (w.plan.compartments[c].in_out[0].1, t.ip, cfg.vni(t.index))
-            })
+            .map(|t| (w.route_mac(t.index), t.ip, cfg.vni(t.index)))
             .collect();
         start_overlay_generator(
             &mut e,
@@ -335,7 +329,7 @@ mod tests {
         // reach tenant 1: the (tun_id, dst ip) match fails closed.
         let (mut w, mut e, cfg) = overlay_world(SecurityLevel::Level1);
         let victim_ip = w.plan.tenants[1].ip;
-        let dmac = w.plan.compartments[0].in_out[0].1;
+        let dmac = w.route_mac(0);
         let flows = vec![(dmac, victim_ip, cfg.vni(0))]; // mismatched VNI
         start_overlay_generator(
             &mut e,

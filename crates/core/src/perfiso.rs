@@ -64,15 +64,6 @@ impl Default for NoisyOpts {
     }
 }
 
-fn flow_dmac(w: &World, tenant: u8) -> MacAddr {
-    if w.spec.level.compartmentalized() {
-        let c = w.spec.compartment_of_tenant(tenant) as usize;
-        w.plan.compartments[c].in_out[0].1
-    } else {
-        Controller::baseline_router_mac(0)
-    }
-}
-
 /// One victim's row in the noisy-neighbor SLO matrix.
 #[derive(Clone, Debug, Serialize, Deserialize, Default)]
 pub struct SloCell {
@@ -175,12 +166,11 @@ fn run_matrix_phase(
     w.sink.window = (start, end);
 
     for t in 1..spec.tenants {
-        let flow: Vec<(MacAddr, Ipv4Addr)> =
-            vec![(flow_dmac(&w, t), w.plan.tenants[t as usize].ip)];
+        let flow: Vec<(MacAddr, Ipv4Addr)> = vec![(w.route_mac(t), w.plan.tenants[t as usize].ip)];
         start_udp_generator(&mut e, flow, opts.victim_pps, 64, end);
     }
     if with_attacker {
-        let attacker: Vec<(MacAddr, Ipv4Addr)> = vec![(flow_dmac(&w, 0), w.plan.tenants[0].ip)];
+        let attacker: Vec<(MacAddr, Ipv4Addr)> = vec![(w.route_mac(0), w.plan.tenants[0].ip)];
         start_udp_generator(&mut e, attacker, opts.attacker_pps, 64, end);
     }
     e.run_until(&mut w, end + Dur::millis(30));

@@ -53,6 +53,34 @@ impl DesiredConfig {
     }
 }
 
+/// Reads the devices' configuration in [`DesiredConfig`]'s own format and
+/// order: statics sorted by `(vlan, mac)`, filters in installation order,
+/// VFs by id, and rules in [`VirtualSwitch::dump_rules`] order with hit
+/// statistics zeroed. A converged world reads back equal to its desired
+/// config. Learned MAC entries are runtime state, not configuration, and
+/// are left out.
+pub fn observed<'a>(
+    nic: &SriovNic,
+    switches: impl IntoIterator<Item = &'a VirtualSwitch>,
+) -> DesiredConfig {
+    let pfs = || (0..=u8::MAX).map_while(|p| nic.pf(PfId(p)).ok());
+    DesiredConfig {
+        statics: pfs().map(|pf| pf.static_macs()).collect(),
+        filters: pfs().map(|pf| pf.filters().to_vec()).collect(),
+        vfs: pfs()
+            .map(|pf| {
+                let mut vfs = Vec::with_capacity(pf.vfs().count());
+                vfs.extend(pf.vfs().map(|(id, cfg)| (id, cfg.clone())));
+                vfs
+            })
+            .collect(),
+        rules: switches
+            .into_iter()
+            .map(VirtualSwitch::dump_rules)
+            .collect(),
+    }
+}
+
 /// Everything but hit statistics: the configuration identity of a rule.
 fn same_rule((ta, a): &(u8, FlowRule), (tb, b): &(u8, FlowRule)) -> bool {
     ta == tb

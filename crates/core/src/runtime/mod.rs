@@ -251,16 +251,7 @@ mod tests {
     }
 
     fn run_probes(w: &mut World, e: &mut Sim, n: u64, rate: f64) {
-        let flows: Vec<(MacAddr, std::net::Ipv4Addr)> = w
-            .plan
-            .tenants
-            .iter()
-            .map(|t| {
-                let c = w.spec.compartment_of_tenant(t.index) as usize;
-                let dmac = w.plan.compartments[c].in_out[0].1;
-                (dmac, t.ip)
-            })
-            .collect();
+        let flows = w.tenant_flows();
         let until = Time::ZERO + Dur::from_secs_f64(n as f64 / rate);
         w.sink.window = (Time::ZERO, Time::MAX);
         start_udp_generator(e, flows, rate, 64, until);
@@ -328,12 +319,7 @@ mod tests {
         let cfg = RuntimeCfg::for_spec(&spec);
         let mut w = World::new(d, cfg, 7);
         let mut e = Sim::new();
-        let flows: Vec<(MacAddr, std::net::Ipv4Addr)> = w
-            .plan
-            .tenants
-            .iter()
-            .map(|t| (Controller::baseline_router_mac(0), t.ip))
-            .collect();
+        let flows = w.tenant_flows();
         w.sink.window = (Time::ZERO, Time::MAX);
         start_udp_generator(&mut e, flows, 10_000.0, 64, Time::from_nanos(5_000_000));
         e.run(&mut w);
@@ -356,12 +342,7 @@ mod tests {
     fn a_tenant_without_its_tx_vf_drops_every_frame_of_a_burst() {
         let mut w = world(SecurityLevel::Level1, Scenario::P2v, ResourceMode::Isolated);
         let mut e = Sim::new();
-        let flows: Vec<(MacAddr, std::net::Ipv4Addr)> = w
-            .plan
-            .tenants
-            .iter()
-            .map(|t| (w.plan.compartments[0].in_out[0].1, t.ip))
-            .collect();
+        let flows = w.tenant_flows();
         w.sink.window = (Time::ZERO, Time::MAX);
         // 400 kpps over four tenants: ten frames per 100 us l2fwd drain.
         start_udp_generator(&mut e, flows, 400_000.0, 64, Time::from_nanos(4_000_000));
@@ -524,15 +505,7 @@ mod tests {
             let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 11);
             let mut e = Sim::new();
             w.sink.window = (Time::ZERO, Time::MAX);
-            let flows: Vec<(MacAddr, std::net::Ipv4Addr)> = w
-                .plan
-                .tenants
-                .iter()
-                .map(|t| {
-                    let c = spec.compartment_of_tenant(t.index) as usize;
-                    (w.plan.compartments[c].in_out[0].1, t.ip)
-                })
-                .collect();
+            let flows = w.tenant_flows();
             start_udp_churn_generator(
                 &mut e,
                 flows,

@@ -6,7 +6,7 @@ use super::hop::Charge;
 use super::{
     Owner, SinkRec, TenantKind, TenantRt, VswitchHealth, VswitchRt, VswitchScratch, WireEnd,
 };
-use crate::controller::{Deployment, PortAttach};
+use crate::controller::{Controller, Deployment, PortAttach};
 use crate::meters::{Attribution, CycleMeters};
 use crate::spec::{DeploymentSpec, SecurityLevel};
 use crate::tcphost::TcpHostRt;
@@ -19,6 +19,7 @@ use mts_sim::{CoreId, CorePool, DetRng, Dur, FastHashMap, Histogram, Link, Time}
 use mts_telemetry::{DropCause, Telemetry};
 use mts_vswitch::{DatapathKind, PortNo};
 use std::collections::{BTreeMap, HashMap};
+use std::net::Ipv4Addr;
 
 /// Runtime configuration and calibration knobs.
 #[derive(Clone, Debug)]
@@ -398,6 +399,28 @@ impl World {
                 .counter_inc("mts_config_deltas_total", &[("kind", d.kind())]);
         }
         self.deltas.push(d);
+    }
+
+    /// The next-hop MAC the load generator addresses tenant `t`'s traffic
+    /// to: its compartment's first In/Out VF (MTS), or the host PF's
+    /// address on port 0 (Baseline).
+    pub fn route_mac(&self, t: u8) -> MacAddr {
+        if self.spec.level.compartmentalized() {
+            let c = usize::from(self.spec.compartment_of_tenant(t));
+            self.plan.compartments[c].in_out[0].1
+        } else {
+            Controller::baseline_router_mac(0)
+        }
+    }
+
+    /// One `(dmac, dst_ip)` probe flow per tenant, routed through
+    /// [`World::route_mac`].
+    pub fn tenant_flows(&self) -> Vec<(MacAddr, Ipv4Addr)> {
+        self.plan
+            .tenants
+            .iter()
+            .map(|t| (self.route_mac(t.index), t.ip))
+            .collect()
     }
 
     /// Total drops across causes.

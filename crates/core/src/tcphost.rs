@@ -712,12 +712,7 @@ pub fn add_lg_client(
         rng,
     );
     host.routes = routes;
-    host.default_route = w
-        .plan
-        .compartments
-        .first()
-        .map(|c| c.in_out[0].1)
-        .unwrap_or_else(|| crate::controller::Controller::baseline_router_mac(0));
+    host.default_route = w.route_mac(0);
     let h = w.hosts.len();
     w.hosts.push(host);
     h
@@ -754,7 +749,7 @@ mod tests {
             Dur::nanos(1_500),
         );
         let server_ip = w.plan.tenants[0].ip;
-        let comp_mac = w.plan.compartments[0].in_out[0].1;
+        let comp_mac = w.route_mac(0);
         let lg_ip = w.plan.lg_ip;
         add_lg_client(
             &mut w,
@@ -789,7 +784,7 @@ mod tests {
         let (mut w, mut e) = iperf_world(SecurityLevel::Level1);
         // Client connects to a port nobody listens on.
         let server_ip = w.plan.tenants[0].ip;
-        let comp_mac = w.plan.compartments[0].in_out[0].1;
+        let comp_mac = w.route_mac(0);
         let h = add_lg_client(
             &mut w,
             "stray",

@@ -12,10 +12,8 @@ use crate::results::Measurement;
 use crate::runtime::{start_udp_generator, RuntimeCfg, Sim, World};
 use crate::spec::{DeploymentSpec, SecurityLevel};
 use mts_host::{ResourceLedger, ResourceMode};
-use mts_net::MacAddr;
 use mts_sim::{Dur, Time};
 use mts_vswitch::DatapathKind;
-use std::net::Ipv4Addr;
 
 /// Parameters of one forwarding-performance run.
 #[derive(Clone, Copy, Debug)]
@@ -90,24 +88,6 @@ impl Testbed {
         Testbed { spec }
     }
 
-    /// The probe flows: one per tenant, addressed so the NIC delivers each
-    /// flow to the right place (compartment In/Out VF, or the host PF).
-    fn flows(w: &World) -> Vec<(MacAddr, Ipv4Addr)> {
-        w.plan
-            .tenants
-            .iter()
-            .map(|t| {
-                let dmac = if w.spec.level.compartmentalized() {
-                    let c = w.spec.compartment_of_tenant(t.index) as usize;
-                    w.plan.compartments[c].in_out[0].1
-                } else {
-                    Controller::baseline_router_mac(0)
-                };
-                (dmac, t.ip)
-            })
-            .collect()
-    }
-
     /// Runs one forwarding experiment and reports the measurement.
     pub fn run(&self, opts: RunOpts) -> Result<Measurement, DeployError> {
         let d = Controller::deploy(self.spec)?;
@@ -119,7 +99,7 @@ impl Testbed {
         let start = Time::ZERO + opts.warmup;
         let end = start + opts.measure;
         w.sink.window = (start, end);
-        let flows = Self::flows(&w);
+        let flows = w.tenant_flows();
         start_udp_generator(&mut e, flows, opts.rate_pps, opts.wire_len, end);
         // Let in-flight packets drain past the window.
         e.run_until(&mut w, end + Dur::millis(20));

@@ -15,7 +15,6 @@ use mts_apps::http::{HTTP_PORT, RESPONSE_BYTES};
 use mts_apps::iperf::IPERF_PORT;
 use mts_apps::memcached::MEMCACHED_PORT;
 use mts_apps::{AbClient, HttpServer, IperfClient, IperfServer, MemcachedServer, MemslapClient};
-use mts_net::MacAddr;
 use mts_sim::{mean_ci95, Dur, Summary, Time};
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
@@ -174,7 +173,7 @@ pub fn run_workload(
     let mut clients = Vec::new();
     for (i, &t) in server_tenants.iter().enumerate() {
         let server_ip = w.plan.tenants[t as usize].ip;
-        let dmac = route_mac(&w, t);
+        let dmac = w.route_mac(t);
         let client_ip = Ipv4Addr::new(10, 255, 0, 10 + i as u8);
         let name = format!("client-{}", i);
         let app: Box<dyn mts_apps::App> = match workload {
@@ -278,16 +277,6 @@ pub fn run_workload_repeated(
     out.throughput = mean;
     out.ci95 = half;
     Ok(out)
-}
-
-/// The next-hop MAC the LG uses to reach tenant `t`'s service.
-fn route_mac(w: &World, t: u8) -> MacAddr {
-    if w.spec.level.compartmentalized() {
-        let c = w.spec.compartment_of_tenant(t) as usize;
-        w.plan.compartments[c].in_out[0].1
-    } else {
-        Controller::baseline_router_mac(0)
-    }
 }
 
 /// Sanity upper bound: the HTTP response fits the measurement model.

@@ -23,11 +23,9 @@ use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts_core::supervisor::{start_supervisor, RecoveryKind, SupervisorCfg};
 use mts_host::ResourceMode;
 use mts_isocheck::IncrementalChecker;
-use mts_net::MacAddr;
 use mts_sim::{Dur, Time};
 use mts_vswitch::DatapathKind;
 use std::fmt;
-use std::net::Ipv4Addr;
 
 /// Parameters of one blast-radius run.
 #[derive(Clone, Copy, Debug)]
@@ -223,23 +221,6 @@ pub struct BlastCell {
     pub isocheck_violations: Option<usize>,
 }
 
-/// The probe flows, one per tenant (same addressing as the testbed).
-fn tenant_flows(w: &World) -> Vec<(MacAddr, Ipv4Addr)> {
-    w.plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let dmac = if w.spec.level.compartmentalized() {
-                let c = w.spec.compartment_of_tenant(t.index) as usize;
-                w.plan.compartments[c].in_out[0].1
-            } else {
-                Controller::baseline_router_mac(0)
-            };
-            (dmac, t.ip)
-        })
-        .collect()
-}
-
 /// Runs one deployment under one fault plan; returns the settled world
 /// (supervisor log inside).
 fn run_once(spec: DeploymentSpec, plan: &FaultPlan, opts: FaultOpts) -> Result<World, DeployError> {
@@ -280,7 +261,7 @@ fn run_inner(
         ..SupervisorCfg::default()
     };
     start_supervisor(&mut w, &mut e, sup);
-    start_udp_generator(&mut e, tenant_flows(&w), opts.rate_pps, opts.wire_len, end);
+    start_udp_generator(&mut e, w.tenant_flows(), opts.rate_pps, opts.wire_len, end);
     inject::schedule(plan, &mut e);
     e.run_until(&mut w, end + opts.drain);
     e.clear();
@@ -349,7 +330,7 @@ pub fn run_cell(
     };
 
     let isocheck_violations = if spec.level.compartmentalized() {
-        incremental_reverify(spec, opts, &mut w)
+        incremental_reverify(&mut w)
     } else {
         None
     };
@@ -373,21 +354,17 @@ pub fn run_cell(
 }
 
 /// Post-recovery verification of the faulted world, done *incrementally*:
-/// an [`IncrementalChecker`] is seeded from a pristine world of the same
-/// spec + seed (identical to the pre-fault state, which emits no deltas),
-/// then the faulted run's config-delta log — vswitch crashes, VEB flushes,
-/// rule wipes, and every supervisor/reconciler reinstall — is replayed in
-/// sequence order, so only the cones touched by each recovery are
-/// re-verified. The full from-scratch [`mts_isocheck::verify_world`] runs
-/// as the oracle: any divergence from the incremental verdict is a
-/// soundness bug in the delta application and panics loudly rather than
-/// silently skewing the panel CSV.
-fn incremental_reverify(spec: DeploymentSpec, opts: FaultOpts, w: &mut World) -> Option<usize> {
-    let d = Controller::deploy(spec).ok()?;
-    let mut cfg = RuntimeCfg::for_spec(&spec);
-    cfg.offered_pps = opts.rate_pps;
-    let w0 = World::new(d, cfg, opts.seed);
-    let mut checker = IncrementalChecker::of_world(&w0).ok()?;
+/// an [`IncrementalChecker`] is seeded from the world's own intent (its
+/// desired config, which the pre-fault devices held), then the faulted
+/// run's config-delta log — vswitch crashes, VEB flushes, rule wipes, and
+/// every supervisor/reconciler reinstall — is replayed in sequence order,
+/// so only the cones touched by each recovery are re-verified. The full
+/// from-scratch [`mts_isocheck::verify_world`] runs as the oracle: any
+/// divergence from the incremental verdict is a soundness bug in the delta
+/// application and panics loudly rather than silently skewing the panel
+/// CSV.
+fn incremental_reverify(w: &mut World) -> Option<usize> {
+    let mut checker = IncrementalChecker::of_intent(w).ok()?;
     for (_seq, delta) in w.deltas.drain() {
         checker.apply(&delta);
     }

@@ -171,15 +171,7 @@ fn recovered_world_is_verified_and_reconciliation_is_idempotent() {
             ..SupervisorCfg::default()
         },
     );
-    let flows: Vec<_> = w
-        .plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let c = w.spec.compartment_of_tenant(t.index) as usize;
-            (w.plan.compartments[c].in_out[0].1, t.ip)
-        })
-        .collect();
+    let flows = w.tenant_flows();
     start_udp_generator(&mut e, flows, 50_000.0, 64, end);
     inject::schedule(&FaultCase::Crash.plan(Time::from_nanos(5_000_000)), &mut e);
     e.run_until(&mut w, end);

@@ -14,10 +14,8 @@ use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts_core::supervisor::{start_supervisor, SupervisorCfg};
 use mts_faults::{inject, FaultCase, FaultOpts, FaultPlan};
 use mts_host::ResourceMode;
-use mts_net::MacAddr;
 use mts_sim::{Dur, Time};
 use mts_vswitch::DatapathKind;
-use std::net::Ipv4Addr;
 
 fn spec() -> DeploymentSpec {
     DeploymentSpec::mts(
@@ -26,17 +24,6 @@ fn spec() -> DeploymentSpec {
         ResourceMode::Isolated,
         Scenario::P2v,
     )
-}
-
-fn flows(w: &World) -> Vec<(MacAddr, Ipv4Addr)> {
-    w.plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let c = w.spec.compartment_of_tenant(t.index) as usize;
-            (w.plan.compartments[c].in_out[0].1, t.ip)
-        })
-        .collect()
 }
 
 /// Per-flow sent/received, typed drops, and a latency digest
@@ -65,7 +52,7 @@ fn fingerprint(seed: u64, with_machinery: bool, plan: Option<&FaultPlan>) -> Fin
             },
         );
     }
-    start_udp_generator(&mut e, flows(&w), 150_000.0, 64, end);
+    start_udp_generator(&mut e, w.tenant_flows(), 150_000.0, 64, end);
     if let Some(p) = plan {
         inject::schedule(p, &mut e);
     }

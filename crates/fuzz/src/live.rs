@@ -241,16 +241,6 @@ pub fn nic_zero_leak(seed: u64, cases_per_level: u64) -> LiveSummary {
     out
 }
 
-/// The next-hop MAC an external load generator uses to reach tenant `t`.
-fn route_mac(w: &World, t: u8) -> MacAddr {
-    if w.spec.level.compartmentalized() {
-        let c = w.spec.compartment_of_tenant(t) as usize;
-        w.plan.compartments[c].in_out[0].1
-    } else {
-        Controller::baseline_router_mac(0)
-    }
-}
-
 /// Fuzzed byte injection into a running world with live background
 /// traffic: a DNS workload on tenant 0 and a UDP probe lane on the rest.
 pub fn world_injection(seed: u64, batches: u64, bytes_per_batch: u64) -> LiveSummary {
@@ -292,7 +282,7 @@ pub fn world_injection(seed: u64, batches: u64, bytes_per_batch: u64) -> LiveSum
         Box::new(DnsServer::default()),
         Dur::nanos(1_500),
     );
-    let dmac = route_mac(&w, 0);
+    let dmac = w.route_mac(0);
     let client = add_lg_client(
         &mut w,
         "fuzz-dns-client",
@@ -304,9 +294,7 @@ pub fn world_injection(seed: u64, batches: u64, bytes_per_batch: u64) -> LiveSum
     host_start(&mut w, &mut e, client);
 
     // Background workload 2: UDP probe lane to the remaining tenants.
-    let flows: Vec<(MacAddr, Ipv4Addr)> = (1..w.plan.tenants.len())
-        .map(|t| (route_mac(&w, t as u8), w.plan.tenants[t].ip))
-        .collect();
+    let flows = w.tenant_flows().split_off(1);
     w.sink.window = (Time::ZERO, Time::MAX);
     let end = Time::ZERO + Dur::millis(20);
     start_udp_generator(&mut e, flows, 20_000.0, 64, end - Dur::millis(5));

@@ -12,13 +12,12 @@
 
 use crate::header::{Cube, HeaderSet, SortedSet};
 use crate::model::{
-    admit, nic_transfer, vswitch_transfer, Collector, Model, NPort, PortSets, TransferScratch,
-    VfRole,
+    admit, nic_transfer, vswitch_transfer, Collector, Model, PortSets, TransferScratch, VfRole,
 };
 use crate::report::{Stats, VerifyReport, Violation, ViolationKind, Warning, WarningKind, Witness};
 use mts_core::controller::PortAttach;
 use mts_core::{FastHashMap, FastHashSet};
-use mts_nic::{FilterAction, PortClass};
+use mts_nic::{FilterAction, NicPort, PortClass, VfId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// A place a symbolic frame can be.
@@ -29,7 +28,7 @@ pub enum Loc {
         /// Physical port index.
         pf: u8,
         /// VEB ingress port.
-        port: NPort,
+        port: NicPort,
     },
     /// Entering vswitch `inst` at `port`.
     VsIn {
@@ -105,7 +104,7 @@ pub(crate) fn seeds(m: &Model, source: Source) -> impl Iterator<Item = (Loc, Cub
         .map(move |(pf, vf, _)| {
             let loc = Loc::NicIn {
                 pf: *pf,
-                port: NPort::Vf(*vf),
+                port: NicPort::Vf(VfId(*vf)),
             };
             (loc, full)
         });
@@ -113,7 +112,7 @@ pub(crate) fn seeds(m: &Model, source: Source) -> impl Iterator<Item = (Loc, Cub
     let wire = wire.map(|pf| {
         let loc = Loc::NicIn {
             pf,
-            port: NPort::Wire,
+            port: NicPort::Wire,
         };
         (loc, Cube { vlan: 1, ..full })
     });
@@ -121,10 +120,10 @@ pub(crate) fn seeds(m: &Model, source: Source) -> impl Iterator<Item = (Loc, Cub
 }
 
 /// Where a NIC delivery lands in the location graph.
-fn route_nic(m: &Model, pf: u8, dst: NPort, mediated: bool) -> Option<(Loc, bool)> {
+fn route_nic(m: &Model, pf: u8, dst: NicPort, mediated: bool) -> Option<(Loc, bool)> {
     match dst {
-        NPort::Wire => Some((Loc::WireTx { pf }, mediated)),
-        NPort::Pf => {
+        NicPort::Wire => Some((Loc::WireTx { pf }, mediated)),
+        NicPort::Pf => {
             if !m.compartmentalized {
                 // Baseline: the PF feeds the co-located vswitch.
                 for (i, vs) in m.vswitches.iter().enumerate() {
@@ -143,7 +142,7 @@ fn route_nic(m: &Model, pf: u8, dst: NPort, mediated: bool) -> Option<(Loc, bool
             }
             Some((Loc::HostRx { pf }, mediated))
         }
-        NPort::Vf(vf) => match m.vf_role.get(&(pf, vf)) {
+        NicPort::Vf(VfId(vf)) => match m.vf_role.get(&(pf, vf)) {
             Some(VfRole::VswitchPort { inst, port }) => Some((
                 Loc::VsIn {
                     inst: *inst,
@@ -171,14 +170,14 @@ fn route_vs(m: &Model, inst: usize, port: u32) -> Option<(Loc, bool)> {
         Some(PortAttach::Vf(pf, vf)) => Some((
             Loc::NicIn {
                 pf: pf.0,
-                port: NPort::Vf(vf.0),
+                port: NicPort::Vf(*vf),
             },
             true,
         )),
         Some(PortAttach::Pf(pf)) => Some((
             Loc::NicIn {
                 pf: pf.0,
-                port: NPort::Pf,
+                port: NicPort::Pf,
             },
             true,
         )),
@@ -197,7 +196,7 @@ fn route_vs(m: &Model, inst: usize, port: u32) -> Option<(Loc, bool)> {
 #[derive(Default)]
 struct Hop {
     t: TransferScratch,
-    nic: PortSets<NPort>,
+    nic: PortSets<NicPort>,
     vs: PortSets<u32>,
 }
 
@@ -497,12 +496,12 @@ fn envelope_breaches(m: &Model, sc: &mut Scratch, out: &mut Vec<Violation>) {
             one.clear();
             one.insert(m.dom.full_cube());
             admitting.clear();
-            let (admitted, by_default) =
-                admit(m, *pf, NPort::Vf(*vf), one, &mut hop.t, |orig, action| {
-                    if action == FilterAction::Allow {
-                        admitting.push(orig);
-                    }
-                });
+            let from = NicPort::Vf(VfId(*vf));
+            let (admitted, by_default) = admit(m, *pf, from, one, &mut hop.t, |orig, action| {
+                if action == FilterAction::Allow {
+                    admitting.push(orig);
+                }
+            });
 
             // Envelope: multicast/broadcast, plus the MACs of vswitch-owned
             // VFs in the tenant's VLAN on this PF (its gateways).

@@ -11,7 +11,7 @@
 //!    semantics exactly (`PfSwitch` static-table keying, VF-register
 //!    survival across VEB flushes, `FlowTable`'s stable priority-descending
 //!    insertion), so the maintained model stays equal to what
-//!    [`Model::of_world`] would extract from the mutated world.
+//!    [`Model::of_world`] builds from the mutated world's devices.
 //! 2. **Marks only the affected cone dirty** — a source is marked for
 //!    recomputation only if its cached reach can observe the change:
 //!    NIC-side deltas affect sources whose reach enters that PF's VEB;
@@ -52,13 +52,14 @@
 
 use crate::engine::{analyze_source, assemble, source_list, Loc, Scratch, Source, SourceAnalysis};
 use crate::header::{Cube, DomainOverflow, DomainsBuilder};
-use crate::model::{Collector, Model, NPort};
+use crate::model::{Collector, Model};
 use crate::report::VerifyReport;
 use mts_core::controller::Deployment;
 use mts_core::delta::ConfigDelta;
 use mts_core::runtime::World;
 use mts_core::vfplan::AddressPlan;
 use mts_net::MacAddr;
+use mts_nic::{NicPort, VfId};
 use mts_vswitch::table::FlowStats;
 
 /// Work counters the checker accumulates, for benchmarking and for the
@@ -119,6 +120,14 @@ impl IncrementalChecker {
     /// [`IncrementalChecker::apply`] to keep the verdict current.
     pub fn of_world(w: &World) -> Result<Self, DomainOverflow> {
         Ok(Self::from_model(Model::of_world(w)?, w.plan.clone()))
+    }
+
+    /// Builds the checker from a world's intent ([`Model::of_intent`]):
+    /// the verdict the controller's desired config earns, whatever the
+    /// devices hold. Replaying the world's deltas since it was built then
+    /// yields the verdict on its devices.
+    pub fn of_intent(w: &World) -> Result<Self, DomainOverflow> {
+        Ok(Self::from_model(Model::of_intent(w)?, w.plan.clone()))
     }
 
     fn from_model(model: Model, plan: AddressPlan) -> Self {
@@ -365,7 +374,7 @@ impl IncrementalChecker {
                 };
                 // The VEB's table is keyed by (vlan, mac): inserting
                 // replaces whatever the key held.
-                upsert_static(&mut pfm.statics, *vlan, *mac, NPort::from_nic(*port));
+                upsert_static(&mut pfm.statics, *vlan, *mac, *port);
                 Touch::Pf(*pf)
             }
             ConfigDelta::StaticRemoved { pf, vlan, mac } => {
@@ -394,7 +403,7 @@ impl IncrementalChecker {
                         &mut pfm.statics,
                         cfg.vlan.unwrap_or(0),
                         cfg.mac,
-                        NPort::Vf(*id),
+                        NicPort::Vf(VfId(*id)),
                     );
                 }
                 Touch::Pf(*pf)
@@ -415,7 +424,7 @@ impl IncrementalChecker {
                     &mut pfm.statics,
                     cfg.vlan.unwrap_or(0),
                     cfg.mac,
-                    NPort::Vf(*vf),
+                    NicPort::Vf(VfId(*vf)),
                 );
                 pfm.vfs.insert(*vf, cfg.clone());
                 Touch::Pf(*pf)
@@ -443,7 +452,12 @@ impl IncrementalChecker {
 
 /// Inserts or replaces a static entry under the VEB's `(vlan, mac)` key,
 /// keeping the canonical `(vlan, mac)` sort the extraction produces.
-fn upsert_static(statics: &mut Vec<(u16, MacAddr, NPort)>, vlan: u16, mac: MacAddr, port: NPort) {
+fn upsert_static(
+    statics: &mut Vec<(u16, MacAddr, NicPort)>,
+    vlan: u16,
+    mac: MacAddr,
+    port: NicPort,
+) {
     statics.retain(|(v, m, _)| !(*v == vlan && m.as_u64() == mac.as_u64()));
     let pos = statics.partition_point(|(v, m, _)| (*v, m.as_u64()) < (vlan, mac.as_u64()));
     statics.insert(pos, (vlan, mac, port));
@@ -513,7 +527,7 @@ mod tests {
         let d = deployment();
         let mut inc = IncrementalChecker::of_deployment(&d).unwrap();
         let before = format!("{}", inc.report().unwrap());
-        let rules = d.vswitches[0].sw.dump_rules();
+        let rules = d.desired.rules[0].clone();
         assert!(!rules.is_empty());
         inc.apply(&ConfigDelta::RulesWiped { vswitch: 0 });
         for (t, r) in rules {

@@ -46,7 +46,7 @@ pub use engine::{analyze, Loc, Source};
 pub use header::{ConcreteHeader, Cube, DomainOverflow, Domains, HeaderSet};
 pub use incremental::{IncrStats, IncrementalChecker};
 pub use misconfig::Misconfig;
-pub use model::{Model, NPort, VfRole};
+pub use model::{Model, VfRole};
 pub use report::{Stats, VerifyReport, Violation, ViolationKind, Warning, WarningKind, Witness};
 
 use mts_core::controller::{Controller, DeployError, Deployment};

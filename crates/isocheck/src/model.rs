@@ -1,60 +1,27 @@
-//! Extracting a verifiable model from a configured [`Deployment`], and the
-//! symbolic transfer functions of its two switching elements.
+//! The verifiable model of a deployment, built from the controller's
+//! config format, and the symbolic transfer functions of its two switching
+//! elements.
 //!
 //! The model is a faithful copy of exactly the state the dataplane switches
 //! on: per-PF static MAC entries, VF configurations (MAC, VST VLAN,
 //! anti-spoofing), wildcard security filters, and the per-vswitch flow
-//! pipelines with their port attachments. Learned (dynamic) MAC entries are
-//! deliberately *not* modelled — the analysis instead over-approximates
-//! what learning could ever do (see [`Model::learned_targets`]), so its verdicts
-//! hold for every possible learning history.
+//! pipelines with their port attachments. It is built from one
+//! [`DesiredConfig`], either the controller's intent or the devices read
+//! back into the same format ([`observed`]). Learned (dynamic) MAC entries
+//! are deliberately *not* modelled — the analysis instead over-approximates
+//! what learning could ever do (see [`Model::learned_targets`]), so its
+//! verdicts hold for every possible learning history.
 
 use crate::header::{Cube, DomainOverflow, Domains, DomainsBuilder, Field, HeaderSet, SortedSet};
 use mts_core::controller::{Deployment, PortAttach, VswitchInstance};
+use mts_core::reconcile::{observed, DesiredConfig};
 use mts_core::runtime::World;
+use mts_core::spec::DeploymentSpec;
 use mts_core::vfplan::AddressPlan;
 use mts_net::{EtherType, MacAddr};
-use mts_nic::{FilterAction, FilterRule, NicPort, PfId, SriovNic, VfConfig, VfId};
+use mts_nic::{FilterAction, FilterRule, NicPort, VfConfig, VfId};
 use mts_vswitch::{Action, FlowMatch, FlowRule, VlanMatch};
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// A NIC switch port, ordered (unlike [`NicPort`]) so it can key maps.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum NPort {
-    /// The physical fabric port.
-    Wire,
-    /// The physical function (host OS).
-    Pf,
-    /// A virtual function.
-    Vf(u8),
-}
-
-impl NPort {
-    /// Converts to the NIC crate's port type.
-    pub fn to_nic(self) -> NicPort {
-        match self {
-            NPort::Wire => NicPort::Wire,
-            NPort::Pf => NicPort::Pf,
-            NPort::Vf(v) => NicPort::Vf(VfId(v)),
-        }
-    }
-
-    /// Converts from the NIC crate's port type.
-    pub fn from_nic(p: NicPort) -> Self {
-        match p {
-            NicPort::Wire => NPort::Wire,
-            NicPort::Pf => NPort::Pf,
-            NicPort::Vf(VfId(v)) => NPort::Vf(v),
-        }
-    }
-}
-
-impl fmt::Display for NPort {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.to_nic().fmt(f)
-    }
-}
 
 /// What a VF is wired to, from the controller's point of view.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -88,7 +55,7 @@ pub struct TenantInfo {
 #[derive(Clone)]
 pub struct PfModel {
     /// Static MAC entries `(vlan, mac, port)`.
-    pub statics: Vec<(u16, MacAddr, NPort)>,
+    pub statics: Vec<(u16, MacAddr, NicPort)>,
     /// Security filters in evaluation order (priority-descending, ties in
     /// installation order), paired with their original installation index.
     pub filters: Vec<(usize, FilterRule)>,
@@ -100,7 +67,7 @@ impl PfModel {
     /// VLAN broadcast-domain members in port order, mirroring the VEB's
     /// membership rule: the wire always, the PF only in VLAN 0, a VF when
     /// its VST tag is `vid` (or it is untagged and `vid` is 0).
-    pub fn members(&self, vid: u16) -> impl Iterator<Item = NPort> + '_ {
+    pub fn members(&self, vid: u16) -> impl Iterator<Item = NicPort> + '_ {
         self.ports_where(vid, move |_, cfg| in_vlan(cfg, vid))
     }
 
@@ -109,14 +76,14 @@ impl PfModel {
         &'a self,
         vid: u16,
         vf: impl Fn(u8, &VfConfig) -> bool + 'a,
-    ) -> impl Iterator<Item = NPort> + 'a {
-        std::iter::once(NPort::Wire)
-            .chain((vid == 0).then_some(NPort::Pf))
+    ) -> impl Iterator<Item = NicPort> + 'a {
+        std::iter::once(NicPort::Wire)
+            .chain((vid == 0).then_some(NicPort::Pf))
             .chain(
                 self.vfs
                     .iter()
                     .filter(move |(id, cfg)| vf(**id, cfg))
-                    .map(|(id, _)| NPort::Vf(*id)),
+                    .map(|(id, _)| NicPort::Vf(VfId(*id))),
             )
     }
 }
@@ -161,81 +128,75 @@ pub struct Model {
 }
 
 impl Model {
-    /// Extracts the model from a configured deployment.
+    /// The model of a deployment's devices as programmed, seeded
+    /// misconfigurations included.
     pub fn of(d: &Deployment) -> Result<Model, DomainOverflow> {
-        let insts: Vec<&VswitchInstance> = d.vswitches.iter().collect();
-        Model::of_parts(
-            d.spec.label(),
-            d.spec.level.compartmentalized(),
-            d.ports,
-            &d.plan,
-            &d.nic,
-            &insts,
-        )
+        let cfg = observed(&d.nic, d.vswitches.iter().map(|inst| &inst.sw));
+        Model::of_config(cfg, &d.vswitches, &d.plan, &d.spec)
     }
 
-    /// Extracts the model from a *live* runtime world — the same analysis
-    /// over the current NIC and vswitch state instead of the deploy-time
-    /// snapshot, so recovery paths (supervisor restart + reconciliation)
-    /// can be re-verified after faults.
+    /// The model of a *live* runtime world — the same analysis over the
+    /// current NIC and vswitch state instead of the deploy-time one, so
+    /// recovery paths (supervisor restart + reconciliation) can be
+    /// re-verified after faults.
     pub fn of_world(w: &World) -> Result<Model, DomainOverflow> {
-        let insts: Vec<&VswitchInstance> = w.vswitches.iter().map(|vs| &vs.inst).collect();
-        Model::of_parts(
-            w.spec.label(),
-            w.spec.level.compartmentalized(),
-            // lint:allow(lossy-cast): wire count comes from the spec and is far below 256
-            w.wires_out.len() as u8,
-            &w.plan,
-            &w.nic,
-            &insts,
-        )
+        let insts = || w.vswitches.iter().map(|vs| &vs.inst);
+        let cfg = observed(&w.nic, insts().map(|inst| &inst.sw));
+        Model::of_config(cfg, insts(), &w.plan, &w.spec)
     }
 
-    /// Extracts the model from its constituent parts (deploy-time or live).
-    pub fn of_parts(
-        label: String,
-        compartmentalized: bool,
-        ports: u8,
+    /// The model of what the controller wants a world to hold
+    /// ([`World::desired`]), whatever its devices hold now.
+    pub fn of_intent(w: &World) -> Result<Model, DomainOverflow> {
+        let insts = w.vswitches.iter().map(|vs| &vs.inst);
+        Model::of_config(w.desired.clone(), insts, &w.plan, &w.spec)
+    }
+
+    /// Builds the model from a dataplane config plus the topology it runs
+    /// on: the vswitches' ports and attachments, the address plan and the
+    /// spec. The config's rules and filters move into the model.
+    fn of_config<'a>(
+        cfg: DesiredConfig,
+        insts: impl IntoIterator<Item = &'a VswitchInstance>,
         plan: &AddressPlan,
-        nic: &SriovNic,
-        insts: &[&VswitchInstance],
+        spec: &DeploymentSpec,
     ) -> Result<Model, DomainOverflow> {
-        // PF models: filters in evaluation order (stable priority-desc).
-        let mut pfs = Vec::new();
-        for p in 0..ports {
-            let pf = nic.pf(PfId(p)).map_err(|_| DomainOverflow {
-                field: "pf",
-                needed: p as usize + 1,
-                cap: 0,
-            })?;
-            let mut filters: Vec<(usize, FilterRule)> = pf
-                .filters()
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (i, r.clone()))
-                .collect();
-            filters.sort_by_key(|(_, r)| std::cmp::Reverse(r.priority));
-            pfs.push(PfModel {
-                statics: pf
-                    .static_macs()
-                    .into_iter()
-                    .map(|(v, m, port)| (v, m, NPort::from_nic(port)))
-                    .collect(),
-                filters,
-                vfs: pf.vfs().map(|(id, cfg)| (id.0, cfg.clone())).collect(),
-            });
-        }
+        let DesiredConfig {
+            statics,
+            filters,
+            vfs,
+            rules,
+        } = cfg;
+        let pfs: Vec<PfModel> = statics
+            .into_iter()
+            .zip(filters)
+            .zip(vfs)
+            .map(|((statics, filters), vfs)| {
+                // Evaluation order: stable priority-descending over the
+                // installation order, keeping the original indices.
+                let mut filters: Vec<(usize, FilterRule)> =
+                    filters.into_iter().enumerate().collect();
+                filters.sort_by_key(|(_, r)| std::cmp::Reverse(r.priority));
+                PfModel {
+                    statics,
+                    filters,
+                    vfs: vfs.into_iter().map(|(id, cfg)| (id.0, cfg)).collect(),
+                }
+            })
+            .collect();
 
         // Vswitch models and VF roles.
         let mut vswitches = Vec::new();
         let mut vf_role: BTreeMap<(u8, u8), VfRole> = BTreeMap::new();
-        for (i, inst) in insts.iter().enumerate() {
+        let mut rules = rules.into_iter();
+        for (i, inst) in insts.into_iter().enumerate() {
             let mut tables: Vec<Vec<FlowRule>> = Vec::new();
-            for (t, rule) in inst.sw.dump_rules() {
-                if tables.len() <= t as usize {
-                    tables.resize_with(t as usize + 1, Vec::new);
+            for (t, rule) in rules.next().into_iter().flatten() {
+                let t = usize::from(t);
+                if tables.len() <= t {
+                    tables.resize_with(t + 1, Vec::new);
                 }
-                tables[t as usize].push(rule);
+                tables[t].push(rule);
             }
             let mut ports = Vec::new();
             let mut port_names = BTreeMap::new();
@@ -280,8 +241,8 @@ impl Model {
 
         Ok(Model {
             dom,
-            label,
-            compartmentalized,
+            label: spec.label(),
+            compartmentalized: spec.level.compartmentalized(),
             pfs,
             vswitches,
             vf_role,
@@ -290,8 +251,8 @@ impl Model {
     }
 
     /// Collects into `b` every value the model's *current* switching state
-    /// and the (immutable) address plan reference: the values
-    /// [`Model::of_parts`] atomized, re-derived.
+    /// and the (immutable) address plan reference: the values the model
+    /// was built with atomized, re-derived.
     ///
     /// Extraction seeds its domains through the same walk, so a model
     /// maintained delta by delta yields the atoms a from-scratch extraction
@@ -326,7 +287,7 @@ impl Model {
     ///
     /// Every member qualifies (the PF exactly when `vid` is 0), so the
     /// targets are the members plus the untagged tenant VFs, in port order.
-    pub fn learned_targets(&self, pf: u8, vid: u16) -> impl Iterator<Item = NPort> + '_ {
+    pub fn learned_targets(&self, pf: u8, vid: u16) -> impl Iterator<Item = NicPort> + '_ {
         self.pfs[pf as usize].ports_where(vid, move |id, cfg| {
             let tenant_owned = matches!(self.vf_role.get(&(pf, id)), Some(VfRole::Tenant { .. }));
             in_vlan(cfg, vid) || (cfg.vlan.is_none() && tenant_owned)
@@ -636,7 +597,7 @@ pub struct TransferScratch {
 pub(crate) fn admit<'s>(
     m: &Model,
     pf: u8,
-    from: NPort,
+    from: NicPort,
     arriving: &HeaderSet,
     sc: &'s mut TransferScratch,
     mut on_match: impl FnMut(usize, FilterAction),
@@ -655,7 +616,7 @@ pub(crate) fn admit<'s>(
 
     // VF ingress policy: anti-spoofing constrains the source MAC; VST
     // drops tagged frames and tags the rest with the VF's VLAN.
-    if let NPort::Vf(id) = from {
+    if let NicPort::Vf(VfId(id)) = from {
         let Some(cfg) = model.vfs.get(&id) else {
             return (admitted, false);
         };
@@ -676,7 +637,7 @@ pub(crate) fn admit<'s>(
         if cur.is_empty() {
             break;
         }
-        if !rule.from.matches(from.to_nic()) {
+        if !rule.from.matches(from) {
             continue;
         }
         let cube = m.filter_cube(rule);
@@ -702,11 +663,11 @@ pub(crate) fn admit<'s>(
 pub fn nic_transfer(
     m: &Model,
     pf: u8,
-    from: NPort,
+    from: NicPort,
     hs: &HeaderSet,
     col: &mut Collector,
     sc: &mut TransferScratch,
-    out: &mut PortSets<NPort>,
+    out: &mut PortSets<NicPort>,
 ) {
     let model = &m.pfs[pf as usize];
     let dom = &m.dom;
@@ -724,7 +685,7 @@ pub fn nic_transfer(
         splinters,
         ..
     } = sc;
-    let mut deliver = |port: NPort, set: &HeaderSet| {
+    let mut deliver = |port: NicPort, set: &HeaderSet| {
         if port != from && !set.is_empty() {
             out.entry(port).union(set);
         }
@@ -778,7 +739,7 @@ pub fn nic_transfer(
 
     // Egress: record VF deliveries and strip the VST tag towards VST VFs.
     for (port, set) in &mut out.slots[..out.len] {
-        if let NPort::Vf(id) = *port {
+        if let NicPort::Vf(VfId(id)) = *port {
             col.vf_delivered.insert((pf, id));
             if model.vfs.get(&id).and_then(|c| c.vlan).is_some() {
                 set.rewrite_in_place(Field::Vlan, 1);

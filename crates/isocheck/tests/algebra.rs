@@ -19,8 +19,8 @@ use mts_isocheck::header::Field;
 use mts_isocheck::model::{
     nic_transfer, vswitch_transfer, Collector, PortSets, TransferScratch, VfRole,
 };
-use mts_isocheck::{Cube, HeaderSet, Model, NPort};
-use mts_nic::FilterAction;
+use mts_isocheck::{Cube, HeaderSet, Model};
+use mts_nic::{FilterAction, NicPort, VfId};
 use mts_sim::DetRng;
 use mts_vswitch::{Action, DatapathKind, FlowMatch, FlowRule};
 use std::collections::{BTreeMap, BTreeSet};
@@ -103,31 +103,31 @@ struct RefCollector {
     notes: BTreeSet<String>,
 }
 
-fn ref_members(m: &Model, pf: u8, vid: u16) -> Vec<NPort> {
-    let mut out = vec![NPort::Wire];
+fn ref_members(m: &Model, pf: u8, vid: u16) -> Vec<NicPort> {
+    let mut out = vec![NicPort::Wire];
     if vid == 0 {
-        out.push(NPort::Pf);
+        out.push(NicPort::Pf);
     }
     for (id, cfg) in &m.pfs[pf as usize].vfs {
         if cfg.vlan == Some(vid) || (cfg.vlan.is_none() && vid == 0) {
-            out.push(NPort::Vf(*id));
+            out.push(NicPort::Vf(VfId(*id)));
         }
     }
     out
 }
 
-fn ref_learned_targets(m: &Model, pf: u8, vid: u16) -> BTreeSet<NPort> {
-    let mut out: BTreeSet<NPort> = ref_members(m, pf, vid)
+fn ref_learned_targets(m: &Model, pf: u8, vid: u16) -> BTreeSet<NicPort> {
+    let mut out: BTreeSet<NicPort> = ref_members(m, pf, vid)
         .into_iter()
-        .filter(|p| *p != NPort::Pf)
+        .filter(|p| *p != NicPort::Pf)
         .collect();
     if vid == 0 {
-        out.insert(NPort::Pf);
+        out.insert(NicPort::Pf);
     }
     for (id, cfg) in &m.pfs[pf as usize].vfs {
         let tenant_owned = matches!(m.vf_role.get(&(pf, *id)), Some(VfRole::Tenant { .. }));
         if cfg.vlan.is_none() && tenant_owned {
-            out.insert(NPort::Vf(*id));
+            out.insert(NicPort::Vf(VfId(*id)));
         }
     }
     out
@@ -136,14 +136,14 @@ fn ref_learned_targets(m: &Model, pf: u8, vid: u16) -> BTreeSet<NPort> {
 fn ref_nic_transfer(
     m: &Model,
     pf: u8,
-    from: NPort,
+    from: NicPort,
     hs: &RefSet,
     col: &mut RefCollector,
-) -> Vec<(NPort, RefSet)> {
+) -> Vec<(NicPort, RefSet)> {
     let model = &m.pfs[pf as usize];
     let dom = &m.dom;
     let mut cur = hs.clone();
-    if let NPort::Vf(id) = from {
+    if let NicPort::Vf(VfId(id)) = from {
         let Some(cfg) = model.vfs.get(&id) else {
             return Vec::new();
         };
@@ -168,7 +168,7 @@ fn ref_nic_transfer(
         if remaining.is_empty() {
             break;
         }
-        if !rule.from.matches(from.to_nic()) {
+        if !rule.from.matches(from) {
             continue;
         }
         let cube = m.filter_cube(rule);
@@ -183,8 +183,8 @@ fn ref_nic_transfer(
     }
     admitted.union(&remaining);
 
-    let mut out: BTreeMap<NPort, RefSet> = BTreeMap::new();
-    let deliver = |port: NPort, set: &RefSet, out: &mut BTreeMap<NPort, RefSet>| {
+    let mut out: BTreeMap<NicPort, RefSet> = BTreeMap::new();
+    let deliver = |port: NicPort, set: &RefSet, out: &mut BTreeMap<NicPort, RefSet>| {
         if port != from && !set.is_empty() {
             out.entry(port).or_default().union(set);
         }
@@ -227,7 +227,7 @@ fn ref_nic_transfer(
     let mut result = Vec::new();
     for (port, set) in out {
         let set = match port {
-            NPort::Vf(id) => {
+            NicPort::Vf(VfId(id)) => {
                 col.vf_delivered.insert((pf, id));
                 match model.vfs.get(&id).and_then(|c| c.vlan) {
                     Some(_) => set.rewrite(Field::Vlan, 1),
@@ -520,7 +520,7 @@ fn transfer_functions_match_the_allocating_reference_cube_for_cube() {
     // One scratch and one pair of output lists for every call, as the
     // engine keeps them.
     let mut sc = TransferScratch::default();
-    let mut nic_out: PortSets<NPort> = PortSets::default();
+    let mut nic_out: PortSets<NicPort> = PortSets::default();
     let mut vs_out: PortSets<u32> = PortSets::default();
     let mut nic_calls = 0;
     let mut vs_calls = 0;
@@ -530,23 +530,28 @@ fn transfer_functions_match_the_allocating_reference_cube_for_cube() {
         for _ in 0..20 {
             for (p, pfm) in m.pfs.iter().enumerate() {
                 let pf = p as u8;
-                let ports = [NPort::Wire, NPort::Pf]
+                let ports = [NicPort::Wire, NicPort::Pf]
                     .into_iter()
-                    .chain(pfm.vfs.keys().map(|v| NPort::Vf(*v)))
-                    .chain([NPort::Vf(99)]);
+                    .chain(pfm.vfs.keys().map(|v| NicPort::Vf(VfId(*v))))
+                    .chain([NicPort::Vf(VfId(99))]);
                 for from in ports {
                     let (hs, rs) = set(&mut rng, &m);
                     // Leftovers from a previous use must not leak.
-                    for port in [NPort::Wire, NPort::Pf, NPort::Vf(0), NPort::Vf(200)] {
+                    for port in [
+                        NicPort::Wire,
+                        NicPort::Pf,
+                        NicPort::Vf(VfId(0)),
+                        NicPort::Vf(VfId(200)),
+                    ] {
                         nic_out.entry(port).union(&with_sentinels());
                     }
                     nic_transfer(&m, pf, from, &hs, &mut col, &mut sc, &mut nic_out);
                     let expect = ref_nic_transfer(&m, pf, from, &rs, &mut rcol);
-                    let got: Vec<(NPort, Vec<Cube>)> = nic_out
+                    let got: Vec<(NicPort, Vec<Cube>)> = nic_out
                         .iter()
                         .map(|(p, s)| (p, s.cubes().to_vec()))
                         .collect();
-                    let expect: Vec<(NPort, Vec<Cube>)> =
+                    let expect: Vec<(NicPort, Vec<Cube>)> =
                         expect.into_iter().map(|(p, s)| (p, s.cubes)).collect();
                     assert_eq!(got, expect, "{}: pf{pf} from {from}", m.label);
                     nic_calls += 1;

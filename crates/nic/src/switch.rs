@@ -210,15 +210,18 @@ impl PfSwitch {
     /// `mts-isocheck` static analyzer reasons over; learned entries are
     /// runtime state and deliberately excluded.
     pub fn static_macs(&self) -> Vec<(u16, MacAddr, NicPort)> {
-        let mut out: Vec<(u16, MacAddr, NicPort)> = self
-            .table
-            // lint:allow(hashmap-iter): collected and sorted below before exposure
-            .iter()
-            .filter_map(|((vlan, mac), e)| match e {
-                Entry::Static(p) => Some((*vlan, MacAddr::from_u64(*mac), *p)),
-                Entry::Learned(_) => None,
-            })
-            .collect();
+        // Sized once: every entry of a configured, traffic-free table is
+        // static.
+        let mut out = Vec::with_capacity(self.table.len());
+        out.extend(
+            self.table
+                // lint:allow(hashmap-iter): collected and sorted below before exposure
+                .iter()
+                .filter_map(|((vlan, mac), e)| match e {
+                    Entry::Static(p) => Some((*vlan, MacAddr::from_u64(*mac), *p)),
+                    Entry::Learned(_) => None,
+                }),
+        );
         out.sort_by_key(|(vlan, mac, _)| (*vlan, mac.as_u64()));
         out
     }

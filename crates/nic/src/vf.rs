@@ -14,8 +14,8 @@ impl fmt::Display for VfId {
     }
 }
 
-/// A port of the embedded NIC switch.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+/// A port of the embedded NIC switch, ordered wire, PF, then VFs by id.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub enum NicPort {
     /// The physical fabric port (the wire).
     Wire,

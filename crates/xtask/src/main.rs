@@ -28,6 +28,12 @@
 //!   the desired config as data; the one converge pass there applies it at
 //!   deploy and after every fault, so a second programming path cannot
 //!   drift from it.
+//! * `global-state` — no `static` holding interior mutability (`Mutex`,
+//!   `RwLock`, `Atomic*`, `OnceLock`, `Cell`/`RefCell`) and no
+//!   `thread_local!`. Process-global mutable state outlives the world and
+//!   the call that filled it: a memo keyed by less than its input answers
+//!   for the wrong one, and a global counter makes a run's output depend on
+//!   what ran before it in the same process.
 //!
 //! A finding is waived by a comment `lint:allow(<check>)` on the same line
 //! or the line directly above, which is expected to justify *why* the site
@@ -55,7 +61,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: cargo xtask lint    (got {:?})\n\n\
                  lint checks: wall-clock, no-print, no-unwrap, hashmap-iter, lossy-cast,\n\
-                 device-programming\n\
+                 device-programming, global-state\n\
                  (plus unused-waiver: a lint:allow tag that suppresses nothing)",
                 other.unwrap_or("nothing")
             );
@@ -302,6 +308,20 @@ const DEVICE_PROGRAMMING: [&str; 7] = [
     ".install(",
 ];
 
+/// The interior-mutability types a `static` must not hold (`Cell<` covers
+/// `RefCell` and `OnceCell`, `Atomic` every atomic integer).
+const GLOBAL_STATE_TYPES: [&str; 5] = ["Mutex", "RwLock", "Atomic", "OnceLock", "Cell<"];
+
+/// A `static` item holding interior mutability, or a `thread_local!`.
+fn is_global_state(code: &str) -> bool {
+    let mut words = code.split_whitespace();
+    let first = words.next().unwrap_or("");
+    let is_static =
+        first == "static" || (first.starts_with("pub") && words.next() == Some("static"));
+    code.contains("thread_local!")
+        || (is_static && GLOBAL_STATE_TYPES.iter().any(|ty| code.contains(ty)))
+}
+
 const LOSSY_CAST_TARGETS: [&str; 8] = ["u8", "u16", "u32", "u64", "i8", "i16", "i32", "i64"];
 
 /// `as u8`/`as i64`-style casts that can silently truncate or wrap.
@@ -402,6 +422,9 @@ fn scan_file(file: &Path, text: &str, findings: &mut Vec<Finding>) {
             && !waive(&mut waivers, idx, "device-programming")
         {
             push("device-programming");
+        }
+        if is_global_state(&code) && !waive(&mut waivers, idx, "global-state") {
+            push("global-state");
         }
         if iterates_hash(&lines, idx, &code, &hash_ids) && !waive(&mut waivers, idx, "hashmap-iter")
         {
@@ -586,6 +609,40 @@ mod tests {
         );
         let test_only = "#[cfg(test)]\nmod tests {\n    fn f() { sw.add_filter(rule); }\n}\n";
         assert!(scan(test_only, "crates/core/src/attacks.rs").is_empty());
+    }
+
+    #[test]
+    fn global_state_is_flagged_in_every_library_file() {
+        for (src, flagged) in [
+            (
+                "static MEMO: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());",
+                true,
+            ),
+            ("pub static NEXT: AtomicU64 = AtomicU64::new(1);", true),
+            (
+                "pub(crate) static CACHE: OnceLock<Table> = OnceLock::new();",
+                true,
+            ),
+            ("static LOCK: RwLock<u8> = RwLock::new(0);", true),
+            (
+                "thread_local! { static SEEN: RefCell<u64> = RefCell::new(0); }",
+                true,
+            ),
+            ("static NAMES: [&str; 2] = [\"a\", \"b\"];", false),
+            ("const LIMIT: usize = 64;", false),
+            ("fn f(m: &Mutex<u8>) -> &'static str { \"x\" }", false),
+            ("let counter = AtomicU64::new(0);", false),
+        ] {
+            assert_eq!(is_global_state(src), flagged, "{src}");
+        }
+        let src = "static N: AtomicU64 = AtomicU64::new(1);\n";
+        assert_eq!(
+            scan(src, "crates/net/src/frame.rs"),
+            vec![(1, "global-state")]
+        );
+        let waived = "// lint:allow(global-state): ids are unique per process\n\
+                      static N: AtomicU64 = AtomicU64::new(1);\n";
+        assert!(scan(waived, "crates/net/src/frame.rs").is_empty());
     }
 
     #[test]

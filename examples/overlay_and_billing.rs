@@ -35,14 +35,7 @@ fn main() {
         .plan
         .tenants
         .iter()
-        .map(|t| {
-            let c = w.spec.compartment_of_tenant(t.index) as usize;
-            (
-                w.plan.compartments[c].in_out[0].1,
-                t.ip,
-                overlay.vni(t.index),
-            )
-        })
+        .map(|t| (w.route_mac(t.index), t.ip, overlay.vni(t.index)))
         .collect();
     println!(
         "=== VXLAN overlay (per-tenant VNIs {}..) ===",

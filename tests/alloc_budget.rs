@@ -31,8 +31,7 @@ use mts::core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts::core::tcphost::{add_lg_client, add_tenant_server, host_start};
 use mts::faults::{run_traced, FaultCase, FaultOpts};
 use mts::host::ResourceMode;
-use mts::isocheck::IncrementalChecker;
-use mts::net::MacAddr;
+use mts::isocheck::{IncrementalChecker, Model};
 use mts::net::TcpSegment;
 use mts::sim::{DetRng, Dur, Time};
 use mts::tcp::{Connection, Progress, TcpConfig};
@@ -119,15 +118,7 @@ fn udp_world(compartments: u8, rate_pps: f64, dport_span: u16) -> (World, Sim) {
     let mut w = World::new(Controller::deploy(spec).expect("deploys"), cfg, 11);
     let mut e = Sim::new();
     w.sink.window = (Time::ZERO, Time::MAX);
-    let flows: Vec<(MacAddr, Ipv4Addr)> = w
-        .plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let c = spec.compartment_of_tenant(t.index) as usize;
-            (w.plan.compartments[c].in_out[0].1, t.ip)
-        })
-        .collect();
+    let flows = w.tenant_flows();
     start_udp_churn_generator(&mut e, flows, rate_pps, 64, Time::MAX, dport_span);
     (w, e)
 }
@@ -380,17 +371,33 @@ fn steady_state_allocations_stay_within_budget() {
         liveness <= 6,
         "VswitchDown + report: {liveness} allocations"
     );
+
+    // The verifier's model of a deployment, which `benchmark/` builds in
+    // `setup_s` through `verify(&d)`: the devices are read into the
+    // controller's config format, whose rules and filters then move into
+    // the model. 110 measured; 113 when the model cloned them out of the
+    // devices itself.
+    let d = Controller::deploy(level2_4_p2v()).expect("deploys");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let model = Model::of(&d).expect("model builds");
+    let extraction = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    drop(model);
+    assert!(extraction <= 110, "Model::of: {extraction} allocations");
+}
+
+fn level2_4_p2v() -> DeploymentSpec {
+    DeploymentSpec::mts(
+        SecurityLevel::Level2 { compartments: 4 },
+        DatapathKind::Kernel,
+        ResourceMode::Isolated,
+        Scenario::P2v,
+    )
 }
 
 /// `benchmark/`'s verify-churn-l2-4: the delta stream of five fault runs on
 /// Level-2 with four compartments, and a checker over a fresh world.
 fn verify_churn() -> (IncrementalChecker, Vec<ConfigDelta>) {
-    let spec = DeploymentSpec::mts(
-        SecurityLevel::Level2 { compartments: 4 },
-        DatapathKind::Kernel,
-        ResourceMode::Isolated,
-        Scenario::P2v,
-    );
+    let spec = level2_4_p2v();
     let opts = FaultOpts {
         rate_pps: 50_000.0,
         seed: 1,

@@ -24,15 +24,7 @@ fn build(level: SecurityLevel) -> (World, Sim, Vec<(MacAddr, Ipv4Addr)>) {
     let cfg = RuntimeCfg::for_spec(&spec);
     let mut w = World::new(d, cfg, 31);
     w.sink.window = (Time::ZERO, Time::MAX);
-    let flows = w
-        .plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let c = w.spec.compartment_of_tenant(t.index) as usize;
-            (w.plan.compartments[c].in_out[0].1, t.ip)
-        })
-        .collect();
+    let flows = w.tenant_flows();
     (w, Sim::new(), flows)
 }
 

@@ -13,10 +13,8 @@ use mts::core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts::core::{bill, billing_accuracy};
 use mts::faults::{run_traced, FaultCase, FaultOpts};
 use mts::host::ResourceMode;
-use mts::net::MacAddr;
 use mts::sim::{Dur, Time};
 use mts::vswitch::DatapathKind;
-use std::net::Ipv4Addr;
 
 fn every_level() -> Vec<DeploymentSpec> {
     vec![
@@ -53,20 +51,7 @@ fn run_udp(spec: DeploymentSpec, seed: u64) -> World {
     let mut w = World::new(d, RuntimeCfg::for_spec(&spec), seed);
     let mut e = Sim::new();
     w.sink.window = (Time::ZERO, Time::MAX);
-    let flows: Vec<(MacAddr, Ipv4Addr)> = w
-        .plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let dmac = if spec.level.compartmentalized() {
-                let c = spec.compartment_of_tenant(t.index) as usize;
-                w.plan.compartments[c].in_out[0].1
-            } else {
-                Controller::baseline_router_mac(0)
-            };
-            (dmac, t.ip)
-        })
-        .collect();
+    let flows = w.tenant_flows();
     start_udp_generator(&mut e, flows, 150_000.0, 128, Time::from_nanos(5_000_000));
     e.run_until(&mut w, Time::from_nanos(12_000_000));
     w

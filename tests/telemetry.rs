@@ -30,15 +30,7 @@ fn build(
     if telemetry {
         w.telemetry = Telemetry::enabled();
     }
-    let flows = w
-        .plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let c = w.spec.compartment_of_tenant(t.index) as usize;
-            (w.plan.compartments[c].in_out[0].1, t.ip)
-        })
-        .collect();
+    let flows = w.tenant_flows();
     (w, Sim::new(), flows)
 }
 

@@ -69,15 +69,7 @@ fn traced_world_exports_replay_byte_identical() {
     let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 7);
     w.sink.window = (Time::ZERO, Time::MAX);
     w.telemetry = Telemetry::enabled();
-    let flows = w
-        .plan
-        .tenants
-        .iter()
-        .map(|t| {
-            let c = w.spec.compartment_of_tenant(t.index) as usize;
-            (w.plan.compartments[c].in_out[0].1, t.ip)
-        })
-        .collect();
+    let flows = w.tenant_flows();
     let mut e = Sim::new();
     // Hot-unplug tenant 0's VF half-way, so the later frames addressed to
     // it end as `frame.drop` hops and `mts_drops_total{cause=…}` series.
