@@ -89,6 +89,34 @@ fn faults_panel_replays_byte_identical() {
     check_or_bless("faults_blast_radius.quick.csv", &experiment::to_csv(&cells));
 }
 
+/// The metrics `repro --quick faults --metrics-out` writes: the traced
+/// Level-2 p2v crash-and-recover cell, whose supervisor, fault, config-delta,
+/// reconcile and fault-drop series the short telemetry golden never makes.
+/// Metrics carry no frame ids, so this shares a binary with other tests.
+#[test]
+fn fault_metrics_replay_byte_identical() {
+    let opts = FaultOpts {
+        rate_pps: 100_000.0,
+        run_for: Dur::millis(15),
+        fault_at: Time::from_nanos(5_000_000),
+        drain: Dur::millis(12),
+        ..FaultOpts::default()
+    };
+    let spec = DeploymentSpec::mts(
+        SecurityLevel::Level2 { compartments: 2 },
+        DatapathKind::Kernel,
+        ResourceMode::Isolated,
+        Scenario::P2v,
+    );
+    let w = run_traced(spec, FaultCase::Crash, opts).expect("traced fault run deploys");
+    let rec = w.telemetry.recorder().expect("telemetry records");
+    check_or_bless(
+        "faults_metrics.quick.prom",
+        &rec.metrics.render_prometheus(),
+    );
+    check_or_bless("faults_metrics.quick.jsonl", &rec.metrics.render_jsonl());
+}
+
 /// The TCP stack and hosts behind Fig. 6, gated where `fig6_*.csv` are not:
 /// every workload on Baseline (shared core) and Level-2 (isolated), p2v and
 /// v2v, over windows short enough for a debug build, plus Level-2 p2v iperf
