@@ -12,7 +12,7 @@ use super::{Sim, World};
 use crate::meters::{Attribution, Layer};
 use mts_sim::cpu::{Grant, UserId};
 use mts_sim::{CoreId, Dur, Time};
-use mts_telemetry::{Decimal, DropCause, Hop, Recorder};
+use mts_telemetry::{DropCause, Hop, Label, Recorder};
 
 /// Who a core grant is charged to. The variant fixes both the core
 /// ledger's user id and the meter the grant's occupancy goes to.
@@ -107,7 +107,7 @@ impl World {
         *self.drops.entry(cause).or_insert(0) += 1;
         if let Some(rec) = self.telemetry.rec() {
             rec.metrics
-                .counter_inc("mts_drops_total", &[("cause", cause.as_str())]);
+                .counter_inc("mts_drops_total", &[("cause", Label::Str(cause.as_str()))]);
         }
     }
 
@@ -136,11 +136,11 @@ impl World {
 
     fn mirror_cycles(&mut self, layer: Layer, tenant: Option<usize>, attr: Attribution, d: Dur) {
         if let Some(rec) = self.telemetry.rec() {
-            let tenant_index = tenant.map(|t| Decimal::of(t as u64));
+            let tenant = tenant.map_or(Label::Str("unresolved"), |t| Label::Num(t as u64));
             let labels = [
-                ("layer", layer.label()),
-                ("tenant", tenant_index.as_deref().unwrap_or("unresolved")),
-                ("attribution", attr.label()),
+                ("layer", Label::Str(layer.label())),
+                ("tenant", tenant),
+                ("attribution", Label::Str(attr.label())),
             ];
             rec.metrics
                 .counter_add("mts_cycles_ns_total", &labels, d.as_nanos());
@@ -160,23 +160,23 @@ fn record_hop(rec: &mut Recorder, fid: u64, at: Time, hop: Hop, dur: Dur) {
         Hop::WireIngress { pf } => ("mts_wire_ingress_total", "pf", pf, None),
         Hop::WireEgress { pf } => ("mts_wire_egress_total", "pf", pf, None),
         Hop::NicSwitch { pf, hairpin, .. } => {
-            let hairpin = ("hairpin", if hairpin { "1" } else { "0" });
+            let hairpin = ("hairpin", Label::Num(hairpin.into()));
             ("mts_nic_switch_total", "pf", pf, Some(hairpin))
         }
         Hop::VswitchRecv { vswitch, .. } => ("mts_vswitch_rx_total", "vswitch", vswitch, None),
         Hop::VswitchForward {
             vswitch, cache_hit, ..
         } => {
-            let result = ("result", if cache_hit { "hit" } else { "miss" });
+            let result = ("result", Label::Str(if cache_hit { "hit" } else { "miss" }));
             ("mts_vswitch_cache_total", "vswitch", vswitch, Some(result))
         }
         Hop::TenantRx { tenant, .. } => ("mts_tenant_rx_total", "tenant", tenant, None),
         Hop::TenantTx { tenant, .. } => ("mts_tenant_tx_total", "tenant", tenant, None),
         Hop::Drop { .. } => return,
     };
-    let id = Decimal::of(id.into());
+    let id = (key, Label::Num(id.into()));
     match extra {
-        None => rec.metrics.counter_inc(name, &[(key, &id)]),
-        Some(extra) => rec.metrics.counter_inc(name, &[(key, &id), extra]),
+        None => rec.metrics.counter_inc(name, &[id]),
+        Some(extra) => rec.metrics.counter_inc(name, &[id, extra]),
     }
 }

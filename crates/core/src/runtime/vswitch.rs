@@ -8,7 +8,7 @@ use crate::meters::Layer;
 use mts_net::Frame;
 use mts_nic::NicPort;
 use mts_sim::{CoreId, Dur, Time};
-use mts_telemetry::{Decimal, DropCause, Hop};
+use mts_telemetry::{DropCause, Hop, Label};
 use mts_vswitch::{DatapathCosts, PortKind, PortNo};
 
 /// Liveness of a vswitch VM, driven by fault injection (`mts-faults`) and
@@ -148,8 +148,8 @@ pub fn vswitch_rx(
         rec.metrics.gauge_max(
             "mts_vswitch_ring_hwm",
             &[
-                ("vswitch", &Decimal::of(i as u64)),
-                ("port", &Decimal::of(port.0.into())),
+                ("vswitch", Label::Num(i as u64)),
+                ("port", Label::Num(port.0.into())),
             ],
             occupancy as f64,
         );

@@ -5,7 +5,7 @@ use super::{CoreEvent, Sim, World};
 use mts_net::{Frame, MacAddr};
 use mts_nic::{NicPort, PfId};
 use mts_sim::{Dur, Histogram, Time};
-use mts_telemetry::{Decimal, DropCause, Hop};
+use mts_telemetry::{DropCause, Hop, Label};
 
 /// Where frames leaving a physical port end up.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -142,7 +142,7 @@ pub(super) fn external_rx(w: &mut World, e: &mut Sim, pf: PfId, frame: Frame) {
                     if let Some(idx) = flow {
                         rec.metrics.observe(
                             "mts_e2e_latency_ns_by_tenant",
-                            &[("tenant", &Decimal::of(idx as u64))],
+                            &[("tenant", Label::Num(idx as u64))],
                             lat,
                         );
                     }

@@ -16,7 +16,7 @@ use mts_host::{LinuxBridge, ResourceMode, VhostCosts};
 use mts_net::{Frame, MacAddr};
 use mts_nic::{Delivery, PfId, SriovNic, VfId};
 use mts_sim::{CoreId, CorePool, DetRng, Dur, FastHashMap, Histogram, Link, Time};
-use mts_telemetry::{DropCause, Telemetry};
+use mts_telemetry::{DropCause, Label, Telemetry};
 use mts_vswitch::{DatapathKind, PortNo};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -396,7 +396,7 @@ impl World {
     pub fn emit_delta(&mut self, d: crate::delta::ConfigDelta) {
         if let Some(rec) = self.telemetry.rec() {
             rec.metrics
-                .counter_inc("mts_config_deltas_total", &[("kind", d.kind())]);
+                .counter_inc("mts_config_deltas_total", &[("kind", Label::Str(d.kind()))]);
         }
         self.deltas.push(d);
     }

@@ -13,6 +13,7 @@ use crate::plan::{FaultKind, FaultPlan};
 use mts_core::delta::ConfigDelta;
 use mts_core::runtime::{Sim, VswitchHealth, World};
 use mts_nic::PfId;
+use mts_telemetry::Label;
 
 /// Schedules every event of a plan into the engine.
 pub fn schedule(plan: &FaultPlan, e: &mut Sim) {
@@ -31,8 +32,10 @@ pub fn schedule(plan: &FaultPlan, e: &mut Sim) {
 pub fn inject(w: &mut World, e: &mut Sim, kind: FaultKind) {
     let now = e.now();
     if let Some(rec) = w.telemetry.rec() {
-        rec.metrics
-            .counter_inc("mts_faults_injected_total", &[("kind", kind.label())]);
+        rec.metrics.counter_inc(
+            "mts_faults_injected_total",
+            &[("kind", Label::Str(kind.label()))],
+        );
     }
     match kind {
         FaultKind::CrashVswitch { vswitch, crashloop } => {

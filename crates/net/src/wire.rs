@@ -62,30 +62,57 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Computes the IEEE 802.3 CRC-32 used for the Ethernet FCS.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slice-by-8 tables for the reflected IEEE 802.3 polynomial: `CRC[0]` is
+/// the bytewise table, and `CRC[k][i]` is `CRC[0][i]` carried through `k`
+/// more zero bytes, so eight table reads fold eight input bytes at once.
+const CRC: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    t
+};
+
+/// Computes the IEEE 802.3 CRC-32 used for the Ethernet FCS, eight bytes
+/// per step.
+pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xffff_ffffu32;
-    for &b in data {
-        c = TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = CRC[7][(lo & 0xff) as usize]
+            ^ CRC[6][((lo >> 8) & 0xff) as usize]
+            ^ CRC[5][((lo >> 16) & 0xff) as usize]
+            ^ CRC[4][(lo >> 24) as usize]
+            ^ CRC[3][usize::from(w[4])]
+            ^ CRC[2][usize::from(w[5])]
+            ^ CRC[1][usize::from(w[6])]
+            ^ CRC[0][usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        c = CRC[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -412,6 +439,37 @@ fn parse_tcp(b: &[u8]) -> Result<TcpSegment, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The CRC a byte at a time: the reference slice-by-8 must agree with.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in data {
+            c = CRC[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+        }
+        c ^ 0xffff_ffff
+    }
+
+    #[test]
+    fn crc32_slice_by_8_matches_bytewise() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // The check value of CRC-32/ISO-HDLC.
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(&[]), 0);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut buf = vec![0u8; 1608];
+        for _ in 0..200 {
+            rng.fill(&mut buf[..]);
+            let len = rng.gen_range(0..=1600usize);
+            for at in 0..8 {
+                let data = &buf[at..at + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "len {len} at +{at}");
+            }
+        }
+        for len in 0..=64 {
+            let data = &buf[..len];
+            assert_eq!(crc32(data), crc32_bytewise(data), "len {len}");
+        }
+    }
 
     fn probe() -> Frame {
         Frame::udp_probe(

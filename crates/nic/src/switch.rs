@@ -226,6 +226,17 @@ impl PfSwitch {
         out
     }
 
+    /// Whether the static entries are exactly `statics`, compared in place
+    /// without collecting them. False also when `statics` repeats an entry.
+    pub fn statics_are(&self, statics: &[(u16, MacAddr, NicPort)]) -> bool {
+        let present = statics.iter().all(|&(vlan, mac, port)| {
+            let entry = self.table.get(&(vlan, mac.as_u64()));
+            matches!(entry, Some(Entry::Static(p)) if *p == port)
+        });
+        let is_static = |e: &&Entry| matches!(e, Entry::Static(_));
+        present && self.table.values().filter(is_static).count() == statics.len()
+    }
+
     /// Switches one frame entering at `from`; returns zero or more deliveries.
     ///
     /// Convenience wrapper over [`PfSwitch::ingress_into`] for callers that

@@ -1,10 +1,11 @@
-//! Append-only chunked storage for the fixed-size hop records.
+//! Append-only chunked storage for the fixed-size hop records and the
+//! metric series.
 //!
 //! A plain `Vec` doubles: at a million records it briefly holds the old
 //! and the new buffer and copies every record it has. Chunks are never
-//! moved or freed, so appending costs one allocation per [`CHUNK`]
-//! records and the live heap is the records plus at most one chunk of
-//! slack. The first chunk is allocated by the first `push`, never by
+//! moved or freed, so appending costs one allocation per `N` (by default
+//! [`CHUNK`]) records and the live heap is the records plus at most one
+//! chunk of slack. The first chunk is allocated by the first `push`, never by
 //! construction — an enabled recorder that has seen no event owns no heap.
 
 use std::ops::{Index, IndexMut};
@@ -13,21 +14,21 @@ use std::ops::{Index, IndexMut};
 pub(crate) const CHUNK: usize = 4096;
 
 #[derive(Debug)]
-pub(crate) struct Chunked<T> {
+pub(crate) struct Chunked<T, const N: usize = CHUNK> {
     /// Every chunk but the last is full.
     chunks: Vec<Vec<T>>,
 }
 
-impl<T> Default for Chunked<T> {
+impl<T, const N: usize> Default for Chunked<T, N> {
     fn default() -> Self {
         Chunked { chunks: Vec::new() }
     }
 }
 
-impl<T> Chunked<T> {
+impl<T, const N: usize> Chunked<T, N> {
     pub(crate) fn len(&self) -> usize {
         match self.chunks.last() {
-            Some(last) => (self.chunks.len() - 1) * CHUNK + last.len(),
+            Some(last) => (self.chunks.len() - 1) * N + last.len(),
             None => 0,
         }
     }
@@ -35,9 +36,9 @@ impl<T> Chunked<T> {
     /// Appends `v` at index `len()`.
     pub(crate) fn push(&mut self, v: T) {
         match self.chunks.last_mut() {
-            Some(last) if last.len() < CHUNK => last.push(v),
+            Some(last) if last.len() < N => last.push(v),
             _ => {
-                let mut chunk = Vec::with_capacity(CHUNK);
+                let mut chunk = Vec::with_capacity(N);
                 chunk.push(v);
                 self.chunks.push(chunk);
             }
@@ -45,7 +46,7 @@ impl<T> Chunked<T> {
     }
 
     pub(crate) fn get(&self, i: usize) -> Option<&T> {
-        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
+        self.chunks.get(i / N)?.get(i % N)
     }
 
     /// In insertion order.
@@ -54,17 +55,17 @@ impl<T> Chunked<T> {
     }
 }
 
-impl<T> Index<usize> for Chunked<T> {
+impl<T, const N: usize> Index<usize> for Chunked<T, N> {
     type Output = T;
 
     fn index(&self, i: usize) -> &T {
-        &self.chunks[i / CHUNK][i % CHUNK]
+        &self.chunks[i / N][i % N]
     }
 }
 
-impl<T> IndexMut<usize> for Chunked<T> {
+impl<T, const N: usize> IndexMut<usize> for Chunked<T, N> {
     fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut self.chunks[i / CHUNK][i % CHUNK]
+        &mut self.chunks[i / N][i % N]
     }
 }
 

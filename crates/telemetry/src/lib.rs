@@ -28,7 +28,6 @@
 
 mod arena;
 pub mod audit;
-mod decimal;
 pub mod drop_cause;
 pub mod journey;
 mod json;
@@ -37,9 +36,8 @@ pub mod recorder;
 pub mod trace;
 
 pub use audit::{MediationAuditor, MediationReport, MediationViolation};
-pub use decimal::Decimal;
 pub use drop_cause::DropCause;
 pub use journey::{Hop, Journey, JourneyHop, JourneyLog, NicEndpoint};
-pub use metrics::{MetricsRegistry, BUCKET_BOUNDS_NS};
+pub use metrics::{Label, MetricsRegistry, BUCKET_BOUNDS_NS};
 pub use recorder::{Recorder, Telemetry};
 pub use trace::{TraceEvent, TraceLog};

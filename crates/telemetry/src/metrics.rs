@@ -9,30 +9,65 @@
 //! - **histograms** — [`mts_sim::Histogram`] distributions (per-hop
 //!   latency in simulated nanoseconds).
 //!
-//! Every series is keyed by `(name, sorted label pairs)` in `BTreeMap`s,
-//! so iteration order — and therefore every exporter byte — is a pure
-//! function of the recorded values. An update searches the map with a key
-//! that *borrows* the caller's name and labels (sorted on the stack), so
-//! the owned [`SeriesKey`] is built once, when the series first appears,
-//! and a steady-state update allocates nothing. No wall-clock time is ever
-//! read; timestamps come from the simulation's [`mts_sim::Time`].
+//! A series is its name plus label pairs whose values are typed
+//! [`Label`]s — a static string or a number — so an update neither formats
+//! a number nor copies a string. A kind keeps its series as slots in
+//! first-seen order, found through a hash index over the name and the label
+//! values: one probe plus an equality check, and nothing is allocated once a
+//! series exists. Strings are made only at export, where the slots are
+//! sorted by their rendered `(name, sorted label pairs)` key, so every
+//! exporter byte is a pure function of the recorded values and never of the
+//! index's hash order. No wall-clock time is ever read; timestamps come
+//! from the simulation's [`mts_sim::Time`].
 
-use std::borrow::Borrow;
-use std::cmp::Ordering;
-use std::collections::BTreeMap;
-use std::fmt::Write;
+use std::fmt::{self, Write};
+use std::hash::Hasher;
 
-use mts_sim::Histogram;
+use mts_sim::{FastHashMap, FastHasher, Histogram};
 
+use crate::arena::Chunked;
 use crate::json::escape_json_into;
 
-type Labels<'a> = &'a [(&'a str, &'a str)];
+/// A label value. `Num` renders in decimal, so a `Str` holding a canonical
+/// decimal (`"7"`, not `"07"`) names the same value as the `Num` it reads
+/// as: the registry canonicalises it to that `Num`, and the two can never
+/// export as two series.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum Label {
+    Str(&'static str),
+    Num(u64),
+}
 
-/// A fully-resolved series key: metric name plus sorted `label=value` pairs.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub struct SeriesKey {
-    pub name: String,
-    pub labels: Vec<(String, String)>,
+impl Label {
+    fn canonical(self) -> Label {
+        if let Label::Str(s) = self {
+            // `parse` also takes `+7` and `07`, which render unlike 7.
+            let canonical = s == "0" || !s.starts_with(['0', '+']);
+            if let (true, Ok(n)) = (canonical, s.parse()) {
+                return Label::Num(n);
+            }
+        }
+        self
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Label::Str(s) => f.write_str(s),
+            Label::Num(n) => write!(f, "{n}"),
+        }
+    }
+}
+
+type Labels<'a> = &'a [(&'static str, Label)];
+
+/// A series' rendered key, built only at export: metric name plus sorted
+/// `label=value` pairs. Its derived order is the exporters' series order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct SeriesKey {
+    name: String,
+    labels: Vec<(String, String)>,
 }
 
 impl SeriesKey {
@@ -47,7 +82,6 @@ impl SeriesKey {
             labels,
         }
     }
-
     /// Append `name<suffix>{k="v",…}` in the Prometheus text format, with
     /// `extra` merged in at its sorted position; no braces without labels.
     fn write_prom(&self, out: &mut String, suffix: &str, extra: Option<(&str, &str)>) {
@@ -101,128 +135,122 @@ impl SeriesKey {
     }
 }
 
-/// What series keys are ordered by. `SeriesKey: Borrow<dyn KeyView>` is
-/// what lets a `BTreeMap<SeriesKey, _>` be searched with a key that only
-/// borrows the caller's strings.
-trait KeyView {
-    fn name(&self) -> &str;
-    /// The `i`-th label pair in sorted order.
-    fn label(&self, i: usize) -> Option<(&str, &str)>;
-}
-
-impl KeyView for SeriesKey {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn label(&self, i: usize) -> Option<(&str, &str)> {
-        self.labels.get(i).map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-}
-
-/// A name and label pairs that are already sorted, both borrowed.
-struct BorrowedKey<'a> {
-    name: &'a str,
-    sorted: Labels<'a>,
-}
-
-impl KeyView for BorrowedKey<'_> {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn label(&self, i: usize) -> Option<(&str, &str)> {
-        self.sorted.get(i).copied()
-    }
-}
-
-impl<'a> Borrow<dyn KeyView + 'a> for SeriesKey {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
-    }
-}
-
-/// The derived order of [`SeriesKey`] — name, then the label pairs as a
-/// sequence — which `Borrow` obliges the view to share.
-impl Ord for dyn KeyView + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let mut i = 0;
-        self.name().cmp(other.name()).then_with(|| loop {
-            match (self.label(i), other.label(i)) {
-                (None, None) => break Ordering::Equal,
-                (a, b) if a != b => break a.cmp(&b),
-                _ => i += 1,
-            }
-        })
-    }
-}
-
-impl PartialOrd for dyn KeyView + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
-
-/// The series of one metric kind.
-type Series<V> = BTreeMap<SeriesKey, V>;
-
 /// Label sets up to this size are sorted on the stack.
 const INLINE_LABELS: usize = 8;
 
-/// Hands `search` the map key for `name` with `labels` in any order.
-fn with_key<R>(name: &str, labels: Labels, search: impl FnOnce(&dyn KeyView) -> R) -> R {
-    let mut inline = [("", ""); INLINE_LABELS];
+/// Hands `f` the labels canonicalised and sorted: the same slice for any
+/// order of the same pairs.
+fn with_sorted<R>(labels: Labels, f: impl FnOnce(Labels) -> R) -> R {
+    let mut inline = [("", Label::Num(0)); INLINE_LABELS];
     let mut spilled = Vec::new();
     let sorted = match inline.get_mut(..labels.len()) {
-        Some(buf) => {
-            buf.copy_from_slice(labels);
-            buf
-        }
+        Some(buf) => buf,
         None => {
-            spilled.extend_from_slice(labels);
+            spilled.resize(labels.len(), ("", Label::Num(0)));
             &mut spilled[..]
         }
     };
+    for (slot, &(k, v)) in sorted.iter_mut().zip(labels) {
+        *slot = (k, v.canonical());
+    }
     sorted.sort_unstable();
-    search(&BorrowedKey { name, sorted })
+    f(sorted)
 }
 
-/// Applies `change` to the series' value, created with `init` on first
-/// sight. Not `BTreeMap::entry`: that takes an owned key, which is the
-/// allocations per update this lookup exists to avoid.
-fn update<V>(
-    series: &mut Series<V>,
-    name: &str,
-    labels: Labels,
-    init: impl FnOnce() -> V,
-    change: impl FnOnce(&mut V),
-) {
-    with_key(name, labels, |key| {
-        // Two searches where `match series.get_mut(key)` would make one, on
-        // purpose and for now: with one, `udp-fast-l2-4-telemetry` runs in
-        // ≈ 0.73 s instead of ≈ 1.0 s, and below ≈ 0.95 s the harness's
-        // `setup_s` median on that workload lands on its cache-cold set-ups
-        // and fails the 25 % gate with no set-up change (CHANGES.md, PR 23).
-        // Take the single search once ROADMAP item 6d has fixed the metric.
-        if !series.contains_key(key) {
-            series.insert(SeriesKey::new(name, labels), init());
+/// The index hash of a series: its name and its sorted label values. Keys
+/// are left to the equality check.
+fn hash_of(name: &str, sorted: Labels) -> u64 {
+    let mut h = FastHasher::default();
+    h.write(name.as_bytes());
+    for (_, v) in sorted {
+        match *v {
+            Label::Str(s) => h.write(s.as_bytes()),
+            Label::Num(n) => h.write_u64(n),
         }
-        if let Some(value) = series.get_mut(key) {
-            change(value);
-        }
-    });
+    }
+    h.finish()
 }
 
-fn get<'a, V>(series: &'a Series<V>, name: &str, labels: Labels) -> Option<&'a V> {
-    with_key(name, labels, |key| series.get(key))
+/// One series: its identity, its value, and the next slot of equal hash.
+#[derive(Debug)]
+struct Slot<V> {
+    name: &'static str,
+    sorted: Box<[(&'static str, Label)]>,
+    next: Option<u32>,
+    value: V,
+}
+
+/// Series per storage chunk: a few dozen series fill a kind, and a chunk
+/// is never copied to grow.
+const SERIES_CHUNK: usize = 16;
+
+/// The series of one metric kind, in first-seen order.
+#[derive(Debug, Default)]
+struct Series<V> {
+    slots: Chunked<Slot<V>, SERIES_CHUNK>,
+    /// Series hash to the last slot with that hash; equal hashes chain
+    /// through `Slot::next`. Only ever probed, never iterated.
+    index: FastHashMap<u64, u32>,
+}
+
+impl<V> Series<V> {
+    fn find(&self, hash: u64, name: &str, sorted: Labels) -> Option<usize> {
+        let mut at = self.index.get(&hash).copied();
+        while let Some(i) = at {
+            let slot = &self.slots[i as usize];
+            if slot.name == name && *slot.sorted == *sorted {
+                return Some(i as usize);
+            }
+            at = slot.next;
+        }
+        None
+    }
+
+    /// Applies `change` to the series' value, created with `init` on first
+    /// sight.
+    fn update(
+        &mut self,
+        name: &'static str,
+        labels: Labels,
+        init: impl FnOnce() -> V,
+        change: impl FnOnce(&mut V),
+    ) {
+        with_sorted(labels, |sorted| {
+            let hash = hash_of(name, sorted);
+            let i = match self.find(hash, name, sorted) {
+                Some(i) => i,
+                None => {
+                    let i = self.slots.len();
+                    self.slots.push(Slot {
+                        name,
+                        sorted: sorted.into(),
+                        next: self.index.insert(hash, i as u32),
+                        value: init(),
+                    });
+                    i
+                }
+            };
+            change(&mut self.slots[i].value);
+        });
+    }
+
+    fn get(&self, name: &str, labels: Labels) -> Option<&V> {
+        with_sorted(labels, |sorted| {
+            let i = self.find(hash_of(name, sorted), name, sorted)?;
+            Some(&self.slots[i].value)
+        })
+    }
+
+    /// Every series with its rendered key, in the exporters' order.
+    fn sorted(&self) -> Vec<(SeriesKey, &V)> {
+        let mut keyed: Vec<(SeriesKey, &V)> = self
+            .slots
+            .iter()
+            .map(|s| (SeriesKey::new(s.name, &s.sorted), &s.value))
+            .collect();
+        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        keyed
+    }
 }
 
 /// Registry of counters, gauges and histograms.
@@ -239,61 +267,58 @@ impl MetricsRegistry {
     }
 
     /// Add `v` to the counter `name` with the given labels.
-    pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
-        update(&mut self.counters, name, labels, || 0, |c| *c += v);
+    pub fn counter_add(&mut self, name: &'static str, labels: Labels, v: u64) {
+        self.counters.update(name, labels, || 0, |c| *c += v);
     }
 
     /// Increment the counter by one.
-    pub fn counter_inc(&mut self, name: &str, labels: &[(&str, &str)]) {
+    pub fn counter_inc(&mut self, name: &'static str, labels: Labels) {
         self.counter_add(name, labels, 1);
     }
 
     /// Set the gauge `name` to `v` (last write wins).
-    pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        update(&mut self.gauges, name, labels, || v, |g| *g = v);
+    pub fn gauge_set(&mut self, name: &'static str, labels: Labels, v: f64) {
+        self.gauges.update(name, labels, || v, |g| *g = v);
     }
 
     /// Raise the gauge to `v` if `v` exceeds the current value
     /// (high-water-mark semantics).
-    pub fn gauge_max(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
+    pub fn gauge_max(&mut self, name: &'static str, labels: Labels, v: f64) {
         let raise = |g: &mut f64| {
             if v > *g {
                 *g = v;
             }
         };
-        update(&mut self.gauges, name, labels, || f64::NEG_INFINITY, raise);
+        self.gauges
+            .update(name, labels, || f64::NEG_INFINITY, raise);
     }
 
     /// Record `v` into the histogram `name`.
-    pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
-        update(
-            &mut self.histograms,
-            name,
-            labels,
-            Histogram::default,
-            |h| h.record(v),
-        );
+    pub fn observe(&mut self, name: &'static str, labels: Labels, v: u64) {
+        let record = |h: &mut Histogram| h.record(v);
+        self.histograms
+            .update(name, labels, Histogram::default, record);
     }
 
     /// Current value of a counter series (0 if never touched).
-    pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        get(&self.counters, name, labels).copied().unwrap_or(0)
+    pub fn counter_value(&self, name: &str, labels: Labels) -> u64 {
+        self.counters.get(name, labels).copied().unwrap_or(0)
     }
 
     /// Sum of every counter series sharing `name`, regardless of labels.
     pub fn counter_total(&self, name: &str) -> u64 {
-        let named = self.counters.iter().filter(|(k, _)| k.name == name);
-        named.map(|(_, v)| v).sum()
+        let named = self.counters.slots.iter().filter(|s| s.name == name);
+        named.map(|s| s.value).sum()
     }
 
     /// Access a histogram series, if it exists.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Histogram> {
-        get(&self.histograms, name, labels)
+    pub fn histogram(&self, name: &str, labels: Labels) -> Option<&Histogram> {
+        self.histograms.get(name, labels)
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.slots.len() + self.gauges.slots.len() + self.histograms.slots.len() == 0
     }
 
     /// Render the registry in the Prometheus text exposition format.
@@ -308,24 +333,26 @@ impl MetricsRegistry {
     /// byte-for-byte deterministic for a given registry state.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
+        let (counters, gauges) = (self.counters.sorted(), self.gauges.sorted());
+        let histograms = self.histograms.sorted();
         let mut family = Family::default();
-        for (key, v) in &self.counters {
+        for (key, v) in &counters {
             family.header(&mut out, key, "counter");
             key.write_prom(&mut out, "", None);
             let _ = writeln!(out, " {v}");
         }
-        for (key, v) in &self.gauges {
+        for (key, v) in &gauges {
             family.header(&mut out, key, "gauge");
             key.write_prom(&mut out, "", None);
             out.push(' ');
-            write_f64(&mut out, *v);
+            write_f64(&mut out, **v);
             out.push('\n');
         }
-        for (key, h) in &self.histograms {
+        for (key, h) in &histograms {
             family.header(&mut out, key, "histogram");
             for bound in BUCKET_BOUNDS_NS {
-                let le = crate::Decimal::of(bound);
-                key.write_prom(&mut out, "_bucket", Some(("le", le.as_str())));
+                let le = bound.to_string();
+                key.write_prom(&mut out, "_bucket", Some(("le", &le)));
                 let _ = writeln!(out, " {}", h.count_le(bound));
             }
             key.write_prom(&mut out, "_bucket", Some(("le", "+Inf")));
@@ -349,25 +376,25 @@ impl MetricsRegistry {
     }
 
     /// Render the registry as JSON Lines: one self-describing object per
-    /// series, `jq`/pandas-friendly. Label keys appear in sorted order
-    /// (the [`SeriesKey`] canonical order), so the output — including the
+    /// series, `jq`/pandas-friendly. Label keys appear in sorted order, so
+    /// the output — including the
     /// cycle-attribution labels `layer`/`tenant`/`attribution` — is
     /// byte-for-byte deterministic.
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
-        for (key, v) in &self.counters {
+        for (key, v) in &self.counters.sorted() {
             out.push_str("{\"kind\":\"counter\",");
             key.write_json(&mut out);
             let _ = writeln!(out, ",\"value\":{v}}}");
         }
-        for (key, v) in &self.gauges {
+        for (key, v) in &self.gauges.sorted() {
             out.push_str("{\"kind\":\"gauge\",");
             key.write_json(&mut out);
             out.push_str(",\"value\":");
-            write_f64(&mut out, *v);
+            write_f64(&mut out, **v);
             out.push_str("}\n");
         }
-        for (key, h) in &self.histograms {
+        for (key, h) in &self.histograms.sorted() {
             let s = h.summary();
             out.push_str("{\"kind\":\"histogram\",");
             key.write_json(&mut out);
@@ -422,34 +449,65 @@ fn write_f64(out: &mut String, v: f64) {
 
 #[cfg(test)]
 mod tests {
+    use super::Label::{Num, Str};
     use super::*;
 
     #[test]
     fn counters_accumulate_per_label_set() {
         let mut m = MetricsRegistry::new();
-        m.counter_inc("frames_total", &[("tenant", "0")]);
-        m.counter_add("frames_total", &[("tenant", "0")], 2);
-        m.counter_inc("frames_total", &[("tenant", "1")]);
-        assert_eq!(m.counter_value("frames_total", &[("tenant", "0")]), 3);
-        assert_eq!(m.counter_value("frames_total", &[("tenant", "1")]), 1);
+        m.counter_inc("frames_total", &[("tenant", Num(0))]);
+        m.counter_add("frames_total", &[("tenant", Num(0))], 2);
+        m.counter_inc("frames_total", &[("tenant", Num(1))]);
+        assert_eq!(m.counter_value("frames_total", &[("tenant", Num(0))]), 3);
+        assert_eq!(m.counter_value("frames_total", &[("tenant", Num(1))]), 1);
         assert_eq!(m.counter_total("frames_total"), 4);
     }
 
     #[test]
     fn label_order_is_canonicalized() {
         let mut m = MetricsRegistry::new();
-        m.counter_inc("x", &[("b", "2"), ("a", "1")]);
-        m.counter_inc("x", &[("a", "1"), ("b", "2")]);
-        assert_eq!(m.counter_value("x", &[("a", "1"), ("b", "2")]), 2);
+        m.counter_inc("x", &[("b", Num(2)), ("a", Str("one"))]);
+        m.counter_inc("x", &[("a", Str("one")), ("b", Num(2))]);
+        assert_eq!(m.counter_value("x", &[("a", Str("one")), ("b", Num(2))]), 2);
+    }
+
+    #[test]
+    fn a_decimal_string_and_its_number_are_one_series() {
+        let mut m = MetricsRegistry::new();
+        m.counter_inc("x", &[("tenant", Str("7"))]);
+        m.counter_inc("x", &[("tenant", Num(7))]);
+        m.gauge_max("g", &[("port", Num(0))], 1.0);
+        m.gauge_max("g", &[("port", Str("0"))], 2.0);
+        m.observe("h", &[("vf", Str("18446744073709551615"))], 1);
+        m.observe("h", &[("vf", Num(u64::MAX))], 1);
+        assert_eq!(m.counter_value("x", &[("tenant", Num(7))]), 2);
+        assert_eq!(m.counter_value("x", &[("tenant", Str("7"))]), 2);
+        assert_eq!(
+            m.histogram("h", &[("vf", Num(u64::MAX))])
+                .map(|h| h.count()),
+            Some(2)
+        );
+        let text = m.render_prometheus();
+        assert!(text.contains("x{tenant=\"7\"} 2\n"), "{text}");
+        assert!(text.contains("g{port=\"0\"} 2\n"), "{text}");
+        assert_eq!(m.render_jsonl().lines().count(), 3);
+        // Strings that only look numeric render unlike any number: their
+        // own series.
+        for s in ["07", "", "+7", "18446744073709551616"] {
+            m.counter_inc("y", &[("k", Str(s))]);
+        }
+        m.counter_inc("y", &[("k", Num(7))]);
+        assert_eq!(m.counter_value("y", &[("k", Str("07"))]), 1);
+        assert_eq!(m.render_jsonl().lines().count(), 8);
     }
 
     #[test]
     fn prometheus_rendering_is_deterministic_and_typed() {
         let mut m = MetricsRegistry::new();
-        m.counter_add("mts_drops_total", &[("cause", "nic-spoof")], 7);
-        m.gauge_set("mts_ring_occupancy", &[("vswitch", "0")], 12.0);
-        m.observe("mts_hop_ns", &[("hop", "nic")], 640);
-        m.observe("mts_hop_ns", &[("hop", "nic")], 640);
+        m.counter_add("mts_drops_total", &[("cause", Str("nic-spoof"))], 7);
+        m.gauge_set("mts_ring_occupancy", &[("vswitch", Num(0))], 12.0);
+        m.observe("mts_hop_ns", &[("hop", Str("nic"))], 640);
+        m.observe("mts_hop_ns", &[("hop", Str("nic"))], 640);
         let text = m.render_prometheus();
         let again = m.render_prometheus();
         assert_eq!(text, again);
@@ -475,18 +533,18 @@ mod tests {
         m.counter_add(
             "mts_cycles_ns_total",
             &[
-                ("tenant", "0"),
-                ("layer", "vswitch"),
-                ("attribution", "exact"),
+                ("tenant", Num(0)),
+                ("layer", Str("vswitch")),
+                ("attribution", Str("exact")),
             ],
             640,
         );
         m.observe(
             "mts_cycles_grant_ns",
             &[
-                ("attribution", "exact"),
-                ("tenant", "0"),
-                ("layer", "vswitch"),
+                ("attribution", Str("exact")),
+                ("tenant", Num(0)),
+                ("layer", Str("vswitch")),
             ],
             640,
         );
@@ -509,11 +567,11 @@ mod tests {
 
     #[test]
     fn wide_label_sets_spill_and_still_canonicalize() {
-        let pairs: Vec<(String, String)> = (0..INLINE_LABELS + 2)
-            .map(|i| (format!("k{i:02}"), i.to_string()))
-            .collect();
-        let fwd: Vec<(&str, &str)> = pairs.iter().map(|(k, v)| (&**k, &**v)).collect();
-        let rev: Vec<(&str, &str)> = fwd.iter().rev().copied().collect();
+        const KEYS: [&str; INLINE_LABELS + 2] = [
+            "k00", "k01", "k02", "k03", "k04", "k05", "k06", "k07", "k08", "k09",
+        ];
+        let fwd: Vec<(&str, Label)> = (0..).zip(KEYS).map(|(i, k)| (k, Num(i))).collect();
+        let rev: Vec<(&str, Label)> = fwd.iter().rev().copied().collect();
         let mut m = MetricsRegistry::new();
         m.counter_inc("wide", &fwd);
         m.counter_inc("wide", &rev);

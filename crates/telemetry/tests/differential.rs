@@ -6,12 +6,15 @@
 //! hops per frame in a `BTreeMap`, series in `BTreeMap`s under owned
 //! keys, exporters that `format!` a `String` per event, argument and
 //! label and `join` them. Seeded random hop streams and metric updates go
-//! through both; every read and every rendered byte must agree.
+//! through both; every read and every rendered byte must agree. The
+//! reference keys a series by its *rendered* labels, so a typed `Num(7)`
+//! and a `Str("7")` under one key must land in one registry series too.
 
 use std::collections::BTreeMap;
 
 use mts_sim::{DetRng, Dur, Histogram, Time};
 use mts_telemetry::trace::track;
+use mts_telemetry::Label::{self, Num, Str};
 use mts_telemetry::{
     DropCause, Hop, JourneyLog, MetricsRegistry, NicEndpoint, Recorder, TraceLog, BUCKET_BOUNDS_NS,
 };
@@ -158,7 +161,7 @@ fn micros(ns: u64) -> String {
 
 type Key = (String, Vec<(String, String)>);
 
-fn key(name: &str, labels: &[(&str, &str)]) -> Key {
+fn key(name: &str, labels: &[(&str, Label)]) -> Key {
     let mut labels: Vec<(String, String)> = labels
         .iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -438,25 +441,53 @@ fn hop_streams_match_the_reference() {
 }
 
 const NAMES: [&str; 4] = ["mts_a_total", "mts_a", "mts_b_ns", "odd \"name\"\n"];
-const KEYS: [&str; 4] = ["tenant", "layer", "le", "zone"];
-const VALUES: [&str; 7] = [
-    "0",
-    "1",
-    "vswitch",
-    "q\"uote",
-    "back\\slash",
-    "new\nline\ttab",
-    "\u{1}ctl",
+const KEYS: [&str; 11] = [
+    "tenant", "layer", "le", "zone", "vswitch", "port", "pf", "hairpin", "cause", "kind", "result",
+];
+const VALUES: [Label; 15] = [
+    Str("0"),
+    Num(0),
+    Str("1"),
+    Num(1),
+    Str("7"),
+    Num(7),
+    Str("07"),
+    Num(u64::MAX),
+    Str("18446744073709551616"),
+    Str(""),
+    Str("vswitch"),
+    Str("q\"uote"),
+    Str("back\\slash"),
+    Str("new\nline\ttab"),
+    Str("\u{1}ctl"),
 ];
 
-/// A random label set — possibly empty — in random order.
-fn random_labels(rng: &mut DetRng) -> Vec<(&'static str, &'static str)> {
+/// A random label set — possibly empty, now and then wider than the
+/// registry sorts on the stack — in random order.
+fn random_labels(rng: &mut DetRng) -> Vec<(&'static str, Label)> {
     let keys = shuffled(rng, &KEYS);
-    let n = rng.index(KEYS.len() + 1);
+    let n = match rng.chance(0.2) {
+        true => 9 + rng.index(KEYS.len() - 8),
+        false => rng.index(5),
+    };
     keys[..n]
         .iter()
         .map(|&k| (k, VALUES[rng.index(VALUES.len())]))
         .collect()
+}
+
+/// The same value in the other variant where it has one: `Num(7)` for
+/// `Str("7")` and back.
+fn twin(v: Label) -> Label {
+    match v {
+        Str("0") => Num(0),
+        Str("1") => Num(1),
+        Str("7") => Num(7),
+        Num(0) => Str("0"),
+        Num(1) => Str("1"),
+        Num(7) => Str("7"),
+        v => v,
+    }
 }
 
 fn metrics_case(seed: u64) {
@@ -464,15 +495,22 @@ fn metrics_case(seed: u64) {
     let mut m = MetricsRegistry::new();
     let mut reference = RefMetrics::default();
     assert!(m.is_empty());
-    let mut touched: Vec<(&str, Vec<(&str, &str)>)> = Vec::new();
+    let mut touched: Vec<(&'static str, Vec<(&'static str, Label)>)> = Vec::new();
 
     for _ in 0..rng.between(1, 150) {
-        // Half the updates revisit a series under another label order.
+        // Half the updates revisit a series under another label order,
+        // with some values in their other variant.
         let (name, labels) = match touched.is_empty() || rng.chance(0.5) {
             true => (NAMES[rng.index(NAMES.len())], random_labels(&mut rng)),
             false => {
                 let (name, labels) = &touched[rng.index(touched.len())];
-                (*name, shuffled(&mut rng, labels))
+                let mut labels = shuffled(&mut rng, labels);
+                for (_, v) in &mut labels {
+                    if rng.chance(0.5) {
+                        *v = twin(*v);
+                    }
+                }
+                (*name, labels)
             }
         };
         let k = key(name, &labels);

@@ -5,6 +5,7 @@
 
 use mts_sim::{Dur, Time};
 use mts_telemetry::trace::{chrome_trace, jsonl, track, ArgValue};
+use mts_telemetry::Label::{Num, Str};
 use mts_telemetry::{Hop, MetricsRegistry, NicEndpoint, TraceEvent, TraceLog};
 
 /// The first event is derived from a recorded hop, as a run's are; the
@@ -42,12 +43,12 @@ fn sample_trace() -> Vec<TraceEvent> {
 
 fn sample_metrics() -> MetricsRegistry {
     let mut m = MetricsRegistry::new();
-    m.counter_add("mts_drops_total", &[("cause", "vf-unclaimed")], 3);
-    m.counter_add("mts_tenant_rx_total", &[("tenant", "0")], 100);
-    m.counter_add("mts_tenant_rx_total", &[("tenant", "1")], 96);
+    m.counter_add("mts_drops_total", &[("cause", Str("vf-unclaimed"))], 3);
+    m.counter_add("mts_tenant_rx_total", &[("tenant", Num(0))], 100);
+    m.counter_add("mts_tenant_rx_total", &[("tenant", Num(1))], 96);
     m.gauge_max(
         "mts_vswitch_ring_hwm",
-        &[("vswitch", "0"), ("port", "2")],
+        &[("vswitch", Num(0)), ("port", Num(2))],
         5.0,
     );
     for v in [1000, 2000, 3000, 4000] {

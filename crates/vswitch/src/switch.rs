@@ -567,16 +567,21 @@ impl VirtualSwitch {
         self.mac_table.get(&(vlan, mac.as_u64())).copied()
     }
 
+    /// Every installed rule as a `(table, rule)` pair, borrowed and with
+    /// its hit statistics, in [`VirtualSwitch::dump_rules`] order.
+    pub fn rules(&self) -> impl Iterator<Item = (u8, &FlowRule)> {
+        let tables = self.tables.iter().enumerate();
+        tables.flat_map(|(t, table)| table.rules().map(move |r| (t as u8, r)))
+    }
+
     /// Dumps all installed rules as `(table, rule)` pairs with fresh
     /// statistics — what a controller reads back for reconciliation.
     pub fn dump_rules(&self) -> Vec<(u8, FlowRule)> {
         let mut out = Vec::new();
-        for (t, table) in self.tables.iter().enumerate() {
-            for r in table.rules() {
-                let mut rule = r.clone();
-                rule.stats = crate::table::FlowStats::default();
-                out.push((t as u8, rule));
-            }
+        for (t, r) in self.rules() {
+            let mut rule = r.clone();
+            rule.stats = crate::table::FlowStats::default();
+            out.push((t, rule));
         }
         out
     }

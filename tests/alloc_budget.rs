@@ -26,6 +26,7 @@ use mts::apps::http::HTTP_PORT;
 use mts::apps::{AbClient, HttpServer};
 use mts::core::controller::Controller;
 use mts::core::delta::ConfigDelta;
+use mts::core::reconcile::reconcile;
 use mts::core::runtime::{start_udp_churn_generator, RuntimeCfg, Sim, WireEnd, World};
 use mts::core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts::core::tcphost::{add_lg_client, add_tenant_server, host_start};
@@ -35,7 +36,7 @@ use mts::isocheck::{IncrementalChecker, Model};
 use mts::net::TcpSegment;
 use mts::sim::{DetRng, Dur, Time};
 use mts::tcp::{Connection, Progress, TcpConfig};
-use mts::telemetry::Telemetry;
+use mts::telemetry::{Label, MetricsRegistry, Telemetry};
 use mts::vswitch::DatapathKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
@@ -383,6 +384,47 @@ fn steady_state_allocations_stay_within_budget() {
     let extraction = ALLOCATIONS.load(Ordering::Relaxed) - before;
     drop(model);
     assert!(extraction <= 110, "Model::of: {extraction} allocations");
+
+    // The supervisor's periodic reconcile over a healthy world compares
+    // statics and rules in place: the no-op pass allocates nothing (18 when
+    // it collected each PF's statics and cloned every rule to compare).
+    let mut w = World::new(d, RuntimeCfg::for_spec(&level2_4_p2v()), 11);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let report = reconcile(&mut w);
+    let noop = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(report.churn(), 0, "{report}");
+    assert_eq!(noop, 0, "no-op reconcile pass: {noop} allocations");
+
+    // A metric update on a series that exists: typed labels, one index
+    // probe, no formatting and no key to build. A kind's first series
+    // allocates its slot chunk, the chunk list, the index and its labels;
+    // a histogram, its buckets too.
+    let mut m = MetricsRegistry::new();
+    let labels = [
+        ("layer", Label::Str("vswitch")),
+        ("tenant", Label::Num(3)),
+        ("attribution", Label::Str("exact")),
+    ];
+    let port = [("vswitch", Label::Num(1)), ("port", Label::Str("2"))];
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for v in 0..1_000 {
+        m.counter_add("mts_cycles_ns_total", &labels, v);
+        m.observe("mts_cycles_grant_ns", &labels, v);
+        m.gauge_max("mts_vswitch_ring_hwm", &port, v as f64);
+    }
+    let first_seen = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(
+        first_seen <= 13,
+        "three new series: {first_seen} allocations"
+    );
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for v in 0..1_000 {
+        m.counter_add("mts_cycles_ns_total", &labels, v);
+        m.observe("mts_cycles_grant_ns", &labels, v);
+        m.gauge_max("mts_vswitch_ring_hwm", &port, v as f64);
+    }
+    let updates = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(updates, 0, "3000 metric updates: {updates} allocations");
 }
 
 fn level2_4_p2v() -> DeploymentSpec {

@@ -9,7 +9,7 @@ use mts::faults::{run_traced, FaultCase, FaultOpts};
 use mts::host::ResourceMode;
 use mts::net::MacAddr;
 use mts::sim::Time;
-use mts::telemetry::{DropCause, MediationAuditor, Telemetry};
+use mts::telemetry::{DropCause, Label, MediationAuditor, Telemetry};
 use mts::vswitch::DatapathKind;
 use std::net::Ipv4Addr;
 
@@ -91,7 +91,7 @@ fn drop_totals_match_per_cause_counters() {
     for (cause, n) in &w.drops {
         assert_eq!(
             rec.metrics
-                .counter_value("mts_drops_total", &[("cause", cause.as_str())]),
+                .counter_value("mts_drops_total", &[("cause", Label::Str(cause.as_str()))]),
             *n,
             "counter for {cause} out of sync"
         );
