@@ -17,7 +17,6 @@ use mts_bench::figures::{
     Fig5Panel, Fig6Panel, ReproOpts,
 };
 use mts_bench::slo;
-use mts_core::controller::Deployment;
 use mts_core::delta::ConfigDelta;
 use mts_core::perfiso;
 use mts_core::runtime::{start_udp_generator, RuntimeCfg, Sim, World};
@@ -25,8 +24,9 @@ use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts_core::survey;
 use mts_core::workloads::Workload;
 use mts_core::{overlay, Controller};
+use mts_fuzz::deltas::{check_equiv, step_checked};
 use mts_host::ResourceMode;
-use mts_nic::{FilterAction, FilterRule, NicPort, PfId, PortClass, VfConfig};
+use mts_nic::PfId;
 use mts_sim::Time;
 use mts_telemetry::{MediationAuditor, Recorder, Telemetry};
 use mts_vswitch::DatapathKind;
@@ -653,125 +653,55 @@ fn run_fuzz(ctx: &Ctx) -> Result<(), String> {
     verdict(failures)
 }
 
-/// Byte-identity oracle: the incremental checker's rendered report must be
-/// exactly what the from-scratch verifier produces on the deployment's
-/// current state.
-fn check_equiv(
-    checker: &mut mts_isocheck::IncrementalChecker,
-    d: &Deployment,
-    what: &str,
-) -> Result<(), String> {
-    let full = mts_isocheck::verify(d).map_err(|e| e.to_string())?;
-    let inc = checker.report().map_err(|e| e.to_string())?;
-    if format!("{inc}") != format!("{full}") {
-        return Err(format!("incremental verdict diverged after {what}"));
-    }
-    Ok(())
-}
-
-/// Applies one delta to the checker and demands byte-identity against the
-/// already-mutated deployment.
-fn apply_and_check(
-    checker: &mut mts_isocheck::IncrementalChecker,
-    d: &Deployment,
-    delta: &ConfigDelta,
-) -> Result<(), String> {
-    checker.apply(delta);
-    check_equiv(checker, d, &format!("{delta}"))
-}
-
 /// Drives a scripted configuration churn against one shipped deployment —
 /// pipeline wipe, rule-by-rule reinstall, static-MAC removal and
 /// reinstall, VEB flush, filter-list replacement, liveness flaps — applying
-/// each mutation both to the live state and (as its [`ConfigDelta`]) to an
-/// incremental checker, with a byte-identity check after every delta.
-/// Returns the number of deltas applied.
+/// each [`ConfigDelta`] to the devices and to an incremental checker, with
+/// a byte-identity check against the from-scratch verifier after every
+/// delta. Returns the number of deltas applied.
 fn churn_one(spec: DeploymentSpec) -> Result<usize, String> {
     let mut d = Controller::deploy(spec).map_err(|e| e.to_string())?;
     let mut checker =
         mts_isocheck::IncrementalChecker::of_deployment(&d).map_err(|e| e.to_string())?;
     check_equiv(&mut checker, &d, "construction")?;
-    let mut applied = 0usize;
 
     // Crash-shaped churn: wipe vswitch 0's pipeline, then reinstall the
     // dumped rules one by one, as supervisor recovery + reconciliation do.
     let dump = d.vswitches[0].sw.dump_rules();
-    d.vswitches[0].sw.clear();
-    apply_and_check(&mut checker, &d, &ConfigDelta::RulesWiped { vswitch: 0 })?;
-    applied += 1;
-    for (table, rule) in dump {
-        d.vswitches[0]
-            .sw
-            .install(table, rule.clone())
-            .map_err(|e| format!("{e:?}"))?;
-        apply_and_check(
-            &mut checker,
-            &d,
-            &ConfigDelta::RuleInstalled {
-                vswitch: 0,
-                table,
-                rule,
-            },
-        )?;
-        applied += 1;
-    }
-
+    let mut script: Vec<_> = ConfigDelta::rebuild(0, dump).collect();
     // Static-MAC churn on PF 0.
-    fn pf0(d: &mut Deployment) -> Result<&mut mts_nic::PfSwitch, String> {
-        d.nic.pf_mut(PfId(0)).map_err(|e| e.to_string())
+    let pf0 = d.nic.pf(PfId(0)).map_err(|e| e.to_string())?;
+    if let Some(&(vlan, mac, port)) = pf0.static_macs().first() {
+        script.push(ConfigDelta::StaticRemoved { pf: 0, vlan, mac });
+        script.push(ConfigDelta::StaticInstalled {
+            pf: 0,
+            vlan,
+            mac,
+            port,
+        });
     }
-    let statics = pf0(&mut d)?.static_macs();
-    if let Some((vlan, mac, port)) = statics.first().cloned() {
-        pf0(&mut d)?.remove_static_mac(vlan, mac);
-        apply_and_check(
-            &mut checker,
-            &d,
-            &ConfigDelta::StaticRemoved { pf: 0, vlan, mac },
-        )?;
-        applied += 1;
-        pf0(&mut d)?.install_static_mac(vlan, mac, port);
-        apply_and_check(
-            &mut checker,
-            &d,
-            &ConfigDelta::StaticInstalled {
-                pf: 0,
-                vlan,
-                mac,
-                port,
-            },
-        )?;
-        applied += 1;
+    // VEB flush (statics rebuilt from VF configs), the same filter list
+    // set again (the wholesale-set path and the dead-filter warning
+    // bookkeeping), and liveness flaps, which carry no configuration and
+    // must not move the verdict.
+    let filters = pf0.filters().to_vec();
+    script.extend([
+        ConfigDelta::VebFlushed { pf: 0 },
+        ConfigDelta::FiltersSet { pf: 0, filters },
+        ConfigDelta::VswitchDown { vswitch: 0 },
+        ConfigDelta::VswitchUp { vswitch: 0 },
+    ]);
+    for delta in &script {
+        step_checked(&mut d, &mut checker, delta)?;
     }
-
-    // VEB flush: learned state dropped, statics rebuilt from VF configs.
-    pf0(&mut d)?.flush_table();
-    apply_and_check(&mut checker, &d, &ConfigDelta::VebFlushed { pf: 0 })?;
-    applied += 1;
-
-    // Filter-list replacement (same list — exercises the wholesale-set
-    // path and the dead-filter warning bookkeeping).
-    let filters = pf0(&mut d)?.filters().to_vec();
-    pf0(&mut d)?.set_filters(filters.clone());
-    apply_and_check(
-        &mut checker,
-        &d,
-        &ConfigDelta::FiltersSet { pf: 0, filters },
-    )?;
-    applied += 1;
-
-    // Liveness flaps carry no configuration and must not move the verdict.
-    apply_and_check(&mut checker, &d, &ConfigDelta::VswitchDown { vswitch: 0 })?;
-    apply_and_check(&mut checker, &d, &ConfigDelta::VswitchUp { vswitch: 0 })?;
-    applied += 2;
-    Ok(applied)
+    Ok(script.len())
 }
 
-/// Seeds one canonical misconfiguration through the *delta* path: the same
-/// NIC mutation [`mts_isocheck::Misconfig::seed`] performs is expressed as
-/// the [`ConfigDelta`] it would emit, applied to an incremental checker,
-/// and the incremental verdict must both match the full verifier
-/// byte-for-byte and contain the misconfiguration's characteristic
-/// detection.
+/// Seeds one canonical misconfiguration through the *delta* path: its
+/// [`mts_isocheck::Misconfig::delta`] is applied to the devices and to an
+/// incremental checker, and the incremental verdict must both match the
+/// full verifier byte-for-byte and contain the misconfiguration's
+/// characteristic detection.
 fn misconfig_delta_control(
     mc: mts_isocheck::Misconfig,
     spec: DeploymentSpec,
@@ -779,86 +709,8 @@ fn misconfig_delta_control(
     let mut d = Controller::deploy(spec).map_err(|e| e.to_string())?;
     let mut checker =
         mts_isocheck::IncrementalChecker::of_deployment(&d).map_err(|e| e.to_string())?;
-    let vf_cfg = |d: &Deployment, r: mts_core::vfplan::VfRef| -> Result<VfConfig, String> {
-        d.nic
-            .pf(r.pf)
-            .map_err(|e| e.to_string())?
-            .vf(r.vf)
-            .cloned()
-            .ok_or_else(|| format!("no VF {}/{}", r.pf.0, r.vf.0))
-    };
-    let delta = match mc {
-        mts_isocheck::Misconfig::VlanReuse => {
-            let t0_vlan = d.plan.tenants[0].vlan;
-            let r = d.plan.tenants[1].vf[0].0;
-            let cfg = vf_cfg(&d, r)?;
-            ConfigDelta::VfConfigured {
-                pf: r.pf.0,
-                vf: r.vf.0,
-                cfg: VfConfig {
-                    vlan: Some(t0_vlan),
-                    ..cfg
-                },
-            }
-        }
-        mts_isocheck::Misconfig::SpoofCheckOff => {
-            let r = d.plan.tenants[0].vf[0].0;
-            let cfg = vf_cfg(&d, r)?;
-            ConfigDelta::VfConfigured {
-                pf: r.pf.0,
-                vf: r.vf.0,
-                cfg: VfConfig {
-                    spoof_check: false,
-                    ..cfg
-                },
-            }
-        }
-        mts_isocheck::Misconfig::BroadVebAllow => {
-            let r = d.plan.tenants[0].vf[0].0;
-            let mut filters = d
-                .nic
-                .pf(r.pf)
-                .map_err(|e| e.to_string())?
-                .filters()
-                .to_vec();
-            filters.push(FilterRule {
-                priority: 60,
-                from: PortClass::Vf(r.vf),
-                src_mac: None,
-                dst_mac: None,
-                vlan: None,
-                ethertype: None,
-                action: FilterAction::Allow,
-            });
-            ConfigDelta::FiltersSet {
-                pf: r.pf.0,
-                filters,
-            }
-        }
-        mts_isocheck::Misconfig::StaticHijack => {
-            // Mirror the seed: the victim's gateway (vswitch in-out) MAC
-            // entry on its VLAN is re-pointed at the attacker's VF.
-            let victim = d.plan.tenants[0].vf[0].0;
-            let vmac = d.plan.tenants[0].vf[0].1;
-            let attacker = d.plan.tenants[1].vf[0].0;
-            let pf = d.nic.pf(victim.pf).map_err(|e| e.to_string())?;
-            let vlan = pf.vf(victim.vf).and_then(|c| c.vlan).unwrap_or(0);
-            let gw = pf
-                .static_macs()
-                .into_iter()
-                .find(|(v, m, p)| *v == vlan && *m != vmac && matches!(p, NicPort::Vf(_)))
-                .map(|(_, m, _)| m)
-                .ok_or("no gateway static entry on the victim VLAN")?;
-            ConfigDelta::StaticInstalled {
-                pf: victim.pf.0,
-                vlan,
-                mac: gw,
-                port: NicPort::Vf(attacker.vf),
-            }
-        }
-    };
-    mc.seed(&mut d).map_err(|e| e.to_string())?;
-    apply_and_check(&mut checker, &d, &delta)?;
+    let delta = mc.delta(&d).map_err(|e| e.to_string())?;
+    step_checked(&mut d, &mut checker, &delta)?;
     let inc_report = checker.report().map_err(|e| e.to_string())?;
     if !mc.detected_in(&inc_report) {
         return Err(format!(

@@ -7,8 +7,8 @@
 //! MAC anti-spoofing, static MAC entries, wildcard security filters, and
 //! the ingress/egress chain flow rules of Fig. 3 for the chosen traffic
 //! scenario. The desired config is computed by the controller and applied
-//! by the one converge pass ([`crate::reconcile::converge`]): deploy is
-//! reconcile from empty. Sec. 3.2 "System support" lists exactly these
+//! by the converge pass ([`crate::reconcile::converge`]), one
+//! [`ConfigDelta`] at a time: deploy is reconcile from empty. Sec. 3.2 "System support" lists exactly these
 //! duties: "modify the centralized controllers to appropriately configure
 //! tenant specific VFs with Vlan tags and MAC addresses, and insert correct
 //! flow rules to ensure the vswitch-tenant connectivity".
@@ -111,8 +111,8 @@ pub struct Deployment {
 
 impl Deployment {
     /// Converges the NIC and the vswitches to [`Deployment::desired`]
-    /// through the one converge pass ([`crate::reconcile::converge`]),
-    /// reporting each mutation to `emit`.
+    /// through the converge pass ([`crate::reconcile::converge`]), handing
+    /// each delta it programmed to `emit`.
     pub fn converge(
         &mut self,
         emit: &mut dyn FnMut(ConfigDelta),

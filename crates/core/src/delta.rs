@@ -1,26 +1,30 @@
-//! Typed configuration-delta stream for incremental verification.
+//! Configuration deltas: the operations that program the devices.
 //!
-//! Every runtime path that mutates *configuration* — controller
-//! reconciliation ([`crate::reconcile`](mod@crate::reconcile)), supervisor restarts
-//! ([`crate::supervisor`]), and fault injection (`mts-faults`) — records
-//! what it changed as a [`ConfigDelta`] in the world's [`DeltaLog`].
-//! Dynamic state (MAC learning, flow-cache contents, rule hit counters)
-//! is deliberately *not* configuration and emits nothing.
+//! A [`ConfigDelta`] *is* a configuration change: [`ConfigDelta::apply`]
+//! is the one place that programs a NIC or a vswitch, so each kind's
+//! device-side meaning is defined once (its model-side meaning is
+//! `mts_isocheck`'s `IncrementalChecker::apply`). Convergence
+//! ([`crate::reconcile::converge`]), supervisor restarts, fault injection,
+//! seeded misconfigurations and the churn generators all build deltas and
+//! hand them to it; in a live world
+//! [`World::apply`](crate::runtime::World::apply) also records each one in
+//! the world's [`DeltaLog`]. Dynamic state (MAC learning, flow-cache
+//! contents, rule hit counters) is not configuration and has no delta.
 //!
-//! The stream is consumed by `mts_isocheck::incremental`, which maintains
-//! the verified model delta-by-delta instead of re-extracting and
-//! re-atomizing the world on every check. The contract is equivalence:
-//! replaying the drained log against the initial configuration must land
-//! on exactly the configuration the world holds now — which the
-//! incremental checker machine-checks against the full verifier on every
-//! fault-panel cell and in the delta-equivalence test suite.
+//! The log feeds `mts_isocheck::incremental`, which maintains the verified
+//! model delta by delta instead of re-extracting the world on every check.
+//! Since it holds the very operations the devices ran, replaying it onto
+//! the initial configuration lands on the devices' configuration now: the
+//! fault tests check that on the devices, and the incremental checker
+//! against the full verifier on every fault-panel cell and churn stream.
 
+use crate::vfplan::VfRef;
 use mts_net::MacAddr;
-use mts_nic::{FilterRule, NicPort, VfConfig};
-use mts_vswitch::FlowRule;
+use mts_nic::{FilterRule, NicError, NicPort, PfId, SriovNic, VfConfig, VfId};
+use mts_vswitch::{FlowRule, VirtualSwitch};
 use std::fmt;
 
-/// One configuration mutation, as observed at the site that performed it.
+/// One configuration change, programmed by [`ConfigDelta::apply`].
 ///
 /// Vswitch indices are world indices (`World::vswitches`); PF/VF indices
 /// are raw ids. [`ConfigDelta::VswitchDown`] / [`ConfigDelta::VswitchUp`]
@@ -130,32 +134,132 @@ impl ConfigDelta {
             ConfigDelta::VswitchDown { .. } => "vswitch-down",
         }
     }
+
+    /// The delta that reconfigures VF `r` to its current configuration as
+    /// changed by `edit`.
+    pub fn vf_edit(
+        nic: &SriovNic,
+        r: VfRef,
+        edit: impl FnOnce(&mut VfConfig),
+    ) -> Result<ConfigDelta, NicError> {
+        let cfg = nic.pf(r.pf)?.vf(r.vf);
+        let mut cfg = cfg.cloned().ok_or(NicError::NoSuchVf(r.pf, r.vf))?;
+        edit(&mut cfg);
+        let (pf, vf) = (r.pf.0, r.vf.0);
+        Ok(ConfigDelta::VfConfigured { pf, vf, cfg })
+    }
+
+    /// The deltas that rebuild vswitch `vswitch`'s tables to hold `rules`
+    /// (table, rule): a wipe, then each rule installed in order — how a
+    /// table is repaired and how a restarted vswitch is refilled.
+    pub fn rebuild(
+        vswitch: usize,
+        rules: impl IntoIterator<Item = (u8, FlowRule)>,
+    ) -> impl Iterator<Item = ConfigDelta> {
+        let install = move |(table, rule)| ConfigDelta::RuleInstalled {
+            vswitch,
+            table,
+            rule,
+        };
+        std::iter::once(ConfigDelta::RulesWiped { vswitch }).chain(rules.into_iter().map(install))
+    }
+
+    /// Programs the change into `nic` and, for a vswitch delta, into the
+    /// vswitch `vswitch` returns for the delta's world index. An index with
+    /// no vswitch programs nothing, as in the verifier's model.
+    ///
+    /// A VF that does not exist yet is created through
+    /// [`SriovNic::create_vf`], which keeps the NIC's VF-limit and
+    /// duplicate-MAC checks; an existing one is reconfigured in place. A
+    /// rule removal takes the first rule with the same configuration
+    /// ([`FlowRule::same_config`]), a rule for a table the vswitch lacks
+    /// installs nothing, and liveness deltas program nothing. An error
+    /// (a PF or VF the NIC does not have, or a refused VF) means nothing
+    /// changed.
+    pub fn apply<'v>(
+        &self,
+        nic: &mut SriovNic,
+        vswitch: impl FnOnce(usize) -> Option<&'v mut VirtualSwitch>,
+    ) -> Result<(), NicError> {
+        match self {
+            ConfigDelta::RuleInstalled {
+                vswitch: i,
+                table,
+                rule,
+            } => {
+                if let Some(sw) = vswitch(*i) {
+                    let _ = sw.install(*table, rule.clone());
+                }
+            }
+            ConfigDelta::RuleRemoved {
+                vswitch: i,
+                table,
+                rule,
+            } => {
+                if let Some(sw) = vswitch(*i) {
+                    sw.remove_rule(*table, rule);
+                }
+            }
+            ConfigDelta::RulesWiped { vswitch: i } => {
+                if let Some(sw) = vswitch(*i) {
+                    sw.clear();
+                }
+            }
+            ConfigDelta::FiltersSet { pf, filters } => {
+                nic.pf_mut(PfId(*pf))?.set_filters(filters.clone());
+            }
+            ConfigDelta::StaticInstalled {
+                pf,
+                vlan,
+                mac,
+                port,
+            } => nic
+                .pf_mut(PfId(*pf))?
+                .install_static_mac(*vlan, *mac, *port),
+            ConfigDelta::StaticRemoved { pf, vlan, mac } => {
+                nic.pf_mut(PfId(*pf))?.remove_static_mac(*vlan, *mac);
+            }
+            ConfigDelta::VebFlushed { pf } => nic.pf_mut(PfId(*pf))?.flush_table(),
+            ConfigDelta::VfConfigured { pf, vf, cfg } => {
+                let (pf, vf) = (PfId(*pf), VfId(*vf));
+                if nic.pf(pf)?.vf(vf).is_some() {
+                    nic.pf_mut(pf)?.configure_vf(vf, cfg.clone());
+                } else {
+                    nic.create_vf(pf, vf, cfg.clone())?;
+                }
+            }
+            ConfigDelta::VfRemoved { pf, vf } => {
+                nic.remove_vf(PfId(*pf), VfId(*vf))?;
+            }
+            ConfigDelta::VswitchUp { .. } | ConfigDelta::VswitchDown { .. } => {}
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for ConfigDelta {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.kind())?;
         match self {
-            ConfigDelta::RuleInstalled { vswitch, table, .. } => {
-                write!(f, "rule-installed vswitch {vswitch} table {table}")
+            ConfigDelta::RuleInstalled { vswitch, table, .. }
+            | ConfigDelta::RuleRemoved { vswitch, table, .. } => {
+                write!(f, " vswitch {vswitch} table {table}")
             }
-            ConfigDelta::RuleRemoved { vswitch, table, .. } => {
-                write!(f, "rule-removed vswitch {vswitch} table {table}")
-            }
-            ConfigDelta::RulesWiped { vswitch } => write!(f, "rules-wiped vswitch {vswitch}"),
+            ConfigDelta::RulesWiped { vswitch } => write!(f, " vswitch {vswitch}"),
             ConfigDelta::FiltersSet { pf, filters } => {
-                write!(f, "filters-set pf {pf} ({} rules)", filters.len())
+                write!(f, " pf {pf} ({} rules)", filters.len())
             }
-            ConfigDelta::StaticInstalled { pf, vlan, mac, .. } => {
-                write!(f, "static-installed pf {pf} vlan {vlan} {mac}")
+            ConfigDelta::StaticInstalled { pf, vlan, mac, .. }
+            | ConfigDelta::StaticRemoved { pf, vlan, mac } => {
+                write!(f, " pf {pf} vlan {vlan} {mac}")
             }
-            ConfigDelta::StaticRemoved { pf, vlan, mac } => {
-                write!(f, "static-removed pf {pf} vlan {vlan} {mac}")
+            ConfigDelta::VebFlushed { pf } => write!(f, " pf {pf}"),
+            ConfigDelta::VfConfigured { pf, vf, .. } | ConfigDelta::VfRemoved { pf, vf } => {
+                write!(f, " {pf}/{vf}")
             }
-            ConfigDelta::VebFlushed { pf } => write!(f, "veb-flushed pf {pf}"),
-            ConfigDelta::VfConfigured { pf, vf, .. } => write!(f, "vf-configured {pf}/{vf}"),
-            ConfigDelta::VfRemoved { pf, vf } => write!(f, "vf-removed {pf}/{vf}"),
-            ConfigDelta::VswitchUp { vswitch } => write!(f, "vswitch-up {vswitch}"),
-            ConfigDelta::VswitchDown { vswitch } => write!(f, "vswitch-down {vswitch}"),
+            ConfigDelta::VswitchUp { vswitch } | ConfigDelta::VswitchDown { vswitch } => {
+                write!(f, " {vswitch}")
+            }
         }
     }
 }
@@ -197,11 +301,6 @@ impl DeltaLog {
     /// Takes every undrained delta, in emission order.
     pub fn drain(&mut self) -> Vec<(u64, ConfigDelta)> {
         std::mem::take(&mut self.events)
-    }
-
-    /// Iterates the undrained deltas without consuming them.
-    pub fn iter(&self) -> impl Iterator<Item = &(u64, ConfigDelta)> {
-        self.events.iter()
     }
 }
 

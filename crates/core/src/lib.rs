@@ -29,9 +29,12 @@
 //! - [`overlay`] — VXLAN overlay rules and generators (Sec. 3.2).
 //! - [`perfiso`] — the noisy-neighbor performance-isolation experiments
 //!   (single-victim result and the per-level SLO matrix).
+//! - [`delta`] — configuration changes as data: `ConfigDelta::apply` is
+//!   the only code that programs a NIC or a vswitch, and a world's log of
+//!   applied deltas feeds the incremental verifier.
 //! - [`reconcile`](mod@reconcile) — the desired dataplane state, computed
-//!   by the controller, applied by the one converge pass — the only code
-//!   that programs a device — at deploy and, idempotently, after faults.
+//!   by the controller, applied by the converge pass at deploy and,
+//!   idempotently, after faults.
 //! - [`supervisor`] — the vswitch-VM watchdog: heartbeat failure
 //!   detection, capped exponential-backoff restarts, degraded-mode
 //!   fallback (see `mts-faults`).

@@ -2,12 +2,12 @@
 //!
 //! The controller computes the dataplane state it wants — per-PF static MAC
 //! entries, security filters and VF configurations, plus every vswitch's
-//! flow rules — as a plain-data [`DesiredConfig`]. [`converge`] is the one
-//! function that programs a device: it diffs the live state against the
-//! desired config and programs exactly the missing or stray pieces. Deploy
-//! converges an empty topology; after any fault (VEB table flush, flow-rule
-//! wipe or partial loss, a vswitch-VM restart with empty tables),
-//! [`reconcile`] converges the damaged world to the same value.
+//! flow rules — as a plain-data [`DesiredConfig`]. [`converge`] diffs the
+//! live state against the desired config and turns each missing or stray
+//! piece into a [`ConfigDelta`], which [`ConfigDelta::apply`] programs.
+//! Deploy converges an empty topology; after any fault (VEB table flush,
+//! flow-rule wipe or partial loss, a vswitch-VM restart with empty
+//! tables), [`reconcile`] converges the damaged world to the same value.
 //!
 //! The pass is **idempotent**: running it on an already-correct world is a
 //! no-op with zero churn — the property `crates/faults` tests assert, and
@@ -26,7 +26,7 @@ use std::cmp::Reverse;
 use std::fmt;
 
 /// The controller's desired dataplane state: computed by the controller,
-/// applied by the one converge pass ([`converge`]).
+/// applied by the converge pass ([`converge`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DesiredConfig {
     /// Per-PF static MAC entries `(vlan, mac, port)`, sorted by
@@ -81,36 +81,43 @@ pub fn observed<'a>(
     }
 }
 
-/// Everything but hit statistics: the configuration identity of a rule.
-fn same_rule((ta, a): (u8, &FlowRule), (tb, b): (u8, &FlowRule)) -> bool {
-    ta == tb
-        && a.priority == b.priority
-        && a.m == b.m
-        && a.actions == b.actions
-        && a.cookie == b.cookie
+/// Whether a table already lists exactly the desired rules, in order and
+/// ignoring hit statistics: a healthy table is compared pairwise without
+/// allocating. A table holding the same rules in another order diverges,
+/// since equal-priority rules match in installation order.
+fn rules_in_order(want: &[(u8, FlowRule)], sw: &VirtualSwitch) -> bool {
+    let mut have = sw.rules();
+    want.iter().all(|(t, w)| {
+        have.next()
+            .is_some_and(|(ht, h)| ht == *t && h.same_config(w))
+    }) && have.next().is_none()
 }
 
-/// The desired rules a table lacks and the rules it has beyond them, as
-/// multisets ignoring hit statistics. In order first: a healthy table
-/// lists exactly the desired rules, and comparing them pairwise allocates
-/// nothing.
-fn rule_diff(want: &[(u8, FlowRule)], sw: &VirtualSwitch) -> (u64, u64) {
-    let mut have = sw.rules();
-    let in_order = want
-        .iter()
-        .all(|(t, w)| have.next().is_some_and(|h| same_rule(h, (*t, w))));
-    if in_order && have.next().is_none() {
-        return (0, 0);
-    }
+/// The report's numbers for a diverged table: the desired rules it lacks
+/// and the rules it has beyond them, as multisets ignoring hit statistics.
+/// A table that holds the desired rules out of order counts each rule out
+/// of place as one removal and one reinstall.
+fn rule_churn(want: &[(u8, FlowRule)], sw: &VirtualSwitch) -> (u64, u64) {
     let mut unmatched: Vec<(u8, &FlowRule)> = sw.rules().collect();
     let mut missing = 0u64;
     for (t, w) in want {
-        match unmatched.iter().position(|&h| same_rule(h, (*t, w))) {
+        match unmatched
+            .iter()
+            .position(|&(ht, h)| ht == *t && h.same_config(w))
+        {
             Some(pos) => {
                 unmatched.swap_remove(pos);
             }
             None => missing += 1,
         }
+    }
+    if missing == 0 && unmatched.is_empty() {
+        let misplaced = want
+            .iter()
+            .zip(sw.rules())
+            .filter(|((t, w), (ht, h))| ht != t || !h.same_config(w))
+            .count() as u64;
+        return (misplaced, misplaced);
     }
     (missing, unmatched.len() as u64)
 }
@@ -163,16 +170,16 @@ impl fmt::Display for ReconcileReport {
     }
 }
 
-/// Converges the NIC and the vswitches (in world order) to `want`,
-/// programming only what differs and reporting each mutation to `emit`, in
-/// order. The one function that programs a device.
+/// Converges the NIC and the vswitches (in world order) to `want`: each
+/// difference found becomes a [`ConfigDelta`], applied to the devices
+/// ([`ConfigDelta::apply`]) and then handed to `emit`, in order.
 ///
-/// A VF that does not exist yet is created through
-/// [`SriovNic::create_vf`], so deploy keeps the NIC's VF-limit and
-/// duplicate-MAC checks; its error aborts the pass. Rebuilding a diverged
-/// vswitch table resets its flow-rule hit counters — acceptable after a
-/// fault, and the reason the pass only rebuilds when the rule *set*
-/// actually differs.
+/// Statics are diffed by `(vlan, mac)` key: a key present with the wrong
+/// port is re-installed, not removed. A flow table that does not list the
+/// desired rules in order is rebuilt; rebuilding resets its rules' hit
+/// counters, acceptable after a fault and the reason a healthy table is
+/// left alone. A VF that does not exist yet is created, and its error
+/// (VF limit, duplicate MAC) aborts the pass.
 pub fn converge<'a>(
     want: &DesiredConfig,
     nic: &mut SriovNic,
@@ -180,79 +187,66 @@ pub fn converge<'a>(
     emit: &mut dyn FnMut(ConfigDelta),
 ) -> Result<ReconcileReport, NicError> {
     let mut report = ReconcileReport::default();
+    // Programs one delta into the NIC and, for a rule delta, into `sw`.
+    let mut program = |nic: &mut SriovNic, sw: Option<&mut VirtualSwitch>, d: ConfigDelta| {
+        d.apply(nic, |_| sw)?;
+        emit(d);
+        Ok::<(), NicError>(())
+    };
     for (p, want_statics) in want.statics.iter().enumerate() {
         let pf = p as u8;
         // VF configurations first: their static entries come with them.
         for (id, cfg) in &want.vfs[p] {
-            match nic.pf(PfId(pf))?.vf(*id) {
-                Some(have) if have == cfg => continue,
-                Some(_) => {
-                    nic.pf_mut(PfId(pf))?.configure_vf(*id, cfg.clone());
-                }
-                None => nic.create_vf(PfId(pf), *id, cfg.clone())?,
+            if nic.pf(PfId(pf))?.vf(*id) == Some(cfg) {
+                continue;
             }
-            emit(ConfigDelta::VfConfigured {
-                pf,
-                vf: id.0,
-                cfg: cfg.clone(),
-            });
+            let cfg = cfg.clone();
+            program(nic, None, ConfigDelta::VfConfigured { pf, vf: id.0, cfg })?;
             report.vfs_reconfigured += 1;
         }
-        let sw = nic.pf_mut(PfId(pf))?;
         // Compared in place first: a pass over a healthy PF allocates
         // nothing, and only a diverged one is diffed against its statics.
+        let sw = nic.pf(PfId(pf))?;
         if !sw.statics_are(want_statics) {
             let have = sw.static_macs();
             for &(vlan, mac, port) in want_statics {
                 if !have.contains(&(vlan, mac, port)) {
-                    sw.install_static_mac(vlan, mac, port);
-                    emit(ConfigDelta::StaticInstalled {
+                    let d = ConfigDelta::StaticInstalled {
                         pf,
                         vlan,
                         mac,
                         port,
-                    });
+                    };
+                    program(nic, None, d)?;
                     report.statics_installed += 1;
                 }
             }
-            for entry @ &(vlan, mac, _) in &have {
-                if !want_statics.contains(entry) {
-                    sw.remove_static_mac(vlan, mac);
-                    emit(ConfigDelta::StaticRemoved { pf, vlan, mac });
+            for &(vlan, mac, _) in &have {
+                if !want_statics.iter().any(|&(v, m, _)| (v, m) == (vlan, mac)) {
+                    program(nic, None, ConfigDelta::StaticRemoved { pf, vlan, mac })?;
                     report.statics_removed += 1;
                 }
             }
         }
         let want_filters = &want.filters[p];
-        if sw.filters() != want_filters.as_slice() {
-            sw.set_filters(want_filters.clone());
-            emit(ConfigDelta::FiltersSet {
-                pf,
-                filters: want_filters.clone(),
-            });
+        if nic.pf(PfId(pf))?.filters() != want_filters.as_slice() {
+            let filters = want_filters.clone();
+            program(nic, None, ConfigDelta::FiltersSet { pf, filters })?;
             report.filter_sets_replaced += 1;
         }
     }
 
-    // Vswitch flow tables: compare rule multisets ignoring hit stats;
-    // rebuild only a table set that diverged.
     for (i, (want_rules, sw)) in want.rules.iter().zip(switches).enumerate() {
-        let (missing, extra) = rule_diff(want_rules, sw);
-        if missing > 0 || extra > 0 {
-            sw.clear();
-            emit(ConfigDelta::RulesWiped { vswitch: i });
-            for (table, rule) in want_rules {
-                emit(ConfigDelta::RuleInstalled {
-                    vswitch: i,
-                    table: *table,
-                    rule: rule.clone(),
-                });
-                let _ = sw.install(*table, rule.clone());
-            }
-            report.rules_installed += missing;
-            report.rules_removed += extra;
-            report.vswitches_rebuilt += 1;
+        if rules_in_order(want_rules, sw) {
+            continue;
         }
+        let (missing, extra) = rule_churn(want_rules, sw);
+        for d in ConfigDelta::rebuild(i, want_rules.iter().cloned()) {
+            program(nic, Some(&mut *sw), d)?;
+        }
+        report.rules_installed += missing;
+        report.rules_removed += extra;
+        report.vswitches_rebuilt += 1;
     }
     Ok(report)
 }
@@ -321,8 +315,7 @@ mod tests {
     fn reconcile_restores_wiped_flow_rules() {
         let mut w = world();
         let before = w.vswitches[0].inst.sw.rule_count();
-        w.vswitches[0].inst.sw.clear();
-        w.vswitches[0].rules_dirty = true;
+        w.apply(ConfigDelta::RulesWiped { vswitch: 0 }).unwrap();
         let r = reconcile(&mut w);
         assert_eq!(r.rules_installed as usize, before);
         assert_eq!(r.vswitches_rebuilt, 1);
@@ -355,6 +348,63 @@ mod tests {
         let r = reconcile(&mut w);
         assert_eq!(r.statics_removed, 1);
         assert_eq!(r.rules_removed, 1);
+        assert_eq!(reconcile(&mut w).churn(), 0);
+    }
+
+    fn observed_of(w: &World) -> DesiredConfig {
+        observed(&w.nic, w.vswitches.iter().map(|vs| &vs.inst.sw))
+    }
+
+    #[test]
+    fn a_re_ported_static_is_reinstalled_not_removed() {
+        let mut w = world();
+        let vf0 = NicPort::Vf(VfId(0));
+        let &(vlan, mac, _) = w.desired.statics[0]
+            .iter()
+            .find(|(_, _, port)| *port == vf0)
+            .expect("PF 0 holds VF 0's static");
+        let port = NicPort::Pf;
+        w.apply(ConfigDelta::StaticInstalled {
+            pf: 0,
+            vlan,
+            mac,
+            port,
+        })
+        .unwrap();
+        let r = reconcile(&mut w);
+        assert_eq!((r.statics_installed, r.statics_removed), (1, 0), "{r}");
+        assert_eq!(observed_of(&w), w.desired);
+        assert_eq!(reconcile(&mut w).churn(), 0);
+    }
+
+    #[test]
+    fn equal_priority_rules_out_of_order_are_rebuilt() {
+        let mut w = world();
+        let rules = w.vswitches[0].inst.sw.dump_rules();
+        let (table, first) = rules
+            .windows(2)
+            .find(|p| p[0].0 == p[1].0 && p[0].1.priority == p[1].1.priority)
+            .map(|p| p[0].clone())
+            .expect("vswitch 0 has an equal-priority pair");
+        // Reinstalled, the first rule of the pair matches after the second.
+        let rule = first.clone();
+        w.apply(ConfigDelta::RuleRemoved {
+            vswitch: 0,
+            table,
+            rule,
+        })
+        .unwrap();
+        w.apply(ConfigDelta::RuleInstalled {
+            vswitch: 0,
+            table,
+            rule: first,
+        })
+        .unwrap();
+        assert_ne!(observed_of(&w), w.desired);
+        let r = reconcile(&mut w);
+        assert!(r.churn() > 0, "{r}");
+        assert_eq!(r.vswitches_rebuilt, 1);
+        assert_eq!(observed_of(&w), w.desired);
         assert_eq!(reconcile(&mut w).churn(), 0);
     }
 

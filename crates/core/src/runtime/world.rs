@@ -7,6 +7,7 @@ use super::{
     Owner, SinkRec, TenantKind, TenantRt, VswitchHealth, VswitchRt, VswitchScratch, WireEnd,
 };
 use crate::controller::{Controller, Deployment, PortAttach};
+use crate::delta::{ConfigDelta, DeltaLog};
 use crate::meters::{Attribution, CycleMeters};
 use crate::spec::{DeploymentSpec, SecurityLevel};
 use crate::tcphost::TcpHostRt;
@@ -14,7 +15,7 @@ use crate::vfplan::AddressPlan;
 use mts_apps::L2Fwd;
 use mts_host::{LinuxBridge, ResourceMode, VhostCosts};
 use mts_net::{Frame, MacAddr};
-use mts_nic::{Delivery, PfId, SriovNic, VfId};
+use mts_nic::{Delivery, NicError, PfId, SriovNic, VfId};
 use mts_sim::{CoreId, CorePool, DetRng, Dur, FastHashMap, Histogram, Link, Time};
 use mts_telemetry::{DropCause, Label, Telemetry};
 use mts_vswitch::{DatapathKind, PortNo};
@@ -164,17 +165,17 @@ pub struct World {
     /// Tenants marked degraded after an exhausted restart budget.
     pub degraded: Vec<bool>,
     /// Desired dataplane state: computed by the controller, applied by the
-    /// one converge pass ([`crate::reconcile::converge`]) at deploy and by
+    /// converge pass ([`crate::reconcile::converge`]) at deploy and by
     /// every reconciliation after a fault.
     pub desired: crate::reconcile::DesiredConfig,
     /// Supervisor state (heartbeats, backoff, recovery log), when started.
     pub supervisor: Option<crate::supervisor::Supervisor>,
     /// Telemetry sink (disabled by default; see `mts-telemetry`).
     pub telemetry: Telemetry,
-    /// Configuration-delta stream for incremental verification: every
-    /// config-mutating path (reconciliation, supervisor restarts, fault
-    /// injection) records what it changed (see [`crate::delta`]).
-    pub deltas: crate::delta::DeltaLog,
+    /// Configuration-delta stream for incremental verification: the
+    /// changes reconciliation, supervisor restarts and fault injection
+    /// programmed, in order (see [`crate::delta`]).
+    pub deltas: DeltaLog,
     /// Per-tenant cycle-attribution meters (the `mts-slo` substrate).
     pub meters: CycleMeters,
 }
@@ -384,16 +385,34 @@ impl World {
             desired: d.desired,
             supervisor: None,
             telemetry: Telemetry::disabled(),
-            deltas: crate::delta::DeltaLog::default(),
+            deltas: DeltaLog::default(),
             meters: CycleMeters::new(spec.tenants as usize, vswitch_attr),
         }
     }
 
-    /// Records a configuration delta (and its telemetry mirror). Every
-    /// config-mutating runtime path must call this for each mutation it
-    /// performs — the incremental verifier's equivalence against the full
-    /// checker machine-checks that completeness.
-    pub fn emit_delta(&mut self, d: crate::delta::ConfigDelta) {
+    /// Applies a configuration change to the world's devices
+    /// ([`ConfigDelta::apply`]), marks a vswitch whose rules were wiped or
+    /// removed as diverged (`rules_dirty`, cleared by the next reconcile),
+    /// and records the delta ([`World::emit_delta`]). A delta the devices
+    /// refuse changed nothing and is not recorded.
+    pub fn apply(&mut self, d: ConfigDelta) -> Result<(), NicError> {
+        let vswitches = &mut self.vswitches;
+        d.apply(&mut self.nic, |i| {
+            vswitches.get_mut(i).map(|vs| &mut vs.inst.sw)
+        })?;
+        if let ConfigDelta::RulesWiped { vswitch } | ConfigDelta::RuleRemoved { vswitch, .. } = d {
+            if let Some(vs) = self.vswitches.get_mut(vswitch) {
+                vs.rules_dirty = true;
+            }
+        }
+        self.emit_delta(d);
+        Ok(())
+    }
+
+    /// Records a delta the devices already ran (and its telemetry mirror):
+    /// [`World::apply`] and a reconcile pass, whose deltas
+    /// [`crate::reconcile::converge`] applied, end here.
+    pub fn emit_delta(&mut self, d: ConfigDelta) {
         if let Some(rec) = self.telemetry.rec() {
             rec.metrics
                 .counter_inc("mts_config_deltas_total", &[("kind", Label::Str(d.kind()))]);

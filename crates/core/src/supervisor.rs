@@ -17,6 +17,7 @@
 //! jitter comes from a [`DetRng`] stream derived per supervised vswitch,
 //! so runs are bit-reproducible.
 
+use crate::delta::ConfigDelta;
 use crate::reconcile;
 use crate::runtime::{Sim, VswitchHealth, World};
 use mts_sim::{DetRng, Dur, Time};
@@ -313,15 +314,11 @@ fn tick(w: &mut World, e: &mut Sim) {
         }
         // Restart succeeds: the VM boots with empty tables, the
         // controller reconciles them back, and the compartment is live.
-        {
-            let vs = &mut w.vswitches[i];
-            vs.health = VswitchHealth::Healthy;
-            vs.slow_factor = 1.0;
-            vs.inst.sw.clear();
-            vs.rules_dirty = true;
-        }
-        w.emit_delta(crate::delta::ConfigDelta::RulesWiped { vswitch: i });
-        w.emit_delta(crate::delta::ConfigDelta::VswitchUp { vswitch: i });
+        w.vswitches[i].health = VswitchHealth::Healthy;
+        w.vswitches[i].slow_factor = 1.0;
+        // Vswitch deltas for a vswitch the world has cannot be refused.
+        let _ = w.apply(ConfigDelta::RulesWiped { vswitch: i });
+        let _ = w.apply(ConfigDelta::VswitchUp { vswitch: i });
         let _ = reconcile::reconcile(w);
         let down_seen = st.down_seen.unwrap_or(now);
         sup.log.push(RecoveryEvent {
@@ -418,10 +415,8 @@ mod tests {
         e.schedule_at(
             Time::from_nanos(5_000_000),
             |w: &mut World, _e: &mut Sim| {
-                let vs = &mut w.vswitches[0];
-                vs.health = VswitchHealth::Down;
-                vs.inst.sw.clear();
-                vs.rules_dirty = true;
+                w.vswitches[0].health = VswitchHealth::Down;
+                w.apply(ConfigDelta::RulesWiped { vswitch: 0 }).unwrap();
             },
         );
         e.run(&mut w);
@@ -513,10 +508,8 @@ mod tests {
         e.schedule_at(
             Time::from_nanos(1_000_000),
             |w: &mut World, _e: &mut Sim| {
-                let vs = &mut w.vswitches[0];
-                vs.health = VswitchHealth::Down;
-                vs.inst.sw.clear();
-                vs.rules_dirty = true;
+                w.vswitches[0].health = VswitchHealth::Down;
+                w.apply(ConfigDelta::RulesWiped { vswitch: 0 }).unwrap();
                 // Controller unreachable for 100ms.
                 w.controller_down_until = Time::from_nanos(101_000_000);
             },
@@ -550,8 +543,7 @@ mod tests {
         e.schedule_at(
             Time::from_nanos(2_000_000),
             |w: &mut World, _e: &mut Sim| {
-                w.vswitches[1].inst.sw.clear();
-                w.vswitches[1].rules_dirty = true;
+                w.apply(ConfigDelta::RulesWiped { vswitch: 1 }).unwrap();
             },
         );
         e.run(&mut w);

@@ -12,7 +12,6 @@
 use crate::plan::{FaultKind, FaultPlan};
 use mts_core::delta::ConfigDelta;
 use mts_core::runtime::{Sim, VswitchHealth, World};
-use mts_nic::PfId;
 use mts_telemetry::Label;
 
 /// Schedules every event of a plan into the engine.
@@ -43,12 +42,11 @@ pub fn inject(w: &mut World, e: &mut Sim, kind: FaultKind) {
                 return;
             };
             vs.health = VswitchHealth::Down;
-            // The VM's memory is gone, and its flow state with it.
-            vs.inst.sw.clear();
-            vs.rules_dirty = true;
             w.crashloop[vswitch] = crashloop;
-            w.emit_delta(ConfigDelta::VswitchDown { vswitch });
-            w.emit_delta(ConfigDelta::RulesWiped { vswitch });
+            // The VM's memory is gone, and its flow state with it. Vswitch
+            // deltas for a vswitch the world has cannot be refused.
+            let _ = w.apply(ConfigDelta::VswitchDown { vswitch });
+            let _ = w.apply(ConfigDelta::RulesWiped { vswitch });
         }
         FaultKind::HangVswitch {
             vswitch,
@@ -91,43 +89,27 @@ pub fn inject(w: &mut World, e: &mut Sim, kind: FaultKind) {
             });
         }
         FaultKind::FlushVeb { pf } => {
-            if let Ok(sw) = w.nic.pf_mut(PfId(pf)) {
-                sw.flush_table();
-                w.emit_delta(ConfigDelta::VebFlushed { pf });
-            }
+            // A PF the NIC does not have refuses the flush: nothing logged.
+            let _ = w.apply(ConfigDelta::VebFlushed { pf });
         }
         FaultKind::WipeFlows { vswitch } => {
-            let Some(vs) = w.vswitches.get_mut(vswitch) else {
-                return;
-            };
-            vs.inst.sw.clear();
-            vs.rules_dirty = true;
-            w.emit_delta(ConfigDelta::RulesWiped { vswitch });
+            if vswitch < w.vswitches.len() {
+                let _ = w.apply(ConfigDelta::RulesWiped { vswitch });
+            }
         }
         FaultKind::LoseRules { vswitch, fraction } => {
-            if w.vswitches.get(vswitch).is_none() {
+            let Some(vs) = w.vswitches.get(vswitch) else {
                 return;
-            }
-            let rules = w.vswitches[vswitch].inst.sw.dump_rules();
+            };
+            let rules = vs.inst.sw.dump_rules();
+            let before = rules.len();
             let survivors: Vec<_> = rules
                 .into_iter()
                 .filter(|_| !w.fault_rng.chance(fraction))
                 .collect();
-            let vs = &mut w.vswitches[vswitch];
-            let before = vs.inst.sw.rule_count();
             if survivors.len() < before {
-                vs.inst.sw.clear();
-                for (t, r) in &survivors {
-                    let _ = vs.inst.sw.install(*t, r.clone());
-                }
-                vs.rules_dirty = true;
-                w.emit_delta(ConfigDelta::RulesWiped { vswitch });
-                for (t, r) in survivors {
-                    w.emit_delta(ConfigDelta::RuleInstalled {
-                        vswitch,
-                        table: t,
-                        rule: r,
-                    });
+                for d in ConfigDelta::rebuild(vswitch, survivors) {
+                    let _ = w.apply(d);
                 }
             }
         }

@@ -4,9 +4,12 @@
 //! the live world, and a clean post-recovery isolation check.
 
 use mts_core::reconcile;
+use mts_core::runtime::{RuntimeCfg, Sim, World};
 use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
 use mts_core::supervisor::RecoveryKind;
-use mts_faults::{run_cell, FaultCase, FaultOpts};
+use mts_core::Controller;
+use mts_faults::experiment::panel_specs;
+use mts_faults::{inject, run_cell, run_traced, FaultCase, FaultOpts};
 use mts_host::ResourceMode;
 use mts_sim::{Dur, Time};
 use mts_vswitch::DatapathKind;
@@ -152,10 +155,8 @@ fn recovered_world_is_verified_and_reconciliation_is_idempotent() {
 
     // Idempotency on a live recovered world: rebuild the same scenario
     // end-state and reconcile twice more by hand.
-    use mts_core::controller::Controller;
-    use mts_core::runtime::{start_udp_generator, RuntimeCfg, Sim, World};
+    use mts_core::runtime::start_udp_generator;
     use mts_core::supervisor::{start_supervisor, SupervisorCfg};
-    use mts_faults::inject;
 
     let spec = l2();
     let d = Controller::deploy(spec).expect("deploys");
@@ -186,6 +187,47 @@ fn recovered_world_is_verified_and_reconciliation_is_idempotent() {
     assert_eq!(again.churn(), 0, "second pass must be a no-op: {again}");
     let third = reconcile(&mut w);
     assert_eq!(third.churn(), 0, "third pass must be a no-op: {third}");
+}
+
+/// Replays `w`'s drained delta log through `ConfigDelta::apply` onto a
+/// fresh deploy of its spec; the devices must read back equal to `w`'s
+/// (statics, filters, VFs and rules in order).
+fn assert_log_replays(w: &mut World, what: &str) {
+    let mut d = Controller::deploy(w.spec).expect("deploys");
+    for (seq, delta) in w.deltas.drain() {
+        let replayed = delta.apply(&mut d.nic, |i| d.vswitches.get_mut(i).map(|v| &mut v.sw));
+        assert!(
+            replayed.is_ok(),
+            "{what}: delta {seq} ({delta}): {replayed:?}"
+        );
+    }
+    let faulted = reconcile::observed(&w.nic, w.vswitches.iter().map(|vs| &vs.inst.sw));
+    let replayed = reconcile::observed(&d.nic, d.vswitches.iter().map(|v| &v.sw));
+    assert!(
+        replayed == faulted,
+        "{what}: the replayed log diverges from the devices"
+    );
+}
+
+/// The delta log is the operations the devices ran, for every blast-radius
+/// cell: right after the fault is injected, before anything repairs it,
+/// and after the whole run with its recovery.
+#[test]
+fn the_delta_log_replays_onto_a_fresh_deploy_as_the_faulted_devices() {
+    for case in FaultCase::ALL {
+        for spec in panel_specs() {
+            let what = format!("{} under {}", spec.label(), case.label());
+            let d = Controller::deploy(spec).expect("deploys");
+            let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 1);
+            let mut e = Sim::new();
+            for ev in case.plan(Time::ZERO).events {
+                inject(&mut w, &mut e, ev.kind);
+            }
+            assert_log_replays(&mut w, &format!("{what}, injected"));
+            let mut w = run_traced(spec, case, opts()).expect("runs");
+            assert_log_replays(&mut w, &format!("{what}, recovered"));
+        }
+    }
 }
 
 /// The link flap hits the shared physical layer: no security level can

@@ -1,37 +1,42 @@
 //! Fuzzing the control plane: randomized [`ConfigDelta`] streams replayed
 //! through the [`IncrementalChecker`] against the from-scratch verifier.
 //!
-//! Each case deploys a real configuration from the shipped matrix and
-//! drives a stream of operations. Every operation mutates the deployment
-//! through its public APIs and feeds the matching delta(s) to an
-//! incremental checker; after each operation the incremental verdict must
-//! render byte-for-byte identical to [`mts_isocheck::verify`] run from
-//! scratch (the differential oracle).
-//!
-//! The op mix goes beyond the benign churn the equivalence tests already
-//! exercise: hostile static-MAC installs (the family that surfaced the
-//! `StaticHijack` misconfiguration now pinned in the isocheck negative
-//! controls), hostile VF reconfiguration (cross-tenant VLANs, spoof-check
-//! off, re-addressed MACs), and out-of-range deltas that must be exact
-//! no-ops. Divergences shrink to a minimal op-index subset: each op draws
-//! its randomness from an index-derived rng, so replaying any subset of
-//! indices is deterministic.
+//! Each case deploys a configuration from the shipped matrix and drives a
+//! stream of operations, each built as deltas that one helper applies to the
+//! deployment's devices (the ground truth) and to an incremental checker.
+//! After every delta (at the boundary of an operation that is one logical
+//! reconfiguration of several) the incremental verdict must render
+//! byte-for-byte as [`mts_isocheck::verify`] from scratch — including
+//! after deliberate isolation breaks, where both must report the same
+//! violations and witnesses. The mix: benign churn (wipe and partial
+//! reinstall, static and filter churn, VEB flushes, liveness flaps),
+//! hostile static installs (the family that surfaced `StaticHijack`),
+//! hostile VF reconfiguration, out-of-range deltas that must be no-ops,
+//! and rules naming a value outside the atomization ([`fresh_value_op`]).
+//! Divergences shrink to a minimal op-index subset.
 
-use crate::shrink;
-use crate::{Crasher, Surface, SurfaceStats};
+use crate::{Surface, SurfaceStats};
 use mts_core::controller::{Controller, Deployment};
 use mts_core::delta::ConfigDelta;
+use mts_core::vfplan::VfRef;
 use mts_core::DeploymentSpec;
 use mts_isocheck::IncrementalChecker;
-use mts_net::MacAddr;
-use mts_nic::{NicPort, VfId};
+use mts_net::{EtherType, MacAddr};
+use mts_nic::{NicPort, VfConfig, VfId};
 use mts_sim::DetRng;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use mts_vswitch::{Action, FlowMatch, FlowRule, Ipv4Prefix};
+use std::net::Ipv4Addr;
 
 /// Ops per delta-stream case.
-const OPS_PER_CASE: usize = 12;
+const OPS_PER_CASE: u64 = 12;
 
-fn check_equiv(checker: &mut IncrementalChecker, d: &Deployment, what: &str) -> Result<(), String> {
+/// The differential oracle: the incremental verdict renders exactly as the
+/// from-scratch verifier's on the deployment's current state.
+pub fn check_equiv(
+    checker: &mut IncrementalChecker,
+    d: &Deployment,
+    what: &str,
+) -> Result<(), String> {
     let inc = checker.report().map_err(|e| e.to_string())?;
     let full = mts_isocheck::verify(d).map_err(|e| e.to_string())?;
     if format!("{inc}") != format!("{full}") {
@@ -43,70 +48,129 @@ fn check_equiv(checker: &mut IncrementalChecker, d: &Deployment, what: &str) -> 
     Ok(())
 }
 
-/// Reads a VF's config back from the NIC to build the `VfConfigured`
-/// delta the host path would emit.
-fn vf_delta(d: &Deployment, r: mts_core::vfplan::VfRef) -> Result<ConfigDelta, String> {
-    let cfg = d
-        .nic
-        .pf(r.pf)
-        .map_err(|e| e.to_string())?
-        .vf(r.vf)
-        .cloned()
-        .ok_or_else(|| format!("no VF {}/{}", r.pf.0, r.vf.0))?;
-    Ok(ConfigDelta::VfConfigured {
-        pf: r.pf.0,
-        vf: r.vf.0,
-        cfg,
-    })
+/// Applies `delta` to the deployment's devices and to the checker.
+fn step(d: &mut Deployment, checker: &mut IncrementalChecker, delta: &ConfigDelta) {
+    // A delta the devices refuse (a PF the NIC does not have) changes
+    // nothing; the checker must make it the same no-op, which the next
+    // comparison checks.
+    let _ = delta.apply(&mut d.nic, |i| d.vswitches.get_mut(i).map(|v| &mut v.sw));
+    checker.apply(delta);
+}
+
+/// Applies `delta` to the deployment's devices and to the checker, then
+/// runs the oracle.
+pub fn step_checked(
+    d: &mut Deployment,
+    checker: &mut IncrementalChecker,
+    delta: &ConfigDelta,
+) -> Result<(), String> {
+    step(d, checker, delta);
+    check_equiv(checker, d, &delta.to_string())
+}
+
+/// [`step_checked`] for the [`ConfigDelta::vf_edit`] of VF `r`.
+fn edit_vf(
+    d: &mut Deployment,
+    checker: &mut IncrementalChecker,
+    r: VfRef,
+    edit: impl FnOnce(&mut VfConfig),
+) -> Result<(), String> {
+    let delta = ConfigDelta::vf_edit(&d.nic, r, edit).map_err(|e| e.to_string())?;
+    step_checked(d, checker, &delta)
+}
+
+/// Installs on vswitch `v`'s table 0, then removes, a rule matching a value
+/// no part of the configuration names: a MAC (`kind` 0), an IPv4 prefix (1)
+/// or an EtherType (2), picked by `n`. Both deltas change the atoms, so
+/// each must force a full rebuild: under the stale atomization an unknown
+/// value maps to no atom at all, and only the rebuild keeps the verdict
+/// exact. Checks byte-identity after each delta and that each one rebuilt
+/// the atoms.
+pub fn fresh_value_op(
+    d: &mut Deployment,
+    checker: &mut IncrementalChecker,
+    v: usize,
+    kind: u64,
+    n: u8,
+    priority: u16,
+) -> Result<(), String> {
+    let m = match kind {
+        0 => FlowMatch {
+            eth_dst: Some(MacAddr::local(0x7e_5700 + u32::from(n))),
+            ..FlowMatch::default()
+        },
+        1 => FlowMatch {
+            ip_dst: Some(Ipv4Prefix::new(Ipv4Addr::new(198, 51, 100, n & 0xf0), 28)),
+            ..FlowMatch::default()
+        },
+        _ => FlowMatch {
+            ethertype: Some(EtherType::Other(0x9000 + u16::from(n))),
+            ..FlowMatch::default()
+        },
+    };
+    let rule = FlowRule::new(priority, m, vec![Action::Drop]).with_cookie(0x7e57_0000);
+    let rebuilds = checker.stats().full_rebuilds;
+    let installed = ConfigDelta::RuleInstalled {
+        vswitch: v,
+        table: 0,
+        rule: rule.clone(),
+    };
+    step_checked(d, checker, &installed)?;
+    let removed = ConfigDelta::RuleRemoved {
+        vswitch: v,
+        table: 0,
+        rule,
+    };
+    step_checked(d, checker, &removed)?;
+    let rebuilt = checker.stats().full_rebuilds - rebuilds;
+    if rebuilt != 2 {
+        return Err(format!(
+            "a fresh value (kind {kind}) installed and removed rebuilt the atoms {rebuilt} times, not 2"
+        ));
+    }
+    Ok(())
 }
 
 /// Applies operation `idx` of a stream, drawing randomness only from
-/// `rng` (derived per-index by the caller). Mutates the deployment via
-/// public APIs, applies the matching delta(s), and checks equivalence at
-/// the operation boundary. `Err` is an oracle violation.
+/// `rng` (derived per-index by the caller). `Err` is an oracle violation.
 fn apply_op(
     rng: &mut DetRng,
     d: &mut Deployment,
     checker: &mut IncrementalChecker,
 ) -> Result<(), String> {
     let tenants = d.plan.tenants.len();
-    match rng.below(11) {
-        // Wipe a vswitch, then reinstall a random prefix of its rules —
-        // crash recovery that may stop partway.
+    let random_vf = |rng: &mut DetRng, d: &Deployment| {
+        let vfs = &d.plan.tenants[rng.index(tenants)].vf;
+        vfs[rng.index(vfs.len())].0
+    };
+    match rng.below(12) {
+        // Wipe a vswitch, then reinstall a random prefix of its rules in
+        // dump order — crash recovery that may stop partway.
         0 => {
-            let v = rng.index(d.vswitches.len());
-            let dump = d.vswitches[v].sw.dump_rules();
-            d.vswitches[v].sw.clear();
-            checker.apply(&ConfigDelta::RulesWiped { vswitch: v });
+            let vswitch = rng.index(d.vswitches.len());
+            let dump = d.vswitches[vswitch].sw.dump_rules();
             let keep = rng.index(dump.len() + 1);
-            for (table, rule) in dump.into_iter().take(keep) {
-                d.vswitches[v]
-                    .sw
-                    .install(table, rule.clone())
-                    .map_err(|e| format!("reinstall failed: {e:?}"))?;
-                checker.apply(&ConfigDelta::RuleInstalled {
-                    vswitch: v,
-                    table,
-                    rule,
-                });
+            for delta in ConfigDelta::rebuild(vswitch, dump.into_iter().take(keep)) {
+                step_checked(d, checker, &delta)?;
             }
-            check_equiv(checker, d, "wipe+reinstall")
+            Ok(())
         }
-        // Remove every rule carrying one cookie.
+        // Remove every rule carrying one cookie: one delta per rule,
+        // compared at the operation boundary.
         1 => {
-            let v = rng.index(d.vswitches.len());
-            let dump = d.vswitches[v].sw.dump_rules();
+            let vswitch = rng.index(d.vswitches.len());
+            let dump = d.vswitches[vswitch].sw.dump_rules();
             let Some((_, probe)) = dump.get(rng.index(dump.len().max(1))) else {
                 return Ok(());
             };
             let cookie = probe.cookie;
-            d.vswitches[v].sw.remove_by_cookie(cookie);
             for (table, rule) in dump.into_iter().filter(|(_, r)| r.cookie == cookie) {
-                checker.apply(&ConfigDelta::RuleRemoved {
-                    vswitch: v,
+                let delta = ConfigDelta::RuleRemoved {
+                    vswitch,
                     table,
                     rule,
-                });
+                };
+                step(d, checker, &delta);
             }
             check_equiv(checker, d, "remove-by-cookie")
         }
@@ -114,104 +178,58 @@ fn apply_op(
         2 => {
             let r = d.plan.tenants[rng.index(tenants)].vf[0].0;
             let statics = d.nic.pf(r.pf).map_err(|e| e.to_string())?.static_macs();
-            let Some((vlan, mac, port)) = statics.get(rng.index(statics.len().max(1))).cloned()
-            else {
+            let Some(&(vlan, mac, port)) = statics.get(rng.index(statics.len().max(1))) else {
                 return Ok(());
             };
-            let pf_mut = d.nic.pf_mut(r.pf).map_err(|e| e.to_string())?;
-            pf_mut.remove_static_mac(vlan, mac);
-            checker.apply(&ConfigDelta::StaticRemoved {
-                pf: r.pf.0,
-                vlan,
-                mac,
-            });
-            check_equiv(checker, d, "static-remove")?;
-            let pf_mut = d.nic.pf_mut(r.pf).map_err(|e| e.to_string())?;
-            pf_mut.install_static_mac(vlan, mac, port);
-            checker.apply(&ConfigDelta::StaticInstalled {
-                pf: r.pf.0,
+            let pf = r.pf.0;
+            step_checked(d, checker, &ConfigDelta::StaticRemoved { pf, vlan, mac })?;
+            let delta = ConfigDelta::StaticInstalled {
+                pf,
                 vlan,
                 mac,
                 port,
-            });
-            check_equiv(checker, d, "static-reinstall")
+            };
+            step_checked(d, checker, &delta)
         }
         // VEB flush: statics rebuilt from VF configs.
         3 => {
-            let r = d.plan.tenants[rng.index(tenants)].vf[0].0;
-            d.nic.pf_mut(r.pf).map_err(|e| e.to_string())?.flush_table();
-            checker.apply(&ConfigDelta::VebFlushed { pf: r.pf.0 });
-            check_equiv(checker, d, "veb-flush")
+            let pf = d.plan.tenants[rng.index(tenants)].vf[0].0.pf.0;
+            step_checked(d, checker, &ConfigDelta::VebFlushed { pf })
         }
-        // Filter list rotated by one: same rules, new order.
+        // Filter list rotated by one: same rules, new install order.
         4 => {
-            let r = d.plan.tenants[rng.index(tenants)].vf[0].0;
-            let mut filters = d
-                .nic
-                .pf(r.pf)
-                .map_err(|e| e.to_string())?
-                .filters()
-                .to_vec();
+            let pf = d.plan.tenants[rng.index(tenants)].vf[0].0.pf;
+            let mut filters = d.nic.pf(pf).map_err(|e| e.to_string())?.filters().to_vec();
             if filters.len() > 1 {
                 filters.rotate_left(1);
             }
-            d.nic
-                .pf_mut(r.pf)
-                .map_err(|e| e.to_string())?
-                .set_filters(filters.clone());
-            checker.apply(&ConfigDelta::FiltersSet {
-                pf: r.pf.0,
-                filters,
-            });
-            check_equiv(checker, d, "filters-rotate")
+            step_checked(d, checker, &ConfigDelta::FiltersSet { pf: pf.0, filters })
         }
-        // Liveness flap: no configuration change.
+        // Liveness flap: no configuration change, no verdict movement.
         5 => {
-            let v = rng.index(d.vswitches.len());
-            checker.apply(&ConfigDelta::VswitchDown { vswitch: v });
-            checker.apply(&ConfigDelta::VswitchUp { vswitch: v });
-            check_equiv(checker, d, "liveness-flap")
+            let vswitch = rng.index(d.vswitches.len());
+            step_checked(d, checker, &ConfigDelta::VswitchDown { vswitch })?;
+            step_checked(d, checker, &ConfigDelta::VswitchUp { vswitch })
         }
         // Move a random VF onto a random tenant's VLAN — sometimes another
         // tenant's, deliberately creating cross-tenant reachability that
         // both verifiers must report identically.
         6 => {
-            let t = rng.index(tenants);
-            let vfs = &d.plan.tenants[t].vf;
-            let r = vfs[rng.index(vfs.len())].0;
+            let r = random_vf(rng, d);
             let vlan = d.plan.tenants[rng.index(tenants)].vlan;
-            d.nic
-                .host_set_vf_vlan(r.pf, r.vf, Some(vlan))
-                .map_err(|e| e.to_string())?;
-            let delta = vf_delta(d, r)?;
-            checker.apply(&delta);
-            check_equiv(checker, d, "vf-vlan-move")
+            edit_vf(d, checker, r, |cfg| cfg.vlan = Some(vlan))
         }
         // Toggle spoof-check on a random VF.
         7 => {
-            let t = rng.index(tenants);
-            let vfs = &d.plan.tenants[t].vf;
-            let r = vfs[rng.index(vfs.len())].0;
-            let cur = d
-                .nic
-                .pf(r.pf)
-                .map_err(|e| e.to_string())?
-                .vf(r.vf)
-                .map(|c| c.spoof_check)
-                .unwrap_or(true);
-            d.nic
-                .host_set_vf_spoofchk(r.pf, r.vf, !cur)
-                .map_err(|e| e.to_string())?;
-            let delta = vf_delta(d, r)?;
-            checker.apply(&delta);
-            check_equiv(checker, d, "spoofchk-toggle")
+            let r = random_vf(rng, d);
+            edit_vf(d, checker, r, |cfg| cfg.spoof_check = !cfg.spoof_check)
         }
         // Hostile static install: a VEB entry claiming some tenant's VLAN
         // and an arbitrary MAC (possibly another tenant's gateway) for an
         // arbitrary VF — the family that surfaced StaticHijack.
         8 => {
-            let r = d.plan.tenants[rng.index(tenants)].vf[0].0;
-            let statics = d.nic.pf(r.pf).map_err(|e| e.to_string())?.static_macs();
+            let pf = d.plan.tenants[rng.index(tenants)].vf[0].0.pf;
+            let statics = d.nic.pf(pf).map_err(|e| e.to_string())?.static_macs();
             let vlan = if rng.chance(0.8) {
                 d.plan.tenants[rng.index(tenants)].vlan
             } else {
@@ -222,66 +240,55 @@ fn apply_op(
                 _ => MacAddr::local(rng.below(1 << 16) as u32),
             };
             let port = NicPort::Vf(VfId(rng.below(8) as u8));
-            let pf_mut = d.nic.pf_mut(r.pf).map_err(|e| e.to_string())?;
-            pf_mut.install_static_mac(vlan, mac, port);
-            checker.apply(&ConfigDelta::StaticInstalled {
-                pf: r.pf.0,
+            let delta = ConfigDelta::StaticInstalled {
+                pf: pf.0,
                 vlan,
                 mac,
                 port,
-            });
-            check_equiv(checker, d, "hostile-static-install")
+            };
+            step_checked(d, checker, &delta)
         }
-        // Out-of-range deltas: indices no deployment has. The checker must
-        // treat them as no-ops and stay equivalent.
+        // Out-of-range deltas: indices no deployment has. The devices
+        // refuse or ignore them, and the checker must treat them as the
+        // same no-ops.
         9 => {
-            checker.apply(&ConfigDelta::RulesWiped { vswitch: 99 });
-            checker.apply(&ConfigDelta::VebFlushed { pf: 99 });
-            checker.apply(&ConfigDelta::VswitchDown { vswitch: 77 });
-            checker.apply(&ConfigDelta::StaticRemoved {
-                pf: 99,
-                vlan: 1,
-                mac: MacAddr::local(1),
-            });
+            for delta in [
+                ConfigDelta::RulesWiped { vswitch: 99 },
+                ConfigDelta::VebFlushed { pf: 99 },
+                ConfigDelta::VswitchDown { vswitch: 77 },
+                ConfigDelta::StaticRemoved {
+                    pf: 99,
+                    vlan: 1,
+                    mac: MacAddr::local(1),
+                },
+            ] {
+                step(d, checker, &delta);
+            }
             check_equiv(checker, d, "out-of-range-deltas")
         }
         // Hostile VF reconfiguration: re-address the MAC, optionally jump
         // to another tenant's VLAN, optionally drop spoof checking.
+        10 => {
+            let r = random_vf(rng, d);
+            let mac = rng
+                .chance(0.5)
+                .then(|| MacAddr::local(rng.below(1 << 16) as u32));
+            let vlan = rng
+                .chance(0.5)
+                .then(|| d.plan.tenants[rng.index(tenants)].vlan);
+            let keep_spoof_check = rng.chance(0.7);
+            edit_vf(d, checker, r, |cfg| {
+                cfg.mac = mac.unwrap_or(cfg.mac);
+                cfg.vlan = vlan.or(cfg.vlan);
+                cfg.spoof_check &= keep_spoof_check;
+            })
+        }
+        // A rule naming a value the atomization does not have.
         _ => {
-            let t = rng.index(tenants);
-            let vfs = &d.plan.tenants[t].vf;
-            let r = vfs[rng.index(vfs.len())].0;
-            let cur = d
-                .nic
-                .pf(r.pf)
-                .map_err(|e| e.to_string())?
-                .vf(r.vf)
-                .cloned()
-                .ok_or("missing vf")?;
-            let cfg = mts_nic::VfConfig {
-                mac: if rng.chance(0.5) {
-                    MacAddr::local(rng.below(1 << 16) as u32)
-                } else {
-                    cur.mac
-                },
-                vlan: if rng.chance(0.5) {
-                    Some(d.plan.tenants[rng.index(tenants)].vlan)
-                } else {
-                    cur.vlan
-                },
-                spoof_check: rng.chance(0.7) && cur.spoof_check,
-                trusted: cur.trusted,
-            };
-            d.nic
-                .pf_mut(r.pf)
-                .map_err(|e| e.to_string())?
-                .configure_vf(r.vf, cfg.clone());
-            checker.apply(&ConfigDelta::VfConfigured {
-                pf: r.pf.0,
-                vf: r.vf.0,
-                cfg,
-            });
-            check_equiv(checker, d, "hostile-vf-reconfigure")
+            let v = rng.index(d.vswitches.len());
+            let (kind, n) = (rng.below(3), rng.below(256) as u8);
+            let priority = rng.between(1, 100) as u16;
+            fresh_value_op(d, checker, v, kind, n, priority)
         }
     }
 }
@@ -302,43 +309,7 @@ pub(crate) fn run_case(seed: u64, spec: DeploymentSpec, ops: &[u64]) -> Result<(
 
 /// Runs the delta-stream surface for `budget` cases.
 pub fn fuzz(rng: &mut DetRng, budget: u64) -> SurfaceStats {
-    let mut stats = SurfaceStats::new(Surface::Delta);
-    let matrix = mts_isocheck::shipped_matrix();
-    for i in 0..budget {
-        let seed = rng.derive_indexed("delta-case", i).below(u64::MAX);
-        let spec = matrix[(i as usize) % matrix.len()];
-        let all_ops: Vec<u64> = (0..OPS_PER_CASE as u64).collect();
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_case(seed, spec, &all_ops)));
-        match outcome {
-            Ok(Ok(())) => stats.accepted += 1,
-            Ok(Err(why)) => crash(&mut stats, seed, spec, &all_ops, why),
-            Err(_) => crash(
-                &mut stats,
-                seed,
-                spec,
-                &all_ops,
-                "panic in delta stream".to_string(),
-            ),
-        }
-        stats.cases += 1;
-    }
-    stats
-}
-
-/// Shrinks a failing stream to a minimal op-index subset and records it.
-fn crash(stats: &mut SurfaceStats, seed: u64, spec: DeploymentSpec, ops: &[u64], why: String) {
-    let minimized = shrink::shrink_set(ops, |subset| {
-        matches!(
-            catch_unwind(AssertUnwindSafe(|| run_case(seed, spec, subset))),
-            Ok(Err(_)) | Err(_)
-        )
-    });
-    let data = format!("seed={seed}\nspec={}\nops={minimized:?}", spec.label());
-    stats.crashers.push(Crasher {
-        surface: Surface::Delta,
-        note: why,
-        data: data.into_bytes(),
-    });
+    crate::fuzz_streams(Surface::Delta, rng, budget, OPS_PER_CASE, run_case)
 }
 
 #[cfg(test)]

@@ -146,6 +146,47 @@ impl SurfaceStats {
     }
 }
 
+/// Runs a stream surface ([`Surface::Delta`] or [`Surface::Reconcile`])
+/// for `budget` cases of `ops` operations each, one shipped configuration
+/// after another. `run_case(seed, spec, ops)` replays an op-index subset
+/// of a case (`Err` is an oracle violation); each op draws its randomness
+/// from its index, so a failing case shrinks to a minimal subset that
+/// replays deterministically.
+fn fuzz_streams(
+    surface: Surface,
+    rng: &mut DetRng,
+    budget: u64,
+    ops: u64,
+    run_case: fn(u64, mts_core::DeploymentSpec, &[u64]) -> Result<(), String>,
+) -> SurfaceStats {
+    let fails =
+        |seed, spec, ops: &[u64]| match std::panic::catch_unwind(|| run_case(seed, spec, ops)) {
+            Ok(outcome) => outcome.err(),
+            Err(_) => Some(format!("panic in {} case", surface.label())),
+        };
+    let mut stats = SurfaceStats::new(surface);
+    let matrix = mts_isocheck::shipped_matrix();
+    let all_ops: Vec<u64> = (0..ops).collect();
+    let case_label = format!("{}-case", surface.label());
+    for i in 0..budget {
+        let seed = rng.derive_indexed(&case_label, i).below(u64::MAX);
+        let spec = matrix[(i as usize) % matrix.len()];
+        stats.cases += 1;
+        let Some(note) = fails(seed, spec, &all_ops) else {
+            stats.accepted += 1;
+            continue;
+        };
+        let minimized = shrink::shrink_set(&all_ops, |subset| fails(seed, spec, subset).is_some());
+        let data = format!("seed={seed}\nspec={}\nops={minimized:?}", spec.label());
+        stats.crashers.push(Crasher {
+            surface,
+            note,
+            data: data.into_bytes(),
+        });
+    }
+    stats
+}
+
 /// Per-surface case budgets for one campaign.
 #[derive(Debug, Clone, Copy)]
 pub struct Budget {
@@ -153,7 +194,8 @@ pub struct Budget {
     pub wire: u64,
     /// Fault-plan text cases.
     pub plan: u64,
-    /// Delta-stream cases (12 ops each, two full verifications per op).
+    /// Delta-stream cases (12 ops each, a full verification after every
+    /// delta of most ops).
     pub delta: u64,
     /// Reconciliation cases.
     pub reconcile: u64,

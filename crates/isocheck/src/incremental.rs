@@ -311,12 +311,9 @@ impl IncrementalChecker {
                 let Some(rules) = vs.tables.get_mut(t) else {
                     return Touch::Nothing;
                 };
-                let Some(pos) = rules.iter().position(|x| {
-                    x.priority == rule.priority
-                        && x.m == rule.m
-                        && x.actions == rule.actions
-                        && x.cookie == rule.cookie
-                }) else {
+                // `VirtualSwitch::remove_rule`: the first rule with the
+                // same configuration.
+                let Some(pos) = rules.iter().position(|x| x.same_config(rule)) else {
                     return Touch::Nothing;
                 };
                 rules.remove(pos);

@@ -7,7 +7,8 @@
 
 use crate::report::{VerifyReport, ViolationKind, WarningKind};
 use mts_core::controller::Deployment;
-use mts_nic::{FilterAction, FilterRule, NicError, NicPort, PortClass};
+use mts_core::delta::ConfigDelta;
+use mts_nic::{FilterAction, FilterRule, NicError, NicPort, PortClass, VfConfig};
 
 /// One seedable misconfiguration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -52,33 +53,42 @@ impl Misconfig {
         }
     }
 
-    /// Seeds the misconfiguration into a deployment, returning a
-    /// description of what was changed. Requires at least two tenants.
+    /// The configuration change that seeds the misconfiguration into a
+    /// deployment. Requires at least two tenants.
+    pub fn delta(self, d: &Deployment) -> Result<ConfigDelta, NicError> {
+        self.planned(d).map(|(delta, _)| delta)
+    }
+
+    /// Seeds the misconfiguration into a deployment by applying
+    /// [`Misconfig::delta`], returning a description of what was changed.
     pub fn seed(self, d: &mut Deployment) -> Result<String, NicError> {
-        match self {
+        let (delta, what) = self.planned(d)?;
+        delta.apply(&mut d.nic, |i| d.vswitches.get_mut(i).map(|v| &mut v.sw))?;
+        Ok(what)
+    }
+
+    /// The seeding delta and its description.
+    fn planned(self, d: &Deployment) -> Result<(ConfigDelta, String), NicError> {
+        let (t0, t1) = (&d.plan.tenants[0], &d.plan.tenants[1]);
+        let r = t0.vf[0].0;
+        Ok(match self {
             Misconfig::VlanReuse => {
-                let (t0_vlan, t1) = {
-                    let t0 = &d.plan.tenants[0];
-                    let t1 = &d.plan.tenants[1];
-                    (t0.vlan, t1.vf[0].0)
-                };
-                d.nic.host_set_vf_vlan(t1.pf, t1.vf, Some(t0_vlan))?;
-                Ok(format!(
-                    "tenant 1 VF {}/{} moved onto tenant 0's VLAN {t0_vlan}",
+                let (vlan, t1) = (t0.vlan, t1.vf[0].0);
+                let what = format!(
+                    "tenant 1 VF {}/{} moved onto tenant 0's VLAN {vlan}",
                     t1.pf, t1.vf
-                ))
+                );
+                let edit = |cfg: &mut VfConfig| cfg.vlan = Some(vlan);
+                (ConfigDelta::vf_edit(&d.nic, t1, edit)?, what)
             }
             Misconfig::SpoofCheckOff => {
-                let r = d.plan.tenants[0].vf[0].0;
-                d.nic.host_set_vf_spoofchk(r.pf, r.vf, false)?;
-                Ok(format!(
-                    "anti-spoofing disabled on tenant 0 VF {}/{}",
-                    r.pf, r.vf
-                ))
+                let what = format!("anti-spoofing disabled on tenant 0 VF {}/{}", r.pf, r.vf);
+                let edit = |cfg: &mut VfConfig| cfg.spoof_check = false;
+                (ConfigDelta::vf_edit(&d.nic, r, edit)?, what)
             }
             Misconfig::BroadVebAllow => {
-                let r = d.plan.tenants[0].vf[0].0;
-                d.nic.pf_mut(r.pf)?.add_filter(FilterRule {
+                let mut filters = d.nic.pf(r.pf)?.filters().to_vec();
+                filters.push(FilterRule {
                     priority: 60,
                     from: PortClass::Vf(r.vf),
                     src_mac: None,
@@ -87,47 +97,52 @@ impl Misconfig {
                     ethertype: None,
                     action: FilterAction::Allow,
                 });
-                Ok(format!(
+                let what = format!(
                     "wildcard allow (prio 60) installed for tenant 0 VF {}/{}",
                     r.pf, r.vf
-                ))
+                );
+                (
+                    ConfigDelta::FiltersSet {
+                        pf: r.pf.0,
+                        filters,
+                    },
+                    what,
+                )
             }
             Misconfig::StaticHijack => {
-                let (victim, vmac, attacker) = {
-                    let t0 = &d.plan.tenants[0];
-                    let t1 = &d.plan.tenants[1];
-                    (t0.vf[0].0, t0.vf[0].1, t1.vf[0].0)
-                };
-                let vlan = d
-                    .nic
-                    .pf(victim.pf)?
-                    .vf(victim.vf)
-                    .and_then(|c| c.vlan)
-                    .unwrap_or(0);
+                let (vmac, attacker) = (t0.vf[0].1, t1.vf[0].0);
+                let pf = d.nic.pf(r.pf)?;
+                let vlan = pf.vf(r.vf).and_then(|c| c.vlan).unwrap_or(0);
                 // The victim's next hop on its VLAN: the static entry that
                 // is neither the victim VF itself nor the wire — i.e. the
                 // vswitch in-out (gateway) the security filters whitelist.
                 // Poisoning the victim's *own* MAC would be stopped by the
                 // dst whitelist; poisoning the gateway MAC hijacks every
                 // frame the tenant is allowed to send.
-                let gw = d
-                    .nic
-                    .pf(victim.pf)?
+                let gw = pf
                     .static_macs()
                     .into_iter()
                     .find(|(v, m, p)| *v == vlan && *m != vmac && matches!(p, NicPort::Vf(_)))
                     .map(|(_, m, _)| m)
                     .unwrap_or(vmac);
-                d.nic
-                    .pf_mut(victim.pf)?
-                    .install_static_mac(vlan, gw, NicPort::Vf(attacker.vf));
-                Ok(format!(
+                let what = format!(
                     "static MAC ({vlan}, {gw}) — tenant 0's gateway — poisoned to \
                      point at tenant 1 VF {}/{}",
-                    victim.pf, attacker.vf
-                ))
+                    r.pf, attacker.vf
+                );
+                let port = NicPort::Vf(attacker.vf);
+                let (pf, mac) = (r.pf.0, gw);
+                (
+                    ConfigDelta::StaticInstalled {
+                        pf,
+                        vlan,
+                        mac,
+                        port,
+                    },
+                    what,
+                )
             }
-        }
+        })
     }
 
     /// Whether a report contains this misconfiguration's characteristic

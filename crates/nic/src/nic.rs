@@ -169,41 +169,6 @@ impl SriovNic {
             .ok_or(NicError::NoSuchVf(pf, vf))
     }
 
-    /// Host-privileged: changes a VF's VST VLAN.
-    pub fn host_set_vf_vlan(
-        &mut self,
-        pf: PfId,
-        vf: VfId,
-        vlan: Option<u16>,
-    ) -> Result<(), NicError> {
-        let cfg = self
-            .pf(pf)?
-            .vf(vf)
-            .cloned()
-            .ok_or(NicError::NoSuchVf(pf, vf))?;
-        let sw = self.pf_mut(pf)?;
-        sw.configure_vf(vf, VfConfig { vlan, ..cfg });
-        Ok(())
-    }
-
-    /// Host-privileged: toggles spoof checking on a VF.
-    pub fn host_set_vf_spoofchk(&mut self, pf: PfId, vf: VfId, on: bool) -> Result<(), NicError> {
-        let cfg = self
-            .pf(pf)?
-            .vf(vf)
-            .cloned()
-            .ok_or(NicError::NoSuchVf(pf, vf))?;
-        let sw = self.pf_mut(pf)?;
-        sw.configure_vf(
-            vf,
-            VfConfig {
-                spoof_check: on,
-                ..cfg
-            },
-        );
-        Ok(())
-    }
-
     /// VM-facing: attempts to change the VF MAC from inside the VM.
     ///
     /// Succeeds only on trusted VFs — tenants cannot re-address themselves,
@@ -376,9 +341,13 @@ mod tests {
         let mut nic = SriovNic::new(1, NicModel::default());
         nic.create_vf(PfId(0), VfId(0), VfConfig::tenant(MacAddr::local(1), 1))
             .unwrap();
-        nic.host_set_vf_vlan(PfId(0), VfId(0), Some(9)).unwrap();
+        let cfg = VfConfig {
+            vlan: Some(9),
+            spoof_check: false,
+            ..VfConfig::tenant(MacAddr::local(1), 1)
+        };
+        nic.pf_mut(PfId(0)).unwrap().configure_vf(VfId(0), cfg);
         assert_eq!(nic.pf(PfId(0)).unwrap().vf(VfId(0)).unwrap().vlan, Some(9));
-        nic.host_set_vf_spoofchk(PfId(0), VfId(0), false).unwrap();
         assert!(!nic.pf(PfId(0)).unwrap().vf(VfId(0)).unwrap().spoof_check);
         let cfg = nic.remove_vf(PfId(0), VfId(0)).unwrap();
         assert_eq!(cfg.vlan, Some(9));

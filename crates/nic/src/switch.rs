@@ -151,11 +151,6 @@ impl PfSwitch {
         self.filters = filters;
     }
 
-    /// Appends one filter rule.
-    pub fn add_filter(&mut self, rule: FilterRule) {
-        self.filters.push(rule);
-    }
-
     /// Returns the installed filters.
     pub fn filters(&self) -> &[FilterRule] {
         &self.filters
@@ -608,9 +603,9 @@ mod tests {
     #[test]
     fn filters_drop_before_learning() {
         let (mut sw, _, _, tenant) = mts_layout();
-        sw.add_filter(FilterRule::drop_all_from(crate::filter::PortClass::Vf(
-            VfId(2),
-        )));
+        sw.set_filters(vec![FilterRule::drop_all_from(
+            crate::filter::PortClass::Vf(VfId(2)),
+        )]);
         let out = sw.ingress(NicPort::Vf(VfId(2)), frame(tenant, MacAddr::local(0x11)));
         assert!(out.is_empty());
         assert_eq!(sw.counters().dropped_filter, 1);

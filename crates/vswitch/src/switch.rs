@@ -254,15 +254,15 @@ impl VirtualSwitch {
         Ok(())
     }
 
-    /// Removes rules by cookie across all tables; returns how many.
-    pub fn remove_by_cookie(&mut self, cookie: u64) -> usize {
-        let n = self
+    /// Removes the first rule of `table` with `rule`'s configuration (hit
+    /// statistics ignored); returns whether there was one.
+    pub fn remove_rule(&mut self, table: u8, rule: &FlowRule) -> bool {
+        let removed = self
             .tables
-            .iter_mut()
-            .map(|t| t.remove_by_cookie(cookie))
-            .sum();
+            .get_mut(table as usize)
+            .is_some_and(|t| t.remove(rule));
         self.cache.bump_generation();
-        n
+        removed
     }
 
     /// Clears all tables and learning state.
@@ -975,20 +975,17 @@ mod tests {
     }
 
     #[test]
-    fn cookie_removal_spans_tables() {
+    fn remove_rule_takes_one_rule_from_its_own_table() {
         let (mut sw, _, b) = two_port_switch();
-        sw.install(
-            0,
-            FlowRule::new(1, FlowMatch::any(), vec![Action::Output(b)]).with_cookie(9),
-        )
-        .unwrap();
-        sw.install(
-            3,
-            FlowRule::new(1, FlowMatch::any(), vec![Action::Drop]).with_cookie(9),
-        )
-        .unwrap();
+        let rule = FlowRule::new(1, FlowMatch::any(), vec![Action::Output(b)]).with_cookie(9);
+        sw.install(0, rule.clone()).unwrap();
+        sw.install(3, rule.clone()).unwrap();
         assert_eq!(sw.rule_count(), 2);
-        assert_eq!(sw.remove_by_cookie(9), 2);
+        assert!(sw.remove_rule(3, &rule));
+        assert_eq!((sw.table_len(0), sw.table_len(3)), (1, 0));
+        assert!(!sw.remove_rule(3, &rule));
+        assert!(!sw.remove_rule(200, &rule), "no such table");
+        assert!(sw.remove_rule(0, &rule));
         assert_eq!(sw.rule_count(), 0);
     }
 }

@@ -49,7 +49,7 @@ pub struct FlowRule {
     pub m: FlowMatch,
     /// Actions applied on match, in order.
     pub actions: Vec<Action>,
-    /// Opaque controller cookie for bulk deletion.
+    /// Opaque controller cookie, naming the program that installed it.
     pub cookie: u64,
     /// Hit statistics.
     pub stats: FlowStats,
@@ -71,6 +71,15 @@ impl FlowRule {
     pub fn with_cookie(mut self, cookie: u64) -> Self {
         self.cookie = cookie;
         self
+    }
+
+    /// Whether `other` is the same rule as configuration: everything but
+    /// hit statistics, which are runtime state.
+    pub fn same_config(&self, other: &FlowRule) -> bool {
+        self.priority == other.priority
+            && self.m == other.m
+            && self.actions == other.actions
+            && self.cookie == other.cookie
     }
 }
 
@@ -115,11 +124,16 @@ impl FlowTable {
         self.rules.insert(pos, rule);
     }
 
-    /// Removes all rules with the given cookie; returns how many.
-    pub fn remove_by_cookie(&mut self, cookie: u64) -> usize {
-        let before = self.rules.len();
-        self.rules.retain(|r| r.cookie != cookie);
-        before - self.rules.len()
+    /// Removes the first rule with `rule`'s configuration
+    /// ([`FlowRule::same_config`]); returns whether there was one.
+    pub fn remove(&mut self, rule: &FlowRule) -> bool {
+        match self.rules.iter().position(|r| r.same_config(rule)) {
+            Some(pos) => {
+                self.rules.remove(pos);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Removes every rule.
@@ -271,15 +285,16 @@ mod tests {
     }
 
     #[test]
-    fn cookie_deletion() {
+    fn remove_takes_the_first_rule_with_the_same_configuration() {
         let mut t = FlowTable::new();
-        t.add(FlowRule::new(1, FlowMatch::any(), vec![Action::Drop]).with_cookie(7));
+        let rule = FlowRule::new(1, FlowMatch::any(), vec![Action::Drop]).with_cookie(7);
+        t.add(rule.clone());
         t.add(FlowRule::new(2, FlowMatch::any(), vec![Action::Drop]).with_cookie(7));
-        t.add(FlowRule::new(3, FlowMatch::any(), vec![Action::Drop]).with_cookie(8));
-        assert_eq!(t.remove_by_cookie(7), 2);
-        assert_eq!(t.len(), 1);
-        t.clear();
-        assert!(t.is_empty());
+        let mut counted = rule.clone();
+        counted.stats.packets = 5;
+        assert!(t.remove(&counted), "hit statistics are not configuration");
+        assert!(!t.remove(&rule));
+        assert_eq!(t.rules().map(|r| r.priority).collect::<Vec<_>>(), [2]);
     }
 
     #[test]

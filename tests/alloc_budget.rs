@@ -378,7 +378,13 @@ fn steady_state_allocations_stay_within_budget() {
     // controller's config format, whose rules and filters then move into
     // the model. 110 measured; 113 when the model cloned them out of the
     // devices itself.
+    // Deploy converges an empty topology through `ConfigDelta::apply`:
+    // each rule, filter list and VF configuration is cloned once into its
+    // delta and once into the device. 151 measured.
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
     let d = Controller::deploy(level2_4_p2v()).expect("deploys");
+    let deploy = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(deploy <= 151, "Controller::deploy: {deploy} allocations");
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let model = Model::of(&d).expect("model builds");
     let extraction = ALLOCATIONS.load(Ordering::Relaxed) - before;
