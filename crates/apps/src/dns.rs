@@ -19,19 +19,19 @@ use std::net::Ipv4Addr;
 /// DNS-over-TCP port.
 pub const DNS_PORT: u16 = 53;
 /// Bytes of an A query: 2 B length prefix + 12 B header + ~24 B qname + 4 B.
-pub const A_QUERY_BYTES: u64 = 42;
+const A_QUERY_BYTES: u64 = 42;
 /// Bytes of a PTR query (in-addr.arpa qnames are longer).
-pub const PTR_QUERY_BYTES: u64 = 58;
+const PTR_QUERY_BYTES: u64 = 58;
 /// Bytes of an A response (question echo + one A record).
-pub const A_RESPONSE_BYTES: u64 = 58;
+const A_RESPONSE_BYTES: u64 = 58;
 /// Bytes of a PTR response (question echo + one PTR record).
-pub const PTR_RESPONSE_BYTES: u64 = 90;
+const PTR_RESPONSE_BYTES: u64 = 90;
 /// Fraction of queries that are A lookups (the rest are PTR).
-pub const A_FRACTION: f64 = 0.8;
+const A_FRACTION: f64 = 0.8;
 /// Fraction of lookups missing the server's cache (recursive resolution).
-pub const MISS_FRACTION: f64 = 0.1;
+const MISS_FRACTION: f64 = 0.1;
 /// Connections per resolver client.
-pub const DNS_CONNECTIONS: u32 = 32;
+const DNS_CONNECTIONS: u32 = 32;
 
 /// Server-side CPU for a cache hit (parse + hash + encode).
 const HIT_COST: Dur = Dur::micros(2);
@@ -49,7 +49,7 @@ pub enum QueryKind {
 
 impl QueryKind {
     /// Query size on the wire.
-    pub fn query_bytes(self) -> u64 {
+    fn query_bytes(self) -> u64 {
         match self {
             QueryKind::A => A_QUERY_BYTES,
             QueryKind::Ptr => PTR_QUERY_BYTES,
@@ -70,8 +70,6 @@ impl QueryKind {
 #[derive(Default)]
 pub struct DnsServer {
     buffered: FastHashMap<ConnId, u64>,
-    a_queries: u64,
-    ptr_queries: u64,
     misses: u64,
 }
 
@@ -79,11 +77,6 @@ impl DnsServer {
     /// Creates the server.
     pub fn new() -> Self {
         DnsServer::default()
-    }
-
-    /// Queries served: `(a, ptr)`.
-    pub fn queries(&self) -> (u64, u64) {
-        (self.a_queries, self.ptr_queries)
     }
 
     /// Cache misses resolved.
@@ -101,14 +94,8 @@ impl DnsServer {
         ctx.consume_cpu(cost);
         ctx.send(conn, kind.response_bytes());
         match kind {
-            QueryKind::A => {
-                self.a_queries += 1;
-                ctx.count("dns_a_queries", 1);
-            }
-            QueryKind::Ptr => {
-                self.ptr_queries += 1;
-                ctx.count("dns_ptr_queries", 1);
-            }
+            QueryKind::A => ctx.count("dns_a_queries", 1),
+            QueryKind::Ptr => ctx.count("dns_ptr_queries", 1),
         }
     }
 }
@@ -252,6 +239,11 @@ mod tests {
     use super::*;
     use crate::traits::test_ctx::RecordingCtx;
 
+    /// Queries served so far: `(a, ptr)`.
+    fn queries(ctx: &RecordingCtx) -> (u64, u64) {
+        (ctx.counter("dns_a_queries"), ctx.counter("dns_ptr_queries"))
+    }
+
     #[test]
     fn server_frames_queries_by_size() {
         let mut ctx = RecordingCtx::new();
@@ -259,17 +251,17 @@ mod tests {
         s.on_connected(ConnId(1), Time::ZERO, &mut ctx);
         // An A query arriving in two chunks.
         s.on_data(ConnId(1), 20, Time::ZERO, &mut ctx);
-        assert_eq!(s.queries(), (0, 0));
+        assert_eq!(queries(&ctx), (0, 0));
         s.on_data(ConnId(1), A_QUERY_BYTES - 20, Time::ZERO, &mut ctx);
-        assert_eq!(s.queries(), (1, 0));
+        assert_eq!(queries(&ctx), (1, 0));
         assert_eq!(ctx.sent[&ConnId(1)], A_RESPONSE_BYTES);
         // A PTR query.
         s.on_data(ConnId(1), PTR_QUERY_BYTES, Time::ZERO, &mut ctx);
-        assert_eq!(s.queries(), (1, 1));
+        assert_eq!(queries(&ctx), (1, 1));
         assert_eq!(ctx.sent[&ConnId(1)], A_RESPONSE_BYTES + PTR_RESPONSE_BYTES);
         // A partial PTR (between the two sizes) waits.
         s.on_data(ConnId(1), A_QUERY_BYTES + 1, Time::ZERO, &mut ctx);
-        assert_eq!(s.queries(), (1, 1));
+        assert_eq!(queries(&ctx), (1, 1));
     }
 
     #[test]
@@ -280,7 +272,7 @@ mod tests {
         for _ in 0..200 {
             s.on_data(ConnId(1), A_QUERY_BYTES, Time::ZERO, &mut ctx);
         }
-        assert_eq!(s.queries().0, 200);
+        assert_eq!(queries(&ctx).0, 200);
         assert!(s.misses() > 0, "some queries miss the cache");
         assert!(s.misses() < 100, "most queries hit");
         assert_eq!(ctx.counter("dns_misses"), s.misses());

@@ -15,13 +15,13 @@ use std::net::Ipv4Addr;
 /// HTTP port.
 pub const HTTP_PORT: u16 = 80;
 /// Bytes of a GET request for the benchmark page.
-pub const REQUEST_BYTES: u64 = 120;
+const REQUEST_BYTES: u64 = 120;
 /// The static page: 11.3 KB, as in the paper.
-pub const PAGE_BYTES: u64 = 11_571;
+const PAGE_BYTES: u64 = 11_571;
 /// Response headers.
-pub const RESPONSE_HEADER_BYTES: u64 = 250;
+const RESPONSE_HEADER_BYTES: u64 = 250;
 /// Total response size.
-pub const RESPONSE_BYTES: u64 = PAGE_BYTES + RESPONSE_HEADER_BYTES;
+const RESPONSE_BYTES: u64 = PAGE_BYTES + RESPONSE_HEADER_BYTES;
 
 /// Per-request CPU cost of the server (parse + sendfile syscall path).
 const SERVICE_COST: Dur = Dur::micros(18);
@@ -83,7 +83,6 @@ pub struct AbClient {
     concurrency: u32,
     inflight: FastHashMap<ConnId, InFlight>,
     completed: u64,
-    errors: u64,
 }
 
 impl AbClient {
@@ -94,18 +93,12 @@ impl AbClient {
             concurrency,
             inflight: FastHashMap::default(),
             completed: 0,
-            errors: 0,
         }
     }
 
     /// Completed requests.
     pub fn completed(&self) -> u64 {
         self.completed
-    }
-
-    /// Connections that closed before the full response arrived.
-    pub fn errors(&self) -> u64 {
-        self.errors
     }
 
     fn open_one(&mut self, now: Time, ctx: &mut dyn AppCtx) {
@@ -156,7 +149,6 @@ impl App for AbClient {
     fn on_closed(&mut self, conn: ConnId, now: Time, ctx: &mut dyn AppCtx) {
         // A close before the full response is an error; keep concurrency up.
         if self.inflight.remove(&conn).is_some() {
-            self.errors += 1;
             ctx.count("http_errors", 1);
             self.open_one(now, ctx);
         }
@@ -223,13 +215,13 @@ mod tests {
         let conn = ConnId(1001);
         ab.on_connected(conn, Time::ZERO, &mut ctx);
         ab.on_closed(conn, Time::from_nanos(5), &mut ctx);
-        assert_eq!(ab.errors(), 1);
+        assert_eq!(ctx.counter("http_errors"), 1);
         assert_eq!(ctx.connects.len(), 2, "concurrency is restored");
         // A close after completion is not an error.
         let conn2 = ConnId(1002);
         ab.on_connected(conn2, Time::ZERO, &mut ctx);
         ab.on_data(conn2, RESPONSE_BYTES, Time::from_nanos(9), &mut ctx);
         ab.on_closed(conn2, Time::from_nanos(10), &mut ctx);
-        assert_eq!(ab.errors(), 1);
+        assert_eq!(ctx.counter("http_errors"), 1);
     }
 }

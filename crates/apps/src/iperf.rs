@@ -6,7 +6,7 @@
 //! reported as the sum of throughput for each client-server."
 
 use crate::traits::{App, AppCtx, ConnId};
-use mts_sim::{FastHashMap, Time};
+use mts_sim::Time;
 use std::net::Ipv4Addr;
 
 /// The iperf3 control/data port.
@@ -14,46 +14,22 @@ pub const IPERF_PORT: u16 = 5201;
 
 /// An iperf server: accepts one or more streams and counts bytes.
 #[derive(Default)]
-pub struct IperfServer {
-    received: FastHashMap<ConnId, u64>,
-    first_byte: Option<Time>,
-    last_byte: Option<Time>,
-}
+pub struct IperfServer;
 
 impl IperfServer {
     /// Creates a sink server.
     pub fn new() -> Self {
-        IperfServer::default()
-    }
-
-    /// Total bytes received across streams.
-    pub fn total_received(&self) -> u64 {
-        self.received.values().sum()
-    }
-
-    /// Goodput in bits/second over the observed interval.
-    pub fn goodput_bps(&self) -> f64 {
-        match (self.first_byte, self.last_byte) {
-            (Some(a), Some(b)) if b > a => {
-                self.total_received() as f64 * 8.0 / (b - a).as_secs_f64()
-            }
-            _ => 0.0,
-        }
+        IperfServer
     }
 }
 
 impl App for IperfServer {
     fn on_start(&mut self, _now: Time, _ctx: &mut dyn AppCtx) {}
 
-    fn on_connected(&mut self, conn: ConnId, _now: Time, _ctx: &mut dyn AppCtx) {
-        self.received.entry(conn).or_insert(0);
-    }
+    fn on_connected(&mut self, _conn: ConnId, _now: Time, _ctx: &mut dyn AppCtx) {}
 
-    fn on_data(&mut self, conn: ConnId, bytes: u64, now: Time, ctx: &mut dyn AppCtx) {
-        *self.received.entry(conn).or_insert(0) += bytes;
+    fn on_data(&mut self, _conn: ConnId, bytes: u64, _now: Time, ctx: &mut dyn AppCtx) {
         ctx.count("iperf_bytes", bytes);
-        self.first_byte.get_or_insert(now);
-        self.last_byte = Some(now);
     }
 
     fn on_closed(&mut self, _conn: ConnId, _now: Time, _ctx: &mut dyn AppCtx) {}
@@ -140,16 +116,14 @@ mod tests {
             Time::from_nanos(1_000_000_000),
             &mut ctx,
         );
-        assert_eq!(s.total_received(), 2_000_000);
-        // 2 MB over 1 s = 16 Mbit/s.
-        assert!((s.goodput_bps() - 16_000_000.0).abs() < 1.0);
         assert_eq!(ctx.counter("iperf_bytes"), 2_000_000);
     }
 
     #[test]
     fn empty_server_reports_zero() {
-        let s = IperfServer::new();
-        assert_eq!(s.goodput_bps(), 0.0);
-        assert_eq!(s.total_received(), 0);
+        let mut ctx = RecordingCtx::new();
+        let mut s = IperfServer::new();
+        s.on_connected(ConnId(1), Time::ZERO, &mut ctx);
+        assert_eq!(ctx.counter("iperf_bytes"), 0);
     }
 }

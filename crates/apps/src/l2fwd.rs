@@ -16,7 +16,7 @@ use mts_net::{Frame, MacAddr};
 use mts_sim::{Dur, Time};
 
 /// Default TX drain interval (`BURST_TX_DRAIN_US` in l2fwd).
-pub const DRAIN_INTERVAL: Dur = Dur::micros(100);
+const DRAIN_INTERVAL: Dur = Dur::micros(100);
 /// Default burst size (`MAX_PKT_BURST`).
 pub const BURST: usize = 32;
 
@@ -29,8 +29,6 @@ pub struct L2Fwd {
     buffer: Vec<Frame>,
     last_flush: Time,
     forwarded: u64,
-    flushes_by_timer: u64,
-    flushes_by_burst: u64,
 }
 
 impl L2Fwd {
@@ -44,19 +42,12 @@ impl L2Fwd {
             buffer: Vec::new(),
             last_flush: Time::ZERO,
             forwarded: 0,
-            flushes_by_timer: 0,
-            flushes_by_burst: 0,
         }
     }
 
     /// Total frames forwarded.
     pub fn forwarded(&self) -> u64 {
         self.forwarded
-    }
-
-    /// Flush cause counters: `(by_full_burst, by_drain_timer)`.
-    pub fn flush_counters(&self) -> (u64, u64) {
-        (self.flushes_by_burst, self.flushes_by_timer)
     }
 
     /// Handles one received frame; a full burst is appended to `out` for
@@ -66,7 +57,6 @@ impl L2Fwd {
         frame.dst = self.next_hop;
         self.buffer.push(frame);
         if self.buffer.len() >= BURST {
-            self.flushes_by_burst += 1;
             self.flush(now, out);
         }
     }
@@ -82,9 +72,6 @@ impl L2Fwd {
 
     /// Fires the drain timer: appends whatever is buffered to `out`.
     pub fn on_drain(&mut self, now: Time, out: &mut Vec<Frame>) {
-        if !self.buffer.is_empty() {
-            self.flushes_by_timer += 1;
-        }
         self.flush(now, out);
     }
 
@@ -136,7 +123,6 @@ mod tests {
         }
         assert_eq!(out.len(), BURST);
         assert_eq!(fwd.forwarded(), BURST as u64);
-        assert_eq!(fwd.flush_counters(), (1, 0));
         assert!(fwd.next_drain().is_none());
     }
 
@@ -150,7 +136,6 @@ mod tests {
         assert_eq!(deadline, Time::ZERO + DRAIN_INTERVAL);
         fwd.on_drain(deadline, &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(fwd.flush_counters(), (0, 1));
     }
 
     #[test]
@@ -159,7 +144,6 @@ mod tests {
         let mut out = Vec::new();
         fwd.on_drain(Time::from_nanos(5), &mut out);
         assert!(out.is_empty());
-        assert_eq!(fwd.flush_counters(), (0, 0));
     }
 
     #[test]

@@ -15,17 +15,17 @@ use std::net::Ipv4Addr;
 /// Memcached port.
 pub const MEMCACHED_PORT: u16 = 11211;
 /// Bytes of a SET request: command line + 64 B key + 1 KB value + CRLFs.
-pub const SET_REQUEST_BYTES: u64 = 1_130;
+const SET_REQUEST_BYTES: u64 = 1_130;
 /// Bytes of a GET request.
-pub const GET_REQUEST_BYTES: u64 = 72;
+const GET_REQUEST_BYTES: u64 = 72;
 /// Bytes of a SET response ("STORED\r\n").
-pub const SET_RESPONSE_BYTES: u64 = 8;
+const SET_RESPONSE_BYTES: u64 = 8;
 /// Bytes of a GET response (VALUE header + 1 KB value + END).
-pub const GET_RESPONSE_BYTES: u64 = 1_062;
+const GET_RESPONSE_BYTES: u64 = 1_062;
 /// memslap's default Set fraction.
-pub const SET_FRACTION: f64 = 0.9;
+const SET_FRACTION: f64 = 0.9;
 /// Connections per memslap instance (its default thread×connection pool).
-pub const MEMSLAP_CONNECTIONS: u32 = 64;
+const MEMSLAP_CONNECTIONS: u32 = 64;
 
 /// Server-side CPU per operation (hash + slab access).
 const OP_COST: Dur = Dur::micros(4);
@@ -41,7 +41,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Request size on the wire.
-    pub fn request_bytes(self) -> u64 {
+    fn request_bytes(self) -> u64 {
         match self {
             OpKind::Set => SET_REQUEST_BYTES,
             OpKind::Get => GET_REQUEST_BYTES,

@@ -293,12 +293,6 @@ pub fn isolation_matrix() -> String {
     out
 }
 
-/// Quick consistency check used by benches: the ingress/egress chain of a
-/// deployment forwards a canonical probe.
-pub fn smoke(spec: DeploymentSpec) -> bool {
-    Controller::deploy(spec).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

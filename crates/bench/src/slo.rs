@@ -93,7 +93,7 @@ pub fn panel_specs() -> [PanelSpec; 5] {
 }
 
 /// The noisy-neighbor options the panel uses.
-pub fn panel_noisy_opts(quick: bool) -> NoisyOpts {
+fn panel_noisy_opts(quick: bool) -> NoisyOpts {
     if quick {
         NoisyOpts {
             victim_pps: 10_000.0,
@@ -136,7 +136,7 @@ pub struct ConservationRow {
 
 impl ConservationRow {
     /// Whether every conservation identity held exactly.
-    pub fn holds(&self) -> bool {
+    fn holds(&self) -> bool {
         self.billed + self.unattributed == self.measured
             && self.meters_vswitch == self.measured
             && self.nic_meter == self.nic_ledger

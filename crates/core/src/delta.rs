@@ -166,7 +166,8 @@ impl ConfigDelta {
 
     /// Programs the change into `nic` and, for a vswitch delta, into the
     /// vswitch `vswitch` returns for the delta's world index. An index with
-    /// no vswitch programs nothing, as in the verifier's model.
+    /// no vswitch is refused ([`DeltaError::NoSuchVswitch`]); the
+    /// verifier's model ignores such a delta, so both sides stay unchanged.
     ///
     /// A VF that does not exist yet is created through
     /// [`SriovNic::create_vf`], which keeps the NIC's VF-limit and
@@ -174,37 +175,30 @@ impl ConfigDelta {
     /// rule removal takes the first rule with the same configuration
     /// ([`FlowRule::same_config`]), a rule for a table the vswitch lacks
     /// installs nothing, and liveness deltas program nothing. An error
-    /// (a PF or VF the NIC does not have, or a refused VF) means nothing
-    /// changed.
+    /// (a vswitch, PF or VF the devices do not have, or a refused VF) means
+    /// nothing changed.
     pub fn apply<'v>(
         &self,
         nic: &mut SriovNic,
         vswitch: impl FnOnce(usize) -> Option<&'v mut VirtualSwitch>,
-    ) -> Result<(), NicError> {
+    ) -> Result<(), DeltaError> {
+        let vswitch = |i| vswitch(i).ok_or(DeltaError::NoSuchVswitch(i));
         match self {
             ConfigDelta::RuleInstalled {
                 vswitch: i,
                 table,
                 rule,
             } => {
-                if let Some(sw) = vswitch(*i) {
-                    let _ = sw.install(*table, rule.clone());
-                }
+                let _ = vswitch(*i)?.install(*table, rule.clone());
             }
             ConfigDelta::RuleRemoved {
                 vswitch: i,
                 table,
                 rule,
             } => {
-                if let Some(sw) = vswitch(*i) {
-                    sw.remove_rule(*table, rule);
-                }
+                vswitch(*i)?.remove_rule(*table, rule);
             }
-            ConfigDelta::RulesWiped { vswitch: i } => {
-                if let Some(sw) = vswitch(*i) {
-                    sw.clear();
-                }
-            }
+            ConfigDelta::RulesWiped { vswitch: i } => vswitch(*i)?.clear(),
             ConfigDelta::FiltersSet { pf, filters } => {
                 nic.pf_mut(PfId(*pf))?.set_filters(filters.clone());
             }
@@ -231,11 +225,39 @@ impl ConfigDelta {
             ConfigDelta::VfRemoved { pf, vf } => {
                 nic.remove_vf(PfId(*pf), VfId(*vf))?;
             }
-            ConfigDelta::VswitchUp { .. } | ConfigDelta::VswitchDown { .. } => {}
+            ConfigDelta::VswitchUp { vswitch: i } | ConfigDelta::VswitchDown { vswitch: i } => {
+                vswitch(*i)?;
+            }
         }
         Ok(())
     }
 }
+
+/// Why [`ConfigDelta::apply`] refused a delta; nothing was programmed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DeltaError {
+    /// The NIC refused it: a PF or VF it does not have, or a refused VF.
+    Nic(NicError),
+    /// It names a vswitch index the devices do not have.
+    NoSuchVswitch(usize),
+}
+
+impl From<NicError> for DeltaError {
+    fn from(e: NicError) -> Self {
+        DeltaError::Nic(e)
+    }
+}
+
+impl fmt::Display for DeltaError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DeltaError::Nic(e) => e.fmt(f),
+            DeltaError::NoSuchVswitch(i) => write!(f, "no such vswitch {i}"),
+        }
+    }
+}
+
+impl std::error::Error for DeltaError {}
 
 impl fmt::Display for ConfigDelta {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -62,7 +62,7 @@ pub mod workloads;
 pub use attacks::{Attack, AttackOutcome, IsolationReport};
 pub use billing::{bill, billing_accuracy, BillingAccuracy, BillingReport, TenantBill};
 pub use controller::Controller;
-pub use delta::{ConfigDelta, DeltaLog};
+pub use delta::{ConfigDelta, DeltaError, DeltaLog};
 pub use meters::{Attribution, CycleMeters, Layer};
 /// The simulator's deterministic hash maps, for crates that reach
 /// `mts-sim` only through this one: `benchmark/Cargo.lock` pins every

@@ -198,30 +198,6 @@ impl CycleMeters {
             .unwrap_or(Dur::ZERO)
     }
 
-    /// Work at `layer` no tenant could be attributed for.
-    pub fn layer_unresolved(&self, layer: Layer) -> Dur {
-        self.unresolved[layer.idx()]
-    }
-
-    /// Total datapath work charged on vswitch `i`.
-    pub fn vswitch_total(&self, i: usize) -> Dur {
-        self.vswitch_total.get(i).copied().unwrap_or(Dur::ZERO)
-    }
-
-    /// Ground-truth datapath work on vswitch `i` caused by `tenant`.
-    pub fn vswitch_truth(&self, i: usize, tenant: usize) -> Dur {
-        self.vswitch_truth
-            .get(i)
-            .and_then(|row| row.get(tenant))
-            .copied()
-            .unwrap_or(Dur::ZERO)
-    }
-
-    /// Datapath work on vswitch `i` with no tenant attribution.
-    pub fn vswitch_unresolved(&self, i: usize) -> Dur {
-        self.vswitch_unresolved.get(i).copied().unwrap_or(Dur::ZERO)
-    }
-
     /// Ground-truth vswitch-datapath work caused by `tenant`, across all
     /// vswitches — the billing-accuracy experiment's reference value.
     pub fn tenant_vswitch_truth(&self, tenant: usize) -> Dur {
@@ -273,7 +249,7 @@ mod tests {
         assert_eq!(m.layer_total(Layer::NicVeb), Dur::nanos(160));
         assert_eq!(m.layer_truth(Layer::NicVeb, 0), Dur::nanos(100));
         assert_eq!(m.layer_truth(Layer::NicVeb, 1), Dur::nanos(50));
-        assert_eq!(m.layer_unresolved(Layer::NicVeb), Dur::nanos(10));
+        assert_eq!(m.unresolved[Layer::NicVeb.idx()], Dur::nanos(10));
         assert!(m.internally_consistent());
     }
 
@@ -284,10 +260,10 @@ mod tests {
         m.charge_vswitch(1, Some(1), Dur::nanos(25));
         m.charge_vswitch(1, None, Dur::nanos(5));
         assert_eq!(m.layer_total(Layer::Vswitch), Dur::nanos(70));
-        assert_eq!(m.vswitch_total(0), Dur::nanos(40));
-        assert_eq!(m.vswitch_total(1), Dur::nanos(30));
-        assert_eq!(m.vswitch_truth(1, 1), Dur::nanos(25));
-        assert_eq!(m.vswitch_unresolved(1), Dur::nanos(5));
+        assert_eq!(m.vswitch_total[0], Dur::nanos(40));
+        assert_eq!(m.vswitch_total[1], Dur::nanos(30));
+        assert_eq!(m.vswitch_truth[1][1], Dur::nanos(25));
+        assert_eq!(m.vswitch_unresolved[1], Dur::nanos(5));
         assert_eq!(m.tenant_vswitch_truth(1), Dur::nanos(25));
         assert!(m.internally_consistent());
     }

@@ -17,7 +17,7 @@
 //!
 //! [`FlowStats`]: mts_vswitch::table::FlowStats
 
-use crate::delta::ConfigDelta;
+use crate::delta::{ConfigDelta, DeltaError};
 use crate::runtime::World;
 use mts_net::MacAddr;
 use mts_nic::{FilterRule, NicError, NicPort, PfId, SriovNic, VfConfig, VfId};
@@ -189,9 +189,13 @@ pub fn converge<'a>(
     let mut report = ReconcileReport::default();
     // Programs one delta into the NIC and, for a rule delta, into `sw`.
     let mut program = |nic: &mut SriovNic, sw: Option<&mut VirtualSwitch>, d: ConfigDelta| {
-        d.apply(nic, |_| sw)?;
-        emit(d);
-        Ok::<(), NicError>(())
+        match d.apply(nic, |_| sw) {
+            Ok(()) => emit(d),
+            Err(DeltaError::Nic(e)) => return Err(e),
+            // Every rule delta here comes with the vswitch it names.
+            Err(DeltaError::NoSuchVswitch(_)) => {}
+        }
+        Ok(())
     };
     for (p, want_statics) in want.statics.iter().enumerate() {
         let pf = p as u8;

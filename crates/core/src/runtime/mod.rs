@@ -237,6 +237,7 @@ impl From<EventFn<World, CoreEvent>> for CoreEvent {
 mod tests {
     use super::*;
     use crate::controller::Controller;
+    use crate::delta::{ConfigDelta, DeltaError};
     use crate::spec::{DeploymentSpec, Scenario, SecurityLevel};
     use mts_apps::L2Fwd;
     use mts_host::ResourceMode;
@@ -562,5 +563,20 @@ mod tests {
         );
         fanout.tenants = 16;
         run(fanout, 500_000.0, 1);
+    }
+
+    #[test]
+    fn a_delta_naming_no_vswitch_is_refused_and_not_logged() {
+        let mut w = world(
+            SecurityLevel::Level2 { compartments: 2 },
+            Scenario::P2v,
+            ResourceMode::Isolated,
+        );
+        assert_eq!(w.vswitches.len(), 2);
+        assert_eq!(
+            w.apply(ConfigDelta::RulesWiped { vswitch: 99 }),
+            Err(DeltaError::NoSuchVswitch(99))
+        );
+        assert!(w.deltas.is_empty());
     }
 }

@@ -7,7 +7,7 @@ use super::{
     Owner, SinkRec, TenantKind, TenantRt, VswitchHealth, VswitchRt, VswitchScratch, WireEnd,
 };
 use crate::controller::{Controller, Deployment, PortAttach};
-use crate::delta::{ConfigDelta, DeltaLog};
+use crate::delta::{ConfigDelta, DeltaError, DeltaLog};
 use crate::meters::{Attribution, CycleMeters};
 use crate::spec::{DeploymentSpec, SecurityLevel};
 use crate::tcphost::TcpHostRt;
@@ -15,7 +15,7 @@ use crate::vfplan::AddressPlan;
 use mts_apps::L2Fwd;
 use mts_host::{LinuxBridge, ResourceMode, VhostCosts};
 use mts_net::{Frame, MacAddr};
-use mts_nic::{Delivery, NicError, PfId, SriovNic, VfId};
+use mts_nic::{Delivery, PfId, SriovNic, VfId};
 use mts_sim::{CoreId, CorePool, DetRng, Dur, FastHashMap, Histogram, Link, Time};
 use mts_telemetry::{DropCause, Label, Telemetry};
 use mts_vswitch::{DatapathKind, PortNo};
@@ -129,9 +129,9 @@ pub struct World {
     pub cfg: RuntimeCfg,
     /// VF ownership.
     pub vf_owner: FastHashMap<(u8, u8), Owner>,
-    /// Tenant index by tenant-VM IPv4 address — the hot-path equivalent of
-    /// [`AddressPlan::tenant_by_ip`]'s linear scan, consulted per frame for
-    /// cycle attribution and sink flow accounting.
+    /// Tenant index by tenant-VM IPv4 address (the plan's tenants, hashed
+    /// for the hot path), consulted per frame for cycle attribution and
+    /// sink flow accounting.
     pub ip_tenant: FastHashMap<u32, u8>,
     /// The NIC deliveries of the frame `nic_rx` is switching; borrowed
     /// through `with_scratch` so the per-frame path never allocates.
@@ -395,7 +395,7 @@ impl World {
     /// removed as diverged (`rules_dirty`, cleared by the next reconcile),
     /// and records the delta ([`World::emit_delta`]). A delta the devices
     /// refuse changed nothing and is not recorded.
-    pub fn apply(&mut self, d: ConfigDelta) -> Result<(), NicError> {
+    pub fn apply(&mut self, d: ConfigDelta) -> Result<(), DeltaError> {
         let vswitches = &mut self.vswitches;
         d.apply(&mut self.nic, |i| {
             vswitches.get_mut(i).map(|vs| &mut vs.inst.sw)

@@ -78,15 +78,6 @@ impl Scenario {
             Scenario::V2v => "v2v",
         }
     }
-
-    /// How many tenant VMs a packet traverses.
-    pub fn tenant_hops(self) -> u32 {
-        match self {
-            Scenario::P2p => 0,
-            Scenario::P2v => 1,
-            Scenario::V2v => 2,
-        }
-    }
 }
 
 impl fmt::Display for Scenario {
@@ -118,7 +109,7 @@ pub struct DeploymentSpec {
 
 impl DeploymentSpec {
     /// The paper's default: 4 tenants.
-    pub const DEFAULT_TENANTS: u8 = 4;
+    const DEFAULT_TENANTS: u8 = 4;
 
     /// A Baseline configuration.
     pub fn baseline(
@@ -288,9 +279,6 @@ mod tests {
 
     #[test]
     fn scenario_labels_and_hops() {
-        assert_eq!(Scenario::P2p.tenant_hops(), 0);
-        assert_eq!(Scenario::P2v.tenant_hops(), 1);
-        assert_eq!(Scenario::V2v.tenant_hops(), 2);
         assert_eq!(Scenario::ALL.len(), 3);
         assert_eq!(Scenario::V2v.to_string(), "v2v");
     }

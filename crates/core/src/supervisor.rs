@@ -166,7 +166,8 @@ impl Supervisor {
     }
 
     /// Time from detection to recovery for vswitch `i`, if it recovered.
-    pub fn recovery_time(&self, i: usize) -> Option<Dur> {
+    #[cfg(test)]
+    fn recovery_time(&self, i: usize) -> Option<Dur> {
         let detected = self
             .log
             .iter()

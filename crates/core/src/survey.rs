@@ -19,7 +19,7 @@ pub enum Trait3 {
 
 impl Trait3 {
     /// The table glyph.
-    pub fn glyph(self) -> &'static str {
+    fn glyph(self) -> &'static str {
         match self {
             Trait3::Yes => "Y",
             Trait3::No => "N",
@@ -28,7 +28,7 @@ impl Trait3 {
     }
 
     /// Whether the property at least partially holds.
-    pub fn at_least_partial(self) -> bool {
+    fn at_least_partial(self) -> bool {
         !matches!(self, Trait3::No)
     }
 }
@@ -53,7 +53,7 @@ pub struct VswitchDesign {
 }
 
 /// The 22 rows of Table 1.
-pub const SURVEY: &[VswitchDesign] = &[
+const SURVEY: &[VswitchDesign] = &[
     VswitchDesign {
         name: "OvS",
         year: 2009,

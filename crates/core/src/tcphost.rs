@@ -154,13 +154,8 @@ impl TcpHostRt {
         }
     }
 
-    /// Adds a static route.
-    pub fn add_route(&mut self, ip: Ipv4Addr, mac: MacAddr) {
-        self.routes.push((ip, mac));
-    }
-
     /// Resolves the next-hop MAC for a destination.
-    pub fn route(&self, ip: Ipv4Addr) -> MacAddr {
+    fn route(&self, ip: Ipv4Addr) -> MacAddr {
         self.routes
             .iter()
             .find(|(r, _)| *r == ip)
@@ -953,7 +948,8 @@ mod tests {
             rng,
         );
         host.default_route = MacAddr::local(0xdd);
-        host.add_route(Ipv4Addr::new(10, 0, 1, 1), MacAddr::local(0xaa));
+        host.routes
+            .push((Ipv4Addr::new(10, 0, 1, 1), MacAddr::local(0xaa)));
         assert_eq!(host.route(Ipv4Addr::new(10, 0, 1, 1)), MacAddr::local(0xaa));
         assert_eq!(host.route(Ipv4Addr::new(9, 9, 9, 9)), MacAddr::local(0xdd));
     }

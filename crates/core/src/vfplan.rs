@@ -213,11 +213,6 @@ impl AddressPlan {
         }
     }
 
-    /// The tenant owning `ip`, if any.
-    pub fn tenant_by_ip(&self, ip: Ipv4Addr) -> Option<&TenantAddr> {
-        self.tenants.iter().find(|t| t.ip == ip)
-    }
-
     /// Total VFs allocated across all PFs.
     pub fn total_vfs(&self) -> u32 {
         let mut n = 0;
@@ -354,11 +349,6 @@ mod tests {
         assert_eq!(plan.tenants[3].vlan, 4);
         assert_eq!(plan.tenants[2].ip, Ipv4Addr::new(10, 0, 3, 1));
         assert_eq!(plan.tenants[2].gw_ip, Ipv4Addr::new(10, 0, 3, 254));
-        assert_eq!(
-            plan.tenant_by_ip(Ipv4Addr::new(10, 0, 3, 1)).unwrap().index,
-            2
-        );
-        assert!(plan.tenant_by_ip(Ipv4Addr::new(9, 9, 9, 9)).is_none());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::controller::{Controller, DeployError};
 use crate::runtime::{RuntimeCfg, Sim, WireEnd, World};
 use crate::spec::{DeploymentSpec, Scenario};
 use crate::tcphost::{add_lg_client, add_tenant_server, host_start};
-use mts_apps::http::{HTTP_PORT, RESPONSE_BYTES};
+use mts_apps::http::HTTP_PORT;
 use mts_apps::iperf::IPERF_PORT;
 use mts_apps::memcached::MEMCACHED_PORT;
 use mts_apps::{AbClient, HttpServer, IperfClient, IperfServer, MemcachedServer, MemslapClient};
@@ -277,11 +277,6 @@ pub fn run_workload_repeated(
     out.throughput = mean;
     out.ci95 = half;
     Ok(out)
-}
-
-/// Sanity upper bound: the HTTP response fits the measurement model.
-pub const fn apache_response_bytes() -> u64 {
-    RESPONSE_BYTES
 }
 
 #[cfg(test)]

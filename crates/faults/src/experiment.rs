@@ -181,7 +181,7 @@ impl FaultCase {
     /// Whether the fault can make the NIC flood (delivered copies plus
     /// dropped copies can then exceed the offered count, so the
     /// accounting identity weakens from `=` to `>=`).
-    pub fn floods(self) -> bool {
+    fn floods(self) -> bool {
         matches!(self, FaultCase::FlushVeb)
     }
 }

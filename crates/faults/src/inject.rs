@@ -93,9 +93,8 @@ pub fn inject(w: &mut World, e: &mut Sim, kind: FaultKind) {
             let _ = w.apply(ConfigDelta::VebFlushed { pf });
         }
         FaultKind::WipeFlows { vswitch } => {
-            if vswitch < w.vswitches.len() {
-                let _ = w.apply(ConfigDelta::RulesWiped { vswitch });
-            }
+            // A vswitch the world does not have refuses the wipe: nothing logged.
+            let _ = w.apply(ConfigDelta::RulesWiped { vswitch });
         }
         FaultKind::LoseRules { vswitch, fraction } => {
             let Some(vs) = w.vswitches.get(vswitch) else {
@@ -293,6 +292,7 @@ mod tests {
             },
         );
         inject(&mut w, &mut e, FaultKind::FlushVeb { pf: 9 });
+        inject(&mut w, &mut e, FaultKind::WipeFlows { vswitch: 99 });
         inject(
             &mut w,
             &mut e,
@@ -305,5 +305,6 @@ mod tests {
             .vswitches
             .iter()
             .all(|v| v.health == VswitchHealth::Healthy));
+        assert!(w.deltas.is_empty(), "refused faults log no delta");
     }
 }

@@ -105,7 +105,7 @@ pub fn encode(case: &CorpusCase) -> String {
 }
 
 /// Parses the on-disk format back into a case.
-pub fn decode(name: &str, text: &str) -> Result<CorpusCase, String> {
+fn decode(name: &str, text: &str) -> Result<CorpusCase, String> {
     let mut surface = None;
     let mut note = String::new();
     let mut expect = String::new();
@@ -154,7 +154,7 @@ pub fn decode(name: &str, text: &str) -> Result<CorpusCase, String> {
 }
 
 /// Loads every `.case` file from `dir`, sorted by name.
-pub fn load_dir(dir: &Path) -> Result<Vec<CorpusCase>, String> {
+fn load_dir(dir: &Path) -> Result<Vec<CorpusCase>, String> {
     let mut cases = Vec::new();
     let entries = fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let mut paths: Vec<PathBuf> = entries

@@ -50,9 +50,9 @@ pub fn check_equiv(
 
 /// Applies `delta` to the deployment's devices and to the checker.
 fn step(d: &mut Deployment, checker: &mut IncrementalChecker, delta: &ConfigDelta) {
-    // A delta the devices refuse (a PF the NIC does not have) changes
-    // nothing; the checker must make it the same no-op, which the next
-    // comparison checks.
+    // A delta the devices refuse (a vswitch or PF they do not have)
+    // changes nothing; the checker must make it the same no-op, which the
+    // next comparison checks.
     let _ = delta.apply(&mut d.nic, |i| d.vswitches.get_mut(i).map(|v| &mut v.sw));
     checker.apply(delta);
 }
@@ -249,8 +249,7 @@ fn apply_op(
             step_checked(d, checker, &delta)
         }
         // Out-of-range deltas: indices no deployment has. The devices
-        // refuse or ignore them, and the checker must treat them as the
-        // same no-ops.
+        // refuse them, and the checker must treat them as the same no-ops.
         9 => {
             for delta in [
                 ConfigDelta::RulesWiped { vswitch: 99 },

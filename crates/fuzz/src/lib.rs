@@ -96,7 +96,7 @@ pub struct Crasher {
 impl Crasher {
     /// Renders the payload for humans: text when it is text, hex
     /// otherwise.
-    pub fn render_data(&self) -> String {
+    fn render_data(&self) -> String {
         match std::str::from_utf8(&self.data) {
             Ok(s) if s.chars().all(|c| !c.is_control() || c == '\n') => s.to_string(),
             _ => self
@@ -206,7 +206,7 @@ pub struct Budget {
 }
 
 /// Byte-cases injected per world-injection batch.
-pub const WORLD_BYTES_PER_BATCH: u64 = 25;
+const WORLD_BYTES_PER_BATCH: u64 = 25;
 
 impl Budget {
     /// The CI budget: 10,000 structured cases plus the live modes.
@@ -234,7 +234,8 @@ impl Budget {
     }
 
     /// Total structured (non-live) cases.
-    pub fn structured_cases(&self) -> u64 {
+    #[cfg(test)]
+    fn structured_cases(&self) -> u64 {
         self.wire + self.plan + self.delta + self.reconcile
     }
 }
@@ -276,7 +277,7 @@ impl CampaignReport {
     }
 
     /// Total cases across structured surfaces and live modes.
-    pub fn total_cases(&self) -> u64 {
+    fn total_cases(&self) -> u64 {
         self.surfaces.iter().map(|s| s.cases).sum::<u64>() + self.zero_leak.cases + self.world.cases
     }
 

@@ -20,8 +20,6 @@ pub struct LinuxBridge {
 }
 
 impl LinuxBridge {
-    /// Per-packet forwarding cost in the guest kernel.
-    pub const PER_PACKET: Dur = Dur::nanos(1_300);
     /// Guest-side interrupt + NAPI latency per traversal (virtio IRQ
     /// injection, softirq scheduling). Pure latency, charged to no core we
     /// track (tenant cores are dedicated).

@@ -42,7 +42,7 @@ pub struct VmSpec {
 
 impl VmSpec {
     /// The paper's vswitch-VM sizing: 1 vCPU, 4 GB, one 1 GB hugepage.
-    pub fn vswitch_vm() -> Self {
+    fn vswitch_vm() -> Self {
         VmSpec {
             vcpus: 1,
             mem_gb: 4,
@@ -51,7 +51,7 @@ impl VmSpec {
     }
 
     /// The paper's tenant-VM sizing: 2 vCPUs, 4 GB, one 1 GB hugepage.
-    pub fn tenant_vm() -> Self {
+    fn tenant_vm() -> Self {
         VmSpec {
             vcpus: 2,
             mem_gb: 4,
@@ -93,11 +93,6 @@ impl Vm {
             spec: VmSpec::tenant_vm(),
         }
     }
-
-    /// Returns whether this is a vswitch compartment.
-    pub fn is_vswitch(&self) -> bool {
-        self.role == VmRole::Vswitch
-    }
 }
 
 #[cfg(test)]
@@ -110,10 +105,9 @@ mod tests {
         assert_eq!(v.spec.vcpus, 1);
         assert_eq!(v.spec.mem_gb, 4);
         assert_eq!(v.spec.hugepages, 1);
-        assert!(v.is_vswitch());
+        assert_eq!(v.role, VmRole::Vswitch);
         let t = Vm::tenant(VmId(1), 0, "tenant0");
         assert_eq!(t.spec.vcpus, 2);
-        assert!(!t.is_vswitch());
         assert_eq!(t.role, VmRole::Tenant { tenant: 0 });
     }
 

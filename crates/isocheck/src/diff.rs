@@ -101,7 +101,7 @@ pub struct LevelDiff {
 
 impl LevelDiff {
     /// Number of divergences the hardening is expected to produce.
-    pub fn hardened(&self) -> usize {
+    fn hardened(&self) -> usize {
         self.divergences
             .iter()
             .filter(|d| d.kind == DivergenceKind::HardenedOk)
@@ -109,7 +109,7 @@ impl LevelDiff {
     }
 
     /// Number of lost-or-gained regressions.
-    pub fn regressions(&self) -> usize {
+    fn regressions(&self) -> usize {
         self.divergences
             .iter()
             .filter(|d| d.kind != DivergenceKind::HardenedOk)
@@ -149,7 +149,7 @@ impl fmt::Display for LevelDiff {
 /// ports. The wire injects untagged on every physical port. Self-delivery
 /// pairs are dropped: `(a, a)` holds for every working deployment and
 /// carries no comparative signal.
-pub fn reach_pairs(m: &Model) -> BTreeMap<(Endpoint, Endpoint), bool> {
+fn reach_pairs(m: &Model) -> BTreeMap<(Endpoint, Endpoint), bool> {
     let mut out = BTreeMap::new();
     let mut col = Collector::default();
     let mut reach = Reach::new();
@@ -249,7 +249,7 @@ fn classify_gained(src: Endpoint, dst: Endpoint, unmediated: bool) -> Divergence
 }
 
 /// Compares endpoint-pair reachability of two models, Baseline first.
-pub fn diff_models(base: &Model, hardened: &Model) -> LevelDiff {
+fn diff_models(base: &Model, hardened: &Model) -> LevelDiff {
     let b = reach_pairs(base);
     let h = reach_pairs(hardened);
     let mut divergences = Vec::new();

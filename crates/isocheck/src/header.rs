@@ -19,13 +19,13 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Upper bounds on atom counts, fixed by the mask widths in [`Cube`].
-pub const MAX_MAC_ATOMS: usize = 128;
+const MAX_MAC_ATOMS: usize = 128;
 /// See [`MAX_MAC_ATOMS`].
-pub const MAX_VLAN_ATOMS: usize = 32;
+const MAX_VLAN_ATOMS: usize = 32;
 /// See [`MAX_MAC_ATOMS`].
-pub const MAX_ETHER_ATOMS: usize = 16;
+const MAX_ETHER_ATOMS: usize = 16;
 /// See [`MAX_MAC_ATOMS`].
-pub const MAX_IP_ATOMS: usize = 64;
+const MAX_IP_ATOMS: usize = 64;
 
 /// The deployment references more distinct values than a cube mask can
 /// hold; the analysis refuses rather than silently coarsening.
@@ -388,7 +388,8 @@ impl Domains {
     }
 
     /// The IPv4 atom containing an address.
-    pub fn ip_bit(&self, a: Ipv4Addr) -> u64 {
+    #[cfg(test)]
+    fn ip_bit(&self, a: Ipv4Addr) -> u64 {
         let v = u64::from(u32::from(a));
         let idx = self.ip_starts.partition_point(|s| *s <= v) - 1;
         1 << idx
@@ -607,7 +608,8 @@ impl HeaderSet {
     }
 
     /// A single-cube class.
-    pub fn from_cube(c: Cube) -> Self {
+    #[cfg(test)]
+    fn from_cube(c: Cube) -> Self {
         let mut s = HeaderSet::default();
         s.insert(c);
         s

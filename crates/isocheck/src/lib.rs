@@ -41,7 +41,7 @@ pub mod misconfig;
 pub mod model;
 pub mod report;
 
-pub use diff::{diff_levels, diff_models, Divergence, DivergenceKind, Endpoint, LevelDiff};
+pub use diff::{diff_levels, Divergence, DivergenceKind, Endpoint, LevelDiff};
 pub use engine::{analyze, Loc, Source};
 pub use header::{ConcreteHeader, Cube, DomainOverflow, Domains, HeaderSet};
 pub use incremental::{IncrStats, IncrementalChecker};

@@ -7,7 +7,7 @@
 
 use crate::report::{VerifyReport, ViolationKind, WarningKind};
 use mts_core::controller::Deployment;
-use mts_core::delta::ConfigDelta;
+use mts_core::delta::{ConfigDelta, DeltaError};
 use mts_nic::{FilterAction, FilterRule, NicError, NicPort, PortClass, VfConfig};
 
 /// One seedable misconfiguration.
@@ -61,7 +61,7 @@ impl Misconfig {
 
     /// Seeds the misconfiguration into a deployment by applying
     /// [`Misconfig::delta`], returning a description of what was changed.
-    pub fn seed(self, d: &mut Deployment) -> Result<String, NicError> {
+    pub fn seed(self, d: &mut Deployment) -> Result<String, DeltaError> {
         let (delta, what) = self.planned(d)?;
         delta.apply(&mut d.nic, |i| d.vswitches.get_mut(i).map(|v| &mut v.sw))?;
         Ok(what)

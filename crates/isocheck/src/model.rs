@@ -9,7 +9,7 @@
 //! [`DesiredConfig`], either the controller's intent or the devices read
 //! back into the same format ([`observed`]). Learned (dynamic) MAC entries
 //! are deliberately *not* modelled — the analysis instead over-approximates
-//! what learning could ever do (see [`Model::learned_targets`]), so its
+//! what learning could ever do (see `Model::learned_targets`), so its
 //! verdicts hold for every possible learning history.
 
 use crate::header::{Cube, DomainOverflow, Domains, DomainsBuilder, Field, HeaderSet, SortedSet};
@@ -287,7 +287,7 @@ impl Model {
     ///
     /// Every member qualifies (the PF exactly when `vid` is 0), so the
     /// targets are the members plus the untagged tenant VFs, in port order.
-    pub fn learned_targets(&self, pf: u8, vid: u16) -> impl Iterator<Item = NicPort> + '_ {
+    fn learned_targets(&self, pf: u8, vid: u16) -> impl Iterator<Item = NicPort> + '_ {
         self.pfs[pf as usize].ports_where(vid, move |id, cfg| {
             let tenant_owned = matches!(self.vf_role.get(&(pf, id)), Some(VfRole::Tenant { .. }));
             in_vlan(cfg, vid) || (cfg.vlan.is_none() && tenant_owned)

@@ -203,14 +203,6 @@ impl VerifyReport {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
-
-    /// The violation kinds present, deduplicated and ordered.
-    pub fn violation_kinds(&self) -> Vec<ViolationKind> {
-        let mut kinds: Vec<ViolationKind> = self.violations.iter().map(|v| v.kind).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        kinds
-    }
 }
 
 impl fmt::Display for VerifyReport {

@@ -12,7 +12,6 @@ use std::str::FromStr;
 /// use mts_net::MacAddr;
 /// let m: MacAddr = "52:54:00:00:01:02".parse().unwrap();
 /// assert_eq!(m.to_string(), "52:54:00:00:01:02");
-/// assert!(m.is_locally_administered());
 /// assert!(m.is_unicast());
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
@@ -55,11 +54,6 @@ impl MacAddr {
     /// Returns whether this is a unicast address.
     pub fn is_unicast(self) -> bool {
         !self.is_multicast()
-    }
-
-    /// Returns whether the locally-administered bit is set.
-    pub fn is_locally_administered(self) -> bool {
-        self.0[0] & 0x02 != 0
     }
 
     /// Inverse of [`MacAddr::as_u64`]: rebuilds the address from the low
@@ -155,7 +149,6 @@ mod tests {
         assert!(!m.is_broadcast());
         let u = MacAddr::local(7);
         assert!(u.is_unicast());
-        assert!(u.is_locally_administered());
     }
 
     #[test]

@@ -13,21 +13,17 @@ use std::sync::Arc;
 /// Well-known frame and header sizes in bytes.
 pub mod sizes {
     /// Ethernet header: destination + source + EtherType.
-    pub const ETH_HEADER: u32 = 14;
+    pub(super) const ETH_HEADER: u32 = 14;
     /// One 802.1Q tag.
-    pub const VLAN_TAG: u32 = 4;
+    pub(super) const VLAN_TAG: u32 = 4;
     /// Frame check sequence.
     pub const FCS: u32 = 4;
     /// Minimum Ethernet frame size including FCS — the paper's "64 B packet".
     pub const MIN_FRAME: u32 = 64;
-    /// Standard Ethernet MTU (maximum IP packet size).
-    pub const MTU: u32 = 1500;
     /// IPv4 header without options.
-    pub const IPV4_HEADER: u32 = 20;
+    pub(super) const IPV4_HEADER: u32 = 20;
     /// UDP header.
-    pub const UDP_HEADER: u32 = 8;
-    /// TCP header without options.
-    pub const TCP_HEADER: u32 = 20;
+    pub(super) const UDP_HEADER: u32 = 8;
 }
 
 /// Process-wide frame id counter: ids are unique within a run; measurement
@@ -36,7 +32,7 @@ pub mod sizes {
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Allocates a fresh frame id.
-pub fn fresh_id() -> u64 {
+fn fresh_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 

@@ -32,7 +32,7 @@ pub use arp::{ArpOp, ArpPacket};
 pub use ethertype::{EtherType, VlanTag};
 pub use frame::{sizes, CowPayload, Frame, Payload};
 pub use ipv4::{IpProto, Ipv4Packet, TcpFlags, TcpSegment, Transport, UdpDatagram, UdpPayload};
-pub use vxlan::{Vni, VXLAN_HEADER_LEN, VXLAN_UDP_PORT};
+pub use vxlan::{Vni, VXLAN_UDP_PORT};
 pub use wire::{parse, serialize, WireError};
 
 /// Re-export of the IPv4 address type used throughout the stack.

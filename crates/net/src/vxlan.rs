@@ -12,9 +12,6 @@ use std::fmt;
 /// The IANA-assigned VXLAN UDP destination port.
 pub const VXLAN_UDP_PORT: u16 = 4789;
 
-/// The VXLAN header length in bytes (flags + reserved + VNI + reserved).
-pub const VXLAN_HEADER_LEN: u32 = 8;
-
 /// A 24-bit VXLAN network identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Vni(u32);

@@ -147,7 +147,7 @@ pub fn serialize(frame: &Frame) -> Vec<u8> {
 /// pad here would make the outer IPv4/UDP length fields disagree with
 /// the emitted bytes for sub-minimum inner frames (found by fuzzing the
 /// build→parse roundtrip).
-pub fn serialize_without_fcs(frame: &Frame) -> Vec<u8> {
+fn serialize_without_fcs(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::with_capacity(frame.wire_len() as usize);
     out.extend_from_slice(&frame.dst.octets());
     out.extend_from_slice(&frame.src.octets());

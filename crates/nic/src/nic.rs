@@ -27,8 +27,6 @@ pub enum NicError {
     NoSuchVf(PfId, VfId),
     /// The per-PF VF limit (64) was reached.
     VfLimit(PfId),
-    /// A VM attempted a privileged operation on an untrusted VF.
-    NotTrusted(PfId, VfId),
     /// The MAC address is already assigned on this PF and VLAN.
     DuplicateMac(MacAddr),
 }
@@ -39,9 +37,6 @@ impl fmt::Display for NicError {
             NicError::NoSuchPf(pf) => write!(f, "no such physical function {pf}"),
             NicError::NoSuchVf(pf, vf) => write!(f, "no such virtual function {pf}/{vf}"),
             NicError::VfLimit(pf) => write!(f, "VF limit (64) reached on {pf}"),
-            NicError::NotTrusted(pf, vf) => {
-                write!(f, "operation requires a trusted VF: {pf}/{vf}")
-            }
             NicError::DuplicateMac(mac) => write!(f, "MAC {mac} already in use"),
         }
     }
@@ -103,14 +98,6 @@ impl SriovNic {
         }
     }
 
-    /// Accumulated VEB pipeline occupancy for one PF.
-    pub fn veb_busy(&self, pf: PfId) -> Dur {
-        self.veb_busy
-            .get(pf.0 as usize)
-            .copied()
-            .unwrap_or(Dur::ZERO)
-    }
-
     /// Accumulated VEB pipeline occupancy across every PF.
     pub fn veb_busy_total(&self) -> Dur {
         let mut total = Dur::ZERO;
@@ -169,25 +156,6 @@ impl SriovNic {
             .ok_or(NicError::NoSuchVf(pf, vf))
     }
 
-    /// VM-facing: attempts to change the VF MAC from inside the VM.
-    ///
-    /// Succeeds only on trusted VFs — tenants cannot re-address themselves,
-    /// the restriction MTS relies on ("The NIC driver in the VMs in turn
-    /// have restricted access to VF configuration", Sec. 3.1).
-    pub fn vm_set_vf_mac(&mut self, pf: PfId, vf: VfId, mac: MacAddr) -> Result<(), NicError> {
-        let cfg = self
-            .pf(pf)?
-            .vf(vf)
-            .cloned()
-            .ok_or(NicError::NoSuchVf(pf, vf))?;
-        if !cfg.trusted {
-            return Err(NicError::NotTrusted(pf, vf));
-        }
-        let sw = self.pf_mut(pf)?;
-        sw.configure_vf(vf, VfConfig { mac, ..cfg });
-        Ok(())
-    }
-
     /// Switches one frame entering PF `pf` at `port`.
     pub fn ingress(
         &mut self,
@@ -225,11 +193,6 @@ impl SriovNic {
     /// Charges one PCIe DMA crossing of `bytes` at `now`; returns arrival.
     pub fn dma(&mut self, now: Time, bytes: u64) -> Time {
         self.pcie.transmit(now, bytes)
-    }
-
-    /// Read-only view of the shared PCIe link (diagnostics).
-    pub fn pcie(&self) -> &Link {
-        &self.pcie
     }
 
     /// Hairpin drops accumulated on a PF.
@@ -310,30 +273,6 @@ mod tests {
         // Reconfiguring the same VF with its own MAC is allowed.
         nic.create_vf(PfId(0), VfId(0), VfConfig::tenant(mac, 1))
             .unwrap();
-    }
-
-    #[test]
-    fn untrusted_vm_cannot_change_mac() {
-        let mut nic = SriovNic::new(1, NicModel::default());
-        nic.create_vf(PfId(0), VfId(0), VfConfig::tenant(MacAddr::local(1), 1))
-            .unwrap();
-        let err = nic.vm_set_vf_mac(PfId(0), VfId(0), MacAddr::local(99));
-        assert!(matches!(err, Err(NicError::NotTrusted(_, _))));
-        // Host grants trust; the VM may then re-address.
-        let cfg = nic.pf(PfId(0)).unwrap().vf(VfId(0)).cloned().unwrap();
-        nic.pf_mut(PfId(0)).unwrap().configure_vf(
-            VfId(0),
-            VfConfig {
-                trusted: true,
-                ..cfg
-            },
-        );
-        nic.vm_set_vf_mac(PfId(0), VfId(0), MacAddr::local(99))
-            .unwrap();
-        assert_eq!(
-            nic.pf(PfId(0)).unwrap().vf(VfId(0)).unwrap().mac,
-            MacAddr::local(99)
-        );
     }
 
     #[test]

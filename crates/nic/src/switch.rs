@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Maximum virtual functions per physical function (PCI-SIG SR-IOV, and the
 /// paper: "the current standard allows each SR-IOV device to have up to 64
 /// VFs per PF").
-pub const MAX_VFS_PER_PF: usize = 64;
+const MAX_VFS_PER_PF: usize = 64;
 
 /// A frame delivered out of the switch.
 #[derive(Clone, Debug)]

@@ -29,13 +29,6 @@ pub struct Grant {
     pub end: Time,
 }
 
-impl Grant {
-    /// The queueing delay the request experienced before starting.
-    pub fn wait_from(&self, requested: Time) -> Dur {
-        self.start - requested
-    }
-}
-
 /// A single physical core modelled as a FIFO work-conserving server.
 #[derive(Debug, Clone)]
 pub struct CpuCore {
@@ -48,8 +41,6 @@ pub struct CpuCore {
     overhead: f64,
     busy_total: Dur,
     per_user_busy: FastHashMap<UserId, Dur>,
-    grants: u64,
-    ctx_switches: u64,
 }
 
 impl CpuCore {
@@ -63,8 +54,6 @@ impl CpuCore {
             overhead: 1.0,
             busy_total: Dur::ZERO,
             per_user_busy: FastHashMap::default(),
-            grants: 0,
-            ctx_switches: 0,
         }
     }
 
@@ -99,25 +88,6 @@ impl CpuCore {
         self.per_user_busy.get(&user).copied().unwrap_or(Dur::ZERO)
     }
 
-    /// Returns the number of user-to-user switches observed.
-    pub fn context_switches(&self) -> u64 {
-        self.ctx_switches
-    }
-
-    /// Returns the number of distinct users that have run on this core.
-    pub fn user_count(&self) -> usize {
-        self.per_user_busy.len()
-    }
-
-    /// Returns utilization in `[0, 1]` over the window `[ZERO, until]`.
-    pub fn utilization(&self, until: Time) -> f64 {
-        if until == Time::ZERO {
-            0.0
-        } else {
-            (self.busy_total.as_nanos() as f64 / until.as_nanos() as f64).min(1.0)
-        }
-    }
-
     /// Requests `cost` of CPU starting no earlier than `now` for `user`.
     ///
     /// Returns the granted execution interval; the core is busy until
@@ -127,7 +97,6 @@ impl CpuCore {
         let mut start = now.max(self.next_free);
         if self.last_user.is_some_and(|prev| prev != user) {
             start += self.ctx_switch;
-            self.ctx_switches += 1;
         }
         let effective = cost.mul_f64(self.overhead).max(cost);
         let end = start + effective;
@@ -135,7 +104,6 @@ impl CpuCore {
         self.last_user = Some(user);
         self.busy_total += effective;
         *self.per_user_busy.entry(user).or_insert(Dur::ZERO) += effective;
-        self.grants += 1;
         Grant { start, end }
     }
 
@@ -209,7 +177,6 @@ mod tests {
         let g = c.acquire(Time::from_nanos(100), 1, Dur::nanos(500));
         assert_eq!(g.start, Time::from_nanos(100));
         assert_eq!(g.end, Time::from_nanos(600));
-        assert_eq!(g.wait_from(Time::from_nanos(100)), Dur::ZERO);
     }
 
     #[test]
@@ -220,7 +187,7 @@ mod tests {
         assert_eq!(g1.end, Time::from_nanos(1_000));
         assert_eq!(g2.start, Time::from_nanos(1_000));
         assert_eq!(g2.end, Time::from_nanos(2_000));
-        assert_eq!(g2.wait_from(Time::from_nanos(200)), Dur::nanos(800));
+        assert_eq!(g2.start - Time::from_nanos(200), Dur::nanos(800));
     }
 
     #[test]
@@ -232,8 +199,6 @@ mod tests {
         let other = c.acquire(Time::ZERO, 2, Dur::nanos(10));
         // 20ns of work done, plus a 100ns switch.
         assert_eq!(other.start, Time::from_nanos(120));
-        assert_eq!(c.context_switches(), 1);
-        assert_eq!(c.user_count(), 2);
     }
 
     #[test]
@@ -257,8 +222,6 @@ mod tests {
         assert_eq!(c.busy_for(7), Dur::nanos(400));
         assert_eq!(c.busy_for(8), Dur::nanos(100));
         assert_eq!(c.busy_for(9), Dur::ZERO);
-        let u = c.utilization(Time::from_nanos(1_000));
-        assert!((u - 0.5).abs() < 1e-9, "utilization was {u}");
     }
 
     #[test]

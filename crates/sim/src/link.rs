@@ -14,8 +14,6 @@ pub struct Link {
     bits_per_sec: u64,
     propagation: Dur,
     busy_until: Time,
-    tx_frames: u64,
-    tx_bytes: u64,
 }
 
 impl Link {
@@ -26,8 +24,6 @@ impl Link {
             bits_per_sec: bits_per_sec.max(1),
             propagation,
             busy_until: Time::ZERO,
-            tx_frames: 0,
-            tx_bytes: 0,
         }
     }
 
@@ -51,29 +47,7 @@ impl Link {
         let start = now.max(self.busy_until);
         let done = start + self.serialization(bytes);
         self.busy_until = done;
-        self.tx_frames += 1;
-        self.tx_bytes += bytes;
         done + self.propagation
-    }
-
-    /// Returns when the link becomes free for the next frame.
-    pub fn busy_until(&self) -> Time {
-        self.busy_until
-    }
-
-    /// Returns the number of frames transmitted.
-    pub fn tx_frames(&self) -> u64 {
-        self.tx_frames
-    }
-
-    /// Returns the number of payload bytes transmitted.
-    pub fn tx_bytes(&self) -> u64 {
-        self.tx_bytes
-    }
-
-    /// Returns the configured propagation delay.
-    pub fn propagation(&self) -> Dur {
-        self.propagation
     }
 }
 
@@ -174,8 +148,6 @@ mod tests {
         let a2 = l.transmit(Time::ZERO, 1250);
         assert_eq!(a1, Time::from_nanos(1_005));
         assert_eq!(a2, Time::from_nanos(2_005));
-        assert_eq!(l.tx_frames(), 2);
-        assert_eq!(l.tx_bytes(), 2_500);
     }
 
     #[test]

@@ -11,9 +11,7 @@ use std::collections::VecDeque;
 pub struct Ring<T> {
     capacity: usize,
     items: VecDeque<T>,
-    enqueued: u64,
     dropped: u64,
-    high_watermark: usize,
 }
 
 impl<T> Ring<T> {
@@ -24,9 +22,7 @@ impl<T> Ring<T> {
         Ring {
             capacity: capacity.max(1),
             items: VecDeque::new(),
-            enqueued: 0,
             dropped: 0,
-            high_watermark: 0,
         }
     }
 
@@ -37,8 +33,6 @@ impl<T> Ring<T> {
             false
         } else {
             self.items.push_back(item);
-            self.enqueued += 1;
-            self.high_watermark = self.high_watermark.max(self.items.len());
             true
         }
     }
@@ -46,12 +40,6 @@ impl<T> Ring<T> {
     /// Dequeues the oldest item, if any.
     pub fn pop(&mut self) -> Option<T> {
         self.items.pop_front()
-    }
-
-    /// Dequeues up to `n` items (a burst).
-    pub fn pop_burst(&mut self, n: usize) -> Vec<T> {
-        let take = n.min(self.items.len());
-        self.items.drain(..take).collect()
     }
 
     /// Returns the current occupancy.
@@ -64,29 +52,14 @@ impl<T> Ring<T> {
         self.items.is_empty()
     }
 
-    /// Returns whether the ring is full.
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.capacity
-    }
-
     /// Returns the configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Returns the number of items ever enqueued successfully.
-    pub fn enqueued(&self) -> u64 {
-        self.enqueued
-    }
-
     /// Returns the number of items dropped on overflow.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Returns the maximum occupancy ever observed.
-    pub fn high_watermark(&self) -> usize {
-        self.high_watermark
     }
 
     /// Removes all items, keeping statistics.
@@ -117,21 +90,7 @@ mod tests {
         assert!(r.push('b'));
         assert!(!r.push('c'));
         assert_eq!(r.dropped(), 1);
-        assert_eq!(r.enqueued(), 2);
-        assert!(r.is_full());
-    }
-
-    #[test]
-    fn burst_pop_takes_at_most_n() {
-        let mut r = Ring::new(8);
-        for i in 0..5 {
-            r.push(i);
-        }
-        let burst = r.pop_burst(3);
-        assert_eq!(burst, vec![0, 1, 2]);
-        let rest = r.pop_burst(32);
-        assert_eq!(rest, vec![3, 4]);
-        assert!(r.is_empty());
+        assert_eq!(r.len(), 2);
     }
 
     #[test]
@@ -140,16 +99,5 @@ mod tests {
         assert_eq!(r.capacity(), 1);
         assert!(r.push(1));
         assert!(!r.push(2));
-    }
-
-    #[test]
-    fn high_watermark_tracks_peak() {
-        let mut r = Ring::new(10);
-        for i in 0..7 {
-            r.push(i);
-        }
-        r.pop_burst(7);
-        r.push(0);
-        assert_eq!(r.high_watermark(), 7);
     }
 }

@@ -81,16 +81,6 @@ impl DetRng {
         self.inner.gen::<f64>() < p
     }
 
-    /// Exponentially distributed value with the given mean (for Poisson
-    /// arrivals). A non-positive mean yields zero.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        let u: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
-        -mean * u.ln()
-    }
-
     /// Fills a byte slice with random data.
     pub fn fill(&mut self, buf: &mut [u8]) {
         self.inner.fill(buf);
@@ -181,16 +171,5 @@ mod tests {
         assert!(r.chance(1.0));
         assert!(!r.chance(-5.0));
         assert!(r.chance(7.0));
-    }
-
-    #[test]
-    fn exponential_mean_is_plausible() {
-        let mut r = DetRng::new(11);
-        let n = 20_000;
-        let mean = 100.0;
-        let sum: f64 = (0..n).map(|_| r.exponential(mean)).sum();
-        let observed = sum / n as f64;
-        assert!((observed - mean).abs() < mean * 0.05, "observed {observed}");
-        assert_eq!(r.exponential(0.0), 0.0);
     }
 }

@@ -97,7 +97,7 @@ impl Histogram {
     }
 
     /// Records `n` samples of the same value.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -253,7 +253,7 @@ impl Welford {
     }
 
     /// Returns the sample variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -262,7 +262,7 @@ impl Welford {
     }
 
     /// Returns the sample standard deviation.
-    pub fn stddev(&self) -> f64 {
+    fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
 }

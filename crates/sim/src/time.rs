@@ -97,11 +97,6 @@ impl Dur {
         self.0
     }
 
-    /// Returns the span in (fractional) microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Returns the span in (fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

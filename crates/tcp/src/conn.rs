@@ -264,7 +264,7 @@ impl Connection {
     }
 
     /// Returns whether data transfer is possible.
-    pub fn is_established(&self) -> bool {
+    fn is_established(&self) -> bool {
         matches!(
             self.state,
             State::Established | State::FinWait1 | State::FinWait2 | State::CloseWait
@@ -281,23 +281,13 @@ impl Connection {
         self.stats
     }
 
-    /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> u64 {
-        self.cwnd
-    }
-
-    /// Smoothed RTT, if sampled.
-    pub fn srtt(&self) -> Option<Dur> {
-        self.srtt
-    }
-
     /// Bytes in flight.
-    pub fn flight(&self) -> u64 {
+    fn flight(&self) -> u64 {
         self.snd_nxt - self.snd_una
     }
 
     /// Payload bytes queued but not yet transmitted.
-    pub fn unsent(&self) -> u64 {
+    fn unsent(&self) -> u64 {
         (1 + self.app_total).saturating_sub(self.snd_nxt.max(1))
     }
 
@@ -914,11 +904,11 @@ mod tests {
         let now = Time::ZERO;
         let (mut c, mut s, _) = pair(now);
         let out = c.send(1_000_000, now);
-        let before = c.cwnd();
+        let before = c.cwnd;
         let (acks, _) = deliver(&mut s, &out.segments, now);
         assert!(!acks.is_empty());
         let (more, _) = deliver(&mut c, &acks, now + Dur::millis(1));
-        assert!(c.cwnd() > before, "slow start must grow cwnd");
+        assert!(c.cwnd > before, "slow start must grow cwnd");
         assert!(!more.is_empty(), "new data flows on ACK");
     }
 
@@ -962,7 +952,7 @@ mod tests {
         let out = c.on_timer(t1);
         assert_eq!(c.stats().timeouts, 1);
         assert_eq!(out.segments.len(), 1);
-        assert_eq!(c.cwnd(), MSS, "RTO collapses cwnd to 1 MSS");
+        assert_eq!(c.cwnd, MSS, "RTO collapses cwnd to 1 MSS");
         let t2 = c.next_timer().expect("rto re-armed");
         assert!(t2 - t1 > t1 - Time::ZERO, "exponential backoff");
     }
@@ -980,7 +970,7 @@ mod tests {
             let _ = deliver(&mut c, &acks, now);
             now += Dur::millis(50);
         }
-        let srtt = c.srtt().expect("sampled");
+        let srtt = c.srtt.expect("sampled");
         let err = srtt.as_nanos() as f64 / rtt.as_nanos() as f64;
         assert!((0.8..=1.2).contains(&err), "srtt {srtt} vs rtt {rtt}");
     }

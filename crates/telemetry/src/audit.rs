@@ -102,7 +102,7 @@ impl MediationAuditor {
     }
 
     /// Audit one journey, accumulating into `report`.
-    pub fn audit_journey(&self, j: Journey<'_>, report: &mut MediationReport) {
+    fn audit_journey(&self, j: Journey<'_>, report: &mut MediationReport) {
         // Segment state since the last origin endpoint.
         let mut origin: Option<Endpoint> = None;
         let mut saw_vswitch = false;

@@ -53,11 +53,6 @@ pub enum Action {
 }
 
 impl Action {
-    /// Returns whether this action terminates pipeline traversal.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, Action::Drop)
-    }
-
     /// Returns whether this action can emit frames.
     pub fn emits(&self) -> bool {
         matches!(self, Action::Output(_) | Action::Flood | Action::Normal)
@@ -76,8 +71,6 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(Action::Drop.is_terminal());
-        assert!(!Action::Normal.is_terminal());
         assert!(Action::Output(PortNo(1)).emits());
         assert!(Action::Flood.emits());
         assert!(Action::Normal.emits());

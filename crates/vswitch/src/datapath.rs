@@ -78,7 +78,8 @@ impl DatapathCosts {
     }
 
     /// Per-packet switching cost for a frame (fast or slow path).
-    pub fn packet_cost(&self, frame: &Frame, cache_hit: bool) -> Dur {
+    #[cfg(test)]
+    fn packet_cost(&self, frame: &Frame, cache_hit: bool) -> Dur {
         self.packet_cost_amortized(frame, cache_hit, 1)
     }
 

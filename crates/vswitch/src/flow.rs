@@ -145,14 +145,6 @@ impl FlowMatch {
         }
     }
 
-    /// Matches an exact destination MAC address.
-    pub fn to_mac(dst: MacAddr) -> Self {
-        FlowMatch {
-            eth_dst: Some(dst),
-            ..FlowMatch::default()
-        }
-    }
-
     /// Builder: also require the given ingress port.
     pub fn and_port(mut self, port: PortNo) -> Self {
         self.in_port = Some(port);
@@ -367,7 +359,11 @@ mod tests {
         let m = FlowMatch::on_port(PortNo(3));
         assert!(m.matches(PortNo(3), &f, None));
         assert!(!m.matches(PortNo(4), &f, None));
-        let m = FlowMatch::to_mac(MacAddr::local(2)).and_port(PortNo(7));
+        let m = FlowMatch {
+            eth_dst: Some(MacAddr::local(2)),
+            ..FlowMatch::default()
+        }
+        .and_port(PortNo(7));
         assert!(m.matches(PortNo(7), &f, None));
         assert!(!m.matches(PortNo(8), &f, None));
     }

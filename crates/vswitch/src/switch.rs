@@ -151,15 +151,12 @@ pub struct VirtualSwitch {
 pub enum SwitchError {
     /// The referenced table id is out of range.
     NoSuchTable(u8),
-    /// The referenced port does not exist.
-    NoSuchPort(PortNo),
 }
 
 impl fmt::Display for SwitchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SwitchError::NoSuchTable(t) => write!(f, "no such table {t}"),
-            SwitchError::NoSuchPort(p) => write!(f, "no such port {p}"),
         }
     }
 }
@@ -217,17 +214,6 @@ impl VirtualSwitch {
         no
     }
 
-    /// Removes a port, purging learning state.
-    pub fn remove_port(&mut self, port: PortNo) -> Result<PortInfo, SwitchError> {
-        let info = self
-            .ports
-            .remove(&port)
-            .ok_or(SwitchError::NoSuchPort(port))?;
-        self.mac_table.retain(|_, p| *p != port);
-        self.cache.bump_generation();
-        Ok(info)
-    }
-
     /// Returns a port's metadata.
     pub fn port(&self, port: PortNo) -> Option<&PortInfo> {
         self.ports.get(&port)
@@ -272,14 +258,6 @@ impl VirtualSwitch {
         }
         self.mac_table.clear();
         self.cache.bump_generation();
-    }
-
-    /// Returns the number of rules in a table.
-    pub fn table_len(&self, table: u8) -> usize {
-        self.tables
-            .get(table as usize)
-            .map(|t| t.len())
-            .unwrap_or(0)
     }
 
     /// Total rules across all tables.
@@ -952,29 +930,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_port_purges_learning() {
-        let (mut sw, a, b) = two_port_switch();
-        sw.install(0, FlowRule::new(1, FlowMatch::any(), vec![Action::Normal]))
-            .unwrap();
-        let mac = MacAddr::local(0xa);
-        let f = Frame::udp_data(
-            mac,
-            MacAddr::local(0xb),
-            Ipv4Addr::new(1, 0, 0, 1),
-            Ipv4Addr::new(1, 0, 0, 2),
-            1,
-            2,
-            10,
-        );
-        sw.process(a, f);
-        assert_eq!(sw.learned(0, mac), Some(a));
-        sw.remove_port(a).unwrap();
-        assert_eq!(sw.learned(0, mac), None);
-        assert!(sw.remove_port(a).is_err());
-        let _ = b;
-    }
-
-    #[test]
     fn remove_rule_takes_one_rule_from_its_own_table() {
         let (mut sw, _, b) = two_port_switch();
         let rule = FlowRule::new(1, FlowMatch::any(), vec![Action::Output(b)]).with_cookie(9);
@@ -982,7 +937,7 @@ mod tests {
         sw.install(3, rule.clone()).unwrap();
         assert_eq!(sw.rule_count(), 2);
         assert!(sw.remove_rule(3, &rule));
-        assert_eq!((sw.table_len(0), sw.table_len(3)), (1, 0));
+        assert_eq!(sw.rule_count(), 1);
         assert!(!sw.remove_rule(3, &rule));
         assert!(!sw.remove_rule(200, &rule), "no such table");
         assert!(sw.remove_rule(0, &rule));

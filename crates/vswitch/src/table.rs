@@ -87,7 +87,6 @@ impl FlowRule {
 #[derive(Clone, Debug, Default)]
 pub struct FlowTable {
     rules: Vec<FlowRule>,
-    lookups: u64,
     misses: u64,
 }
 
@@ -105,11 +104,6 @@ impl FlowTable {
     /// Returns whether the table has no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// Total lookups performed.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
     }
 
     /// Lookups that matched no rule.
@@ -153,7 +147,6 @@ impl FlowTable {
         frame: &Frame,
         tun_id: Option<Vni>,
     ) -> Option<&FlowRule> {
-        self.lookups += 1;
         let idx = self
             .rules
             .iter()
@@ -270,7 +263,6 @@ mod tests {
         let r = t.rules().next().unwrap();
         assert_eq!(r.stats.packets, 2);
         assert_eq!(r.stats.bytes, 2 * wire);
-        assert_eq!(t.lookups(), 2);
         assert_eq!(t.misses(), 0);
     }
 
@@ -304,7 +296,6 @@ mod tests {
         assert!(t
             .peek(PortNo(0), &frame(Ipv4Addr::new(1, 1, 1, 1)), None)
             .is_some());
-        assert_eq!(t.lookups(), 0);
         assert_eq!(t.rules().next().unwrap().stats.packets, 0);
     }
 }

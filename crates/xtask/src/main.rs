@@ -38,6 +38,18 @@
 //!   the call that filled it: a memo keyed by less than its input answers
 //!   for the wrong one, and a global counter makes a run's output depend on
 //!   what ran before it in the same process.
+//! * `dead-pub` — no `pub fn` or `pub const` that no other Rust file
+//!   names. A reference is an identifier on a code line of any `.rs` file
+//!   under `crates/`, `src/`, `tests/`, `examples/`, `vendor/` or
+//!   `benchmark/src` other than the item's own; comment lines, `use` lines
+//!   and string literals do not count, nor do the file's own tests. An item
+//!   only its own file calls is private; one only its own tests call is
+//!   dead code with a test. The frozen benchmark harness counts as a
+//!   caller, so what it names stays public without a list of exemptions.
+//! * `unused-dep` — no `[dependencies]` or `[dev-dependencies]` entry whose
+//!   crate no `.rs` file of its package names (the root package owns
+//!   `src/`, `tests/` and `examples/`; every other package its directory).
+//!   Its waiver is a `# lint:allow(unused-dep)` comment in `Cargo.toml`.
 //!
 //! A finding is waived by a comment `lint:allow(<check>)` on the same line
 //! or the line directly above, which is expected to justify *why* the site
@@ -46,9 +58,24 @@
 //! regressions. Binary crates (no `src/lib.rs`), `src/bin/`, tests, benches
 //! and doc comments are out of scope.
 
+use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// Every check `cargo xtask lint` runs, in the order the docs list them.
+const CHECKS: [&str; 9] = [
+    "wall-clock",
+    "no-print",
+    "no-unwrap",
+    "hashmap-iter",
+    "lossy-cast",
+    "device-programming",
+    "global-state",
+    "dead-pub",
+    "unused-dep",
+];
 
 /// One lint finding.
 struct Finding {
@@ -58,16 +85,33 @@ struct Finding {
     excerpt: String,
 }
 
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (file, line, check) = (self.file.display(), self.line, self.check);
+        write!(f, "{file}:{line}: [{check}] {}", self.excerpt.trim())
+    }
+}
+
+/// One Rust file that can name a library item, read once for every check.
+struct Source {
+    path: PathBuf, // relative to the workspace root
+    text: String,
+}
+
+/// Identifier → the indices (into the source list) of the files whose code
+/// names it, ascending.
+type RefIndex = HashMap<String, Vec<usize>>;
+
 fn main() -> ExitCode {
     match std::env::args().nth(1).as_deref() {
         Some("lint") => lint(),
         other => {
             eprintln!(
                 "usage: cargo xtask lint    (got {:?})\n\n\
-                 lint checks: wall-clock, no-print, no-unwrap, hashmap-iter, lossy-cast,\n\
-                 device-programming, global-state\n\
+                 lint checks: {}\n\
                  (plus unused-waiver: a lint:allow tag that suppresses nothing)",
-                other.unwrap_or("nothing")
+                other.unwrap_or("nothing"),
+                CHECKS.join(", ")
             );
             ExitCode::from(2)
         }
@@ -75,38 +119,13 @@ fn main() -> ExitCode {
 }
 
 fn lint() -> ExitCode {
-    let root = workspace_root();
-    let mut findings = Vec::new();
-    let mut files = 0usize;
-    for crate_dir in sorted_dirs(&root.join("crates")) {
-        let src = crate_dir.join("src");
-        // Library crates only: binaries may print and may choose to panic.
-        if !src.join("lib.rs").is_file() {
-            continue;
-        }
-        for file in rust_files(&src) {
-            // `src/bin/` targets inside a library crate are binaries too.
-            if file.components().any(|c| c.as_os_str() == "bin") {
-                continue;
-            }
-            files += 1;
-            if let Ok(text) = fs::read_to_string(&file) {
-                scan_file(&file, &text, &mut findings);
-            }
-        }
-    }
+    let (findings, files) = lint_repo(&workspace_root());
     if findings.is_empty() {
         println!("xtask lint: {files} library files clean");
         ExitCode::SUCCESS
     } else {
         for f in &findings {
-            println!(
-                "{}:{}: [{}] {}",
-                f.file.display(),
-                f.line,
-                f.check,
-                f.excerpt.trim()
-            );
+            println!("{f}");
         }
         println!(
             "xtask lint: {} finding(s) in {files} files; waive with a justified `lint:allow(<check>)` comment",
@@ -114,6 +133,179 @@ fn lint() -> ExitCode {
         );
         ExitCode::FAILURE
     }
+}
+
+/// Runs every check over the repository at `root`: the findings, and the
+/// number of library files scanned.
+fn lint_repo(root: &Path) -> (Vec<Finding>, usize) {
+    let sources = read_sources(root);
+    let index = reference_index(&sources);
+    let mut findings = Vec::new();
+    let mut files = 0usize;
+    for (i, src) in sources.iter().enumerate() {
+        if is_library_file(root, &src.path) {
+            files += 1;
+            scan_file(&src.path, &src.text, (&index, i), &mut findings);
+        }
+    }
+    for (manifest, dirs) in packages(root) {
+        if let Ok(text) = fs::read_to_string(root.join(&manifest)) {
+            scan_manifest(&manifest, &text, &names_in(&sources, &dirs), &mut findings);
+        }
+    }
+    (findings, files)
+}
+
+/// Every `.rs` file that can call a library item: the frozen benchmark
+/// harness's too.
+fn read_sources(root: &Path) -> Vec<Source> {
+    let dirs = [
+        "crates",
+        "src",
+        "tests",
+        "examples",
+        "vendor",
+        "benchmark/src",
+    ];
+    let files = dirs.iter().flat_map(|dir| rust_files(&root.join(dir)));
+    files
+        .filter_map(|file| {
+            let text = fs::read_to_string(&file).ok()?;
+            let path = file.strip_prefix(root).ok()?.to_path_buf();
+            Some(Source { path, text })
+        })
+        .collect()
+}
+
+/// A file of a library crate's `src/` (a crate with `src/lib.rs`), outside
+/// `src/bin/`: binaries may print and may choose to panic.
+fn is_library_file(root: &Path, path: &Path) -> bool {
+    let krate: PathBuf = path.iter().take(2).collect();
+    krate.starts_with("crates")
+        && path.starts_with(krate.join("src"))
+        && !path.iter().any(|c| c == "bin")
+        && root.join(krate).join("src/lib.rs").is_file()
+}
+
+/// Every package's manifest with the directories its Rust files live in.
+fn packages(root: &Path) -> Vec<(PathBuf, Vec<PathBuf>)> {
+    let mut out = vec![(
+        "Cargo.toml".into(),
+        ["src", "tests", "examples"].map(PathBuf::from).to_vec(),
+    )];
+    for dir in sorted_dirs(&root.join("crates"))
+        .into_iter()
+        .chain(sorted_dirs(&root.join("vendor")))
+    {
+        let dir = dir.strip_prefix(root).unwrap_or(&dir).to_path_buf();
+        out.push((dir.join("Cargo.toml"), vec![dir]));
+    }
+    out
+}
+
+/// Every identifier the code of the files under `dirs` names.
+fn names_in(sources: &[Source], dirs: &[PathBuf]) -> HashSet<String> {
+    let files = sources
+        .iter()
+        .filter(|s| dirs.iter().any(|d| s.path.starts_with(d)));
+    let lines = files.flat_map(|s| code_lines(&s.text));
+    lines
+        .flat_map(|l| idents(&l).map(str::to_string).collect::<Vec<_>>())
+        .collect()
+}
+
+/// One pass over every source: which files name each identifier on a line
+/// that can call it (not a comment, a string or a `use` item).
+fn reference_index(sources: &[Source]) -> RefIndex {
+    let mut index = RefIndex::new();
+    for (i, src) in sources.iter().enumerate() {
+        let mut in_use = false;
+        for code in code_lines(&src.text) {
+            let item = code.trim_start().trim_start_matches("pub ");
+            if in_use
+                || item.starts_with("use ")
+                || item.starts_with("pub(") && item.contains(") use ")
+            {
+                in_use = !code.contains(';');
+                continue;
+            }
+            for id in idents(&code) {
+                let files = index.entry(id.to_string()).or_default();
+                if files.last() != Some(&i) {
+                    files.push(i);
+                }
+            }
+        }
+    }
+    index
+}
+
+/// The code of each line of `text` ([`split_comment`]); a string left
+/// open at a line's end continues on the next.
+fn code_lines(text: &str) -> impl Iterator<Item = String> + '_ {
+    let mut in_str = false;
+    text.lines().map(move |line| {
+        let (code, _) = split_comment(&if in_str {
+            format!("\"{line}")
+        } else {
+            line.to_string()
+        });
+        in_str = code.matches('"').count() % 2 == 1;
+        code
+    })
+}
+
+/// The identifiers (and keywords) of a code line.
+fn idents(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
+}
+
+/// The name a `pub fn`, `pub const fn` or `pub const` item declares on
+/// this code line.
+fn pub_item(code: &str) -> Option<&str> {
+    let rest = code.trim_start().strip_prefix("pub ")?;
+    let rest = ["const fn ", "const ", "fn "]
+        .iter()
+        .find_map(|p| rest.strip_prefix(p))?;
+    idents(rest).next().filter(|name| *name != "_")
+}
+
+/// `unused-dep` over one manifest: every dependency whose crate `named`
+/// (the identifiers of the package's code) lacks.
+fn scan_manifest(
+    manifest: &Path,
+    text: &str,
+    named: &HashSet<String>,
+    findings: &mut Vec<Finding>,
+) {
+    let lines: Vec<&str> = text.lines().collect();
+    let mut waivers = Vec::new();
+    let mut section = "";
+    for (idx, raw) in lines.iter().enumerate() {
+        let (code, comment) = raw.split_once('#').unwrap_or((raw, ""));
+        waivers.extend(waivers_at(idx, comment));
+        let code = code.trim();
+        if code.starts_with('[') {
+            section = code;
+            continue;
+        }
+        let key = code.split(['.', '=']).next().unwrap_or("").trim();
+        if matches!(section, "[dependencies]" | "[dev-dependencies]")
+            && !key.is_empty()
+            && !named.contains(&key.replace('-', "_"))
+            && !waive(&mut waivers, idx, "unused-dep")
+        {
+            let excerpt = raw.to_string();
+            findings.push(Finding {
+                file: manifest.to_path_buf(),
+                line: idx + 1,
+                check: "unused-dep",
+                excerpt,
+            });
+        }
+    }
+    stale_waivers(manifest, &lines, &waivers, findings);
 }
 
 fn workspace_root() -> PathBuf {
@@ -160,24 +352,29 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Strips comments from a line, returning `(code, comment)`. String
-/// literals are respected so `"//"` inside a string does not truncate.
+/// Splits a line into `(code, comment)`, with the contents of string
+/// literals in the code blanked: `"//"` inside a string does not truncate,
+/// and a name inside one is not code.
 fn split_comment(line: &str) -> (String, String) {
-    let b = line.as_bytes();
+    let mut code = String::with_capacity(line.len());
     let mut in_str = false;
-    let mut i = 0;
-    while i < b.len() {
-        match b[i] {
-            b'\\' if in_str => i += 1, // skip escaped char
-            b'"' => in_str = !in_str,
-            b'/' if !in_str && i + 1 < b.len() && b[i + 1] == b'/' => {
-                return (line[..i].to_string(), line[i..].to_string());
+    let mut chars = line.char_indices().peekable();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => in_str = !in_str,
+            '/' if !in_str && chars.peek().is_some_and(|&(_, n)| n == '/') => {
+                return (code, line[i..].to_string());
             }
+            '\\' if in_str => {
+                chars.next(); // the escaped char
+                continue;
+            }
+            _ if in_str => continue,
             _ => {}
         }
-        i += 1;
+        code.push(c);
     }
-    (line.to_string(), String::new())
+    (code, String::new())
 }
 
 /// Identifiers declared with a `HashMap` / `HashSet` type in this file
@@ -252,6 +449,17 @@ struct WaiverSite {
     idx: usize, // 0-based line the tag appears on
     check: String,
     used: bool,
+}
+
+/// The waivers a comment on line `idx` declares.
+fn waivers_at(idx: usize, comment: &str) -> impl Iterator<Item = WaiverSite> {
+    waiver_tags(comment)
+        .into_iter()
+        .map(move |check| WaiverSite {
+            idx,
+            check,
+            used: false,
+        })
 }
 
 /// Every check name tagged `lint:allow(<check>)` in a comment.
@@ -354,7 +562,14 @@ fn has_lossy_cast(code: &str) -> bool {
     false
 }
 
-fn scan_file(file: &Path, text: &str, findings: &mut Vec<Finding>) {
+/// Every per-line check over one library file; `(index, this)` is the
+/// reference index and this file's place in it, for `dead-pub`.
+fn scan_file(
+    file: &Path,
+    text: &str,
+    (index, this): (&RefIndex, usize),
+    findings: &mut Vec<Finding>,
+) {
     let lines: Vec<&str> = text.lines().collect();
     let hash_ids = hash_idents(&lines);
     let lossy_scope = lossy_cast_scope(file);
@@ -391,13 +606,7 @@ fn scan_file(file: &Path, text: &str, findings: &mut Vec<Finding>) {
             continue;
         }
 
-        for check in waiver_tags(&comment) {
-            waivers.push(WaiverSite {
-                idx,
-                check,
-                used: false,
-            });
-        }
+        waivers.extend(waivers_at(idx, &comment));
         let mut push = |check: &'static str| {
             findings.push(Finding {
                 file: file.to_path_buf(),
@@ -440,12 +649,19 @@ fn scan_file(file: &Path, text: &str, findings: &mut Vec<Finding>) {
         {
             push("hashmap-iter");
         }
+        let dead = |name| index.get(name).is_none_or(|f| f.iter().all(|&f| f == this));
+        if pub_item(&code).is_some_and(dead) && !waive(&mut waivers, idx, "dead-pub") {
+            push("dead-pub");
+        }
     }
+    stale_waivers(file, &lines, &waivers, findings);
+}
 
-    // A waiver that suppressed nothing is stale: the code it justified is
-    // gone or changed, and the comment now silently licenses a future
-    // regression. Report it so it gets deleted alongside the fix.
-    for w in &waivers {
+/// A waiver that suppressed nothing is stale: the code it justified is
+/// gone or changed, and the comment now silently licenses a future
+/// regression. Report it so it gets deleted alongside the fix.
+fn stale_waivers(file: &Path, lines: &[&str], waivers: &[WaiverSite], findings: &mut Vec<Finding>) {
+    for w in waivers {
         if !w.used {
             findings.push(Finding {
                 file: file.to_path_buf(),
@@ -568,7 +784,7 @@ mod tests {
 
     fn scan(src: &str, file: &str) -> Vec<(usize, &'static str)> {
         let mut findings = Vec::new();
-        scan_file(Path::new(file), src, &mut findings);
+        scan_file(Path::new(file), src, (&RefIndex::new(), 0), &mut findings);
         findings.into_iter().map(|f| (f.line, f.check)).collect()
     }
 
@@ -669,5 +885,146 @@ mod tests {
     fn hash_alias_wrappers_bind_field_names() {
         let ids = hash_idents(&["    table: FastHashMap<(u16, u64), Entry>,"]);
         assert_eq!(ids, vec!["table".to_string()]);
+    }
+
+    /// `dead-pub` (and stale waivers) over `lib`, a library file, with
+    /// `others` as the rest of the repository's Rust files.
+    fn dead_pub(lib: &str, others: &[(&str, &str)]) -> Vec<(usize, &'static str)> {
+        let lib = ("crates/demo/src/lib.rs", lib);
+        let sources: Vec<Source> = std::iter::once(&lib)
+            .chain(others)
+            .map(|(path, text)| Source {
+                path: path.into(),
+                text: text.to_string(),
+            })
+            .collect();
+        let mut findings = Vec::new();
+        scan_file(
+            Path::new(lib.0),
+            lib.1,
+            (&reference_index(&sources), 0),
+            &mut findings,
+        );
+        findings.into_iter().map(|f| (f.line, f.check)).collect()
+    }
+
+    #[test]
+    fn dead_pub_counts_only_code_in_other_files() {
+        assert_eq!(pub_item("    pub fn helper(&self) -> u8 {"), Some("helper"));
+        assert_eq!(pub_item("pub const fn size() -> u64 {"), Some("size"));
+        assert_eq!(pub_item("    pub const LIMIT: usize = 64;"), Some("LIMIT"));
+        for other in [
+            "pub(crate) fn helper() {}",
+            "pub struct Helper;",
+            "fn helper() {}",
+        ] {
+            assert_eq!(pub_item(other), None, "{other}");
+        }
+        // Called only by its own file's tests: dead.
+        let lib = "pub fn helper() -> u8 {\n    1\n}\n#[cfg(test)]\nmod tests {\n    \
+                   #[test]\n    fn t() {\n        assert_eq!(super::helper(), 1);\n    }\n}\n";
+        let dead = vec![(1, "dead-pub")];
+        assert_eq!(dead_pub(lib, &[]), dead);
+        // Named elsewhere only in comments, doc links, strings and `use` items: dead.
+        let named = "//! See [`mts_demo::helper`].\nuse mts_demo::helper;\nuse mts_demo::{\n    \
+                     helper,\n};\nfn f() {\n    let s = \"helper\"; // helper()\n    \
+                     /// helper() in a doc example\n    let t = \"a string \\\n    helper\";\n}\n";
+        assert_eq!(dead_pub(lib, &[("crates/other/src/lib.rs", named)]), dead);
+        // Called from another crate's tests or from the benchmark: live.
+        let lib = "pub fn helper() {}\npub const LIMIT: u8 = 1;\n";
+        let call = "fn t() {\n    mts_demo::helper();\n    let _ = mts_demo::LIMIT;\n}\n";
+        for caller in ["crates/other/tests/it.rs", "benchmark/src/workloads.rs"] {
+            assert!(dead_pub(lib, &[(caller, call)]).is_empty(), "{caller}");
+        }
+    }
+
+    #[test]
+    fn dead_pub_waivers_suppress_and_go_stale() {
+        let waived = "// lint:allow(dead-pub): the harness calls it by name\npub fn helper() {}\n";
+        assert!(dead_pub(waived, &[]).is_empty());
+        let called = [("crates/other/src/lib.rs", "fn f() { helper(); }\n")];
+        assert_eq!(dead_pub(waived, &called), vec![(1, "unused-waiver")]);
+    }
+
+    #[test]
+    fn a_dependency_no_file_names_is_reported() {
+        let unused = |manifest: &str, named: &[&str]| {
+            let named = named.iter().map(|n| n.to_string()).collect();
+            let mut findings = Vec::new();
+            scan_manifest(Path::new("Cargo.toml"), manifest, &named, &mut findings);
+            findings
+                .into_iter()
+                .map(|f| (f.line, f.check))
+                .collect::<Vec<_>>()
+        };
+        let manifest = "[package]\nname = \"mts-demo\"\n\n[dependencies]\nmts-sim.workspace = true\n\
+                        serde = { path = \"../serde\" }\n\n[dev-dependencies]\nproptest.workspace = true\n\n\
+                        [lints]\nworkspace = true\n";
+        assert_eq!(unused(manifest, &["mts_sim", "serde"]), [(9, "unused-dep")]);
+        assert_eq!(
+            unused(manifest, &["proptest"]),
+            [(5, "unused-dep"), (6, "unused-dep")]
+        );
+        let waived = "[dependencies]\nmts-sim.workspace = true # lint:allow(unused-dep): pinned\n";
+        assert_eq!(unused(waived, &[]), []);
+        assert_eq!(unused(waived, &["mts_sim"]), [(2, "unused-waiver")]);
+    }
+
+    #[test]
+    fn the_repository_is_lint_clean() {
+        let root = workspace_root();
+        let (findings, files) = lint_repo(&root);
+        assert!(files > 0, "no library files under {}", root.display());
+        let report: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
+        assert!(report.is_empty(), "{}", report.join("\n"));
+        // Few `dead-pub` waivers; `unused-dep` only for the frozen lock's edges.
+        let sources = read_sources(&root).into_iter();
+        let library: String = sources
+            .filter(|s| is_library_file(&root, &s.path))
+            .map(|s| s.text)
+            .collect();
+        assert!(library.matches("lint:allow(dead-pub)").count() <= 5);
+        let read = |path: PathBuf| fs::read_to_string(root.join(path)).unwrap_or_default();
+        let manifests: String = packages(&root).into_iter().map(|(m, _)| read(m)).collect();
+        for waiver in manifests
+            .lines()
+            .filter(|l| l.contains("lint:allow(unused-dep)"))
+        {
+            assert!(waiver.contains("benchmark/Cargo.lock"), "{waiver}");
+        }
+    }
+
+    #[test]
+    fn the_docs_list_exactly_the_checks() {
+        fn bullets<'a>(text: &'a str, prefix: &str) -> Vec<&'a str> {
+            let names = text
+                .lines()
+                .filter_map(|l| l.strip_prefix(prefix)?.strip_prefix("* `"));
+            names.filter_map(|rest| rest.split('`').next()).collect()
+        }
+        let read = |doc: &str| fs::read_to_string(workspace_root().join(doc)).unwrap_or_default();
+        let verification = read("VERIFICATION.md");
+        let section = verification.split("## 9. `cargo xtask lint`").nth(1);
+        let section = section
+            .and_then(|s| s.split("\n## ").next())
+            .unwrap_or_default();
+        assert_eq!(bullets(section, ""), CHECKS, "VERIFICATION.md §9");
+        assert!(section.contains("`unused-waiver`"), "VERIFICATION.md §9");
+        assert_eq!(
+            bullets(include_str!("main.rs"), "//! "),
+            CHECKS,
+            "module doc"
+        );
+        let design = read("DESIGN.md");
+        let row = design
+            .lines()
+            .find(|l| l.starts_with("| `xtask`"))
+            .unwrap_or_default();
+        for check in CHECKS.iter().chain(&["unused-waiver"]) {
+            assert!(
+                row.contains(&format!("`{check}`")),
+                "DESIGN.md's xtask row lacks {check}"
+            );
+        }
     }
 }

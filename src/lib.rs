@@ -23,6 +23,9 @@
 //! - [`faults`] — deterministic fault injection and the blast-radius /
 //!   recovery experiments over the security levels (see
 //!   `ROBUSTNESS.md`).
+//! - [`fuzz`] — deterministic structured fuzzing of the untrusted planes
+//!   (wire codec, fault plans, config deltas, reconciliation) with a
+//!   replayable crasher corpus.
 //!
 //! # Examples
 //!
@@ -56,6 +59,7 @@
 pub use mts_apps as apps;
 pub use mts_core as core;
 pub use mts_faults as faults;
+pub use mts_fuzz as fuzz;
 pub use mts_host as host;
 pub use mts_isocheck as isocheck;
 pub use mts_net as net;
