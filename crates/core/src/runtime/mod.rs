@@ -365,6 +365,49 @@ mod tests {
     }
 
     #[test]
+    fn hot_unplugging_a_tenant_vf_only_kills_that_tenant() {
+        let mut w = world(
+            SecurityLevel::Level2 { compartments: 2 },
+            Scenario::P2v,
+            ResourceMode::Isolated,
+        );
+        let mut e = Sim::new();
+        let flows = w.tenant_flows();
+        w.sink.window = (Time::ZERO, Time::MAX);
+        start_udp_generator(&mut e, flows, 40_000.0, 64, Time::from_nanos(20_000_000));
+        // At t = 8 ms, tenant 0's VF disappears (VM crash / hot-unplug).
+        e.schedule_at(Time::from_nanos(8_000_000), |w: &mut World, _e| {
+            let (vf, _) = w.plan.tenants[0].vf[0];
+            w.vf_owner.remove(&(vf.pf.0, vf.vf.0));
+        });
+        e.run_until(&mut w, Time::from_nanos(40_000_000));
+        // Tenant 0 received roughly the first 8 ms worth; the others the
+        // full 20 ms worth (10 kpps each).
+        let [t0, t1, t2, t3] = w.sink.per_flow[..] else {
+            panic!("four tenants: {:?}", w.sink.per_flow);
+        };
+        assert!(t0 < 110, "tenant 0 should stop around 80 frames: {t0}");
+        assert!(t1 > 180, "tenant 1 must be unaffected: {t1}");
+        assert!(t2 > 180 && t3 > 180);
+        // The loss is visible and attributed.
+        assert!(w.drops.get(&DropCause::VfUnclaimed).copied().unwrap_or(0) > 0);
+    }
+
+    #[test]
+    fn zero_rate_and_empty_flow_lists_are_noops() {
+        let mut w = world(SecurityLevel::Level1, Scenario::P2v, ResourceMode::Isolated);
+        let mut e = Sim::new();
+        let flows = w.tenant_flows();
+        w.sink.window = (Time::ZERO, Time::MAX);
+        let until = Time::from_nanos(1_000_000);
+        start_udp_generator(&mut e, Vec::new(), 40_000.0, 64, until);
+        start_udp_generator(&mut e, flows, 0.0, 64, until);
+        e.run_until(&mut w, Time::from_nanos(5_000_000));
+        assert_eq!(w.sink.sent, 0);
+        assert_eq!(w.sink.received, 0);
+    }
+
+    #[test]
     fn core_event_stays_within_its_slab_slot_budget() {
         // Every pending event occupies one slab slot of this size; the
         // typed host events must not widen it.

@@ -3,10 +3,11 @@
 //! scenario, recovery with capped backoff, reconciliation idempotency on
 //! the live world, and a clean post-recovery isolation check.
 
+use mts_core::delta::ConfigDelta;
 use mts_core::reconcile;
-use mts_core::runtime::{RuntimeCfg, Sim, World};
+use mts_core::runtime::{start_udp_generator, RuntimeCfg, Sim, World};
 use mts_core::spec::{DeploymentSpec, Scenario, SecurityLevel};
-use mts_core::supervisor::RecoveryKind;
+use mts_core::supervisor::{start_supervisor, RecoveryKind, SupervisorCfg};
 use mts_core::Controller;
 use mts_faults::experiment::panel_specs;
 use mts_faults::{inject, run_cell, run_traced, FaultCase, FaultOpts};
@@ -155,9 +156,6 @@ fn recovered_world_is_verified_and_reconciliation_is_idempotent() {
 
     // Idempotency on a live recovered world: rebuild the same scenario
     // end-state and reconcile twice more by hand.
-    use mts_core::runtime::start_udp_generator;
-    use mts_core::supervisor::{start_supervisor, SupervisorCfg};
-
     let spec = l2();
     let d = Controller::deploy(spec).expect("deploys");
     let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 1);
@@ -187,6 +185,70 @@ fn recovered_world_is_verified_and_reconciliation_is_idempotent() {
     assert_eq!(again.churn(), 0, "second pass must be a no-op: {again}");
     let third = reconcile(&mut w);
     assert_eq!(third.churn(), 0, "third pass must be a no-op: {third}");
+}
+
+/// Runs `spec` under 40 kpps of probes for `traffic` with
+/// [`FaultCase::WipeFlows`] striking vswitch 0 at 5 ms, supervised with
+/// periodic reconciliation every `reconcile_every` (none: the wipe stays).
+fn wipe_at_5ms(spec: DeploymentSpec, reconcile_every: Option<Dur>, traffic: Dur) -> World {
+    let d = Controller::deploy(spec).expect("deploys");
+    let mut w = World::new(d, RuntimeCfg::for_spec(&spec), 31);
+    let mut e = Sim::new();
+    w.sink.window = (Time::ZERO, Time::MAX);
+    let end = Time::ZERO + traffic + Dur::millis(20);
+    let sup = SupervisorCfg {
+        reconcile_every,
+        until: end,
+        ..SupervisorCfg::default()
+    };
+    start_supervisor(&mut w, &mut e, sup);
+    let flows = w.tenant_flows();
+    start_udp_generator(&mut e, flows, 40_000.0, 64, Time::ZERO + traffic);
+    inject::schedule(
+        &FaultCase::WipeFlows.plan(Time::from_nanos(5_000_000)),
+        &mut e,
+    );
+    e.run_until(&mut w, end);
+    e.clear();
+    w
+}
+
+/// A compartment whose rules are wiped fails closed, and only its own
+/// tenants lose service.
+#[test]
+fn wiping_one_compartments_rules_does_not_touch_the_other() {
+    let w = wipe_at_5ms(l2(), None, Dur::millis(20));
+    // Compartment 0 serves tenants 0 and 2; compartment 1 serves 1 and 3.
+    let delivered = &w.sink.per_flow;
+    assert!(delivered[0] < 70, "t0 fails closed: {delivered:?}");
+    assert!(delivered[2] < 70, "t2 fails closed: {delivered:?}");
+    assert!(delivered[1] > 180, "t1 unaffected: {delivered:?}");
+    assert!(delivered[3] > 180, "t3 unaffected: {delivered:?}");
+}
+
+/// The supervisor's first reconciliation pass, 10 ms after the wipe,
+/// rebuilds exactly the wiped vswitch and forwarding resumes.
+#[test]
+fn rule_reinstallation_recovers_forwarding() {
+    let mut w = wipe_at_5ms(l1(), Some(Dur::millis(15)), Dur::millis(30));
+    let wiped: Vec<usize> = (w.deltas.drain().into_iter())
+        .filter_map(|(_, d)| match d {
+            ConfigDelta::RulesWiped { vswitch } => Some(vswitch),
+            _ => None,
+        })
+        .collect();
+    // The fault's wipe, then one rebuild (a wipe and the reinstalls).
+    assert_eq!(wiped, [0, 0]);
+    assert!(!w.vswitches[0].rules_dirty);
+    // Roughly: 5 ms up + 10 ms down + 15 ms up = 2/3 of 30 ms delivered.
+    let delivered = &w.sink.per_flow;
+    let total: u64 = delivered.iter().sum();
+    assert!(
+        (550..=950).contains(&total),
+        "recovery pattern off: {total} ({delivered:?})"
+    );
+    // And every tenant resumed after reconciliation.
+    assert!(delivered.iter().all(|&c| c > 100), "{delivered:?}");
 }
 
 /// Replays `w`'s drained delta log through `ConfigDelta::apply` onto a

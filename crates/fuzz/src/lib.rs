@@ -22,11 +22,16 @@
 //! minimal cases and are pinned into the committed corpus
 //! ([`corpus`], `tests/corpus/`), which CI replays as ordinary
 //! regression tests.
+//!
+//! The workspace's property tests run on the same engine: [`prop`] draws
+//! each case from a [`DetRng`] named after the test and shrinks a failing
+//! list input with [`shrink::shrink_set`].
 
 pub mod corpus;
 pub mod deltas;
 pub mod live;
 pub mod plan;
+pub mod prop;
 pub mod reconcile;
 pub mod shrink;
 pub mod wire;

@@ -6,8 +6,9 @@
 //!   embedded switch, from a tenant VF (a compromised VM driving its tx
 //!   ring) and from the wire, at each security level. The invariant is
 //!   the paper's core isolation claim: no injected frame may be delivered
-//!   to another tenant's VF, and wire frames reach a tenant VF only on
-//!   that tenant's VLAN.
+//!   to another tenant's VF, a VF's frame never reaches the host PF and is
+//!   delivered nowhere unless it carries the VF's own source MAC, and wire
+//!   frames reach a tenant VF only on that tenant's VLAN.
 //! * [`world_injection`] — raw fuzzed bytes pushed through the byte-level
 //!   ingress boundaries ([`mts_core::runtime::wire_inject_bytes`] /
 //!   [`vf_inject_bytes`]) of a running world carrying a DNS background
@@ -74,7 +75,8 @@ fn zero_leak_levels() -> Vec<SecurityLevel> {
 
 /// Builds one field-level mutant frame aimed at breaking isolation:
 /// destination, source, and VLAN tag each drawn from the interesting
-/// corners (victim addresses, gateway addresses, broadcast, random).
+/// corners (victim addresses, gateway addresses, broadcast) or from the
+/// whole domain (any MAC, IP, port and payload size).
 fn mutant_frame(
     rng: &mut DetRng,
     attacker_mac: MacAddr,
@@ -82,26 +84,32 @@ fn mutant_frame(
     gateway_mac: MacAddr,
     vlans: &[u16],
 ) -> Frame {
+    let any_mac = |rng: &mut DetRng| {
+        let mut octets = [0u8; 6];
+        rng.fill(&mut octets);
+        MacAddr::new(octets)
+    };
+    let any_ip = |rng: &mut DetRng| Ipv4Addr::from(rng.below(1 << 32) as u32);
     let dst = match rng.below(4) {
         0 => victim_mac,
         1 => gateway_mac,
         2 => MacAddr::BROADCAST,
-        _ => MacAddr::local(rng.below(1 << 16) as u32),
+        _ => any_mac(rng),
     };
     let src = match rng.below(3) {
         0 => attacker_mac,
         1 => victim_mac, // spoof
-        _ => MacAddr::local(rng.below(1 << 16) as u32),
+        _ => any_mac(rng),
     };
     let mut f = if rng.chance(0.8) {
         Frame::udp_data(
             src,
             dst,
-            Ipv4Addr::new(10, 0, rng.below(8) as u8, 2),
-            Ipv4Addr::new(10, 0, rng.below(8) as u8, 3),
+            any_ip(rng),
+            any_ip(rng),
             rng.below(65536) as u16,
             rng.below(65536) as u16,
-            rng.below(512) as u32,
+            rng.below(1514) as u32,
         )
     } else {
         Frame::arp(
@@ -126,7 +134,9 @@ fn mutant_frame(
 }
 
 /// Injects mutant frames from a tenant VF and from the wire at each
-/// hardened security level, asserting zero cross-tenant delivery.
+/// hardened security level, asserting zero cross-tenant delivery, no
+/// delivery of a VF's frame to the PF, and none at all of one whose source
+/// MAC is not its VF's.
 pub fn nic_zero_leak(seed: u64, cases_per_level: u64) -> LiveSummary {
     let mut out = LiveSummary::default();
     for level in zero_leak_levels() {
@@ -192,10 +202,23 @@ pub fn nic_zero_leak(seed: u64, cases_per_level: u64) -> LiveSummary {
             if case_rng.chance(0.5) {
                 // Tenant VF ingress: a compromised VM's tx ring.
                 let r = refs[a];
+                let spoofed = frame.src != macs[a];
                 match d.nic.ingress(r.pf, NicPort::Vf(r.vf), frame) {
                     Ok(deliveries) => {
                         out.accepted += 1;
                         for del in deliveries {
+                            if spoofed {
+                                out.violations.push(format!(
+                                    "{}: spoofed-source frame from tenant {a}'s VF delivered to {:?}",
+                                    spec.label(),
+                                    del.port
+                                ));
+                            } else if del.port == NicPort::Pf {
+                                out.violations.push(format!(
+                                    "{}: VF-injected frame from tenant {a} delivered to the PF",
+                                    spec.label()
+                                ));
+                            }
                             for (t, vr) in refs.iter().enumerate() {
                                 if t != a && vr.pf == r.pf && del.port == NicPort::Vf(vr.vf) {
                                     out.violations.push(format!(
@@ -387,9 +410,9 @@ mod tests {
 
     #[test]
     fn zero_leak_small_budget_is_clean() {
-        let s = nic_zero_leak(7, 60);
+        let s = nic_zero_leak(7, 100);
         assert!(s.violations.is_empty(), "{:?}", s.violations);
-        assert_eq!(s.cases, 180);
+        assert_eq!(s.cases, 300);
         assert!(s.accepted > 0);
     }
 

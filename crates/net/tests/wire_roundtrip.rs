@@ -1,94 +1,87 @@
 //! Property tests: the wire codec round-trips arbitrary structural frames.
 
+use mts_fuzz::prop::{check, check_list, DetRng};
 use mts_net::wire::{WireError, MAX_ENCAP_DEPTH};
 use mts_net::{
     parse, serialize, ArpPacket, Frame, IpProto, Ipv4Packet, MacAddr, Payload, TcpFlags,
     TcpSegment, Transport, UdpDatagram, UdpPayload, Vni, VXLAN_UDP_PORT,
 };
-use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
-fn arb_mac() -> impl Strategy<Value = MacAddr> {
-    any::<[u8; 6]>().prop_map(|mut o| {
-        // Keep sources unicast, as real NICs would.
-        o[0] &= 0xfe;
-        MacAddr::new(o)
-    })
+const CASES: u64 = 512;
+
+fn arb_mac(rng: &mut DetRng) -> MacAddr {
+    let mut o = [0u8; 6];
+    rng.fill(&mut o);
+    // Keep sources unicast, as real NICs would.
+    o[0] &= 0xfe;
+    MacAddr::new(o)
 }
 
-fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
-    any::<u32>().prop_map(Ipv4Addr::from)
+fn arb_u16(rng: &mut DetRng) -> u16 {
+    rng.between(0, u16::MAX.into()) as u16
 }
 
-fn arb_transport() -> impl Strategy<Value = Transport> {
-    prop_oneof![
+fn arb_u32(rng: &mut DetRng) -> u32 {
+    rng.between(0, u32::MAX.into()) as u32
+}
+
+fn arb_ip(rng: &mut DetRng) -> Ipv4Addr {
+    Ipv4Addr::from(arb_u32(rng))
+}
+
+fn arb_transport(rng: &mut DetRng) -> Transport {
+    match rng.below(3) {
         // UDP with data payload (ports avoiding the VXLAN port).
-        (1u16..4000, 1u16..4000, 0u32..1400).prop_map(|(sport, dport, len)| {
-            Transport::Udp(UdpDatagram {
-                sport,
-                dport,
-                payload: UdpPayload::Data(len),
-            })
+        0 => Transport::Udp(UdpDatagram {
+            sport: rng.between(1, 3999) as u16,
+            dport: rng.between(1, 3999) as u16,
+            payload: UdpPayload::Data(rng.below(1400) as u32),
         }),
         // TCP with arbitrary header fields.
-        (
-            any::<u16>(),
-            any::<u16>(),
-            any::<u32>(),
-            any::<u32>(),
-            0u8..32,
-            any::<u16>(),
-            0u32..1400,
-        )
-            .prop_map(|(sport, dport, seq, ack, flags, window, payload_len)| {
-                Transport::Tcp(TcpSegment {
-                    sport,
-                    dport,
-                    seq,
-                    ack,
-                    flags: TcpFlags::from_bits(flags),
-                    window,
-                    payload_len,
-                })
-            }),
-        // An unmodelled IP protocol.
-        (0u32..1400).prop_map(|len| Transport::Raw {
-            proto: IpProto::Other(89),
-            len,
+        1 => Transport::Tcp(TcpSegment {
+            sport: arb_u16(rng),
+            dport: arb_u16(rng),
+            seq: arb_u32(rng),
+            ack: arb_u32(rng),
+            flags: TcpFlags::from_bits(rng.below(32) as u8),
+            window: arb_u16(rng),
+            payload_len: rng.below(1400) as u32,
         }),
-    ]
+        // An unmodelled IP protocol.
+        _ => Transport::Raw {
+            proto: IpProto::Other(89),
+            len: rng.below(1400) as u32,
+        },
+    }
 }
 
-fn arb_frame() -> impl Strategy<Value = Frame> {
-    (
-        arb_mac(),
-        arb_mac(),
-        proptest::option::of(1u16..4095),
-        prop_oneof![
-            (arb_ip(), arb_ip(), 1u8..=255, arb_transport()).prop_map(
-                |(src, dst, ttl, transport)| {
-                    Payload::Ipv4(Ipv4Packet {
-                        src,
-                        dst,
-                        ttl,
-                        tos: 0,
-                        transport,
-                    })
-                }
-            ),
-            (arb_mac(), arb_ip(), arb_ip(), any::<bool>()).prop_map(|(mac, sip, tip, is_req)| {
-                let base = ArpPacket::request(mac, sip, tip);
-                Payload::Arp(if is_req { base } else { base.reply_to(mac) })
-            }),
-        ],
-    )
-        .prop_map(|(src, dst, vlan, payload)| {
-            let mut f = Frame::new(src, dst, payload);
-            if let Some(vid) = vlan {
-                f = f.with_vlan(vid);
-            }
-            f
+fn arb_frame(rng: &mut DetRng) -> Frame {
+    let (src, dst) = (arb_mac(rng), arb_mac(rng));
+    // Tagged four times in five.
+    let vlan = (rng.below(5) != 0).then(|| rng.between(1, 4094) as u16);
+    let payload = if rng.chance(0.5) {
+        Payload::Ipv4(Ipv4Packet {
+            src: arb_ip(rng),
+            dst: arb_ip(rng),
+            ttl: rng.between(1, 255) as u8,
+            tos: 0,
+            transport: arb_transport(rng),
         })
+    } else {
+        let (mac, sip, tip) = (arb_mac(rng), arb_ip(rng), arb_ip(rng));
+        let base = ArpPacket::request(mac, sip, tip);
+        Payload::Arp(if rng.chance(0.5) {
+            base
+        } else {
+            base.reply_to(mac)
+        })
+    };
+    let f = Frame::new(src, dst, payload);
+    match vlan {
+        Some(vid) => f.with_vlan(vid),
+        None => f,
+    }
 }
 
 /// Wraps `inner` in `depth` layers of VXLAN encapsulation.
@@ -131,90 +124,99 @@ fn nesting_depth(f: &Frame) -> usize {
     }
 }
 
-/// Normalizes fields the wire legitimately cannot preserve: frame id, origin
-/// timestamp, and the padding added to reach the 64-byte minimum.
-fn canonical(mut f: Frame) -> Frame {
-    f.id = 0;
-    f.origin_ns = 0;
-    // The serializer pads short frames to 60 bytes before FCS; the parser
-    // reports that padding. Recreate it on the original for comparison.
-    let before_pad = f.wire_len() - f.pad;
-    let _ = before_pad;
-    f
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn structural_roundtrip(frame in arb_frame()) {
-        let bytes = serialize(&frame);
-        prop_assert!(bytes.len() >= 64);
-        prop_assert_eq!(bytes.len() as u32, frame.wire_len());
+#[test]
+fn structural_roundtrip() {
+    check("structural_roundtrip", CASES, arb_frame, |frame| {
+        let bytes = serialize(frame);
+        assert!(bytes.len() >= 64);
+        assert_eq!(bytes.len() as u32, frame.wire_len());
         let parsed = parse(&bytes).expect("parse back");
         // Compare header-level structure.
-        prop_assert_eq!(parsed.src, frame.src);
-        prop_assert_eq!(parsed.dst, frame.dst);
-        prop_assert_eq!(parsed.vlan, frame.vlan);
-        prop_assert_eq!(parsed.wire_len(), frame.wire_len());
+        assert_eq!(parsed.src, frame.src);
+        assert_eq!(parsed.dst, frame.dst);
+        assert_eq!(parsed.vlan, frame.vlan);
+        assert_eq!(parsed.wire_len(), frame.wire_len());
         match (parsed.payload.get(), frame.payload.get()) {
-            (Payload::Arp(a), Payload::Arp(b)) => prop_assert_eq!(a, b),
+            (Payload::Arp(a), Payload::Arp(b)) => assert_eq!(a, b),
             (Payload::Ipv4(a), Payload::Ipv4(b)) => {
-                prop_assert_eq!(a.src, b.src);
-                prop_assert_eq!(a.dst, b.dst);
-                prop_assert_eq!(a.ttl, b.ttl);
-                prop_assert_eq!(a.proto(), b.proto());
-                prop_assert_eq!(a.transport.len(), b.transport.len());
+                assert_eq!(a.src, b.src);
+                assert_eq!(a.dst, b.dst);
+                assert_eq!(a.ttl, b.ttl);
+                assert_eq!(a.proto(), b.proto());
+                assert_eq!(a.transport.len(), b.transport.len());
                 if let (Transport::Tcp(x), Transport::Tcp(y)) = (&a.transport, &b.transport) {
-                    prop_assert_eq!(x, y);
+                    assert_eq!(x, y);
                 }
             }
-            (got, want) => prop_assert!(false, "payload kind changed: {:?} vs {:?}", got, want),
+            (got, want) => panic!("payload kind changed: {got:?} vs {want:?}"),
         }
-        let _ = canonical(parsed);
-    }
+    });
+}
 
-    #[test]
-    fn bytes_roundtrip_exactly(frame in arb_frame()) {
+#[test]
+fn bytes_roundtrip_exactly() {
+    check("bytes_roundtrip_exactly", CASES, arb_frame, |frame| {
         // serialize . parse . serialize is the identity on bytes.
-        let bytes = serialize(&frame);
+        let bytes = serialize(frame);
         let reparsed = parse(&bytes).expect("parse");
-        let bytes2 = serialize(&reparsed);
-        prop_assert_eq!(bytes, bytes2);
-    }
+        assert_eq!(bytes, serialize(&reparsed));
+    });
+}
 
-    #[test]
-    fn parser_never_panics_on_noise(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = parse(&data);
-    }
+#[test]
+fn parser_never_panics_on_noise() {
+    let noise = |rng: &mut DetRng| {
+        let mut data = vec![0u8; rng.below(512) as usize];
+        rng.fill(&mut data);
+        ((), data)
+    };
+    check_list("parser_never_panics_on_noise", CASES, noise, |_, data| {
+        let _ = parse(data);
+    });
+}
 
-    #[test]
-    fn vxlan_nested_roundtrip(frame in arb_frame(), depth in 0usize..5, vni in 1u32..10_000) {
+#[test]
+fn vxlan_nested_roundtrip() {
+    let gen = |rng: &mut DetRng| {
+        (
+            arb_frame(rng),
+            rng.below(5) as usize,
+            rng.between(1, 9_999) as u32,
+        )
+    };
+    let name = "vxlan_nested_roundtrip";
+    check(name, CASES, gen, |(frame, depth, vni)| {
         // Every frame shape survives bounded VXLAN nesting: the nesting
         // depth is preserved and serialize . parse . serialize is still
         // the identity on bytes (ids are not serialized).
-        let nested = vxlan_nest(frame, depth, vni);
+        let nested = vxlan_nest(frame.clone(), *depth, *vni);
         let bytes = serialize(&nested);
         let parsed = parse(&bytes).expect("nested parse");
-        prop_assert_eq!(nesting_depth(&parsed), depth);
-        prop_assert_eq!(serialize(&parsed), bytes);
-    }
+        assert_eq!(nesting_depth(&parsed), *depth);
+        assert_eq!(serialize(&parsed), bytes);
+    });
+}
 
-    #[test]
-    fn vxlan_past_the_cap_is_a_typed_reject(frame in arb_frame(), extra in 1usize..3) {
-        let bomb = vxlan_nest(frame, MAX_ENCAP_DEPTH + extra, 1);
+#[test]
+fn vxlan_past_the_cap_is_a_typed_reject() {
+    let gen = |rng: &mut DetRng| (arb_frame(rng), rng.between(1, 2) as usize);
+    let name = "vxlan_past_the_cap_is_a_typed_reject";
+    check(name, CASES, gen, |(frame, extra)| {
+        let bomb = vxlan_nest(frame.clone(), MAX_ENCAP_DEPTH + extra, 1);
         match parse(&serialize(&bomb)) {
             Err(WireError::EncapTooDeep) => {}
-            other => prop_assert!(false, "decap bomb not rejected: {:?}", other.map(|f| f.id)),
+            other => panic!("decap bomb not rejected: {:?}", other.map(|f| f.id)),
         }
-    }
+    });
+}
 
-    #[test]
-    fn flow_hash_ignores_id(frame in arb_frame()) {
+#[test]
+fn flow_hash_ignores_id() {
+    check("flow_hash_ignores_id", CASES, arb_frame, |frame| {
         let mut a = frame.clone();
-        let mut b = frame;
+        let mut b = frame.clone();
         a.id = 1;
         b.id = 2;
-        prop_assert_eq!(a.flow_hash(), b.flow_hash());
-    }
+        assert_eq!(a.flow_hash(), b.flow_hash());
+    });
 }

@@ -188,14 +188,12 @@ impl PfSwitch {
     /// degrade to unknown-unicast flooding until the controller reconciles.
     pub fn flush_table(&mut self) {
         self.table.clear();
-        // Collect first: the table borrow must end before reinsertion.
-        let vf_entries: Vec<(u16, u64, VfId)> = self
-            .vfs()
-            .map(|(id, cfg)| (cfg.vlan.unwrap_or(0), cfg.mac.as_u64(), id))
-            .collect();
-        for (vlan, mac, id) in vf_entries {
-            self.table
-                .insert((vlan, mac), Entry::Static(NicPort::Vf(id)));
+        for (i, slot) in self.vfs.iter().enumerate() {
+            if let Some(cfg) = slot {
+                let key = (cfg.vlan.unwrap_or(0), cfg.mac.as_u64());
+                let port = NicPort::Vf(VfId(i as u8));
+                self.table.insert(key, Entry::Static(port));
+            }
         }
     }
 

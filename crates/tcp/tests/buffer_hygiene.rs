@@ -9,10 +9,10 @@
 //! segments and reported the same progress, counters and next timer, and
 //! the buffer's earlier contents must be unchanged.
 
+use mts_fuzz::prop::check;
 use mts_net::{TcpFlags, TcpSegment};
 use mts_sim::{DetRng, Dur, Time};
 use mts_tcp::{Connection, Output, Progress, TcpConfig};
-use proptest::prelude::*;
 
 const CLIENT: usize = 0;
 const SERVER: usize = 1;
@@ -193,17 +193,21 @@ fn run(bytes: u64, loss_permille: u64, seed: u64, abort: bool) -> u64 {
     t.calls
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn into_calls_append_what_output_calls_return(
-        bytes in 1u64..300_000,
-        loss_permille in 0u64..150,
-        seed in any::<u64>(),
-        abort in any::<bool>(),
-    ) {
-        let calls = run(bytes, loss_permille, seed, abort);
-        prop_assert!(calls > 2, "only {} calls", calls);
-    }
+#[test]
+fn into_calls_append_what_output_calls_return() {
+    let gen = |rng: &mut DetRng| {
+        let bytes = rng.between(1, 299_999);
+        let loss_permille = rng.below(150);
+        (
+            bytes,
+            loss_permille,
+            rng.between(0, u64::MAX),
+            rng.chance(0.5),
+        )
+    };
+    let name = "into_calls_append_what_output_calls_return";
+    check(name, 32, gen, |&(bytes, loss, seed, abort)| {
+        let calls = run(bytes, loss, seed, abort);
+        assert!(calls > 2, "only {calls} calls");
+    });
 }

@@ -15,48 +15,21 @@
 //! - If the window is shorter than the retry budget allows, the transfer
 //!   completes exactly.
 
-use mts_net::TcpSegment;
+mod common;
+
+use common::{run_transfer, Channel, Outcome};
+use mts_fuzz::prop::{check, DetRng};
 use mts_sim::{Dur, Time};
-use mts_tcp::{Connection, TcpConfig};
-use proptest::prelude::*;
+use mts_tcp::TcpConfig;
 
-struct FaultChannel {
-    /// The dark window: every frame in `[from, until)` is dropped.
-    dark_from: Time,
-    dark_until: Time,
-    /// Residual random loss outside the window, per-mille.
-    loss_permille: u16,
-    seed: u64,
-    idx: u64,
-    delay: Dur,
-}
-
-impl FaultChannel {
-    fn deliver(&mut self, now: Time) -> bool {
-        if now >= self.dark_from && now < self.dark_until {
-            return false;
-        }
-        self.idx += 1;
-        let mut h = self.seed ^ self.idx.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 27;
-        (h % 1000) as u16 >= self.loss_permille
-    }
-}
-
-struct Outcome {
-    delivered: u64,
-    client_closed: bool,
-    /// Neither completed nor closed within the step budget.
-    stuck: bool,
-}
-
-fn run_transfer(
+/// Transfers `bytes` over a channel with 100 us delay that goes dark for
+/// `dark_ms` from `dark_from_ms` and loses `loss` per mille outside that
+/// window, from a sender that resets after `max_retries` RTOs. The
+/// handshake happens before the window opens.
+fn transfer(
     bytes: u64,
-    dark_from_ms: u64,
-    dark_ms: u64,
-    loss_permille: u16,
+    (dark_from_ms, dark_ms): (u64, u64),
+    loss: u16,
     seed: u64,
     max_retries: u32,
 ) -> Outcome {
@@ -64,116 +37,66 @@ fn run_transfer(
         rto_max_retries: max_retries,
         ..TcpConfig::default()
     };
-    let mut now = Time::ZERO;
-    let mut ch = FaultChannel {
-        dark_from: Time::ZERO + Dur::millis(dark_from_ms),
-        dark_until: Time::ZERO + Dur::millis(dark_from_ms + dark_ms),
-        loss_permille,
-        seed,
-        idx: 0,
+    let from = Time::ZERO + Dur::millis(dark_from_ms);
+    let ch = Channel {
+        dark: (from, from + Dur::millis(dark_ms)),
+        loss_permille: loss,
+        rng: DetRng::new(seed),
         delay: Dur::micros(100),
     };
-
-    // Handshake before the window opens (the property under test is the
-    // data path across the outage, not SYN retry).
-    let (mut client, out) = Connection::client(cfg, 40_000, 80, 7, now);
-    let (mut server, sout) =
-        Connection::server_from_syn(cfg, &out.segments[0], 99, now).expect("syn accepted");
-    let ack = client.on_segment(&sout.segments[0], now);
-    let _ = server.on_segment(&ack.segments[0], now);
-
-    let mut delivered = 0u64;
-    let mut to_server: Vec<TcpSegment> = client.send(bytes, now).segments;
-    let mut to_client: Vec<TcpSegment> = Vec::new();
-
-    for _ in 0..200_000 {
-        if delivered >= bytes || client.is_closed() {
-            break;
-        }
-        now += ch.delay;
-        let mut new_to_client = Vec::new();
-        for seg in to_server.drain(..) {
-            if ch.deliver(now) {
-                let o = server.on_segment(&seg, now);
-                delivered += o.delivered;
-                new_to_client.extend(o.segments);
-            }
-        }
-        let mut new_to_server = Vec::new();
-        for seg in to_client.drain(..) {
-            if ch.deliver(now) {
-                let o = client.on_segment(&seg, now);
-                new_to_server.extend(o.segments);
-            }
-        }
-        to_client = new_to_client;
-        to_server.extend(new_to_server);
-
-        if to_server.is_empty() && to_client.is_empty() {
-            match (client.next_timer(), server.next_timer()) {
-                (Some(a), Some(b)) if a <= b => {
-                    now = now.max(a);
-                    to_server.extend(client.on_timer(now).segments);
-                }
-                (Some(_), Some(b)) => {
-                    now = now.max(b);
-                    to_client.extend(server.on_timer(now).segments);
-                }
-                (Some(a), None) => {
-                    now = now.max(a);
-                    to_server.extend(client.on_timer(now).segments);
-                }
-                (None, Some(b)) => {
-                    now = now.max(b);
-                    to_client.extend(server.on_timer(now).segments);
-                }
-                (None, None) => break,
-            }
-        }
-    }
-    let stuck = delivered < bytes && !client.is_closed();
-    Outcome {
-        delivered,
-        client_closed: client.is_closed(),
-        stuck,
-    }
+    run_transfer(bytes, cfg, ch, 200_000)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// Neither completed nor closed within the step budget.
+fn stuck(o: &Outcome, bytes: u64) -> bool {
+    o.delivered < bytes && !o.client_closed
+}
 
-    /// Complete or fail cleanly — and never deliver a byte twice.
-    #[test]
-    fn outage_completes_or_resets_cleanly(
-        bytes in 1u64..100_000,
-        dark_from_ms in 0u64..20,
-        dark_ms in 0u64..30_000,
-        loss_permille in 0u16..200,
-        seed in any::<u64>(),
-        max_retries in 3u32..8,
-    ) {
-        let o = run_transfer(bytes, dark_from_ms, dark_ms, loss_permille, seed, max_retries);
-        prop_assert!(!o.stuck, "connection neither completed nor closed");
-        prop_assert!(o.delivered <= bytes, "delivered {} > sent {}", o.delivered, bytes);
+const CASES: u64 = 32;
+
+/// Complete or fail cleanly — and never deliver a byte twice.
+#[test]
+fn outage_completes_or_resets_cleanly() {
+    let gen = |rng: &mut DetRng| {
+        let (bytes, dark) = (rng.between(1, 99_999), (rng.below(20), rng.below(30_000)));
+        let (loss, seed) = (rng.below(200) as u16, rng.between(0, u64::MAX));
+        (bytes, dark, loss, seed, rng.between(3, 7) as u32)
+    };
+    let name = "outage_completes_or_resets_cleanly";
+    check(name, CASES, gen, |&(bytes, dark, loss, seed, retries)| {
+        let o = transfer(bytes, dark, loss, seed, retries);
+        assert!(!stuck(&o, bytes), "connection neither completed nor closed");
+        assert!(
+            o.delivered <= bytes,
+            "delivered {} > sent {bytes}",
+            o.delivered
+        );
+        assert_eq!(o.server_total, o.delivered, "stack accounting disagrees");
         if !o.client_closed {
-            prop_assert_eq!(o.delivered, bytes, "open connection must have finished");
+            assert_eq!(o.delivered, bytes, "open connection must have finished");
         }
-    }
+    });
+}
 
-    /// A short flap (well inside the retry budget) is absorbed: the
-    /// transfer completes exactly, no duplicates, no reset.
-    #[test]
-    fn short_flap_is_survived(
-        bytes in 1u64..100_000,
-        dark_from_ms in 0u64..10,
-        dark_ms in 1u64..400,
-        seed in any::<u64>(),
-    ) {
-        let o = run_transfer(bytes, dark_from_ms, dark_ms, 0, seed, 15);
-        prop_assert!(!o.stuck);
-        prop_assert_eq!(o.delivered, bytes);
-        prop_assert!(!o.client_closed || o.delivered == bytes);
-    }
+/// A short flap (well inside the retry budget) is absorbed: the
+/// transfer completes exactly, no duplicates, no reset.
+#[test]
+fn short_flap_is_survived() {
+    let gen = |rng: &mut DetRng| {
+        let dark = (rng.below(10), rng.between(1, 399));
+        (rng.between(1, 99_999), dark, rng.between(0, u64::MAX))
+    };
+    check(
+        "short_flap_is_survived",
+        CASES,
+        gen,
+        |&(bytes, dark, seed)| {
+            let o = transfer(bytes, dark, 0, seed, 15);
+            assert!(!stuck(&o, bytes));
+            assert_eq!(o.delivered, bytes);
+            assert!(!o.client_closed || o.delivered == bytes);
+        },
+    );
 }
 
 /// Deterministic witness for the give-up path: a permanent blackout must
@@ -183,8 +106,8 @@ proptest! {
 fn permanent_blackout_exhausts_retries_and_resets() {
     // Dark from t=0: no data segment ever crosses (the handshake happens
     // out of band above), so the sender must burn its whole retry budget.
-    let o = run_transfer(50_000, 0, 10_000_000, 0, 1, 5);
-    assert!(!o.stuck);
+    let o = transfer(50_000, (0, 10_000_000), 0, 1, 5);
+    assert!(!stuck(&o, 50_000));
     assert!(o.client_closed, "sender must give up");
     assert!(o.delivered < 50_000);
 }

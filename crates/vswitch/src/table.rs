@@ -87,7 +87,6 @@ impl FlowRule {
 #[derive(Clone, Debug, Default)]
 pub struct FlowTable {
     rules: Vec<FlowRule>,
-    misses: u64,
 }
 
 impl FlowTable {
@@ -104,11 +103,6 @@ impl FlowTable {
     /// Returns whether the table has no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// Lookups that matched no rule.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Installs a rule, keeping priority order (stable for equal priority:
@@ -147,23 +141,15 @@ impl FlowTable {
         frame: &Frame,
         tun_id: Option<Vni>,
     ) -> Option<&FlowRule> {
-        let idx = self
+        let i = self
             .rules
             .iter()
-            .position(|r| r.m.matches(in_port, frame, tun_id));
-        match idx {
-            Some(i) => {
-                let wire = u64::from(frame.wire_len());
-                let r = &mut self.rules[i];
-                r.stats.packets += 1;
-                r.stats.bytes += wire;
-                Some(&self.rules[i])
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+            .position(|r| r.m.matches(in_port, frame, tun_id))?;
+        let wire = u64::from(frame.wire_len());
+        let r = &mut self.rules[i];
+        r.stats.packets += 1;
+        r.stats.bytes += wire;
+        Some(r)
     }
 
     /// Finds the highest-priority matching rule without touching statistics.
@@ -263,7 +249,6 @@ mod tests {
         let r = t.rules().next().unwrap();
         assert_eq!(r.stats.packets, 2);
         assert_eq!(r.stats.bytes, 2 * wire);
-        assert_eq!(t.misses(), 0);
     }
 
     #[test]
@@ -272,7 +257,6 @@ mod tests {
         assert!(t
             .lookup(PortNo(0), &frame(Ipv4Addr::new(1, 1, 1, 1)), None)
             .is_none());
-        assert_eq!(t.misses(), 1);
         assert!(t.is_empty());
     }
 

@@ -1,10 +1,15 @@
 //! Property tests for the header-set primitives `mts-isocheck` builds on:
 //! `Ipv4Prefix` containment/overlap and `FlowMatch` subsumption.
 
-use mts_net::{EtherType, Frame, IpProto, MacAddr, Transport};
+mod common;
+
+use common::{arb_frame, arb_u32};
+use mts_fuzz::prop::{check, DetRng};
+use mts_net::{EtherType, Frame, IpProto, Transport};
 use mts_vswitch::{FlowMatch, Ipv4Prefix, PortNo, VlanMatch};
-use proptest::prelude::*;
 use std::net::Ipv4Addr;
+
+const CASES: u64 = 64;
 
 fn mask_of(len: u8) -> u32 {
     if len == 0 {
@@ -14,35 +19,28 @@ fn mask_of(len: u8) -> u32 {
     }
 }
 
-fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
-    (any::<u32>(), 0u8..=32).prop_map(|(a, l)| Ipv4Prefix::new(Ipv4Addr::from(a), l))
+fn arb_u16(rng: &mut DetRng) -> u16 {
+    rng.between(0, u16::MAX.into()) as u16
 }
 
-fn arb_frame() -> impl Strategy<Value = Frame> {
-    (
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<u16>(),
-        any::<u16>(),
-        proptest::option::of(1u16..4095),
-    )
-        .prop_map(|(sm, dm, sip, dip, sp, dp, vlan)| {
-            let mut f = Frame::udp_data(
-                MacAddr::local(sm),
-                MacAddr::local(dm),
-                Ipv4Addr::from(sip),
-                Ipv4Addr::from(dip),
-                sp,
-                dp,
-                64,
-            );
-            if let Some(v) = vlan {
-                f = f.with_vlan(v);
-            }
-            f
-        })
+fn arb_len(rng: &mut DetRng) -> u8 {
+    rng.between(0, 32) as u8
+}
+
+fn arb_prefix(rng: &mut DetRng) -> Ipv4Prefix {
+    let a = arb_u32(rng);
+    Ipv4Prefix::new(Ipv4Addr::from(a), arb_len(rng))
+}
+
+/// Two prefixes that share no address: both at least one bit long, with
+/// `b`'s network differing from `a`'s in one of their common leading bits.
+fn arb_disjoint_pair(rng: &mut DetRng) -> (Ipv4Prefix, Ipv4Prefix) {
+    let (la, lb) = (rng.between(1, 32) as u8, rng.between(1, 32) as u8);
+    let (a, b) = (arb_u32(rng), arb_u32(rng));
+    let bit = 1u32 << (31 - rng.below(u64::from(la.min(lb))));
+    let b = (b & !bit) | (!a & bit);
+    let pa = Ipv4Prefix::new(Ipv4Addr::from(a), la);
+    (pa, Ipv4Prefix::new(Ipv4Addr::from(b), lb))
 }
 
 /// A match that provably accepts `f` on `port`: each bit of `sel` pins one
@@ -76,114 +74,138 @@ fn match_for_frame(f: &Frame, port: PortNo, sel: u16, plen_src: u8, plen_dst: u8
     }
 }
 
-proptest! {
-    #[test]
-    fn prefix_new_is_canonical(p in arb_prefix()) {
+#[test]
+fn prefix_new_is_canonical() {
+    check("prefix_new_is_canonical", CASES, arb_prefix, |&p| {
         // Host bits are zeroed, so re-canonicalizing is a no-op and the
         // network address is a member of its own prefix.
-        prop_assert_eq!(Ipv4Prefix::new(p.net, p.len), p);
-        prop_assert!(p.contains(p.net));
-    }
+        assert_eq!(Ipv4Prefix::new(p.net, p.len), p);
+        assert!(p.contains(p.net));
+    });
+}
 
-    #[test]
-    fn prefix_contains_all_its_addresses(p in arb_prefix(), host in any::<u32>()) {
+#[test]
+fn prefix_contains_all_its_addresses() {
+    let gen = |rng: &mut DetRng| (arb_prefix(rng), arb_u32(rng));
+    let name = "prefix_contains_all_its_addresses";
+    check(name, CASES, gen, |&(p, host)| {
         let addr = Ipv4Addr::from(u32::from(p.net) | (host & !mask_of(p.len)));
-        prop_assert!(p.contains(addr));
-    }
+        assert!(p.contains(addr));
+    });
+}
 
-    #[test]
-    fn containment_implies_membership(a in arb_prefix(), b in arb_prefix(), host in any::<u32>()) {
+#[test]
+fn containment_implies_membership() {
+    let gen = |rng: &mut DetRng| (arb_prefix(rng), arb_prefix(rng), arb_u32(rng));
+    let name = "containment_implies_membership";
+    check(name, CASES, gen, |&(a, b, host)| {
         let addr_in_b = Ipv4Addr::from(u32::from(b.net) | (host & !mask_of(b.len)));
         if a.contains_prefix(&b) {
-            prop_assert!(a.contains(addr_in_b));
-            prop_assert!(a.len <= b.len);
+            assert!(a.contains(addr_in_b));
+            assert!(a.len <= b.len);
         }
-    }
+    });
+}
 
-    #[test]
-    fn overlap_is_symmetric_and_laminar(a in arb_prefix(), b in arb_prefix()) {
-        prop_assert_eq!(a.overlaps(&b), b.overlaps(&a));
+#[test]
+fn overlap_is_symmetric_and_laminar() {
+    let gen = |rng: &mut DetRng| (arb_prefix(rng), arb_prefix(rng));
+    check("overlap_is_symmetric_and_laminar", CASES, gen, |&(a, b)| {
+        assert_eq!(a.overlaps(&b), b.overlaps(&a));
         // Prefixes form a laminar family: overlap ⟺ one contains the other,
         // which in turn ⟺ one's network address lies in the other.
-        prop_assert_eq!(
+        assert_eq!(
             a.overlaps(&b),
             a.contains_prefix(&b) || b.contains_prefix(&a)
         );
-        prop_assert_eq!(a.overlaps(&b), a.contains(b.net) || b.contains(a.net));
-    }
+        assert_eq!(a.overlaps(&b), a.contains(b.net) || b.contains(a.net));
+    });
+}
 
-    #[test]
-    fn disjoint_prefixes_share_no_address(a in arb_prefix(), b in arb_prefix(), host in any::<u32>()) {
-        prop_assume!(!a.overlaps(&b));
+#[test]
+fn disjoint_prefixes_share_no_address() {
+    let gen = |rng: &mut DetRng| (arb_disjoint_pair(rng), arb_u32(rng));
+    let name = "disjoint_prefixes_share_no_address";
+    check(name, CASES, gen, |&((a, b), host)| {
+        assert!(!a.overlaps(&b), "{a:?} and {b:?} overlap");
         let addr_in_a = Ipv4Addr::from(u32::from(a.net) | (host & !mask_of(a.len)));
-        prop_assert!(!b.contains(addr_in_a));
-    }
+        assert!(!b.contains(addr_in_a));
+    });
+}
 
-    #[test]
-    fn shorter_prefix_of_same_address_contains(addr in any::<u32>(), l1 in 0u8..=32, l2 in 0u8..=32) {
+#[test]
+fn shorter_prefix_of_same_address_contains() {
+    let gen = |rng: &mut DetRng| (arb_u32(rng), arb_len(rng), arb_len(rng));
+    let name = "shorter_prefix_of_same_address_contains";
+    check(name, CASES, gen, |&(addr, l1, l2)| {
         let short = Ipv4Prefix::new(Ipv4Addr::from(addr), l1.min(l2));
         let long = Ipv4Prefix::new(Ipv4Addr::from(addr), l1.max(l2));
-        prop_assert!(short.contains_prefix(&long));
-        prop_assert!(short.overlaps(&long));
-    }
+        assert!(short.contains_prefix(&long));
+        assert!(short.overlaps(&long));
+    });
+}
 
-    #[test]
-    fn subsumption_is_reflexive(
-        f in arb_frame(),
-        port in 1u32..8,
-        sel in any::<u16>(),
-        pl_src in 0u8..=32,
-        pl_dst in 0u8..=32,
-    ) {
-        let m = match_for_frame(&f, PortNo(port), sel, pl_src, pl_dst);
-        prop_assert!(m.subsumes(&m));
-        prop_assert!(FlowMatch::any().subsumes(&m));
-    }
+/// A frame, an ingress port in `1..8`, and a match built for them.
+fn arb_match(rng: &mut DetRng) -> (Frame, PortNo, FlowMatch) {
+    let (f, port) = (arb_frame(rng), PortNo(rng.between(1, 7) as u32));
+    let m = match_for_frame(&f, port, arb_u16(rng), arb_len(rng), arb_len(rng));
+    (f, port, m)
+}
 
-    #[test]
-    fn generalization_subsumes_and_both_match(
-        f in arb_frame(),
-        port in 1u32..8,
-        sel in any::<u16>(),
-        keep in any::<u16>(),
-        pl_src in 0u8..=32,
-        pl_dst in 0u8..=32,
-        widen_src in 0u8..=32,
-        widen_dst in 0u8..=32,
-    ) {
+#[test]
+fn subsumption_is_reflexive() {
+    check("subsumption_is_reflexive", CASES, arb_match, |(_, _, m)| {
+        assert!(m.subsumes(m));
+        assert!(FlowMatch::any().subsumes(m));
+    });
+}
+
+#[test]
+fn generalization_subsumes_and_both_match() {
+    let gen = |rng: &mut DetRng| {
+        let (f, port) = (arb_frame(rng), PortNo(rng.between(1, 7) as u32));
+        let (sel, keep) = (arb_u16(rng), arb_u16(rng));
+        let lens = [0; 4].map(|_| arb_len(rng));
+        (f, port, sel, keep, lens)
+    };
+    let name = "generalization_subsumes_and_both_match";
+    check(name, CASES, gen, |(f, port, sel, keep, lens)| {
+        let [pl_src, pl_dst, widen_src, widen_dst] = *lens;
         // `m` pins a subset of fields to the frame's values; `g` keeps only
         // a subset of those and widens the prefixes, so it must subsume `m`
         // and still accept every frame `m` accepts — in particular `f`.
-        let m = match_for_frame(&f, PortNo(port), sel, pl_src, pl_dst);
+        let m = match_for_frame(f, *port, *sel, pl_src, pl_dst);
         let g = match_for_frame(
-            &f,
-            PortNo(port),
+            f,
+            *port,
             sel & keep,
             pl_src.min(widen_src),
             pl_dst.min(widen_dst),
         );
-        prop_assert!(m.matches(PortNo(port), &f, None));
-        prop_assert!(g.matches(PortNo(port), &f, None));
-        prop_assert!(g.subsumes(&m));
-        prop_assert!(g.specificity() <= m.specificity());
-    }
+        assert!(m.matches(*port, f, None));
+        assert!(g.matches(*port, f, None));
+        assert!(g.subsumes(&m));
+        assert!(g.specificity() <= m.specificity());
+    });
+}
 
-    #[test]
-    fn subsumption_is_sound_on_random_pairs(
-        f in arb_frame(),
-        port in 1u32..8,
-        sel_a in any::<u16>(),
-        sel_b in any::<u16>(),
-        pl_a in 0u8..=32,
-        pl_b in 0u8..=32,
-    ) {
+#[test]
+fn subsumption_is_sound_on_random_pairs() {
+    let gen = |rng: &mut DetRng| {
+        let (f, port) = (arb_frame(rng), PortNo(rng.between(1, 7) as u32));
+        let (sel_a, sel_b) = (arb_u16(rng), arb_u16(rng));
+        let (pl_a, pl_b) = (arb_len(rng), arb_len(rng));
+        let a = match_for_frame(&f, port, sel_a, pl_a, pl_a);
+        let b = match_for_frame(&f, port, sel_b, pl_b, pl_b);
+        (f, port, a, b)
+    };
+    let name = "subsumption_is_sound_on_random_pairs";
+    check(name, CASES, gen, |(f, port, a, b)| {
         // For arbitrary match pairs: whenever `a.subsumes(b)` holds and `b`
         // accepts a frame, `a` must accept it too (the guarantee isocheck's
         // shadowed-rule warning relies on).
-        let a = match_for_frame(&f, PortNo(port), sel_a, pl_a, pl_a);
-        let b = match_for_frame(&f, PortNo(port), sel_b, pl_b, pl_b);
-        if a.subsumes(&b) && b.matches(PortNo(port), &f, None) {
-            prop_assert!(a.matches(PortNo(port), &f, None));
+        if a.subsumes(b) && b.matches(*port, f, None) {
+            assert!(a.matches(*port, f, None));
         }
-    }
+    });
 }

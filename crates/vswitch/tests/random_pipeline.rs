@@ -1,69 +1,66 @@
 //! Property tests: the flow pipeline under random rules and traffic.
 
+mod common;
+
+use common::{arb_frame, arb_u32};
+use mts_fuzz::prop::{check, check_list, DetRng};
 use mts_net::{Frame, MacAddr, Payload};
 use mts_vswitch::{
     Action, FlowMatch, FlowRule, Ipv4Prefix, PortKind, PortNo, TableId, VirtualSwitch,
 };
-use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
-fn arb_frame() -> impl Strategy<Value = Frame> {
-    (
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<u16>(),
-        any::<u16>(),
-        proptest::option::of(1u16..4095),
-    )
-        .prop_map(|(sm, dm, sip, dip, sp, dp, vlan)| {
-            let mut f = Frame::udp_data(
-                MacAddr::local(sm),
-                MacAddr::local(dm),
-                Ipv4Addr::from(sip),
-                Ipv4Addr::from(dip),
-                sp,
-                dp,
-                64,
-            );
-            if let Some(v) = vlan {
-                f = f.with_vlan(v);
-            }
-            f
-        })
+const CASES: u64 = 192;
+
+fn arb_action(rng: &mut DetRng, ports: u32) -> Action {
+    match rng.below(8) {
+        0 => Action::Output(PortNo(rng.between(1, ports.into()) as u32)),
+        1 => Action::Flood,
+        2 => Action::Normal,
+        3 => Action::Drop,
+        4 => Action::SetEthDst(MacAddr::local(arb_u32(rng))),
+        5 => Action::PushVlan(rng.between(1, 4094) as u16),
+        6 => Action::PopVlan,
+        _ => Action::DecTtl,
+    }
 }
 
-fn arb_action(ports: u32) -> impl Strategy<Value = Action> {
-    prop_oneof![
-        (1..=ports).prop_map(|p| Action::Output(PortNo(p))),
-        Just(Action::Flood),
-        Just(Action::Normal),
-        Just(Action::Drop),
-        any::<u32>().prop_map(|m| Action::SetEthDst(MacAddr::local(m))),
-        (1u16..4095).prop_map(Action::PushVlan),
-        Just(Action::PopVlan),
-        Just(Action::DecTtl),
-    ]
+/// `Some(value)` four times in five.
+fn maybe<T>(rng: &mut DetRng, value: impl FnOnce(&mut DetRng) -> T) -> Option<T> {
+    (rng.below(5) != 0).then(|| value(rng))
 }
 
-fn arb_rule(ports: u32) -> impl Strategy<Value = FlowRule> {
-    (
-        0u16..100,
-        proptest::option::of(1..=ports),
-        proptest::option::of(any::<u32>()),
-        proptest::option::of((any::<u32>(), 0u8..=32)),
-        proptest::collection::vec(arb_action(ports), 0..4),
-    )
-        .prop_map(|(priority, in_port, dst_mac, dst_prefix, actions)| {
-            let m = FlowMatch {
-                in_port: in_port.map(PortNo),
-                eth_dst: dst_mac.map(MacAddr::local),
-                ip_dst: dst_prefix.map(|(a, l)| Ipv4Prefix::new(Ipv4Addr::from(a), l)),
-                ..FlowMatch::default()
-            };
-            FlowRule::new(priority, m, actions)
-        })
+fn arb_rule(rng: &mut DetRng, ports: u32) -> FlowRule {
+    let priority = rng.below(100) as u16;
+    let in_port = maybe(rng, |r| PortNo(r.between(1, ports.into()) as u32));
+    let eth_dst = maybe(rng, |r| MacAddr::local(arb_u32(r)));
+    let ip_dst = maybe(rng, |r| {
+        let a = arb_u32(r);
+        Ipv4Prefix::new(Ipv4Addr::from(a), r.between(0, 32) as u8)
+    });
+    let actions = (0..rng.below(4)).map(|_| arb_action(rng, ports)).collect();
+    let m = FlowMatch {
+        in_port,
+        eth_dst,
+        ip_dst,
+        ..FlowMatch::default()
+    };
+    FlowRule::new(priority, m, actions)
+}
+
+/// Between `lo` and `hi` draws of `one`.
+fn list<T>(rng: &mut DetRng, lo: u64, hi: u64, one: impl Fn(&mut DetRng) -> T) -> Vec<T> {
+    let len = rng.between(lo, hi);
+    (0..len).map(|_| one(rng)).collect()
+}
+
+/// Up to 23 random rules over four ports, 1–47 frames and 1–47 ingress
+/// ports (cycled over the frames).
+fn arb_traffic(rng: &mut DetRng) -> (Vec<FlowRule>, Vec<Frame>, Vec<u32>) {
+    let rules = list(rng, 0, 23, |r| arb_rule(r, 4));
+    let frames = list(rng, 1, 47, arb_frame);
+    let in_ports = list(rng, 1, 47, |r| r.between(1, 4) as u32);
+    (rules, frames, in_ports)
 }
 
 /// Destinations of the scripted frames [`scripted_rules`] match on.
@@ -175,20 +172,19 @@ impl Twins {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// Scratch hygiene: the slow path's reused ops/cookie buffers and the
-    /// caller's reused output buffer never carry anything from one frame
-    /// into the next. Random traffic is interleaved with a script of
-    /// drop-then-forward and miss-then-hit pairs whose outcome is known.
-    #[test]
-    fn reused_buffers_never_leak_between_frames(
-        rules in proptest::collection::vec(arb_rule(4), 0..24),
-        frames in proptest::collection::vec(arb_frame(), 1..48),
-        in_ports in proptest::collection::vec(1u32..=4, 1..48),
-    ) {
-        let mut sw = Twins::new(rules);
+/// Scratch hygiene: the slow path's reused ops/cookie buffers and the
+/// caller's reused output buffer never carry anything from one frame
+/// into the next. Random traffic is interleaved with a script of
+/// drop-then-forward and miss-then-hit pairs whose outcome is known.
+#[test]
+fn reused_buffers_never_leak_between_frames() {
+    let gen = |rng: &mut DetRng| {
+        let (rules, frames, in_ports) = arb_traffic(rng);
+        ((rules, in_ports), frames)
+    };
+    let name = "reused_buffers_never_leak_between_frames";
+    check_list(name, CASES, gen, |(rules, in_ports), frames| {
+        let mut sw = Twins::new(rules.clone());
         let mut bails = [0u64; BAIL_IPS.len()];
         for (k, (f, ip)) in frames.iter().zip(in_ports.iter().cycle()).enumerate() {
             sw.step(PortNo(*ip), f);
@@ -197,110 +193,129 @@ proptest! {
             bails[b] += 1;
             let ttl = if b == 1 { 1 } else { 64 };
             let dropped = sw.step(PortNo(1), &scripted_frame(BAIL_IPS[b], k as u16, ttl));
-            prop_assert!(dropped.is_empty(), "bail-out {} emitted {:?}", b, dropped);
+            assert!(dropped.is_empty(), "bail-out {} emitted {:?}", b, dropped);
             // ... then a fresh microflow that forwards untouched (a miss
             // resolved right after the bail-out), then the same again (a hit).
             let fwd = scripted_frame(FORWARD_IP, k as u16, 64);
             let hits = sw.into.cache_stats().hits;
-            prop_assert_eq!(sw.step(PortNo(1), &fwd), vec![(PortNo(4), fwd.clone())]);
-            prop_assert_eq!(sw.into.cache_stats().hits, hits);
-            prop_assert_eq!(sw.step(PortNo(1), &fwd), vec![(PortNo(4), fwd.clone())]);
-            prop_assert_eq!(sw.into.cache_stats().hits, hits + 1);
+            assert_eq!(sw.step(PortNo(1), &fwd), vec![(PortNo(4), fwd.clone())]);
+            assert_eq!(sw.into.cache_stats().hits, hits);
+            assert_eq!(sw.step(PortNo(1), &fwd), vec![(PortNo(4), fwd.clone())]);
+            assert_eq!(sw.into.cache_stats().hits, hits + 1);
         }
         // Cookies were credited to the frames that matched them, only.
         let n = frames.len() as u64;
         for sw in [&sw.into, &sw.plain] {
-            prop_assert_eq!(sw.stats_by_cookie(FORWARD_COOKIE).0, 2 * n);
-            prop_assert_eq!(sw.misses_by_cookie(FORWARD_COOKIE), n);
+            assert_eq!(sw.stats_by_cookie(FORWARD_COOKIE).0, 2 * n);
+            assert_eq!(sw.misses_by_cookie(FORWARD_COOKIE), n);
             for (b, count) in bails.iter().enumerate() {
                 let cookie = BAIL_COOKIE + b as u64;
-                prop_assert_eq!(sw.stats_by_cookie(cookie).0, *count);
-                prop_assert_eq!(sw.misses_by_cookie(cookie), *count);
+                assert_eq!(sw.stats_by_cookie(cookie).0, *count);
+                assert_eq!(sw.misses_by_cookie(cookie), *count);
             }
         }
-    }
+    });
+}
 
-    /// No combination of random rules and frames panics, loops, or emits
-    /// to the ingress port (except explicit Output back to it).
-    #[test]
-    fn pipeline_is_total_and_sane(
-        rules in proptest::collection::vec(arb_rule(4), 0..24),
-        frames in proptest::collection::vec(arb_frame(), 1..48),
-        in_ports in proptest::collection::vec(1u32..=4, 1..48),
-    ) {
+/// No combination of random rules and frames panics, loops, or emits
+/// to the ingress port (except explicit Output back to it).
+#[test]
+fn pipeline_is_total_and_sane() {
+    let gen = |rng: &mut DetRng| {
+        let (rules, frames, in_ports) = arb_traffic(rng);
+        ((frames, in_ports), rules)
+    };
+    let name = "pipeline_is_total_and_sane";
+    check_list(name, CASES, gen, |(frames, in_ports), rules| {
         let mut sw = VirtualSwitch::new("fuzz");
         for i in 0..4 {
             sw.add_port(format!("p{i}"), PortKind::Physical);
         }
-        let has_explicit_self_output = rules.iter().any(|r| {
-            r.actions.iter().any(|a| matches!(a, Action::Output(_)))
-        });
+        let has_explicit_self_output = rules
+            .iter()
+            .any(|r| r.actions.iter().any(|a| matches!(a, Action::Output(_))));
         for r in rules {
-            sw.install(0, r).expect("table 0 exists");
+            sw.install(0, r.clone()).expect("table 0 exists");
         }
         for (f, ip) in frames.iter().zip(in_ports.iter().cycle()) {
             let in_port = PortNo(*ip);
             let out = sw.process(in_port, f.clone());
             // Flood/Normal never echo to the ingress port.
             if !has_explicit_self_output {
-                prop_assert!(out.iter().all(|(p, _)| *p != in_port));
+                assert!(out.iter().all(|(p, _)| *p != in_port));
             }
             // Emission count is bounded by the port fanout per rule chain.
-            prop_assert!(out.len() <= 4 * 8, "absurd fanout {}", out.len());
+            assert!(out.len() <= 4 * 8, "absurd fanout {}", out.len());
         }
         // Conservation: received counts every call.
-        prop_assert_eq!(sw.stats().received, frames.len() as u64);
-    }
+        assert_eq!(sw.stats().received, frames.len() as u64);
+    });
+}
 
-    /// The cache never changes forwarding decisions: replaying the same
-    /// frame twice yields identical emissions.
-    #[test]
-    fn cache_transparency(
-        rules in proptest::collection::vec(arb_rule(4), 1..16),
-        frame in arb_frame(),
-    ) {
-        // Skip NORMAL (learning mutates state between calls by design).
-        let rules: Vec<FlowRule> = rules
-            .into_iter()
-            .filter(|r| !r.actions.iter().any(|a| matches!(a, Action::Normal | Action::Flood)))
-            .collect();
+/// The cache never changes forwarding decisions: replaying the same
+/// frame twice yields identical emissions.
+#[test]
+fn cache_transparency() {
+    let gen = |rng: &mut DetRng| {
+        let rules = list(rng, 1, 15, |r| arb_rule(r, 4));
+        (arb_frame(rng), rules)
+    };
+    check_list("cache_transparency", CASES, gen, |frame, rules| {
         let mut sw = VirtualSwitch::new("cachefuzz");
         for i in 0..4 {
             sw.add_port(format!("p{i}"), PortKind::Physical);
         }
-        for r in rules {
-            sw.install(0, r).expect("table 0 exists");
+        // Skip NORMAL (learning mutates state between calls by design).
+        let learns = |r: &&FlowRule| {
+            r.actions
+                .iter()
+                .any(|a| matches!(a, Action::Normal | Action::Flood))
+        };
+        for r in rules.iter().filter(|r| !learns(r)) {
+            sw.install(0, r.clone()).expect("table 0 exists");
         }
         let first = sw.process(PortNo(1), frame.clone());
         let second = sw.process(PortNo(1), frame.clone());
-        prop_assert_eq!(first.len(), second.len());
+        assert_eq!(first.len(), second.len());
         for ((p1, f1), (p2, f2)) in first.iter().zip(second.iter()) {
-            prop_assert_eq!(p1, p2);
-            prop_assert_eq!(f1.dst, f2.dst);
-            prop_assert_eq!(f1.src, f2.src);
-            prop_assert_eq!(f1.vlan, f2.vlan);
+            assert_eq!(p1, p2);
+            assert_eq!(f1.dst, f2.dst);
+            assert_eq!(f1.src, f2.src);
+            assert_eq!(f1.vlan, f2.vlan);
         }
         // And the second traversal hit the cache (unless TTL barred caching).
         let cs = sw.cache_stats();
-        prop_assert!(cs.hits >= 1 || cs.misses == 2);
-    }
+        assert!(cs.hits >= 1 || cs.misses == 2);
+    });
+}
 
-    /// Higher-priority matching rules always win.
-    #[test]
-    fn priority_always_wins(
-        dst in any::<u32>(),
-        low_prio in 0u16..50,
-        high_prio in 50u16..100,
-    ) {
+/// Higher-priority matching rules always win.
+#[test]
+fn priority_always_wins() {
+    let gen = |rng: &mut DetRng| {
+        (
+            arb_u32(rng),
+            rng.below(50) as u16,
+            rng.between(50, 99) as u16,
+        )
+    };
+    let name = "priority_always_wins";
+    check(name, CASES, gen, |&(dst, low_prio, high_prio)| {
         let mut sw = VirtualSwitch::new("prio");
         let a = sw.add_port("a", PortKind::Physical);
         let lo = sw.add_port("lo", PortKind::Physical);
         let hi = sw.add_port("hi", PortKind::Physical);
         let dip = Ipv4Addr::from(dst);
-        sw.install(0, FlowRule::new(low_prio, FlowMatch::to_ip(dip), vec![Action::Output(lo)]))
-            .expect("table 0 exists");
-        sw.install(0, FlowRule::new(high_prio, FlowMatch::to_ip(dip), vec![Action::Output(hi)]))
-            .expect("table 0 exists");
+        sw.install(
+            0,
+            FlowRule::new(low_prio, FlowMatch::to_ip(dip), vec![Action::Output(lo)]),
+        )
+        .expect("table 0 exists");
+        sw.install(
+            0,
+            FlowRule::new(high_prio, FlowMatch::to_ip(dip), vec![Action::Output(hi)]),
+        )
+        .expect("table 0 exists");
         let f = Frame::udp_data(
             MacAddr::local(1),
             MacAddr::local(2),
@@ -311,7 +326,7 @@ proptest! {
             20,
         );
         let out = sw.process(a, f);
-        prop_assert_eq!(out.len(), 1);
-        prop_assert_eq!(out[0].0, hi);
-    }
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, hi);
+    });
 }

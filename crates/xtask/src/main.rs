@@ -48,8 +48,10 @@
 //!   caller, so what it names stays public without a list of exemptions.
 //! * `unused-dep` — no `[dependencies]` or `[dev-dependencies]` entry whose
 //!   crate no `.rs` file of its package names (the root package owns
-//!   `src/`, `tests/` and `examples/`; every other package its directory).
-//!   Its waiver is a `# lint:allow(unused-dep)` comment in `Cargo.toml`.
+//!   `src/`, `tests/` and `examples/`; every other package its directory),
+//!   and no root `[workspace.dependencies]` entry that no package inherits
+//!   (`name.workspace = true`). Its waiver is a `# lint:allow(unused-dep)`
+//!   comment in `Cargo.toml`.
 //!
 //! A finding is waived by a comment `lint:allow(<check>)` on the same line
 //! or the line directly above, which is expected to justify *why* the site
@@ -148,10 +150,14 @@ fn lint_repo(root: &Path) -> (Vec<Finding>, usize) {
             scan_file(&src.path, &src.text, (&index, i), &mut findings);
         }
     }
-    for (manifest, dirs) in packages(root) {
-        if let Ok(text) = fs::read_to_string(root.join(&manifest)) {
-            scan_manifest(&manifest, &text, &names_in(&sources, &dirs), &mut findings);
-        }
+    let manifests: Vec<(PathBuf, Vec<PathBuf>, String)> = packages(root)
+        .into_iter()
+        .filter_map(|(m, dirs)| Some((m.clone(), dirs, fs::read_to_string(root.join(m)).ok()?)))
+        .collect();
+    let inherited = inherited_deps(manifests.iter().map(|(_, _, text)| text.as_str()));
+    for (manifest, dirs, text) in &manifests {
+        let named = names_in(&sources, dirs);
+        scan_manifest(manifest, text, &named, &inherited, &mut findings);
     }
     (findings, files)
 }
@@ -271,37 +277,63 @@ fn pub_item(code: &str) -> Option<&str> {
     idents(rest).next().filter(|name| *name != "_")
 }
 
+/// The section and key of each dependency entry in a manifest's text:
+/// `(line index, section, key, code)`.
+fn dependency_entries(text: &str) -> impl Iterator<Item = (usize, &str, &str, &str)> {
+    let mut section = "";
+    text.lines().enumerate().filter_map(move |(idx, raw)| {
+        let code = raw.split_once('#').map_or(raw, |(code, _)| code).trim();
+        if code.starts_with('[') {
+            section = code;
+            return None;
+        }
+        let key = code.split(['.', '=']).next().unwrap_or("").trim();
+        let deps = section.ends_with("dependencies]") && !key.is_empty();
+        deps.then_some((idx, section, key, code))
+    })
+}
+
+/// Every key a package's dependency section inherits from the workspace
+/// (`name.workspace = true` or `name = { workspace = true, .. }`).
+fn inherited_deps<'a>(manifests: impl Iterator<Item = &'a str>) -> HashSet<String> {
+    let entries = manifests.flat_map(dependency_entries);
+    entries
+        .filter(|(_, section, _, code)| {
+            let code: String = code.split_whitespace().collect();
+            *section != "[workspace.dependencies]" && code.contains("workspace=true")
+        })
+        .map(|(_, _, key, _)| key.to_string())
+        .collect()
+}
+
 /// `unused-dep` over one manifest: every dependency whose crate `named`
-/// (the identifiers of the package's code) lacks.
+/// (the identifiers of the package's code) lacks, and every workspace
+/// dependency `inherited` (the keys some package inherits) lacks.
 fn scan_manifest(
     manifest: &Path,
     text: &str,
     named: &HashSet<String>,
+    inherited: &HashSet<String>,
     findings: &mut Vec<Finding>,
 ) {
     let lines: Vec<&str> = text.lines().collect();
     let mut waivers = Vec::new();
-    let mut section = "";
     for (idx, raw) in lines.iter().enumerate() {
-        let (code, comment) = raw.split_once('#').unwrap_or((raw, ""));
+        let comment = raw.split_once('#').map_or("", |(_, comment)| comment);
         waivers.extend(waivers_at(idx, comment));
-        let code = code.trim();
-        if code.starts_with('[') {
-            section = code;
-            continue;
-        }
-        let key = code.split(['.', '=']).next().unwrap_or("").trim();
-        if matches!(section, "[dependencies]" | "[dev-dependencies]")
-            && !key.is_empty()
-            && !named.contains(&key.replace('-', "_"))
-            && !waive(&mut waivers, idx, "unused-dep")
-        {
-            let excerpt = raw.to_string();
+    }
+    for (idx, section, key, _) in dependency_entries(text) {
+        let unused = match section {
+            "[dependencies]" | "[dev-dependencies]" => !named.contains(&key.replace('-', "_")),
+            "[workspace.dependencies]" => !inherited.contains(key),
+            _ => false,
+        };
+        if unused && !waive(&mut waivers, idx, "unused-dep") {
             findings.push(Finding {
                 file: manifest.to_path_buf(),
                 line: idx + 1,
                 check: "unused-dep",
-                excerpt,
+                excerpt: lines[idx].to_string(),
             });
         }
     }
@@ -946,28 +978,60 @@ mod tests {
         assert_eq!(dead_pub(waived, &called), vec![(1, "unused-waiver")]);
     }
 
+    fn unused(manifest: &str, named: &[&str], inherited: &[&str]) -> Vec<(usize, &'static str)> {
+        let set = |names: &[&str]| names.iter().map(|n| n.to_string()).collect();
+        let (named, inherited) = (set(named), set(inherited));
+        let mut findings = Vec::new();
+        scan_manifest(
+            Path::new("Cargo.toml"),
+            manifest,
+            &named,
+            &inherited,
+            &mut findings,
+        );
+        findings.into_iter().map(|f| (f.line, f.check)).collect()
+    }
+
     #[test]
     fn a_dependency_no_file_names_is_reported() {
-        let unused = |manifest: &str, named: &[&str]| {
-            let named = named.iter().map(|n| n.to_string()).collect();
-            let mut findings = Vec::new();
-            scan_manifest(Path::new("Cargo.toml"), manifest, &named, &mut findings);
-            findings
-                .into_iter()
-                .map(|f| (f.line, f.check))
-                .collect::<Vec<_>>()
-        };
         let manifest = "[package]\nname = \"mts-demo\"\n\n[dependencies]\nmts-sim.workspace = true\n\
                         serde = { path = \"../serde\" }\n\n[dev-dependencies]\nproptest.workspace = true\n\n\
                         [lints]\nworkspace = true\n";
-        assert_eq!(unused(manifest, &["mts_sim", "serde"]), [(9, "unused-dep")]);
         assert_eq!(
-            unused(manifest, &["proptest"]),
+            unused(manifest, &["mts_sim", "serde"], &[]),
+            [(9, "unused-dep")]
+        );
+        assert_eq!(
+            unused(manifest, &["proptest"], &[]),
             [(5, "unused-dep"), (6, "unused-dep")]
         );
         let waived = "[dependencies]\nmts-sim.workspace = true # lint:allow(unused-dep): pinned\n";
-        assert_eq!(unused(waived, &[]), []);
-        assert_eq!(unused(waived, &["mts_sim"]), [(2, "unused-waiver")]);
+        assert_eq!(unused(waived, &[], &[]), []);
+        assert_eq!(unused(waived, &["mts_sim"], &[]), [(2, "unused-waiver")]);
+    }
+
+    #[test]
+    fn a_workspace_dependency_no_package_inherits_is_reported() {
+        let root = "[workspace.package]\nversion = \"0.1.0\"\n\n[workspace.dependencies]\n\
+                    mts-sim = { path = \"crates/sim\" }\nrand = { path = \"vendor/rand\" }\n\
+                    proptest = { path = \"vendor/proptest\" }\n\n[package]\nversion.workspace = true\n\n\
+                    [dependencies]\nmts-sim.workspace = true\n";
+        let member = "[package]\nedition.workspace = true\n\n[dev-dependencies]\n\
+                      rand = { workspace = true, features = [\"std\"] }\n";
+        let inherited = inherited_deps([root, member].into_iter());
+        let mut keys: Vec<&str> = inherited.iter().map(String::as_str).collect();
+        keys.sort_unstable();
+        assert_eq!(
+            keys,
+            ["mts-sim", "rand"],
+            "only dependency sections inherit"
+        );
+        assert_eq!(unused(root, &["mts_sim"], &keys), [(7, "unused-dep")]);
+        let waived = root.replace(
+            "vendor/proptest\" }",
+            "vendor/proptest\" } # lint:allow(unused-dep): kept",
+        );
+        assert_eq!(unused(&waived, &["mts_sim"], &keys), []);
     }
 
     #[test]
